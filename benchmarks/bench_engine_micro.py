@@ -8,7 +8,12 @@ Measures the primitives every figure benchmark is built from:
   ``REPRO_SIM_FASTPATH=0``);
 - ``events_per_sec``    — succeed-driven Event wakeups (store/CQ style);
 - ``store_hops_per_sec``— put→get rendezvous through a ``Store``;
-- ``resource_grants_per_sec`` — uncontended capacity-1 request/release.
+- ``resource_grants_per_sec`` — uncontended capacity-1 holds through the
+  hold protocol (``try_hold``/``release``);
+- ``core_run_ns_<sys>``  — host ns per uncontended ``Core.run`` on system
+  A (turbo: DVFS governor on) and L (nominal frequency);
+- ``core_syscall_ns_<sys>`` — the same for ``Core.syscall`` (A adds the
+  lognormal jitter draw and the DVFS idle credit).
 
 Writes ``results/BENCH_engine.json`` so the trajectory is visible across
 PRs.  Run directly (``python benchmarks/bench_engine_micro.py``) or via
@@ -21,6 +26,8 @@ import json
 import time
 
 from repro.bench_support import results_dir, scaled
+from repro.hw.cpu import Core
+from repro.hw.profiles import get_profile
 from repro.sim import Simulator
 from repro.sim.resources import Resource
 from repro.sim.store import Store
@@ -101,15 +108,33 @@ def bench_resource_grants(n: int) -> float:
 
     def worker():
         for _ in range(n):
-            req = res.request()
-            yield req
+            tok = res.try_hold()
+            if tok is None:
+                tok = yield from res.acquire()
             yield 1.0
-            res.release(req)
+            res.release(tok)
 
     sim.process(worker())
     t0 = time.perf_counter()
     sim.run()
     return _rate(n, time.perf_counter() - t0)
+
+
+def bench_core_ns(n: int, system: str, op: str) -> float:
+    """Host ns per uncontended ``Core.run(100 ns)`` or ``Core.syscall()``."""
+    sim = Simulator(seed=1)
+    core = Core(sim, get_profile(system))
+
+    def thread():
+        call = core.run if op == "run" else core.syscall
+        arg = 100.0 if op == "run" else 0.0
+        for _ in range(n):
+            yield from call(arg)
+
+    sim.process(thread())
+    t0 = time.perf_counter()
+    sim.run()
+    return (time.perf_counter() - t0) / n * 1e9
 
 
 def run_all(n: int | None = None) -> dict:
@@ -122,6 +147,9 @@ def run_all(n: int | None = None) -> dict:
         "store_hops_per_sec": bench_store_hops(n),
         "resource_grants_per_sec": bench_resource_grants(n),
     }
+    for system in ("A", "L"):
+        for op in ("run", "syscall"):
+            results[f"core_{op}_ns_{system}"] = bench_core_ns(n, system, op)
     results["fastpath_speedup"] = (
         results["resumes_per_sec"] / results["timeouts_per_sec"]
     )
@@ -139,7 +167,7 @@ def emit_json(results: dict) -> None:
 def test_engine_micro():
     results = run_all()
     for key, value in results.items():
-        print(f"{key:>24}: {value:,.0f}" if "per_sec" in key
+        print(f"{key:>24}: {value:,.0f}" if "per_sec" in key or "_ns_" in key
               else f"{key:>24}: {value}")
     emit_json(results)
     # The fast path must actually be faster than the Timeout path.

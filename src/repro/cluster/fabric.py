@@ -305,12 +305,13 @@ class Fabric:
 
         port = self._tx_ports[src_host]
         if self.chunk_bytes is None or nbytes <= self.chunk_bytes:
-            req = port.request()
-            yield req
+            tok = port.try_hold()
+            if tok is None:
+                tok = yield from port.acquire()
             try:
                 yield self.serialization_ns(nbytes)
             finally:
-                port.release(req)
+                port.release(tok)
         else:
             # Chunked: the port is re-acquired per chunk so concurrent flows
             # interleave instead of suffering whole-message head-of-line.
@@ -327,12 +328,13 @@ class Fabric:
                 chunk = min(nbytes - sent, self.chunk_bytes)
                 sent += chunk
                 packets = max(1, math.ceil(sent / mtu)) - packets_charged
-                req = port.request()
-                yield req
+                tok = port.try_hold()
+                if tok is None:
+                    tok = yield from port.acquire()
                 try:
                     yield packets * per_packet_ns + chunk / link_bw
                 finally:
-                    port.release(req)
+                    port.release(tok)
                 packets_charged += packets
 
         extra = 0.0
@@ -406,12 +408,14 @@ class Fabric:
             if span is not None:
                 trace.emit(self.sim.now, "span", "mark", span=span,
                            stage="rx_port", host=dst.host_id, comp="wire")
-        req = port.resource.request()
-        yield req
+        rx = port.resource
+        tok = rx.try_hold()
+        if tok is None:
+            tok = yield from rx.acquire()
         try:
             yield self.serialization_ns(nbytes)
         finally:
-            port.resource.release(req)
+            rx.release(tok)
             port.queued_bytes -= nbytes
         if tele.enabled:
             tele.scope(f"host{dst.host_id}").gauge(

@@ -57,6 +57,21 @@ class Core:
         self.name = name or f"core{index}"
         self.res = Resource(sim, capacity=1, name=self.name)
         self._jitter = sim.rng.jitter_stream(f"cpu:{self.name}")
+        # Per-hold constants of the profile (frozen dataclasses), so the hot
+        # paths below do no attribute chains, method calls or exp() for
+        # them.  Each is the exact float its profile expression yields.
+        cpu = self.profile
+        self._turbo = system.turbo_enabled
+        self._window = cpu.dvfs_window_ns
+        self._cold_gap = _COLD_WINDOWS * cpu.dvfs_window_ns
+        self._headroom = cpu.turbo_headroom - 1.0
+        self._syscall_base = system.syscall_cost()
+        self._jitter_cv = system.syscall_jitter_cv
+        #: Duty multiplier of one syscall's DVFS idle credit (None: no credit).
+        self._syscall_credit: Optional[float] = None
+        if self._turbo and cpu.dvfs_syscall_credit_ns > 0:
+            self._syscall_credit = math.exp(
+                -cpu.dvfs_syscall_credit_ns / cpu.dvfs_window_ns)
         #: Telemetry scope: core names are "<host>.coreN" (host scope).
         self._scope = self.name.split(".", 1)[0]
         # Duty-cycle EMA state for the DVFS governor.
@@ -105,57 +120,55 @@ class Core:
         reported as one canonical cold tuple.
         """
         gap = self.sim.now - self._duty_t
-        if self._duty == 0.0 or gap >= _COLD_WINDOWS * self.profile.dvfs_window_ns:
+        if self._duty == 0.0 or gap >= self._cold_gap:
             return (self.name, "cold")
         return (self.name, self._duty, gap)
 
     # -- DVFS -------------------------------------------------------------------
 
-    def _decay_duty(self) -> None:
+    def _decay_duty(self) -> float:
         """Decay the duty EMA over the idle gap since the last update.
 
-        Gaps past ``_COLD_WINDOWS`` flush to an exact 0.0: the residual
-        (< 1.6e-28) is beneath half an ulp of everything downstream, so
-        the flush is bit-invisible to timing while making long-idle cores
-        canonically cold.
+        Returns the decayed duty.  Gaps past ``_COLD_WINDOWS`` flush to an
+        exact 0.0: the residual (< 1.6e-28) is beneath half an ulp of
+        everything downstream, so the flush is bit-invisible to timing
+        while making long-idle cores canonically cold.  :meth:`run` inlines
+        this step; the two must stay in step.
         """
         now = self.sim.now
         gap = now - self._duty_t
         if gap > 0:
-            window = self.profile.dvfs_window_ns
-            if gap >= _COLD_WINDOWS * window:
+            if gap >= self._cold_gap:
                 self._duty = 0.0
             else:
-                self._duty *= math.exp(-gap / window)
+                self._duty *= math.exp(-gap / self._window)
             self._duty_t = now
+        return self._duty
 
     def _absorb_busy(self, duration: float) -> None:
         """Fold a busy interval ending now into the duty EMA."""
-        w = self.profile.dvfs_window_ns
-        frac = math.exp(-duration / w)
-        self._duty = 1.0 * (1.0 - frac) + self._duty * frac
+        frac = math.exp(-duration / self._window)
+        self._duty = (1.0 - frac) + self._duty * frac
         self._duty_t = self.sim.now
 
     @property
     def duty_cycle(self) -> float:
         """Current duty-cycle estimate in [0, 1]."""
-        self._decay_duty()
-        return self._duty
+        return self._decay_duty()
 
     @property
     def frequency_factor(self) -> float:
         """Effective frequency relative to nominal (>= 1.0)."""
-        if not self.system.turbo_enabled:
+        if not self._turbo:
             return 1.0
-        headroom = self.profile.turbo_headroom - 1.0
-        return 1.0 + headroom * (1.0 - self.duty_cycle)
+        return 1.0 + self._headroom * (1.0 - self._decay_duty())
 
     def grant_idle_credit(self, credit_ns: float) -> None:
         """Pretend the core idled for ``credit_ns`` (DVFS syscall effect)."""
-        if credit_ns <= 0 or not self.system.turbo_enabled:
+        if credit_ns <= 0 or not self._turbo:
             return
         self._decay_duty()
-        self._duty *= math.exp(-credit_ns / self.profile.dvfs_window_ns)
+        self._duty *= math.exp(-credit_ns / self._window)
 
     # -- execution -----------------------------------------------------------------
 
@@ -169,10 +182,12 @@ class Core:
             raise HardwareError(f"negative work: {work_ns}")
         if not self._hooked:
             self._ensure_hooks()
-        req = self.res.request()
-        yield req
+        res = self.res
+        tok = res.try_hold()
+        if tok is None:
+            tok = yield from res.acquire()
         try:
-            if not self.system.turbo_enabled:
+            if not self._turbo:
                 # Frequency is pinned to nominal, so the duty EMA can never
                 # feed back into timing — skip the per-slice exp() updates.
                 if work_ns > 0:
@@ -182,16 +197,32 @@ class Core:
                 # Slice long work so duty and frequency co-evolve: a long
                 # compute block saturates the core and decays to nominal
                 # frequency instead of riding its entry-time turbo factor.
+                # Each slice is one inline governor step: _decay_duty, the
+                # frequency factor, the scaled sleep, then _absorb_busy —
+                # the same float operations in the same order.
+                sim = self.sim
+                window = self._window
                 remaining = work_ns
                 while remaining > 0:
-                    slice_nominal = min(remaining, self.profile.dvfs_window_ns)
-                    scaled = slice_nominal / self.frequency_factor
+                    slice_nominal = window if window < remaining else remaining
+                    now = sim._now
+                    gap = now - self._duty_t
+                    if gap > 0:
+                        if gap >= self._cold_gap:
+                            self._duty = 0.0
+                        else:
+                            self._duty *= math.exp(-gap / window)
+                        self._duty_t = now
+                    scaled = slice_nominal / (
+                        1.0 + self._headroom * (1.0 - self._duty))
                     yield scaled
-                    self._absorb_busy(scaled)
+                    frac = math.exp(-scaled / window)
+                    self._duty = (1.0 - frac) + self._duty * frac
+                    self._duty_t = sim._now
                     self.busy_ns += scaled
                     remaining -= slice_nominal
         finally:
-            self.res.release(req)
+            res.release(tok)
 
     def syscall(
         self, kernel_work_ns: float = 0.0
@@ -201,14 +232,21 @@ class Core:
         Applies KPTI cost when the system profile enables it and lognormal
         jitter on virtualized systems.
         """
-        base = self.system.syscall_cost() + kernel_work_ns
-        cost = self._jitter.draw(base, self.system.syscall_jitter_cv)
+        cost = self._jitter.draw(self._syscall_base + kernel_work_ns,
+                                 self._jitter_cv)
         self.syscalls += 1
         tele = self.sim.telemetry
         if tele.enabled:
             tele.scope(self._scope).counter("cpu.syscalls").inc(cost, key=self.name)
         yield from self.run(cost)
-        self.grant_idle_credit(self.profile.dvfs_syscall_credit_ns)
+        credit = self._syscall_credit
+        if credit is not None:
+            # Inlined grant_idle_credit(dvfs_syscall_credit_ns).  A run that
+            # did any work left the EMA current, so the decay step is only
+            # needed after a zero-cost syscall.
+            if self._duty_t < self.sim._now:
+                self._decay_duty()
+            self._duty *= credit
 
     def busy_poll(self, until: Event, check_ns: float) -> Generator[Event, object, float]:
         """Busy-poll on the core until ``until`` fires.
@@ -219,8 +257,10 @@ class Core:
         """
         if not self._hooked:
             self._ensure_hooks()
-        req = self.res.request()
-        yield req
+        res = self.res
+        tok = res.try_hold()
+        if tok is None:
+            tok = yield from res.acquire()
         try:
             # The start mark lives on the core (not a generator local) so a
             # bulk clock advance can translate it: the measured wait then
@@ -230,8 +270,8 @@ class Core:
                 yield until
             waited = self.sim.now - self._poll_t0
             self._poll_t0 = None
-            if self.system.turbo_enabled:
-                tail = check_ns / self.frequency_factor
+            if self._turbo:
+                tail = check_ns / (1.0 + self._headroom * (1.0 - self._decay_duty()))
                 if tail > 0:
                     yield tail
                 burnt = waited + tail
@@ -245,7 +285,7 @@ class Core:
                 self.busy_ns += burnt
             return burnt
         finally:
-            self.res.release(req)
+            res.release(tok)
 
 
 class CpuSet:

@@ -116,12 +116,13 @@ class Link:
         """
         dst = self.peer(src)
         res = self._tx[src]
-        req = res.request()
-        yield req
+        tok = res.try_hold()
+        if tok is None:
+            tok = yield from res.acquire()
         try:
             yield self.serialization_ns(nbytes)
         finally:
-            res.release(req)
+            res.release(tok)
         # Schedule delivery after propagation without blocking the sender.
         deliver = dst.deliver
         if deliver is None:

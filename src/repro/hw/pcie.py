@@ -39,22 +39,26 @@ class PcieBus:
         """NIC reads ``nbytes`` from host memory (payload/WQE fetch)."""
         if nbytes < 0:
             raise HardwareError(f"negative DMA size: {nbytes}")
-        req = self.res.request()
-        yield req
+        res = self.res
+        tok = res.try_hold()
+        if tok is None:
+            tok = yield from res.acquire()
         try:
             yield self.profile.dma_read_lat_ns + self._occupancy(nbytes)
             self.bytes_read += nbytes
         finally:
-            self.res.release(req)
+            res.release(tok)
 
     def dma_write(self, nbytes: int) -> Generator[Event, object, None]:
         """NIC writes ``nbytes`` into host memory (payload/CQE delivery)."""
         if nbytes < 0:
             raise HardwareError(f"negative DMA size: {nbytes}")
-        req = self.res.request()
-        yield req
+        res = self.res
+        tok = res.try_hold()
+        if tok is None:
+            tok = yield from res.acquire()
         try:
             yield self.profile.dma_write_lat_ns + self._occupancy(nbytes)
             self.bytes_written += nbytes
         finally:
-            self.res.release(req)
+            res.release(tok)

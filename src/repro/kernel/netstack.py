@@ -71,11 +71,13 @@ class Softirq:
 
     def process(self, work_ns: float, packets: int):
         """Generator: occupy the softirq context for ``work_ns``."""
-        req = self.res.request()
-        yield req
+        res = self.res
+        tok = res.try_hold()
+        if tok is None:
+            tok = yield from res.acquire()
         try:
             yield work_ns
             self.packets_processed += packets
             self.busy_ns += work_ns
         finally:
-            self.res.release(req)
+            res.release(tok)

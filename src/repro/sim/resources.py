@@ -1,26 +1,44 @@
 """Capacity-limited resources.
 
 Used for CPU cores (capacity 1 per core), NIC execution units, IRQ lines
-and the like.  A request is an event that succeeds when a slot is granted::
+and the like.  Every hold follows one protocol::
 
-    req = core.request()
-    yield req
+    tok = res.try_hold()
+    if tok is None:
+        tok = yield from res.acquire()
     try:
-        yield sim.timeout(busy_time)
+        yield busy_time
     finally:
-        core.release(req)
+        res.release(tok)
 
-Requests also work as context managers for the common acquire/release
-bracket (``with resource.request() as req: yield req``).
+:meth:`Resource.try_hold` takes an idle capacity-1 resource inline and
+returns the resource's reusable grant token — no :class:`Request` is
+allocated and the caller does not yield.  Otherwise it returns ``None``
+and :meth:`Resource.acquire` queues a :class:`Request` (granted in FIFO
+order through the event loop), cancelling it if the wait is interrupted.
+
+A bare request is an event that succeeds when a slot is granted.  Open the
+``try`` *before* the wait, so an interrupted waiter cancels its queued
+request instead of leaking the slot it would later be granted::
+
+    req = res.request()
+    try:
+        yield req
+        yield busy_time
+    finally:
+        res.release(req)
+
+Requests also work as context managers for the same bracket
+(``with resource.request() as req: yield req``).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import _PENDING, NORMAL, Event
+from repro.sim.events import _PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -33,9 +51,9 @@ class Request(Event):
 
     def __init__(self, resource: "Resource", priority: int = 0):
         # Inlined Event.__init__ with the resource's precomputed request name
-        # (requests are allocated once per core/NIC grab — very hot).  The
-        # callbacks list is left unset; Resource.request fills it in (None
-        # for an inline grant, a fresh list when the request queues).
+        # (one request per hold not taken inline — hot).  The callbacks list
+        # is left unset; Resource.request fills it in (None for an inline
+        # grant, a fresh list when the request queues).
         self.sim = resource.sim
         self.name = resource._req_name
         self._value = _PENDING
@@ -69,6 +87,7 @@ class Resource:
         "_busy_integral",
         "_last_change",
         "_req_name",
+        "_held",
     )
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "resource"):
@@ -84,10 +103,17 @@ class Resource:
         # Utilization accounting: busy integral for average-occupancy stats.
         self._busy_integral = 0.0
         self._last_change = sim.now
-
-    def _next_order(self) -> int:
-        self._order_seq += 1
-        return self._order_seq
+        #: ``users`` while an inline hold is on (see :meth:`try_hold`): a
+        #: fixed one-element list holding the reusable grant token.  Only
+        #: capacity-1 resources of an unsanitized simulator have one; the
+        #: sanitizer is fixed at simulator construction, so deciding here
+        #: is the same as deciding per hold.
+        self._held: Optional[list[Request]] = None
+        if capacity == 1 and sim._sanitize is None:
+            tok = Request(self)
+            tok._value = tok
+            tok.callbacks = None
+            self._held = [tok]
 
     # -- accounting ------------------------------------------------------------
 
@@ -112,6 +138,45 @@ class Resource:
         return len(self.users)
 
     # -- protocol ---------------------------------------------------------------
+
+    def try_hold(self) -> Optional[Request]:
+        """Hold an idle capacity-1 resource inline; ``None`` if that is not possible.
+
+        Returns the resource's grant token, already held: the caller does
+        not yield and later passes the token to :meth:`release`.  An
+        uncontended :meth:`request` is granted inline too, so skipping its
+        allocation and its yield leaves the event heap, and every result,
+        unchanged.  Returns ``None`` when the resource is busy, has
+        capacity > 1, or runs under the sanitizer (whose SIM101 touches
+        need the :class:`Request` path); the caller then falls back to
+        :meth:`acquire`.
+        """
+        held = self._held
+        if held is None or self.users:
+            return None
+        # No users, so the busy integral gains 0 over the idle gap: only
+        # the change mark moves.  Installing the fixed list (instead of
+        # appending to ``users``) keeps the hold free of list mutation, and
+        # makes "the token holds" an identity test in :meth:`release`.
+        self._last_change = self.sim._now
+        self.users = held
+        return held[0]
+
+    def acquire(self, priority: int = 0) -> Generator[Event, object, Request]:
+        """Wait for a slot (generator); return the granted request.
+
+        If the wait ends in an exception (an interrupt), the request is
+        cancelled — or, if it was granted in the same instant, released —
+        before the exception propagates, so an abandoned waiter never
+        strands the slot.
+        """
+        req = self.request(priority)
+        try:
+            yield req
+        except BaseException:
+            self.release(req)
+            raise
+        return req
 
     def request(self, priority: int = 0) -> Request:
         """Claim a slot; the returned event succeeds when granted.
@@ -149,31 +214,42 @@ class Resource:
     def _enqueue(self, req: Request) -> None:
         self.queue.append(req)
 
-    def _dequeue(self) -> Optional[Request]:
-        return self.queue.pop(0) if self.queue else None
+    def _dequeue(self) -> Request:
+        return self.queue.pop(0)
 
     def release(self, req: Request) -> None:
         """Return a slot.  Releasing a queued (ungranted) request cancels it."""
-        sim = self.sim
-        now = sim._now
-        # sim: allow-float-eq(same-instant skip; both floats are copies of sim.now)
-        if now != self._last_change:
-            self._busy_integral += len(self.users) * (now - self._last_change)
+        users = self.users
+        if users is self._held and req is users[0]:
+            # Inline token: it is the sole user of a capacity-1 resource, so
+            # the busy integral gains ``1 * gap`` (adding 0.0 is exact when
+            # the gap is empty).  No sanitizer is attached (no token else).
+            # The held list itself is never mutated: a fresh one replaces it.
+            now = self.sim._now
+            self._busy_integral += now - self._last_change
             self._last_change = now
-        san = sim._sanitize
-        if san is not None:
-            # A release hands the slot to the FIFO head regardless of seq
-            # order within the bucket, so it never contends by itself.
-            san.note_touch(self, f"resource {self.name!r}", "release",
-                           contended=False)
-        try:
-            self.users.remove(req)
-        except ValueError:
-            self._cancel(req)
-            return
-        nxt = self._dequeue()
-        if nxt is not None:
-            self.users.append(nxt)
+            self.users = users = []
+        else:
+            sim = self.sim
+            now = sim._now
+            # sim: allow-float-eq(same-instant skip; both floats are copies of sim.now)
+            if now != self._last_change:
+                self._busy_integral += len(users) * (now - self._last_change)
+                self._last_change = now
+            san = sim._sanitize
+            if san is not None:
+                # A release hands the slot to the FIFO head regardless of
+                # seq order within the bucket, so it never contends by itself.
+                san.note_touch(self, f"resource {self.name!r}", "release",
+                               contended=False)
+            try:
+                users.remove(req)
+            except ValueError:
+                self._cancel(req)
+                return
+        if self.queue:
+            nxt = self._dequeue()
+            users.append(nxt)
             nxt.succeed(nxt)
 
     def _cancel(self, req: Request) -> None:
@@ -189,29 +265,24 @@ class PriorityResource(Resource):
     """Resource whose wait queue is ordered by (priority, FIFO).
 
     Lower priority values are served first, matching SimPy convention.
+    The wait queue is kept as a heap.
     """
 
-    __slots__ = ("_heap",)
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "presource"):
         super().__init__(sim, capacity=capacity, name=name)
-        self._heap: list[Request] = []
 
     def _enqueue(self, req: Request) -> None:
-        heapq.heappush(self._heap, req)
+        heapq.heappush(self.queue, req)
 
-    def _dequeue(self) -> Optional[Request]:
-        return heapq.heappop(self._heap) if self._heap else None
+    def _dequeue(self) -> Request:
+        return heapq.heappop(self.queue)
 
     def _cancel(self, req: Request) -> None:
-        try:
-            self._heap.remove(req)
-            heapq.heapify(self._heap)
-        except ValueError:
-            raise SimulationError(
-                f"release of {req!r} that neither holds nor waits for {self.name}"
-            ) from None
+        super()._cancel(req)
+        heapq.heapify(self.queue)
 
     @property
     def queue_length(self) -> int:
-        return len(self._heap)
+        return len(self.queue)

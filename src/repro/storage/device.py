@@ -153,20 +153,24 @@ class NvmeDevice:
             self.sim.spawn(self._execute(qp, cmd), name=self._cmd_name)
 
     def _execute(self, qp: StorageQueuePair, cmd: IoCommand) -> Generator["Event", object, None]:
-        req = self._channels.request()
-        yield req
+        channels = self._channels
+        req = channels.try_hold()
+        if req is None:
+            req = yield from channels.acquire()
         try:
             media = (self.profile.read_latency_ns if cmd.op == "read"
                      else self.profile.write_latency_ns)
             yield media
-            bus = self._bus.request()
-            yield bus
+            bus = self._bus
+            tok = bus.try_hold()
+            if tok is None:
+                tok = yield from bus.acquire()
             try:
                 yield cmd.nbytes / self.profile.bandwidth
             finally:
-                self._bus.release(bus)
+                bus.release(tok)
         finally:
-            self._channels.release(req)
+            channels.release(req)
         yield self.profile.cqe_ns
         self.commands_done += 1
         self.bytes_done += cmd.nbytes

@@ -1,10 +1,13 @@
 """CPU core model: execution, syscalls, DVFS governor, pinning."""
 
+import math
+
 import pytest
 
-from repro.errors import HardwareError
+from repro.errors import HardwareError, ProcessInterrupt
 from repro.hw.cpu import Core, CpuSet
 from repro.hw.profiles import SYSTEM_A, SYSTEM_L
+from repro.sanitize import drain_global_findings, findings_of
 from repro.sim import Simulator
 from repro.units import us
 
@@ -167,3 +170,116 @@ def test_cpuset_pin_round_robin_and_explicit():
     assert cpus.pin(2).index == 2
     with pytest.raises(HardwareError):
         cpus.pin(99)
+
+
+# -- hold protocol ---------------------------------------------------------------
+
+
+def test_interrupted_waiter_does_not_strand_the_core():
+    # A holds the core, B queues behind it and is interrupted at t=10.  When
+    # A releases at t=100, B's abandoned claim must not inherit the core.
+    sim, core = make_core(SYSTEM_L)
+    done = []
+
+    def a():
+        yield from core.run(100.0)
+
+    def b():
+        try:
+            yield from core.run(50.0)
+        except ProcessInterrupt:
+            return "interrupted"
+        return "ran"
+
+    def c():
+        yield sim.timeout(200.0)
+        yield from core.run(5.0)
+        done.append(sim.now)
+
+    sim.process(a())
+    pb = sim.process(b())
+    sim.process(c())
+    sim.call_later(10.0, lambda _: pb.interrupt("cancel"))
+    sim.run()
+    assert pb.value == "interrupted"
+    assert done == [205.0]
+    assert core.res.count == 0 and core.res.queue == []
+
+
+def test_uncontended_run_holds_inline():
+    sim, core = make_core(SYSTEM_A)
+    seen = []
+
+    def proc():
+        gen = core.run(300.0)
+        next(gen)  # the first yield is already the work slice
+        seen.append(core.res.users is core.res._held)
+        yield from gen
+
+    run(sim, proc())
+    assert seen == [True]
+    assert core.res.count == 0
+
+
+def test_same_instant_race_on_core_is_sim101_with_sanitizer():
+    sim = Simulator(sanitize=True)
+    core = Core(sim, SYSTEM_L, index=0, name="h0.core0")
+
+    def worker():
+        yield sim.timeout(10.0)
+        yield from core.run(5.0)
+
+    sim.process(worker(), name="thread_a")
+    sim.process(worker(), name="thread_b")
+    sim.run()
+    findings = findings_of(sim)
+    drain_global_findings()
+    assert [f.rule for f in findings] == ["SIM101"]
+    assert "resource 'h0.core0'" in findings[0].message
+    assert sim.now == 20.0
+
+
+def test_inline_governor_matches_reference_replay():
+    # Core.run folds decay -> frequency factor -> sleep -> absorb into one
+    # inline step per slice; replaying the governor's formulas slice by
+    # slice (cold flush included) must give the same bits.
+    sim, core = make_core(SYSTEM_A, seed=3)
+    window = SYSTEM_A.cpu.dvfs_window_ns
+    headroom = SYSTEM_A.cpu.turbo_headroom - 1.0
+    gaps = (0.0, 37.5, window * 0.3, window * 60.0, 1.0)
+    works = (window * 2.5, 28.0, 900.0, window * 0.7, 123.4)
+
+    def proc():
+        for gap, work in zip(gaps, works):
+            if gap:
+                yield gap
+            yield from core.run(work)
+
+    run(sim, proc())
+
+    rsim = Simulator(seed=3)
+    ref = {"duty": 0.0, "t": 0.0, "busy": 0.0}
+
+    def replay():
+        for gap, work in zip(gaps, works):
+            if gap:
+                yield gap
+            remaining = work
+            while remaining > 0:
+                slice_nominal = min(remaining, window)
+                idle = rsim.now - ref["t"]
+                if idle > 0:
+                    ref["duty"] = (0.0 if idle >= 48.0 * window
+                                   else ref["duty"] * math.exp(-idle / window))
+                    ref["t"] = rsim.now
+                scaled = slice_nominal / (1.0 + headroom * (1.0 - ref["duty"]))
+                yield scaled
+                frac = math.exp(-scaled / window)
+                ref["duty"] = 1.0 * (1.0 - frac) + ref["duty"] * frac
+                ref["t"] = rsim.now
+                ref["busy"] += scaled
+                remaining -= slice_nominal
+
+    rsim.run(rsim.process(replay()))
+    assert (sim.now, core.busy_ns, core._duty, core._duty_t) == (
+        rsim.now, ref["busy"], ref["duty"], ref["t"])

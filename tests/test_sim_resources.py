@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ProcessInterrupt, SimulationError
 from repro.sim import FilterStore, PriorityResource, Resource, Simulator, Store
 
 
@@ -143,6 +143,240 @@ def test_resource_utilization_accounting():
     sim.process(user())
     sim.run()
     assert res.utilization() == pytest.approx(0.5)
+
+
+# -- hold protocol: inline grant token, acquire fallback ------------------------
+
+
+def _hold(res):
+    """The hold bracket every model component uses (generator)."""
+    tok = res.try_hold()
+    if tok is None:
+        tok = yield from res.acquire()
+    return tok
+
+
+def test_try_hold_is_inline_and_token_is_reused():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    tok = res.try_hold()
+    assert tok is not None and res.count == 1
+    assert res.try_hold() is None  # busy: fall back to acquire()
+    res.release(tok)
+    assert res.count == 0
+    assert res.try_hold() is tok  # one reusable token per resource
+    res.release(tok)
+
+
+def test_inline_hold_then_contended_requests_keep_fifo_order_and_times():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    token = res.try_hold()
+    res.release(token)
+    log = []
+
+    def user(tag, arrive, hold):
+        yield sim.timeout(arrive)
+        tok = yield from _hold(res)
+        log.append((tag, "start", sim.now, tok is token))
+        yield sim.timeout(hold)
+        res.release(tok)
+        log.append((tag, "end", sim.now))
+
+    sim.process(user("a", 0.0, 10.0))
+    sim.process(user("b", 1.0, 5.0))
+    sim.process(user("c", 2.0, 5.0))
+    sim.process(user("d", 30.0, 1.0))
+    sim.run()
+    assert log == [
+        ("a", "start", 0.0, True),
+        ("a", "end", 10.0), ("b", "start", 10.0, False),
+        ("b", "end", 15.0), ("c", "start", 15.0, False),
+        ("c", "end", 20.0),
+        ("d", "start", 30.0, True), ("d", "end", 31.0),
+    ]
+
+
+def test_inline_hold_wake_order_matches_request_path():
+    def trace(inline):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        log = []
+
+        def user(tag, arrive):
+            yield sim.timeout(arrive)
+            if inline:
+                tok = yield from _hold(res)
+            else:
+                tok = res.request()
+                yield tok
+            log.append((tag, sim.now))
+            yield sim.timeout(3.0)
+            res.release(tok)
+
+        for tag, arrive in enumerate((0.0, 0.0, 1.0, 2.0, 9.0, 9.0, 20.0)):
+            sim.process(user(tag, arrive))
+        sim.run()
+        return log, res.utilization(), sim.now
+
+    assert trace(inline=True) == trace(inline=False)
+
+
+def test_inline_utilization_matches_request_path():
+    def utilization(inline):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+
+        def user():
+            for busy, idle in ((50.0, 25.0), (0.3, 7.1), (12.5, 0.0), (1.0, 3.0)):
+                tok = res.try_hold() if inline else None
+                if tok is None:
+                    tok = res.request()
+                    yield tok
+                yield busy
+                res.release(tok)
+                yield idle
+
+        sim.process(user())
+        sim.run()
+        mid = res.utilization(since=10.0)
+        return res.utilization(), mid, res._busy_integral
+
+    assert utilization(inline=True) == utilization(inline=False)
+
+
+def test_double_release_of_token_raises():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    tok = res.try_hold()
+    res.release(tok)
+    with pytest.raises(SimulationError):
+        res.release(tok)
+    # ...also once another holder owns the slot.
+    req = res.request()
+    with pytest.raises(SimulationError):
+        res.release(tok)
+    assert res.users == [req]
+
+
+def test_capacity_above_one_has_no_inline_hold():
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    assert res.try_hold() is None
+    starts = []
+
+    def user(tag):
+        tok = yield from _hold(res)
+        starts.append((tag, sim.now))
+        yield sim.timeout(10.0)
+        res.release(tok)
+
+    for tag in range(3):
+        sim.process(user(tag))
+    sim.run()
+    assert starts == [(0, 0.0), (1, 0.0), (2, 10.0)]
+
+
+def test_priority_resource_after_inline_holder():
+    sim = Simulator()
+    res = PriorityResource(sim, capacity=1)
+    order = []
+
+    def holder():
+        tok = res.try_hold()
+        assert tok is not None
+        yield sim.timeout(10.0)
+        res.release(tok)
+
+    def user(tag, prio):
+        yield sim.timeout(1.0)
+        req = yield from res.acquire(priority=prio)
+        order.append((tag, sim.now))
+        yield sim.timeout(1.0)
+        res.release(req)
+
+    sim.process(holder())
+    sim.process(user("low", 5))
+    sim.process(user("high", 1))
+    sim.process(user("mid", 3))
+    sim.run()
+    assert order == [("high", 10.0), ("mid", 11.0), ("low", 12.0)]
+    assert res.queue_length == 0
+
+
+def test_sanitized_resource_takes_the_request_path():
+    sim = Simulator(sanitize=True)
+    res = Resource(sim, capacity=1)
+    assert res.try_hold() is None
+
+
+def test_interrupted_waiter_does_not_leak_the_slot():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    late = []
+
+    def holder():
+        tok = yield from _hold(res)
+        yield sim.timeout(100.0)
+        res.release(tok)
+
+    def waiter():
+        try:
+            tok = yield from _hold(res)
+        except ProcessInterrupt:
+            return "interrupted"
+        res.release(tok)
+        return "granted"
+
+    def latecomer():
+        yield sim.timeout(150.0)
+        tok = yield from _hold(res)
+        late.append(sim.now)
+        res.release(tok)
+
+    sim.process(holder())
+    w = sim.process(waiter())
+    sim.process(latecomer())
+    sim.call_later(10.0, lambda _: w.interrupt("give up"))
+    sim.run()
+    assert w.value == "interrupted"
+    assert late == [150.0]
+    assert res.count == 0 and res.queue == []
+
+
+def test_interrupt_after_same_instant_grant_releases_the_slot():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    late = []
+
+    def holder():
+        tok = yield from _hold(res)
+        yield sim.timeout(100.0)
+        res.release(tok)
+        # The waiter's grant is now scheduled; interrupt it before it runs.
+        w.interrupt("too late")
+
+    def waiter():
+        yield sim.timeout(1.0)
+        try:
+            yield from _hold(res)
+        except ProcessInterrupt:
+            return "interrupted"
+        return "granted"
+
+    def latecomer():
+        yield sim.timeout(150.0)
+        tok = yield from _hold(res)
+        late.append(sim.now)
+        res.release(tok)
+
+    sim.process(holder())
+    w = sim.process(waiter())
+    sim.process(latecomer())
+    sim.run()
+    assert w.value == "interrupted"
+    assert late == [150.0]
+    assert res.count == 0
 
 
 def test_store_fifo_order():
