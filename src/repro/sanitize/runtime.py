@@ -1,10 +1,12 @@
 """Runtime sanitizers: same-timestamp races, RNG discipline, time travel.
 
 Enabled per-simulator with ``Simulator(sanitize=True)`` or globally with
-``REPRO_SANITIZE=1`` in the environment.  When enabled the engine runs an
-instrumented copy of its dispatch loop and the resource/store primitives
-report their touches here; when disabled every hook site costs a single
-``is None`` branch and the hot loop is byte-for-byte the optimized one.
+``REPRO_SANITIZE=1`` in the environment.  When enabled the engine runs its
+one instrumented dispatch loop instead of the hot loop (the same loop a
+model-checking chooser uses; the two hooks compose, so a chooser-driven
+schedule is sanitized too) and the resource/store primitives report their
+touches here; when disabled every hook site costs a single ``is None``
+branch and the hot loop is byte-for-byte the optimized one.
 
 The three checks (rule ids continue the SIM lint pack):
 

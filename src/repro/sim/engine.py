@@ -27,6 +27,18 @@ forces scalar yields through real ``Timeout`` events to prove it (see
 :meth:`Simulator.call_later` is the matching primitive for fire-and-forget
 callbacks (e.g. link propagation delivery): a pooled record invoking
 ``fn(arg)`` at the scheduled time, again without an Event allocation.
+
+Dispatch loops
+--------------
+
+There are exactly two: the branch-free hot loop in :meth:`Simulator.run`
+and one instrumented loop, :meth:`Simulator._run_instrumented`, which
+``run()`` picks whenever a runtime sanitizer (:mod:`repro.sanitize`) or
+a model-checking chooser (:mod:`repro.verify.choice`) is attached.  The
+instrumented loop sends each record through :meth:`_dispatch_record`,
+the single place both hooks act, so they compose: a chooser reorders
+ties while the sanitizer observes the schedule it produces.
+:meth:`Simulator.step` dispatches one record through the same helper.
 """
 
 from __future__ import annotations
@@ -46,10 +58,6 @@ from repro.sim.process import MiniProcess, Process, ProcessGenerator, _Resume
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace
 from repro.telemetry.metrics import Telemetry
-
-
-class _EmptySchedule(Exception):
-    """Internal: the event heap ran dry."""
 
 
 class _Callback:
@@ -97,7 +105,7 @@ class Simulator:
         race detector, RNG stream discipline, no-time-travel); ``None``
         (default) reads ``REPRO_SANITIZE`` from the environment (off
         unless truthy).  Off costs nothing on the hot loop: ``run()``
-        only picks the instrumented loop when a sanitizer is attached.
+        only picks the instrumented loop when a hook is attached.
     monitors:
         Attach the :mod:`repro.verify` protocol invariant monitors
         (PROTO101–PROTO107: exactly-once CQEs, responder PSN discipline,
@@ -151,7 +159,7 @@ class Simulator:
 
             self._monitor = ProtocolMonitor(self, strict=True)
         #: Deterministic choice-point hook (repro.verify.choice); when
-        #: attached, run() uses the instrumented _run_chosen loop.
+        #: attached, run() uses the instrumented loop.
         self._chooser: Optional["Chooser"] = None
 
     # -- clock ----------------------------------------------------------------
@@ -240,15 +248,6 @@ class Simulator:
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
         self._seq += 1
 
-    def _schedule_resume(self, process: Process, delay: float, priority: int = NORMAL) -> _Resume:
-        """Fast path: schedule a direct process resume ``delay`` ns from now."""
-        pool = self._resume_pool
-        rec = pool.pop() if pool else _Resume()
-        rec.process = process
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, rec))
-        self._seq += 1
-        return rec
-
     def call_later(self, delay: float, fn: Callable[[object], None], arg: object = None) -> None:
         """Run ``fn(arg)`` after ``delay`` ns (fire-and-forget, no Event).
 
@@ -302,12 +301,14 @@ class Simulator:
         """Attach a deterministic choice-point hook for model checking.
 
         With a chooser attached, :meth:`run` delegates to the instrumented
-        :meth:`_run_chosen` loop: whenever more than one heap record shares
-        the minimal ``(time, priority)``, the chooser picks which one
-        dispatches next (index into the FIFO-ordered front).  Index 0 at
-        every choice point reproduces the default sequence-number order
-        exactly, so a chooser that always answers 0 is bit-identical to no
-        chooser at all.  Detach with ``attach_chooser(None)``.
+        loop (see :meth:`_dispatch_record`): whenever more than one heap
+        record shares the minimal ``(time, priority)``, the chooser picks
+        which one dispatches next (index into the FIFO-ordered front).
+        Index 0 at every choice point reproduces the default
+        sequence-number order exactly, so a chooser that always answers 0
+        is bit-identical to no chooser at all.  An attached sanitizer keeps
+        observing the chosen schedule.  Detach with
+        ``attach_chooser(None)``.
         """
         self._chooser = chooser
 
@@ -363,41 +364,25 @@ class Simulator:
         return len(queue)
 
     def step(self) -> None:
-        """Process exactly one event (or fast-path record)."""
-        try:
-            when, _prio, _seq, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise _EmptySchedule() from None
-        if self._sanitize is not None:
-            self._sanitize.on_dispatch(when, _prio, event)
-        if when < self._now:  # pragma: no cover - heap invariant guard
-            raise SimulationError("event scheduled in the past")
-        self._now = when
-
-        cls = event.__class__
-        if cls is _Resume:
-            process = event.process
-            event.process = None
-            self._resume_pool.append(event)
-            if process is not None:
-                process._step(None, None)
-            return
-        if cls is _Callback:
-            fn, arg = event.fn, event.arg
-            event.fn = event.arg = None
-            self._cb_pool.append(event)
-            fn(arg)
-            return
-
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # A failure nobody waited for: surface it instead of losing it.
-            raise event._value
+        """Process exactly one heap record, through any attached hooks."""
+        if not self._queue:
+            raise SimulationError("step() on an empty schedule: no events left")
+        self._dispatch_record()
 
     # -- running ----------------------------------------------------------------
+
+    def _run_bounds(self, until: "float | Event | None") -> tuple[Optional[Event], float]:
+        """Split a ``run(until=...)`` argument into ``(stop_event, deadline)``."""
+        if until is None:
+            return None, float("inf")
+        if isinstance(until, Event):
+            return until, float("inf")
+        deadline = float(until)
+        if deadline < self._now:
+            raise SimulationError(
+                f"run(until={deadline}) is in the past (now={self._now})"
+            )
+        return None, deadline
 
     def run(self, until: "float | Event | None" = None) -> object:
         """Run the simulation.
@@ -409,26 +394,9 @@ class Simulator:
         - an :class:`Event` — run until the event is processed and return its
           value (raising its exception if it failed).
         """
-        if self._chooser is not None:
-            return self._run_chosen(until)
-        if self._sanitize is not None:
-            return self._run_sanitized(until)
-        stop_event: Optional[Event] = None
-        if until is None:
-            deadline = float("inf")
-        elif isinstance(until, Event):
-            stop_event = until
-            deadline = float("inf")
-            if stop_event.processed:
-                if stop_event._ok:
-                    return stop_event._value
-                raise stop_event._value  # type: ignore[misc]
-        else:
-            deadline = float(until)
-            if deadline < self._now:
-                raise SimulationError(
-                    f"run(until={deadline}) is in the past (now={self._now})"
-                )
+        if self._sanitize is not None or self._chooser is not None:
+            return self._run_instrumented(until)
+        stop_event, deadline = self._run_bounds(until)
 
         # Hot loop: locals bound once, record dispatch inlined.  This is the
         # innermost loop of every benchmark; it must not allocate.
@@ -478,38 +446,20 @@ class Simulator:
             if not event._ok and not event._defused:
                 raise event._value
 
-    def _run_sanitized(self, until: "float | Event | None" = None) -> object:
-        """Instrumented twin of :meth:`run` used when a sanitizer is attached.
+    def _run_instrumented(self, until: "float | Event | None") -> object:
+        """Twin of :meth:`run` used when a sanitizer or a chooser is attached.
 
-        Same semantics, but each dispatch first reports to the
-        :class:`~repro.sanitize.runtime.RuntimeSanitizer` (bucket
-        accounting for the same-timestamp race detector, the RNG
-        in-dispatch window, the no-time-travel assertion).  Kept separate
-        so the sanitizers-off hot loop above stays branch-free.
+        Same stop conditions, but every record goes through
+        :meth:`_dispatch_record`, which consults both hooks; the sanitizer
+        additionally brackets the whole run with ``begin_run``/``finish``.
+        Kept separate so the hooks-off hot loop in :meth:`run` stays
+        branch-free.
         """
+        stop_event, deadline = self._run_bounds(until)
         san = self._sanitize
-        san.begin_run()
-        stop_event: Optional[Event] = None
-        if until is None:
-            deadline = float("inf")
-        elif isinstance(until, Event):
-            stop_event = until
-            deadline = float("inf")
-            if stop_event.processed:
-                if stop_event._ok:
-                    return stop_event._value
-                raise stop_event._value  # type: ignore[misc]
-        else:
-            deadline = float(until)
-            if deadline < self._now:
-                raise SimulationError(
-                    f"run(until={deadline}) is in the past (now={self._now})"
-                )
-
+        if san is not None:
+            san.begin_run()
         queue = self._queue
-        heappop = heapq.heappop
-        resume_pool = self._resume_pool
-        cb_pool = self._cb_pool
         try:
             while True:
                 if stop_event is not None and stop_event.callbacks is None:
@@ -528,133 +478,71 @@ class Simulator:
                 if queue[0][0] > deadline:
                     self._now = deadline
                     return None
-
-                when, prio, _seq, event = heappop(queue)
-                san.on_dispatch(when, prio, event)
-                if when < self._now:
-                    raise SimulationError("event scheduled in the past")
-                self._now = when
-                san.in_dispatch = True
-                try:
-                    cls = event.__class__
-                    if cls is _Resume:
-                        process = event.process
-                        event.process = None
-                        resume_pool.append(event)
-                        if process is not None:
-                            process._step(None, None)
-                        continue
-                    if cls is _Callback:
-                        fn, arg = event.fn, event.arg
-                        event.fn = event.arg = None
-                        cb_pool.append(event)
-                        fn(arg)
-                        continue
-
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                finally:
-                    san.in_dispatch = False
+                self._dispatch_record()
         finally:
-            san.finish()
+            if san is not None:
+                san.finish()
 
-    def _run_chosen(self, until: "float | Event | None" = None) -> object:
-        """Instrumented twin of :meth:`run` used when a chooser is attached.
+    def _dispatch_record(self) -> None:
+        """Pop one heap record and dispatch it through the attached hooks.
 
-        Same semantics, but whenever several heap records share the minimal
-        ``(time, priority)`` — a genuine simultaneity the default loop
-        breaks by insertion order — the whole tied front is popped and the
-        chooser selects which record dispatches; the rest are pushed back
-        with their original keys (order-preserving, so later choice points
-        see the same FIFO front).  A chooser answering 0 everywhere
-        reproduces the default schedule bit-for-bit.  Kept separate so the
-        chooser-off hot loop in :meth:`run` stays branch-free.
+        With a chooser attached and several records sharing the minimal
+        ``(time, priority)`` — a genuine simultaneity the hot loop breaks
+        by insertion order — the whole tied front is popped, the chooser
+        selects which record dispatches, and the rest are pushed back with
+        their original keys (order-preserving, so later choice points see
+        the same FIFO front; index 0 everywhere reproduces the default
+        schedule bit-for-bit).  With a sanitizer attached, the chosen
+        record is reported to it and its body runs inside the sanitizer's
+        dispatch window.  Both hooks may be attached at once.
         """
-        chooser = self._chooser
-        assert chooser is not None
-        stop_event: Optional[Event] = None
-        if until is None:
-            deadline = float("inf")
-        elif isinstance(until, Event):
-            stop_event = until
-            deadline = float("inf")
-            if stop_event.processed:
-                if stop_event._ok:
-                    return stop_event._value
-                raise stop_event._value  # type: ignore[misc]
-        else:
-            deadline = float(until)
-            if deadline < self._now:
-                raise SimulationError(
-                    f"run(until={deadline}) is in the past (now={self._now})"
-                )
-
         queue = self._queue
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        resume_pool = self._resume_pool
-        cb_pool = self._cb_pool
-        while True:
-            if stop_event is not None and stop_event.callbacks is None:
-                if stop_event._ok:
-                    return stop_event._value
-                stop_event._defused = True
-                raise stop_event._value  # type: ignore[misc]
-            if not queue:
-                if stop_event is not None:
-                    raise SimulationError(
-                        "run() stop event will never be triggered: no events left"
-                    )
-                if deadline != float("inf"):
-                    self._now = deadline
-                return None
-            if queue[0][0] > deadline:
-                self._now = deadline
-                return None
-
-            record = heappop(queue)
-            when, prio = record[0], record[1]
-            # Gather the tied front: heap pops of equal keys come out in
-            # sequence order, i.e. exactly the default dispatch order.
-            if queue and not queue[0][0] > when and queue[0][1] == prio:
-                front = [record]
-                while queue and not queue[0][0] > when and queue[0][1] == prio:
-                    front.append(heappop(queue))
-                idx = chooser.choose(len(front), front)
-                record = front.pop(idx)
+        record = heapq.heappop(queue)
+        when, prio = record[0], record[1]
+        chooser = self._chooser
+        if chooser is not None:
+            # Heap pops of equal keys come out in sequence order, i.e.
+            # exactly the default dispatch order.
+            front = [record]
+            while queue and not queue[0][0] > when and queue[0][1] == prio:
+                front.append(heapq.heappop(queue))
+            if len(front) > 1:
+                record = front.pop(chooser.choose(len(front), front))
                 for rec in front:
-                    heappush(queue, rec)
-            event = record[3]
-            self._now = when
+                    heapq.heappush(queue, rec)
+        event = record[3]
+        san = self._sanitize
+        if san is not None:
+            san.on_dispatch(when, prio, event)
+        if when < self._now:
+            raise SimulationError("event scheduled in the past")
+        self._now = when
+        if san is not None:
+            san.in_dispatch = True
+        try:
             cls = event.__class__
             if cls is _Resume:
                 process = event.process
                 event.process = None
-                resume_pool.append(event)
+                self._resume_pool.append(event)
                 if process is not None:
                     process._step(None, None)
-                continue
-            if cls is _Callback:
+            elif cls is _Callback:
                 fn, arg = event.fn, event.arg
                 event.fn = event.arg = None
-                cb_pool.append(event)
+                self._cb_pool.append(event)
                 fn(arg)
-                continue
-
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
-
-    def run_until_idle(self) -> None:
-        """Drain every pending event (alias of ``run(None)`` for readability)."""
-        self.run(None)
+            else:
+                callbacks = event.callbacks
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    # A failure nobody waited for: surface it, don't lose it.
+                    raise event._value
+        finally:
+            if san is not None:
+                san.in_dispatch = False
 
 
 # Sentinel shared with events.py for the wait_any fast check.

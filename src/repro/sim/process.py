@@ -186,8 +186,9 @@ class Process(Event):
                     )
                     continue
                 if sim._fastpath:
-                    # Inlined sim._schedule_resume: one sleep per event-loop
-                    # dispatch makes this the hottest line in the simulator.
+                    # Schedule a pooled _Resume record inline: one sleep per
+                    # event-loop dispatch makes this the hottest line in the
+                    # simulator.
                     pool = sim._resume_pool
                     rec = pool.pop() if pool else _Resume()
                     rec.process = self

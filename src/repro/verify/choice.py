@@ -7,7 +7,10 @@ many a real system could exhibit.  A :class:`Chooser` attached via
 decision) into an explicit *choice point*: the engine hands over the tied
 front and the chooser picks which record dispatches.  Index 0 everywhere
 reproduces the default schedule bit-for-bit, so the explored space is a
-strict superset of what every test and golden already runs.
+strict superset of what every test and golden already runs.  The chooser
+acts in the engine's one instrumented dispatch loop, the same loop the
+runtime sanitizer observes, so the two hooks compose: with
+``REPRO_SANITIZE=1`` every explored schedule is sanitized as it runs.
 
 :class:`ScriptedChooser` is the replay vehicle the explorer drives: it
 follows a forced prefix of choices, answers 0 (default) beyond it, and

@@ -9,6 +9,7 @@ from repro.sanitize import drain_global_findings, findings_of
 from repro.sanitize.runtime import GLOBAL_FINDINGS, env_sanitize
 from repro.sim import Resource, Simulator, Store
 from repro.sim.engine import _Callback
+from repro.verify import Chooser
 
 
 @pytest.fixture(autouse=True)
@@ -49,8 +50,9 @@ def test_findings_of_unsanitized_sim_is_empty():
 # -- SIM101: same-timestamp races -------------------------------------------------
 
 
-def _two_requesters(stagger=0.0):
+def _two_requesters(stagger=0.0, chooser=None):
     sim = Simulator(sanitize=True)
+    sim.attach_chooser(chooser)
     core = Resource(sim, capacity=1, name="core0")
 
     def worker(delay):
@@ -122,6 +124,12 @@ def test_producer_consumer_handoff_is_not_a_race():
     assert findings_of(sim) == []
 
 
+def test_chooser_keeps_the_race_detector_on():
+    # Chooser and sanitizer share one instrumented loop: attaching the
+    # model checker's hook must not switch the race detector off.
+    assert _rules(_two_requesters(stagger=0.0, chooser=Chooser())) == ["SIM101"]
+
+
 # -- SIM102: rng stream discipline ------------------------------------------------
 
 
@@ -164,6 +172,15 @@ def test_draw_outside_dispatch_flagged():
     findings = findings_of(sim)
     assert _rules(findings) == ["SIM102"]
     assert "outside engine execution" in findings[0].message
+
+
+def test_step_dispatch_is_inside_the_sanitizer_window():
+    sim = Simulator(seed=1, sanitize=True)
+    sim.call_later(1.0, lambda _: None)
+    sim.call_later(2.0, lambda _: sim.rng.stream("late").integers(0, 10))
+    sim.run(until=1.5)
+    sim.step()  # the draw happens inside this dispatch, so it is legal
+    assert findings_of(sim) == []
 
 
 def test_sanitized_draws_match_unsanitized_draws():

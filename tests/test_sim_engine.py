@@ -417,3 +417,22 @@ def test_peek_reports_next_event_time():
     assert sim.peek() == 10.0
     sim.run()
     assert sim.peek() == float("inf")
+
+
+def test_step_on_empty_schedule_raises_simulation_error():
+    with pytest.raises(SimulationError, match="empty schedule"):
+        Simulator().step()
+
+
+def test_step_consults_an_attached_chooser():
+    from repro.verify import ScriptedChooser
+
+    sim = Simulator()
+    log = []
+    sim.call_later(5.0, log.append, "first")
+    sim.call_later(5.0, log.append, "second")
+    sim.attach_chooser(ScriptedChooser((1,)))
+    sim.step()
+    assert log == ["second"]
+    sim.step()
+    assert log == ["second", "first"]
