@@ -15,18 +15,19 @@ Timing model (cut-through):
   then wire serialization on the fabric (bandwidth cap).
 - receive engine: ``rx_process_ns`` occupancy per message, payload DMA
   pipeline-fill latency, CQE DMA write, optional interrupt.
+- both engines are FIFO servers driven by ``call_later`` records.
 - RC: responder ACKs each message; the initiator completes on ACK.
   Out-of-PSN-order arrivals are held in the QP reorder buffer.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.errors import HardwareError, MemoryAccessError, VerbsError
 from repro.hw.congestion import DcqcnLimiter
 from repro.hw.profiles import NicProfile
-from repro.sim.store import Store
 from repro.verbs.qp import QPState, QueuePair, Transport
 from repro.verbs.wr import CQE, Opcode, Psn, RecvWR, SendWR, WCStatus, WireMessage
 
@@ -91,8 +92,10 @@ class Nic:
 
         self._qps: dict[int, QueuePair] = {}
         self._qpn_seq = 0x40
-        self._tx_store: Store = Store(sim, name=f"{self.name}.txq")
-        self._rx_store: Store = Store(sim, name=f"{self.name}.rxq")
+        # Engine backlogs; the item in service is never in one.
+        self._tx_backlog: deque[tuple] = deque()
+        self._rx_backlog: deque[WireMessage] = deque()
+        self._tx_busy = self._rx_busy = False
         # Precomputed process/event names: these are spawned per message, and
         # per-message f-strings showed up in profiles.
         self._tx_msg_name = f"{self.name}.tx.msg"
@@ -116,7 +119,6 @@ class Nic:
         self.mr_table: Optional["MrTable"] = None  # set by attach()
         #: Telemetry scope (matches Host.name).
         self._scope = f"host{host_id}"
-        self._started = False
         self._mem_watchers: list[tuple[int, int, object]] = []
         #: Set by the IPoIB device: receives kind == "ip" wire messages.
         self.ip_handler: Optional[Callable[[WireMessage], None]] = None
@@ -144,8 +146,8 @@ class Nic:
         monotone growth would keep any signature from ever recurring.
         """
         return (
-            len(self._tx_store.items),
-            len(self._rx_store.items),
+            len(self._tx_backlog),
+            len(self._rx_backlog),
             tuple(
                 (qpn, qp.sq_outstanding, len(qp.rq), len(qp.outstanding),
                  len(qp.reorder), len(qp.retx_retries))
@@ -156,7 +158,7 @@ class Nic:
     # -- wiring -----------------------------------------------------------------
 
     def attach(self, fabric, mr_table: "MrTable") -> None:
-        """Connect to the fabric and this host's MR table; start engines."""
+        """Connect to the fabric and this host's MR table."""
         self._fabric = fabric
         self.mr_table = mr_table
         cc = getattr(fabric, "cc", None)
@@ -166,10 +168,6 @@ class Nic:
             # signatures and time-shift hooks stay exactly as before.
             self.sim.register_state_provider(self._cc_state)
             self.sim.on_time_shift(self._cc_shift_time)
-        if not self._started:
-            self.sim.process(self._tx_engine(), name=f"{self.name}.tx")
-            self.sim.process(self._rx_engine(), name=f"{self.name}.rx")
-            self._started = True
 
     def _cc_state(self) -> tuple:
         """Congestion-control levels for fast-forward cycle signatures:
@@ -202,9 +200,13 @@ class Nic:
         tele = self.sim.telemetry
         if tele.enabled:
             reg = tele.scope(self._scope)
-            reg.histogram("nic.rxq.occupancy").observe(len(self._rx_store.items))
+            reg.histogram("nic.rxq.occupancy").observe(len(self._rx_backlog))
             reg.counter("nic.rx.delivered").inc(msg.wire_bytes, key=msg.kind)
-        self._rx_store.put(msg)
+        if self._rx_busy:
+            self._rx_backlog.append(msg)
+        else:
+            self._rx_busy = True
+            self.sim.call_later(0.0, self._rx_fetch, msg)
 
     def next_qpn(self) -> int:
         self._qpn_seq += 1
@@ -218,9 +220,6 @@ class Nic:
             # let the monitor learn the (host, qpn, cq) identity mapping.
             qp._monitor = mon
             mon.register_qp(self.host_id, qp)
-
-    def lookup_qp(self, qpn: int) -> Optional[QueuePair]:
-        return self._qps.get(qpn)
 
     # -- dataplane entry points (CPU costs already paid by the dataplane) ---------
 
@@ -255,11 +254,11 @@ class Nic:
         if tele.enabled:
             reg = tele.scope(self._scope)
             reg.counter("nic.tx.posted").inc(wr.length, key=wr.opcode.value)
-            reg.histogram("nic.txq.occupancy").observe(len(self._tx_store.items))
+            reg.histogram("nic.txq.occupancy").observe(len(self._tx_backlog))
         mon = self.sim._monitor
         if mon is not None:
             mon.on_post_send(qp, wr, psn)
-        self._tx_store.put((qp, wr, psn, 0))
+        self._tx_submit((qp, wr, psn, 0))
 
     def hw_post_recv(self, qp: QueuePair, wr: RecvWR) -> None:
         """Accept a recv WQE into the device-visible receive queue."""
@@ -284,50 +283,66 @@ class Nic:
         if mon is not None:
             mon.on_post_srq_recv(srq, wr)
 
-    # -- send path ---------------------------------------------------------------
+    # -- engines: one call_later record per stage; an idle engine wakes on a
+    # 0 ns record, a finishing one spawns its message, then takes the next.
 
-    def _tx_engine(self) -> Generator["Event", object, None]:
-        """Serial WQE-scheduling engine: caps the message rate.
+    def _tx_submit(self, item: tuple) -> None:
+        """Queue one ``(qp, wr, psn, retries)`` WQE."""
+        if self._tx_busy:
+            self._tx_backlog.append(item)
+        else:
+            self._tx_busy = True
+            self.sim.call_later(0.0, self._tx_fetch, item)
 
-        Retransmissions re-enter here with ``retries > 0``: a retry pays
-        the same WQE-processing occupancy and pipeline fill as any other
-        WQE, and is traced like one, so retried ops stay visible to
-        telemetry span telescoping and the message-rate cap.
+    def _tx_fetch(self, item: tuple) -> None:
+        """Serial WQE scheduling: caps the message rate.
 
-        With congestion control on, WQE fetch is paced here by the QP's
-        DCQCN token bucket — in-engine, so pacing also holds back the
-        message-rate pipeline exactly as a rate-limited QP scheduler slot
-        would (one engine per NIC: a heavily cut QP delays its host's
-        other QPs too, the single-scheduler approximation).
+        Retries pay the same occupancy and fill as first sends.  With CC on,
+        the QP's DCQCN bucket paces fetch in-engine, like a rate-limited
+        scheduler slot: a heavily cut QP delays its host's other QPs too.
         """
-        while True:
-            item = yield self._tx_store.get()
-            qp, wr, psn, retries = item  # type: ignore[misc]
-            if self.cc is not None and qp.transport is Transport.RC:
-                # A retry already cancelled (ACK won the race, or the QP
-                # died) is about to be discarded by ``_initiate`` — it
-                # must not charge the token bucket: a late-ACK timeout
-                # storm would silently burn a full message of budget per
-                # cancelled retry, starving real traffic of exactly the
-                # capacity congestion control is trying to protect.
-                moot = retries and (qp.state is not QPState.RTS
-                                    or qp.outstanding.get(psn) is not wr)
-                if not moot:
-                    delay = self._limiter(qp).pace(
-                        self.sim.now, wr.length + HEADER_BYTES
-                    )
-                    if delay > 0.0:
-                        trace = self.sim.trace
-                        if trace.enabled and wr.span is not None:
-                            trace.emit(self.sim.now, "span", "mark",
-                                       span=wr.span, stage="cc_pace",
-                                       host=self.host_id, comp="nic.tx")
-                        yield delay
-            yield self.profile.wqe_process_ns
-            # Pipeline the rest so the engine can schedule the next WQE
-            # while this message is still fetching payload / on the wire.
-            self.sim.spawn(self._initiate(qp, wr, psn, retries),
-                           name=self._tx_msg_name)
+        qp, wr, psn, retries = item
+        # A retry already cancelled (ACK won the race, or the QP died) is
+        # discarded by ``_initiate``: charging the bucket for it would let a
+        # late-ACK timeout storm starve the traffic CC is protecting.
+        if self.cc is not None and qp.transport is Transport.RC and not (
+                retries and (qp.state is not QPState.RTS
+                             or qp.outstanding.get(psn) is not wr)):
+            delay = self._limiter(qp).pace(self.sim.now, wr.length + HEADER_BYTES)
+            if delay > 0.0:
+                trace = self.sim.trace
+                if trace.enabled and wr.span is not None:
+                    trace.emit(self.sim.now, "span", "mark", span=wr.span,
+                               stage="cc_pace", host=self.host_id, comp="nic.tx")
+                self.sim.call_later(delay, self._tx_paced, item)
+                return
+        self.sim.call_later(self.profile.wqe_process_ns, self._tx_done, item)
+
+    def _tx_paced(self, item: tuple) -> None:
+        self.sim.call_later(self.profile.wqe_process_ns, self._tx_done, item)
+
+    def _tx_done(self, item: tuple) -> None:
+        # Pipelined: the next WQE is scheduled while this one is in flight.
+        self.sim.spawn(self._initiate(*item), name=self._tx_msg_name)
+        if self._tx_backlog:
+            self._tx_fetch(self._tx_backlog.popleft())
+        else:
+            self._tx_busy = False
+
+    def _rx_fetch(self, msg: WireMessage) -> None:
+        occupancy = self.profile.rx_process_ns
+        if msg.kind in ("ack", "nak_rnr", "cnp"):
+            occupancy *= ACK_RX_FRACTION
+        self.sim.call_later(occupancy, self._rx_done, msg)
+
+    def _rx_done(self, msg: WireMessage) -> None:
+        self.sim.spawn(self._dispatch(msg), name=self._rx_msg_name)
+        if self._rx_backlog:
+            self._rx_fetch(self._rx_backlog.popleft())
+        else:
+            self._rx_busy = False
+
+    # -- send path ---------------------------------------------------------------
 
     def _initiate(
         self, qp: QueuePair, wr: SendWR, psn: int, retries: int = 0
@@ -344,7 +359,7 @@ class Nic:
             # First transmission of a WQE fetched after the QP left RTS:
             # the WR was posted (and counted) before the transition, so
             # the error flush already zeroed sq_outstanding but could not
-            # see this entry — it was still in the shared TX store, not in
+            # see this entry — it was still in the shared TX backlog, not in
             # ``outstanding``.  Transmitting now would resurrect it on an
             # errored QP (double completion, negative occupancy); instead
             # it is flushed through the CQ like the rest of the SQ (ERROR)
@@ -417,7 +432,7 @@ class Nic:
             dst_qpn=dst_qpn,
             transport=qp.transport.value,
             psn=psn,
-            length=wr.length if kind != "read_req" else wr.length,
+            length=wr.length,
             imm=wr.imm,
             remote_addr=wr.remote_addr,
             rkey=wr.rkey,
@@ -471,16 +486,6 @@ class Nic:
                 )
 
     # -- receive path -----------------------------------------------------------------
-
-    def _rx_engine(self) -> Generator["Event", object, None]:
-        while True:
-            msg = yield self._rx_store.get()
-            assert isinstance(msg, WireMessage)
-            occupancy = self.profile.rx_process_ns
-            if msg.kind in ("ack", "nak_rnr", "cnp"):
-                occupancy *= ACK_RX_FRACTION
-            yield occupancy
-            self.sim.spawn(self._dispatch(msg), name=self._rx_msg_name)
 
     def _dispatch(self, msg: WireMessage) -> Generator["Event", object, None]:
         if msg.kind == "ip":
@@ -943,7 +948,7 @@ class Nic:
         so they pay processing occupancy and pipeline fill and show up in
         the TX trace/telemetry like any other message.
 
-        At most one retry per PSN sits in the TX store at a time
+        At most one retry per PSN sits in the TX backlog at a time
         (``qp.retx_pending``): an RNR NAK racing an ACK timeout used to
         queue *two* retransmissions for the same PSN — both passed
         ``_initiate``'s liveness check and both hit the wire, amplifying
@@ -965,7 +970,7 @@ class Nic:
         if trace.enabled:
             trace.emit(self.sim.now, "nic", "retransmit",
                        host=self.host_id, qpn=qp.qpn, psn=psn, retries=retries)
-        self._tx_store.put((qp, wr, psn, retries))
+        self._tx_submit((qp, wr, psn, retries))
 
     def _complete_retry_exhausted(
         self, qp: QueuePair, wr: SendWR

@@ -1,10 +1,10 @@
-"""FIFO stores — the queues of the simulated world.
+"""FIFO stores — blocking queues between simulation processes.
 
-Work queues, completion queues, socket receive buffers and MPI unexpected-
-message queues are all stores: producers ``put`` items (optionally bounded),
-consumers ``get`` them, and both sides block on events when the store is
-full/empty.  :class:`FilterStore` additionally lets a consumer wait for the
-first item matching a predicate (used for tag matching in MPI).
+Connection-manager requests, interrupt events, socket buffers and the
+storage fetch queue are stores: producers ``put`` items (optionally
+bounded), consumers ``get`` them, and both block when the store is
+full/empty.  :class:`FilterStore` lets a consumer wait for the first item
+matching a predicate.  The NIC engines are callback-driven servers instead.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ class StorePut(Event):
     __slots__ = ("item",)
 
     def __init__(self, store: "Store", item: object):
-        # Inlined Event.__init__ with the store's precomputed name — one
-        # StorePut/StoreGet pair is allocated per queue hop, which makes these
-        # the most frequently constructed events in the NIC pipelines.  The
-        # callbacks list is left unset; Store.put fills it in (None when the
-        # item is stored inline, a fresh list when the put queues).
+        # Inlined Event.__init__ with the store's precomputed name (one
+        # StorePut/StoreGet pair per queue hop).  The callbacks list is left
+        # unset; Store.put fills it in (None when the item is stored inline,
+        # a fresh list when the put queues).
         self.sim = store.sim
         self.name = store._put_name
         self._value = _PENDING
@@ -164,10 +163,6 @@ class Store:
             san.note_touch(self, f"store {self.name!r}", "try_get",
                            contended=False)
         return None
-
-    def peek(self) -> Optional[object]:
-        """Oldest item without removing it, or ``None``."""
-        return self.items[0] if self.items else None
 
     # -- matching engine --------------------------------------------------------------
 

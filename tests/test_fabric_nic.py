@@ -8,10 +8,11 @@ from repro.cluster import build_cluster, build_pair
 from repro.core.endpoint import connect, make_endpoint, make_rc_pair, make_ud_pair
 from repro.errors import HardwareError
 from repro.hw.link import Link
+from repro.hw.nic import ACK_RX_FRACTION
 from repro.hw.profiles import SYSTEM_L
 from repro.sim import Simulator
 from repro.units import gbit_per_s, to_gbit_per_s, us
-from repro.verbs.wr import Opcode, RecvWR, SendWR
+from repro.verbs.wr import Opcode, RecvWR, SendWR, WireMessage
 
 
 def test_fabric_serialization_includes_packet_tax():
@@ -213,3 +214,178 @@ def test_chunked_fabric_interleaves_flows():
     blocked = small_latency(chunk=None)
     interleaved = small_latency(chunk=64 * 1024)
     assert interleaved < blocked / 5  # chunking rescues the mouse flow
+
+
+# -- NIC engine service order ------------------------------------------------------
+#
+# The TX engine serves doorbelled WQEs one at a time (``wqe_process_ns``
+# each, plus any congestion-control pacing) and hands every served WQE to
+# a per-message ``_initiate``; the RX engine serves arrivals one at a time
+# (``rx_process_ns``, a quarter of it for ACK/NAK/CNP) and hands each to
+# ``_dispatch``.  These tests pin when each hand-off happens and what the
+# fast-forward queue-depth fingerprint sees meanwhile.
+
+
+def _record_handoffs(nic, method, log, extra, forward=True):
+    """Wrap ``nic.<method>`` to log ``(now, *extra(args))`` at each hand-off.
+
+    With ``forward=False`` the hand-off is swallowed (an empty generator
+    is spawned instead), for fake arrivals that target no QP.
+    """
+    orig = getattr(nic, method)
+
+    def wrapped(*args):
+        log.append((nic.sim.now, *extra(*args)))
+        return orig(*args) if forward else (_ for _ in ())
+
+    setattr(nic, method, wrapped)
+
+
+def _arrival(kind):
+    return WireMessage(kind=kind, src_host=1, dst_host=0, src_qpn=1,
+                       dst_qpn=2, transport="RC", psn=0, length=64)
+
+
+def _rc_pairs(sim, src, dst, n):
+    out = []
+
+    def main():
+        for _ in range(n):
+            out.append((yield from make_rc_pair(src, dst, "bypass", "bypass")))
+
+    sim.run(sim.process(main()))
+    return out
+
+
+def _write(ep, peer, wr_id, length=64):
+    return SendWR(wr_id=wr_id, opcode=Opcode.RDMA_WRITE, addr=ep.buf.addr,
+                  length=length, lkey=ep.mr.lkey, remote_addr=peer.buf.addr,
+                  rkey=peer.mr.rkey, signaled=False)
+
+
+def test_tx_burst_is_spaced_by_wqe_process_ns_in_fifo_order_across_qps():
+    sim = Simulator(seed=1)
+    _fabric, host_a, host_b = build_pair(sim, SYSTEM_L)
+    pairs = _rc_pairs(sim, host_a, host_b, 2)
+    nic = host_a.nic
+    log = []
+    _record_handoffs(nic, "_initiate", log,
+                     lambda qp, wr, psn, retries=0: (
+                         qp.qpn, wr.wr_id, nic._queue_depth_state()[0]))
+    n = 6
+    posted = []
+    depth_after_burst = []
+
+    def burst():
+        yield sim.timeout(us(1))
+        for i in range(n):
+            ep, peer = pairs[i % 2]
+            nic.hw_post_send(ep.qp, _write(ep, peer, i))
+            posted.append((ep.qp.qpn, i))
+        depth_after_burst.append(nic._queue_depth_state()[0])
+        return sim.now
+
+    t0 = sim.run(sim.process(burst()))
+    sim.run()
+    # FIFO across QPs: served in exactly the post order.
+    assert [(qpn, wr_id) for _t, qpn, wr_id, _d in log] == posted
+    # Spaced by the WQE-processing occupancy, accumulated like the engine.
+    expected = []
+    t = t0
+    for _ in range(n):
+        t = t + nic.profile.wqe_process_ns
+        expected.append(t)
+    assert [t for t, *_ in log] == expected
+    # The WQE in service is never counted as queued: N-1 wait right after
+    # the burst, and each hand-off happens before the next WQE is taken.
+    assert depth_after_burst == [n - 1]
+    assert [d for *_, d in log] == list(range(n - 1, -1, -1))
+    assert nic._queue_depth_state()[:2] == (0, 0)
+
+
+def test_rx_control_messages_cost_ack_fraction_of_rx_process_ns():
+    sim = Simulator(seed=1)
+    _fabric, host_a, _host_b = build_pair(sim, SYSTEM_L)
+    nic = host_a.nic
+    log = []
+    _record_handoffs(nic, "_dispatch", log, lambda msg: (msg.kind,),
+                     forward=False)
+    kinds = ["ack", "nak_rnr", "cnp", "send", "write", "read_resp"]
+    full = nic.profile.rx_process_ns
+    cost = {k: full * ACK_RX_FRACTION if k in ("ack", "nak_rnr", "cnp") else full
+            for k in kinds}
+
+    def feed():
+        # One at a time, then the same kinds as one same-instant burst.
+        alone = []
+        for kind in kinds:
+            t = sim.now
+            nic.deliver(_arrival(kind))
+            alone.append(t + cost[kind])
+            yield sim.timeout(us(1))
+        t = sim.now
+        burst = []
+        for kind in kinds:
+            nic.deliver(_arrival(kind))
+        for kind in kinds:
+            t = t + cost[kind]
+            burst.append(t)
+        return alone + burst
+
+    expected = sim.run(sim.process(feed()))
+    sim.run()
+    assert [k for _t, k in log] == kinds + kinds
+    assert [t for t, _k in log] == expected
+    assert nic._queue_depth_state()[:2] == (0, 0)
+
+
+def test_rx_burst_depth_counts_only_waiting_messages():
+    sim = Simulator(seed=1)
+    _fabric, host_a, _host_b = build_pair(sim, SYSTEM_L)
+    nic = host_a.nic
+    depths = []
+    _record_handoffs(nic, "_dispatch", depths,
+                     lambda msg: (nic._queue_depth_state()[1],), forward=False)
+
+    def feed():
+        yield sim.timeout(us(1))
+        for _ in range(4):
+            nic.deliver(_arrival("cnp"))
+        return nic._queue_depth_state()[1]
+
+    assert sim.run(sim.process(feed())) == 3
+    sim.run()
+    assert [d for _t, d in depths] == [3, 2, 1, 0]
+
+
+def test_cc_paced_qp_holds_the_tx_engine_for_other_qps():
+    sim = Simulator(seed=3)
+    _fabric, hosts = build_cluster(sim, SYSTEM_L, 2, rx_contention=True,
+                                   congestion="dcqcn")
+    src, dst = hosts
+    nic = src.nic
+    assert nic.cc is not None
+    (big, big_peer), (small, small_peer) = _rc_pairs(sim, src, dst, 2)
+    log = []
+    _record_handoffs(nic, "_initiate", log,
+                     lambda qp, wr, psn, retries=0: (wr.wr_id,))
+    wqe = nic.profile.wqe_process_ns
+
+    def burst():
+        yield sim.timeout(us(1))
+        # 64 KiB against a fresh limiter's 4 KiB bucket: paced.  The small
+        # WQE on another QP fits its own bucket but queues behind it.
+        nic.hw_post_send(big.qp, _write(big, big_peer, 1, length=64 * 1024))
+        nic.hw_post_send(small.qp, _write(small, small_peer, 2))
+        return sim.now
+
+    t0 = sim.run(sim.process(burst()))
+    sim.run(until=sim.now + us(200))
+    (t_big, id_big), (t_small, id_small) = log[:2]
+    assert (id_big, id_small) == (1, 2)
+    paced = nic._limiters[big.qp.qpn].paced_ns
+    assert paced > 0.0
+    assert nic._limiters[small.qp.qpn].paced_ns == 0.0
+    assert t_big == (t0 + paced) + wqe
+    # Not t0 + 2*wqe: the paced QP held the single scheduler slot.
+    assert t_small == t_big + wqe
