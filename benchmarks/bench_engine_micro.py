@@ -2,10 +2,11 @@
 
 Measures the primitives every figure benchmark is built from:
 
-- ``resumes_per_sec``   — scalar-yield sleeps through the fast path;
-- ``timeouts_per_sec``  — the same loop forced through real ``Timeout``
-  events (what the engine cost before the fast path / with
-  ``REPRO_SIM_FASTPATH=0``);
+- ``resumes_per_sec``   — scalar-yield sleeps (pooled resume records);
+- ``timeouts_per_sec``  — the same loop yielding real ``Timeout`` events,
+  which scalar yields replace on the hot paths;
+- ``spawns_per_sec``    — detached ``sim.spawn`` processes started, slept
+  once and finished (the per-message NIC/IRQ work pattern);
 - ``events_per_sec``    — succeed-driven Event wakeups (store/CQ style);
 - ``store_hops_per_sec``— put→get rendezvous through a ``Store``;
 - ``resource_grants_per_sec`` — uncontended capacity-1 holds through the
@@ -40,8 +41,8 @@ def _rate(n: int, seconds: float) -> float:
     return n / seconds if seconds > 0 else float("inf")
 
 
-def bench_scalar_resumes(n: int, fastpath: bool = True) -> float:
-    sim = Simulator(fastpath=fastpath)
+def bench_scalar_resumes(n: int) -> float:
+    sim = Simulator()
 
     def sleeper():
         for _ in range(n):
@@ -62,6 +63,24 @@ def bench_timeout_events(n: int) -> float:
             yield timeout(1.0)
 
     sim.process(sleeper())
+    t0 = time.perf_counter()
+    sim.run()
+    return _rate(n, time.perf_counter() - t0)
+
+
+def bench_spawns(n: int) -> float:
+    sim = Simulator()
+
+    def body():
+        yield 1.0
+
+    def spawner():
+        spawn = sim.spawn
+        for _ in range(n):
+            spawn(body())
+            yield 1.0
+
+    sim.process(spawner())
     t0 = time.perf_counter()
     sim.run()
     return _rate(n, time.perf_counter() - t0)
@@ -143,6 +162,7 @@ def run_all(n: int | None = None) -> dict:
         "n_ops": n,
         "resumes_per_sec": bench_scalar_resumes(n),
         "timeouts_per_sec": bench_timeout_events(n),
+        "spawns_per_sec": bench_spawns(n),
         "events_per_sec": bench_event_wakeups(n),
         "store_hops_per_sec": bench_store_hops(n),
         "resource_grants_per_sec": bench_resource_grants(n),
@@ -150,7 +170,7 @@ def run_all(n: int | None = None) -> dict:
     for system in ("A", "L"):
         for op in ("run", "syscall"):
             results[f"core_{op}_ns_{system}"] = bench_core_ns(n, system, op)
-    results["fastpath_speedup"] = (
+    results["scalar_yield_speedup"] = (
         results["resumes_per_sec"] / results["timeouts_per_sec"]
     )
     return results
@@ -170,7 +190,7 @@ def test_engine_micro():
         print(f"{key:>24}: {value:,.0f}" if "per_sec" in key or "_ns_" in key
               else f"{key:>24}: {value}")
     emit_json(results)
-    # The fast path must actually be faster than the Timeout path.
+    # Scalar yields must actually be faster than yielding Timeouts.
     assert results["resumes_per_sec"] > results["timeouts_per_sec"]
 
 

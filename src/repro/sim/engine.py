@@ -6,27 +6,17 @@ deterministic FIFO order within a priority class — determinism is a hard
 requirement because hardware profiles carry seeded jitter and benchmark
 results must be exactly reproducible.
 
-Fast path
----------
+Pooled records
+--------------
 
-Processes may yield a bare ``float``/``int`` number of nanoseconds instead
-of a :class:`~repro.sim.events.Timeout`::
-
-    yield 250.0        # equivalent to: yield sim.timeout(250.0)
-
-The engine then schedules a pooled :class:`_Resume` record and resumes the
-generator straight off the heap — no ``Timeout`` object, no callback list,
-no event state machine.  The record is recycled through a free pool the
-moment it pops, so the steady-state hot loop allocates nothing per delay.
-Scheduling order is identical to the ``Timeout`` path (same
-``(time, priority, sequence)`` key allocated at the same point), so
-simulation results are bit-identical either way; ``REPRO_SIM_FASTPATH=0``
-forces scalar yields through real ``Timeout`` events to prove it (see
-``tests/test_golden_determinism.py``).
-
-:meth:`Simulator.call_later` is the matching primitive for fire-and-forget
-callbacks (e.g. link propagation delivery): a pooled record invoking
-``fn(arg)`` at the scheduled time, again without an Event allocation.
+Two record types skip the Event machinery: a process's scalar sleep
+(``yield 250.0``, see :mod:`repro.sim.process`) pushes a :class:`_Resume`,
+and :meth:`Simulator.call_later` pushes a :class:`_Callback` invoking
+``fn(arg)``.  Each takes the ``(time, priority, sequence)`` key a
+``Timeout`` created at the same point would get, and is recycled through
+a free pool the moment it pops, so the steady-state hot loop allocates
+nothing per delay.  The goldens in ``tests/test_golden_determinism.py``
+pin the resulting bits.
 
 Dispatch loops
 --------------
@@ -45,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import os
+from numbers import Real
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.errors import SimulationError
@@ -54,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.verify.monitors import ProtocolMonitor
 from repro.sanitize.runtime import env_sanitize
 from repro.sim.events import NORMAL, AllOf, AnyOf, Event, Timeout
-from repro.sim.process import MiniProcess, Process, ProcessGenerator, _Resume
+from repro.sim.process import Process, ProcessGenerator, _Resume
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace
 from repro.telemetry.metrics import Telemetry
@@ -68,10 +59,6 @@ class _Callback:
     def __init__(self) -> None:
         self.fn = None
         self.arg = None
-
-
-def _env_fastpath() -> bool:
-    return os.environ.get("REPRO_SIM_FASTPATH", "1").lower() not in ("0", "false", "no")
 
 
 def _env_monitors() -> bool:
@@ -97,9 +84,6 @@ class Simulator:
         registry; a disabled one is created by default.  Like the trace,
         instrumented sites pay one branch when it is off, and enabling it
         never alters simulation results (it only mutates Python counters).
-    fastpath:
-        Force the scalar-yield fast path on/off; ``None`` (default) reads
-        ``REPRO_SIM_FASTPATH`` from the environment (on unless ``0``).
     sanitize:
         Attach the :mod:`repro.sanitize` runtime checkers (same-timestamp
         race detector, RNG stream discipline, no-time-travel); ``None``
@@ -118,17 +102,15 @@ class Simulator:
     """
 
     __slots__ = (
-        "_now", "_queue", "_seq", "_active_process", "_fastpath",
-        "_resume_pool", "_cb_pool", "_sanitize", "_time_hooks",
-        "_state_providers", "_monitor", "_chooser", "rng", "trace",
-        "telemetry",
+        "_now", "_queue", "_seq", "_active_process", "_resume_pool",
+        "_cb_pool", "_sanitize", "_time_hooks", "_state_providers",
+        "_monitor", "_chooser", "rng", "trace", "telemetry",
     )
 
     def __init__(
         self,
         seed: int = 0,
         trace: Optional[Trace] = None,
-        fastpath: Optional[bool] = None,
         telemetry: Optional[Telemetry] = None,
         sanitize: Optional[bool] = None,
         monitors: Optional[bool] = None,
@@ -137,7 +119,6 @@ class Simulator:
         self._queue: list[tuple[float, int, int, object]] = []
         self._seq: int = 0
         self._active_process: Optional[Process] = None
-        self._fastpath: bool = _env_fastpath() if fastpath is None else bool(fastpath)
         self._resume_pool: list[_Resume] = []
         self._cb_pool: list[_Callback] = []
         self._time_hooks: list[Callable[[float], None]] = []
@@ -185,19 +166,20 @@ class Simulator:
         return Timeout(self, delay, value=value, name=name)
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
-        """Spawn a new process from a generator."""
-        return Process(self, generator, name=name)
+        """Start a joinable process from a generator."""
+        return Process(self, generator, name)
 
-    def spawn(self, generator: ProcessGenerator, name: str = "") -> "MiniProcess":
-        """Run ``generator`` as a fire-and-forget process.
+    def spawn(self, generator: ProcessGenerator, name: str = "") -> Process:
+        """Run ``generator`` as a detached, fire-and-forget process.
 
-        Like :meth:`process` but the returned handle is not an event: it
-        cannot be joined or interrupted, and its completion leaves no
-        termination event on the heap.  Use it for hot per-message work
-        whose result nobody waits on (the relative order of all other
-        events is unchanged — see :class:`MiniProcess`).
+        Like :meth:`process`, but the returned handle cannot be joined or
+        interrupted (both raise :class:`SimulationError`), its completion
+        leaves no termination record on the heap, and a crash propagates
+        out of :meth:`run`.  Use it for hot per-message work whose result
+        nobody waits on (the relative order of all other records is
+        unchanged — see :mod:`repro.sim.process`).
         """
-        return MiniProcess(self, generator, name)
+        return Process(self, generator, name, True)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -257,10 +239,6 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if not self._fastpath:
-            ev = Timeout(self, delay)
-            ev.callbacks.append(lambda _ev, fn=fn, arg=arg: fn(arg))
-            return
         pool = self._cb_pool
         rec = pool.pop() if pool else _Callback()
         rec.fn = fn
@@ -376,7 +354,16 @@ class Simulator:
         if until is None:
             return None, float("inf")
         if isinstance(until, Event):
+            if isinstance(until, Process) and until.detached:
+                raise SimulationError(
+                    f"run(until={until!r}): a detached process cannot be joined"
+                )
             return until, float("inf")
+        if not isinstance(until, Real):
+            raise SimulationError(
+                f"run(until={until!r}): until must be None, a number of ns "
+                "or an Event"
+            )
         deadline = float(until)
         if deadline < self._now:
             raise SimulationError(

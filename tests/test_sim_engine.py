@@ -168,21 +168,29 @@ def test_yield_non_event_is_an_error():
         sim.run()
 
 
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_scalar_yield_is_a_delay(fastpath):
-    sim = Simulator(fastpath=fastpath)
+def _start(sim, generator, detached):
+    """Run ``generator`` as a detached (``spawn``) or joinable process."""
+    return sim.spawn(generator) if detached else sim.process(generator)
+
+
+@pytest.mark.parametrize("detached", [True, False])
+def test_scalar_yield_is_a_delay(detached):
+    sim = Simulator()
+    seen = []
 
     def proc():
         yield 100.0
         yield 50  # ints work too
-        return sim.now
+        seen.append(sim.now)
 
-    assert sim.run(sim.process(proc())) == 150.0
+    _start(sim, proc(), detached)
+    sim.run()
+    assert seen == [150.0]
 
 
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_scalar_yield_zero_delay(fastpath):
-    sim = Simulator(fastpath=fastpath)
+@pytest.mark.parametrize("detached", [True, False])
+def test_scalar_yield_zero_delay(detached):
+    sim = Simulator()
     order = []
 
     def a():
@@ -193,21 +201,21 @@ def test_scalar_yield_zero_delay(fastpath):
         yield 0.0
         order.append("b")
 
-    sim.process(a())
-    sim.process(b())
+    _start(sim, a(), detached)
+    _start(sim, b(), detached)
     sim.run()
     assert order == ["a", "b"]
 
 
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_negative_scalar_yield_is_an_error(fastpath):
-    sim = Simulator(fastpath=fastpath)
+@pytest.mark.parametrize("detached", [True, False])
+def test_negative_scalar_yield_is_an_error(detached):
+    sim = Simulator()
 
     def bad():
         yield -1.0
 
-    sim.process(bad())
-    with pytest.raises(SimulationError):
+    _start(sim, bad(), detached)
+    with pytest.raises(SimulationError, match="negative delay"):
         sim.run()
 
 
@@ -224,9 +232,9 @@ def test_bool_yield_is_not_a_delay():
         sim.run()
 
 
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_scalar_and_timeout_interleave_identically(fastpath):
-    sim = Simulator(fastpath=fastpath)
+@pytest.mark.parametrize("detached", [True, False])
+def test_scalar_and_timeout_interleave_identically(detached):
+    sim = Simulator()
     order = []
 
     def scalar():
@@ -237,16 +245,26 @@ def test_scalar_and_timeout_interleave_identically(fastpath):
         yield sim.timeout(10.0)
         order.append(("timeout", sim.now))
 
-    sim.process(scalar())
-    sim.process(timeout())
+    # call_later orders like a callback hung off a Timeout made at the same
+    # point: FIFO by creation, whichever comes first.
+    sim.call_later(10.0, lambda _: order.append(("call_later", sim.now)))
+    sim.timeout(10.0).callbacks.append(
+        lambda _ev: order.append(("timeout_cb", sim.now)))
+    sim.call_later(10.0, lambda _: order.append(("call_later", sim.now)))
+    _start(sim, scalar(), detached)
+    _start(sim, timeout(), detached)
     sim.run()
-    # Same timestamp: FIFO by spawn order regardless of yield style.
-    assert order == [("scalar", 10.0), ("timeout", 10.0)]
+    # Same timestamp: FIFO by creation order regardless of yield style.
+    assert order == [("call_later", 10.0), ("timeout_cb", 10.0),
+                     ("call_later", 10.0), ("scalar", 10.0),
+                     ("timeout", 10.0)]
 
 
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_interrupt_during_scalar_sleep(fastpath):
-    sim = Simulator(fastpath=fastpath)
+@pytest.mark.parametrize("detached", [True, False])
+def test_interrupt_during_scalar_sleep(detached):
+    # The victim must be joinable to be interrupted; the interrupter may be
+    # either kind.
+    sim = Simulator()
 
     def sleeper():
         try:
@@ -260,12 +278,72 @@ def test_interrupt_during_scalar_sleep(fastpath):
         victim.interrupt("wake up")
 
     victim = sim.process(sleeper())
-    sim.process(poker(victim))
+    _start(sim, poker(victim), detached)
     assert sim.run(victim) == ("interrupted", "wake up", us(1))
     # The cancelled sleep record stays queued (like a detached Timeout) but
     # drains without resuming the terminated process.
     sim.run()
     assert sim.now == us(100)
+
+
+def test_spawn_leaves_no_termination_record():
+    def body():
+        yield 5.0
+
+    scheduled = {}
+    for kind in ("spawn", "process"):
+        sim = Simulator()
+        getattr(sim, kind)(body())
+        sim.run()
+        scheduled[kind] = sim.events_scheduled
+    # Start record + one sleep; a joinable process adds its termination.
+    assert scheduled == {"spawn": 2, "process": 3}
+
+
+def test_spawn_crash_propagates_from_run():
+    sim = Simulator()
+
+    def boom():
+        yield 1.0
+        raise RuntimeError("boom")
+
+    sim.spawn(boom())
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert sim.now == 1.0
+
+
+@pytest.mark.parametrize("finished", [False, True])
+def test_detached_process_cannot_be_joined(finished):
+    sim = Simulator()
+
+    def body():
+        yield 1.0
+
+    handle = sim.spawn(body())
+    if finished:
+        sim.run()
+
+    def waiter():
+        try:
+            yield handle
+        except SimulationError as err:
+            return str(err)
+        return "joined"
+
+    assert "detached" in sim.run(sim.process(waiter()))
+    with pytest.raises(SimulationError, match="detached"):
+        sim.run(handle)
+    with pytest.raises(SimulationError, match="detached"):
+        handle.interrupt()
+
+
+@pytest.mark.parametrize("until", ["10", [10.0], object()])
+def test_run_until_rejects_non_numbers(until):
+    sim = Simulator()
+    sim.timeout(5.0)
+    with pytest.raises(SimulationError, match="until"):
+        sim.run(until=until)
 
 
 def test_call_later_runs_callback():
