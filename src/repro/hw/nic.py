@@ -375,24 +375,15 @@ class Nic:
             return
         if retries and qp.outstanding.get(psn) is not wr:
             return  # acked while the retry sat in the TX queue
-        if retries:
-            # Counted here — at actual (re)transmission — not at queue
-            # time: a retry cancelled by an ACK that raced it through the
-            # TX queue never hits the wire and must not inflate the
-            # counter (``retransmits`` matches real duplicate traffic).
-            if self.cc is not None:
-                # A surviving retransmission means real loss — the one
-                # congestion signal ECN cannot deliver (a dropped message
-                # never reaches the marking queue's far end).  Cut here,
-                # past the ACK-race cancellation above: a timeout whose
-                # ACK was merely late must not floor the rate.
-                self._limiter(qp).on_timeout(self.sim.now)
-            self.counters.retransmits += 1
-            tele = self.sim.telemetry
-            if tele.enabled:
-                tele.scope(self._scope).counter("nic.rc.retransmits").inc(
-                    key=wr.opcode.value
-                )
+        if retries and self.cc is not None:
+            # A surviving retransmission means real loss — the one
+            # congestion signal ECN cannot deliver (a dropped message
+            # never reaches the marking queue's far end).  Cut here,
+            # past the ACK-race cancellation above: a timeout whose
+            # ACK was merely late must not floor the rate.  An ACK landing
+            # during the fetch below still cancels the retry, but not
+            # this cut.
+            self._limiter(qp).on_timeout(self.sim.now)
         trace = self.sim.trace
         if trace.enabled and wr.span is not None:
             trace.emit(self.sim.now, "span", "mark", span=wr.span,
@@ -407,6 +398,23 @@ class Nic:
             fill += self.profile.dma_read_lat_ns
         if fill:
             yield fill
+        if retries:
+            if qp.outstanding.get(psn) is not wr:
+                # The late ACK landed during the fetch and completed the
+                # WR: re-inserting it below would send a duplicate whose
+                # re-ACK completes it a second time.
+                return
+            # Counted here — at actual (re)transmission — not at queue
+            # time: a retry cancelled by an ACK that raced it through the
+            # TX queue or the fetch never hits the wire and must not
+            # inflate the counter (``retransmits`` matches real
+            # duplicate traffic).
+            self.counters.retransmits += 1
+            tele = self.sim.telemetry
+            if tele.enabled:
+                tele.scope(self._scope).counter("nic.rc.retransmits").inc(
+                    key=wr.opcode.value
+                )
 
         dst_host, dst_qpn = qp.destination_for(wr)
         data = wr.data

@@ -403,6 +403,53 @@ def test_retries_go_through_tx_pipeline():
     assert len(starts) >= 2  # original + at least one retry, both traced
 
 
+def _held_ack_send(stall_end):
+    """One RC send whose ACK a stall on the initiator holds until
+    ``stall_end`` ns after traffic can start.  Returns the send CQEs, the
+    initiator's counters, the trace and the start time."""
+    plan_at = lambda t0: FaultPlan(stalls=((0, t0, t0 + stall_end),))
+
+    def scenario(sim, a, b):
+        start = sim.now
+        yield from b.post_recv(_recv_wr(b, 100))
+        yield from a.post_send(_send_wr(a, 1))
+        cqes = list((yield from a.wait_send()))
+        # Let any duplicate and its re-ACK play out, then reap again.
+        yield sim.timeout(us(1000))
+        cqes.extend(a.send_cq.poll(16))
+        return cqes, a.host.nic.counters, start
+
+    (cqes, counters, start), sim, _inj = run_faulty(
+        scenario, plan_at=plan_at, trace=True)
+    return cqes, counters, sim.trace, start
+
+
+def test_late_ack_during_retry_fetch_completes_once(monkeypatch):
+    """Regression: an ACK-timeout retry checked that its WR was still
+    outstanding only *before* its WQE/payload fetch.  A late ACK landing
+    during the fetch completed the WR; the retry then re-inserted it, sent
+    a duplicate, and the duplicate's re-ACK completed it a second time
+    (PROTO107, sq_outstanding = -1).  Sweep the ACK's release across the
+    retry's fetch: every release must complete the WR exactly once, and
+    ``retransmits`` must count only duplicates that really hit the wire."""
+    monkeypatch.setenv("REPRO_VERIFY_MONITORS", "1")
+    # Probe: when does the ACK timer fire with the ACK held long enough?
+    _, counters, trace, start = _held_ack_send(us(150))
+    fired = [r.time for r in trace.records if r.event == "ack_timeout"]
+    assert counters.ack_timeouts == len(fired) == 1
+    # Releases from just before the timer to past the retry's fetch
+    # (TX engine slot, WQE and payload DMA reads, then the ACK's RX slot).
+    p = SYSTEM_L.nic
+    span = p.wqe_process_ns + 2 * p.dma_read_lat_ns + p.rx_process_ns
+    for step in range(-4, 41):
+        release = fired[0] - start + step * span / 32
+        cqes, counters, trace, _ = _held_ack_send(release)
+        assert [c.status for c in cqes] == [WCStatus.SUCCESS], release
+        sent = [r for r in trace.records if r.event == "tx_start"
+                and r.get("host") == 0 and r.get("wr_id") == 1]
+        assert counters.retransmits == len(sent) - 1, release
+
+
 # -- flush semantics (QueuePair error path) --------------------------------------
 
 
