@@ -33,16 +33,16 @@ degradation apply to intra-host ranks in multi-host MPI worlds too.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Generator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Generator, Optional, Union
 
 from repro.errors import HardwareError
 from repro.hw.profiles import CcProfile, NicProfile, RxContentionProfile
-from repro.sim.resources import Resource
+from repro.sim.events import Event
+from repro.sim.resources import Request, Resource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.nic import Nic
     from repro.sim.engine import Simulator
-    from repro.sim.events import Event
 
 #: What callers may pass as ``rx_contention``: a profile, a bool toggle
 #: (``True`` = unbounded-buffer defaults), or ``None`` (off).
@@ -52,6 +52,33 @@ RxContentionSpec = Union[None, bool, RxContentionProfile]
 #: arrival makes the responder NIC emit a CNP.  Responses/ACKs are left
 #: unmarked — a mark there would reach the wrong end of the control loop.
 _ECN_KINDS = frozenset({"send", "write", "read_req", "atomic"})
+
+
+def _fire(event: Event) -> None:
+    """``done`` of :meth:`Fabric.transmit`: run an unscheduled event's
+    callbacks inline, resuming the generator parked on it."""
+    callbacks = event.callbacks
+    event.callbacks = None
+    event._value = None
+    for callback in callbacks:  # type: ignore[union-attr]
+        callback(event)
+
+
+def _hold(res: Resource, then: Callable[[Request, object], None],
+          ctx: object) -> None:
+    """Run ``then(tok, ctx)`` once this message holds ``res``.
+
+    An idle port is taken inline (:meth:`Resource.try_hold`, or an inline
+    grant under the sanitizer).  A busy one queues a :class:`Request`, and
+    ``then`` runs from its grant record, where a waiting process resumed.
+    """
+    tok = res.try_hold()
+    if tok is None:
+        tok = res.request()
+        if tok.callbacks is not None:
+            tok.callbacks.append(lambda req: then(req, ctx))
+            return
+    then(tok, ctx)
 
 
 def _normalize_rx_contention(spec: RxContentionSpec) -> Optional[RxContentionProfile]:
@@ -264,111 +291,160 @@ class Fabric:
         return packets * self.profile.per_packet_ns + nbytes / self.profile.pcie_bw
 
     # -- transmission -------------------------------------------------------------
+    #
+    # One message is a chain of callback stages: a held port's
+    # serialization delay (``call_later``), the grant of a contended port
+    # (a callback on its ``Request``), and the switch-side delivery, which
+    # starts at once (``call_soon``).  ``transmit`` adapts the chain for
+    # generator callers.
+
+    def send(
+        self, src_host: int, dst_host: int, nbytes: int, payload: object,
+        done: Callable[[object], None], arg: object = None,
+    ) -> None:
+        """Carry ``payload`` from ``src_host`` to ``dst_host``, then ``done(arg)``.
+
+        ``done`` runs in the record where the last bit leaves the source
+        port, also when the message is lost there (the sender carries on
+        either way).  Delivery happens ``propagation_ns`` later (plus
+        receiver-port queueing when ``rx_contention`` is on).  FIFO per
+        source port preserves per-QP ordering (PSN reordering at the
+        receiver covers the rest).
+        """
+        if nbytes < 0:
+            raise HardwareError(f"negative transmit size: {nbytes}")
+        dst = self._nics.get(dst_host)
+        if dst is None:
+            dst = self.nic(dst_host)  # raises: no such host
+        if src_host == dst_host:
+            # NIC hairpin: PCIe out and back in, no wire — but the same
+            # fault hook applies, scoped to the host's loopback link.
+            self.sim.call_later(self._loopback_ns(nbytes), self._hairpin_out,
+                                (dst, nbytes, payload, done, arg))
+            return
+        port = self._tx_ports[src_host]
+        if self.chunk_bytes is None or nbytes <= self.chunk_bytes:
+            _hold(port, self._serialize,
+                  (src_host, port, dst, nbytes, payload, done, arg))
+        else:
+            self._next_chunk(
+                [src_host, port, dst, nbytes, payload, done, arg, 0, 0])
 
     def transmit(
         self, src_host: int, dst_host: int, nbytes: int, payload: object
     ) -> Generator["Event", object, None]:
-        """Carry ``payload`` from ``src_host`` to ``dst_host``.
+        """Generator form of :meth:`send`: returns when the last bit leaves.
 
-        Returns when the last bit leaves the source port; delivery happens
-        ``propagation_ns`` later (plus receiver-port queueing when
-        ``rx_contention`` is on).  FIFO per source port preserves per-QP
-        ordering (PSN reordering at the receiver covers the rest).
+        Parks on an event that is never scheduled; ``send`` fires its
+        callbacks inline, so the adapter adds no heap record.
         """
-        if nbytes < 0:
-            raise HardwareError(f"negative transmit size: {nbytes}")
-        dst = self.nic(dst_host)
+        wire = Event(self.sim)
+        self.send(src_host, dst_host, nbytes, payload, _fire, wire)
+        yield wire
 
-        if src_host == dst_host:
-            # NIC hairpin: PCIe out and back in, no wire — but the same
-            # fault hook applies, scoped to the host's loopback link.
-            yield self._loopback_ns(nbytes)
-            extra = 0.0
-            faults = self.faults
-            if faults is not None:
-                verdict = faults.on_transmit(
-                    src_host, dst_host, self.sim.now,
-                    getattr(payload, "kind", "raw"), nbytes,
-                    self.loopback_latency_ns,
-                )
-                if verdict is None:
-                    self.messages_dropped += 1
-                    self.bytes_dropped += nbytes
-                    self.drops_hairpin += 1
-                    return  # dropped in the hairpin: never delivered
-                extra = verdict
-            self.bytes_carried += nbytes
-            self.messages_carried += 1
-            self.sim.call_later(self.loopback_latency_ns + extra,
-                                dst.deliver, payload)
-            return
-
-        port = self._tx_ports[src_host]
-        if self.chunk_bytes is None or nbytes <= self.chunk_bytes:
-            tok = port.try_hold()
-            if tok is None:
-                tok = yield from port.acquire()
-            try:
-                yield self.serialization_ns(nbytes)
-            finally:
-                port.release(tok)
-        else:
-            # Chunked: the port is re-acquired per chunk so concurrent flows
-            # interleave instead of suffering whole-message head-of-line.
-            # Packet charges follow *cumulative* byte boundaries — a chunk
-            # pays for the packets its bytes complete — so the total packet
-            # count equals the unchunked ceil(nbytes/mtu) bit-exactly even
-            # when chunk_bytes is not an MTU multiple.
-            mtu = self.profile.mtu
-            per_packet_ns = self.profile.per_packet_ns
-            link_bw = self.profile.link_bw
-            sent = 0
-            packets_charged = 0
-            while sent < nbytes:
-                chunk = min(nbytes - sent, self.chunk_bytes)
-                sent += chunk
-                packets = max(1, math.ceil(sent / mtu)) - packets_charged
-                tok = port.try_hold()
-                if tok is None:
-                    tok = yield from port.acquire()
-                try:
-                    yield packets * per_packet_ns + chunk / link_bw
-                finally:
-                    port.release(tok)
-                packets_charged += packets
-
+    def _hairpin_out(self, ctx: tuple) -> None:
+        dst, nbytes, payload, done, arg = ctx
         extra = 0.0
         faults = self.faults
         if faults is not None:
             verdict = faults.on_transmit(
-                src_host, dst_host, self.sim.now,
+                dst.host_id, dst.host_id, self.sim.now,
+                getattr(payload, "kind", "raw"), nbytes,
+                self.loopback_latency_ns,
+            )
+            if verdict is None:
+                self.messages_dropped += 1
+                self.bytes_dropped += nbytes
+                self.drops_hairpin += 1
+                done(arg)  # dropped in the hairpin: never delivered
+                return
+            extra = verdict
+        self.bytes_carried += nbytes
+        self.messages_carried += 1
+        self.sim.call_later(self.loopback_latency_ns + extra,
+                            dst.deliver, payload)
+        done(arg)
+
+    def _serialize(self, tok: Request, ctx: tuple) -> None:
+        """The source port is held: put the whole message on the wire."""
+        self.sim.call_later(self.serialization_ns(ctx[3]), self._wire_done,
+                            (tok, ctx))
+
+    def _wire_done(self, held: tuple) -> None:
+        tok, ctx = held
+        ctx[1].release(tok)
+        self._leave_port(ctx)
+
+    def _next_chunk(self, ctx: list) -> None:
+        """Chunked: the port is re-acquired per chunk so concurrent flows
+        interleave instead of suffering whole-message head-of-line.
+
+        ``ctx`` is ``[src_host, port, dst, nbytes, payload, done, arg,
+        sent, packets_charged]``.  Packet charges follow *cumulative* byte
+        boundaries — a chunk pays for the packets its bytes complete — so
+        the total packet count equals the unchunked ceil(nbytes/mtu)
+        bit-exactly even when chunk_bytes is not an MTU multiple.
+        """
+        if ctx[7] >= ctx[3]:
+            self._leave_port(ctx)
+        else:
+            _hold(ctx[1], self._send_chunk, ctx)
+
+    def _send_chunk(self, tok: Request, ctx: list) -> None:
+        nbytes, sent = ctx[3], ctx[7]
+        chunk = min(nbytes - sent, self.chunk_bytes)  # type: ignore[type-var]
+        sent += chunk
+        packets = max(1, math.ceil(sent / self.profile.mtu)) - ctx[8]
+        ctx[7] = sent
+        ctx[8] += packets
+        self.sim.call_later(
+            packets * self.profile.per_packet_ns + chunk / self.profile.link_bw,
+            self._chunk_done, (tok, ctx))
+
+    def _chunk_done(self, held: tuple) -> None:
+        tok, ctx = held
+        ctx[1].release(tok)
+        self._next_chunk(ctx)
+
+    def _leave_port(self, ctx) -> None:
+        """The last bit left the source port: lose it, or send it on."""
+        src_host, _port, dst, nbytes, payload, done, arg = ctx[:7]
+        extra = 0.0
+        faults = self.faults
+        if faults is not None:
+            verdict = faults.on_transmit(
+                src_host, dst.host_id, self.sim.now,
                 getattr(payload, "kind", "raw"), nbytes, self.propagation_ns,
             )
             if verdict is None:
                 self.messages_dropped += 1
                 self.bytes_dropped += nbytes
                 self.drops_wire += 1
-                return  # dropped on the wire: never delivered
+                done(arg)  # dropped on the wire: never delivered
+                return
             extra = verdict
         if self.rx_contention is not None:
-            self.sim.spawn(
-                self._rx_deliver(dst, nbytes, payload,
-                                 self.propagation_ns + extra),
-                name=f"{self.name}.rxq",
-            )
-            return
-        self.bytes_carried += nbytes
-        self.messages_carried += 1
-        self.sim.call_later(self.propagation_ns + extra, dst.deliver, payload)
+            self.sim.call_soon(
+                self._rx_deliver,
+                (dst, nbytes, payload, self.propagation_ns + extra))
+        else:
+            self.bytes_carried += nbytes
+            self.messages_carried += 1
+            self.sim.call_later(self.propagation_ns + extra, dst.deliver,
+                                payload)
+        done(arg)
 
-    def _rx_deliver(
-        self, dst: "Nic", nbytes: int, payload: object, delay: float
-    ) -> Generator["Event", object, None]:
+    def _rx_deliver(self, ctx: tuple) -> None:
         """Receiver side of one message: propagation, switch output-queue
         admission (tail drop on overflow), then drain through the host's
         RX ingress port at link rate."""
-        if delay > 0:
-            yield delay
+        if ctx[3] > 0:
+            self.sim.call_later(ctx[3], self._rx_admit, ctx)
+        else:
+            self._rx_admit(ctx)
+
+    def _rx_admit(self, ctx: tuple) -> None:
+        dst, nbytes, payload, _delay = ctx
         port = self._rx_ports[dst.host_id]
         if (port.buffer_bytes is not None
                 and port.queued_bytes + nbytes > port.buffer_bytes):
@@ -408,15 +484,18 @@ class Fabric:
             if span is not None:
                 trace.emit(self.sim.now, "span", "mark", span=span,
                            stage="rx_port", host=dst.host_id, comp="wire")
-        rx = port.resource
-        tok = rx.try_hold()
-        if tok is None:
-            tok = yield from rx.acquire()
-        try:
-            yield self.serialization_ns(nbytes)
-        finally:
-            rx.release(tok)
-            port.queued_bytes -= nbytes
+        _hold(port.resource, self._rx_drain, ctx)
+
+    def _rx_drain(self, tok: Request, ctx: tuple) -> None:
+        self.sim.call_later(self.serialization_ns(ctx[1]), self._rx_drained,
+                            (tok, ctx))
+
+    def _rx_drained(self, held: tuple) -> None:
+        tok, (dst, nbytes, payload, _delay) = held
+        port = self._rx_ports[dst.host_id]
+        port.resource.release(tok)
+        port.queued_bytes -= nbytes
+        tele = self.sim.telemetry
         if tele.enabled:
             tele.scope(f"host{dst.host_id}").gauge(
                 "fabric.rxq.bytes").set(port.queued_bytes)

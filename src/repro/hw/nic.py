@@ -18,12 +18,20 @@ Timing model (cut-through):
 - both engines are FIFO servers driven by ``call_later`` records.
 - RC: responder ACKs each message; the initiator completes on ACK.
   Out-of-PSN-order arrivals are held in the QP reorder buffer.
+
+Per-message work after each engine (initiate, dispatch, execute, ACK,
+CQE write) runs as chains of callback stages, not processes: a stage
+schedules its successor with ``call_later`` for a delay or with
+``call_soon`` for a stage that starts at once (at URGENT priority, ahead
+of this instant's NORMAL records), hands wire messages to
+``Fabric.send`` with a continuation, and posts completions with
+``_post_cqe(cq, cqe, then, arg)`` (DESIGN.md "NIC engines").
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import HardwareError, MemoryAccessError, VerbsError
 from repro.hw.congestion import DcqcnLimiter
@@ -33,26 +41,41 @@ from repro.verbs.wr import CQE, Opcode, Psn, RecvWR, SendWR, WCStatus, WireMessa
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
-    from repro.sim.events import Event
     from repro.verbs.mr import MrTable
 
 #: Wire header size charged per message (BTH + transport headers).
 HEADER_BYTES = 48
 
-#: Wire-message kind per send opcode (hoisted off the per-message TX path).
-_OPCODE_KIND = {
-    Opcode.SEND: "send",
-    Opcode.SEND_WITH_IMM: "send",
-    Opcode.RDMA_WRITE: "write",
-    Opcode.RDMA_WRITE_WITH_IMM: "write",
-    Opcode.RDMA_READ: "read_req",
-    Opcode.ATOMIC_FETCH_ADD: "atomic",
-    Opcode.ATOMIC_CMP_SWAP: "atomic",
-}
 #: RNR NAK retry back-off at the initiator.
 RNR_DELAY_NS = 12_000.0
 #: Fraction of rx engine occupancy an ACK costs relative to a data message.
 ACK_RX_FRACTION = 0.25
+
+# Enum members the per-message paths compare against, bound once: on
+# CPython 3.11 ``Transport.RC`` goes through ``EnumType.__getattr__`` at
+# every evaluation, which blocks attribute specialisation.
+_RC = Transport.RC
+_UD = Transport.UD
+_RTS = QPState.RTS
+_ERROR = QPState.ERROR
+#: States a responder QP drops requests in.
+_NOT_READY = (QPState.RESET, QPState.ERROR, QPState.INIT)
+#: States a failed WR leaves its QP in without another transition.
+_DEAD = (QPState.ERROR, QPState.RESET)
+_SUCCESS = WCStatus.SUCCESS
+_LOC_LEN_ERR = WCStatus.LOC_LEN_ERR
+_REM_ACCESS_ERR = WCStatus.REM_ACCESS_ERR
+_RNR_RETRY_EXC_ERR = WCStatus.RNR_RETRY_EXC_ERR
+_RETRY_EXC_ERR = WCStatus.RETRY_EXC_ERR
+_FLUSH_ERR = WCStatus.WR_FLUSH_ERR
+_SEND = Opcode.SEND
+_WRITE_WITH_IMM = Opcode.RDMA_WRITE_WITH_IMM
+_READ = Opcode.RDMA_READ
+_FETCH_ADD = Opcode.ATOMIC_FETCH_ADD
+
+
+def _cnp_sent(_arg: object) -> None:
+    """A CNP left the port: nothing follows (CNPs are fire-and-forget)."""
 
 
 class NicCounters:
@@ -96,17 +119,7 @@ class Nic:
         self._tx_backlog: deque[tuple] = deque()
         self._rx_backlog: deque[WireMessage] = deque()
         self._tx_busy = self._rx_busy = False
-        # Precomputed process/event names: these are spawned per message, and
-        # per-message f-strings showed up in profiles.
-        self._tx_msg_name = f"{self.name}.tx.msg"
-        self._rx_msg_name = f"{self.name}.rx.msg"
-        self._ex_send_name = f"{self.name}.ex.send"
-        self._ex_write_name = f"{self.name}.ex.write"
-        self._ex_read_name = f"{self.name}.ex.read"
-        self._ex_atomic_name = f"{self.name}.ex.atomic"
-        self._retry_name = f"{self.name}.retry"
         self._memwatch_name = f"{self.name}.memwatch"
-        self._cnp_name = f"{self.name}.cnp"
         self._fabric = None  # set by attach()
         #: Congestion-control profile, taken from the fabric at attach();
         #: None costs one branch on the TX and RX paths.
@@ -226,7 +239,7 @@ class Nic:
     def hw_post_send(self, qp: QueuePair, wr: SendWR) -> None:
         """Accept a doorbelled send WQE into the device."""
         qp.check_post_send(wr)
-        if qp.transport is Transport.UD and wr.length > self.profile.mtu:
+        if qp.transport is _UD and wr.length > self.profile.mtu:
             raise VerbsError(
                 f"UD message of {wr.length} B exceeds MTU {self.profile.mtu}"
             )
@@ -235,11 +248,11 @@ class Nic:
         if wr.opcode.reads_local_memory and not wr.inline and wr.length > 0:
             assert self.mr_table is not None
             self.mr_table.check_local(wr.lkey, wr.addr, wr.length, write=False)
-        if wr.opcode is Opcode.RDMA_READ or wr.opcode.is_atomic:
+        if wr.opcode is _READ or wr.opcode.is_atomic:
             # The fetched / original value is DMA-written locally.
             assert self.mr_table is not None
             self.mr_table.check_local(wr.lkey, wr.addr, wr.length, write=True)
-        psn = qp.assign_psn() if qp.transport is Transport.RC else 0
+        psn = qp.assign_psn() if qp.transport is _RC else 0
         qp.sq_outstanding += 1
         qp.sends_posted += 1
         trace = self.sim.trace
@@ -284,7 +297,8 @@ class Nic:
             mon.on_post_srq_recv(srq, wr)
 
     # -- engines: one call_later record per stage; an idle engine wakes on a
-    # 0 ns record, a finishing one spawns its message, then takes the next.
+    # 0 ns record, a finishing one hands its message to a call_soon stage,
+    # then takes the next.
 
     def _tx_submit(self, item: tuple) -> None:
         """Queue one ``(qp, wr, psn, retries)`` WQE."""
@@ -305,8 +319,8 @@ class Nic:
         # A retry already cancelled (ACK won the race, or the QP died) is
         # discarded by ``_initiate``: charging the bucket for it would let a
         # late-ACK timeout storm starve the traffic CC is protecting.
-        if self.cc is not None and qp.transport is Transport.RC and not (
-                retries and (qp.state is not QPState.RTS
+        if self.cc is not None and qp.transport is _RC and not (
+                retries and (qp.state is not _RTS
                              or qp.outstanding.get(psn) is not wr)):
             delay = self._limiter(qp).pace(self.sim.now, wr.length + HEADER_BYTES)
             if delay > 0.0:
@@ -323,7 +337,7 @@ class Nic:
 
     def _tx_done(self, item: tuple) -> None:
         # Pipelined: the next WQE is scheduled while this one is in flight.
-        self.sim.spawn(self._initiate(*item), name=self._tx_msg_name)
+        self.sim.call_soon(self._initiate, item)
         if self._tx_backlog:
             self._tx_fetch(self._tx_backlog.popleft())
         else:
@@ -336,24 +350,31 @@ class Nic:
         self.sim.call_later(occupancy, self._rx_done, msg)
 
     def _rx_done(self, msg: WireMessage) -> None:
-        self.sim.spawn(self._dispatch(msg), name=self._rx_msg_name)
+        self.sim.call_soon(self._dispatch, msg)
         if self._rx_backlog:
             self._rx_fetch(self._rx_backlog.popleft())
         else:
             self._rx_busy = False
 
     # -- send path ---------------------------------------------------------------
+    #
+    # Per-message work is a chain of callback stages (DESIGN.md "NIC
+    # engines").  A stage ends by scheduling the next one (``call_later``
+    # for a delay, ``call_soon`` for a stage that starts at once), by
+    # handing a message to ``fabric.send`` with its continuation, or by
+    # posting a CQE with ``_post_cqe(cq, cqe, then, arg)``.
 
-    def _initiate(
-        self, qp: QueuePair, wr: SendWR, psn: int, retries: int = 0
-    ) -> Generator["Event", object, None]:
-        """Move one message from local memory onto the wire."""
+    def _initiate(self, item: tuple) -> None:
+        """Start moving one ``(qp, wr, psn, retries)`` message from local
+        memory onto the wire: liveness checks, then the WQE/payload fetch."""
+        qp, wr, psn, retries = item
         if retries:
             # This PSN's queued retry is now being serviced (whether or
             # not it still transmits): a later timeout/NAK may queue a new
             # one.  Must happen before any early return below.
             qp.retx_pending.discard(psn)
-        if qp.state is not QPState.RTS:
+        state = qp.state
+        if state is not _RTS:
             if retries:
                 return  # flushed while the retry sat in the TX queue
             # First transmission of a WQE fetched after the QP left RTS:
@@ -365,25 +386,23 @@ class Nic:
             # it is flushed through the CQ like the rest of the SQ (ERROR)
             # or silently reclaimed (RESET), exactly as hardware fetching
             # a WQE on a dead QP would.  Found by `repro verify explore`.
-            if qp.state is QPState.ERROR:
-                yield from self._post_cqe(
-                    qp.send_cq,
-                    CQE(wr_id=wr.wr_id, status=WCStatus.WR_FLUSH_ERR,
-                        opcode=wr.opcode, byte_len=0, qp_num=qp.qpn,
-                        span=wr.span),
-                )
+            if state is _ERROR:
+                self._post_cqe(qp.send_cq, CQE(
+                    wr.wr_id, _FLUSH_ERR, wr.opcode, 0, qp.qpn,
+                    0, None, 0.0, None, None, wr.span))
             return
-        if retries and qp.outstanding.get(psn) is not wr:
-            return  # acked while the retry sat in the TX queue
-        if retries and self.cc is not None:
-            # A surviving retransmission means real loss — the one
-            # congestion signal ECN cannot deliver (a dropped message
-            # never reaches the marking queue's far end).  Cut here,
-            # past the ACK-race cancellation above: a timeout whose
-            # ACK was merely late must not floor the rate.  An ACK landing
-            # during the fetch below still cancels the retry, but not
-            # this cut.
-            self._limiter(qp).on_timeout(self.sim.now)
+        if retries:
+            if qp.outstanding.get(psn) is not wr:
+                return  # acked while the retry sat in the TX queue
+            if self.cc is not None:
+                # A surviving retransmission means real loss — the one
+                # congestion signal ECN cannot deliver (a dropped message
+                # never reaches the marking queue's far end).  Cut here,
+                # past the ACK-race cancellation above: a timeout whose
+                # ACK was merely late must not floor the rate.  An ACK
+                # landing during the fetch still cancels the retry (in
+                # ``_tx_fetched``), but not this cut.
+                self._limiter(qp).on_timeout(self.sim.now)
         trace = self.sim.trace
         if trace.enabled and wr.span is not None:
             trace.emit(self.sim.now, "span", "mark", span=wr.span,
@@ -394,10 +413,16 @@ class Nic:
         fill = 0.0
         if not wr.inline:
             fill += self.profile.dma_read_lat_ns
-        if wr.opcode.reads_local_memory and not wr.inline and wr.length > 0:
-            fill += self.profile.dma_read_lat_ns
+            if wr.opcode.reads_local_memory and wr.length > 0:
+                fill += self.profile.dma_read_lat_ns
         if fill:
-            yield fill
+            self.sim.call_later(fill, self._tx_fetched, item)
+        else:
+            self._tx_fetched(item)
+
+    def _tx_fetched(self, item: tuple) -> None:
+        """WQE and payload fetched: build the wire message and send it."""
+        qp, wr, psn, retries = item
         if retries:
             if qp.outstanding.get(psn) is not wr:
                 # The late ACK landed during the fetch and completed the
@@ -417,8 +442,9 @@ class Nic:
                 )
 
         dst_host, dst_qpn = qp.destination_for(wr)
+        opcode = wr.opcode
         data = wr.data
-        if data is None and wr.opcode.reads_local_memory and wr.length > 0:
+        if data is None and opcode.reads_local_memory and wr.length > 0:
             # Materialize real bytes only if the source buffer holds some.
             assert self.mr_table is not None
             try:
@@ -428,34 +454,24 @@ class Nic:
             except MemoryAccessError:
                 if not wr.inline:
                     raise
-        kind = _OPCODE_KIND[wr.opcode]
-        header = HEADER_BYTES + (
-            self.profile.grh_bytes if qp.transport is Transport.UD else 0
-        )
+        kind = opcode.wire_kind
+        rc = qp.transport is _RC
+        header = HEADER_BYTES if rc else HEADER_BYTES + self.profile.grh_bytes
+        # Positional: keyword construction of this record costs about twice
+        # as much on CPython 3.11 (field order pinned by the verbs tests).
         msg = WireMessage(
-            kind=kind,
-            src_host=self.host_id,
-            dst_host=dst_host,
-            src_qpn=qp.qpn,
-            dst_qpn=dst_qpn,
-            transport=qp.transport.value,
-            psn=psn,
-            length=wr.length,
-            imm=wr.imm,
-            remote_addr=wr.remote_addr,
-            rkey=wr.rkey,
-            data=data if kind not in ("read_req", "atomic") else None,
-            token=(qp.qpn, psn),
-            meta=wr.meta,
-            atomic=(wr.opcode, wr.compare_add, wr.swap) if kind == "atomic" else None,
-            header_bytes=header,
-            retries=retries,
-            span=wr.span,
+            kind, self.host_id, dst_host, qp.qpn, dst_qpn,
+            "RC" if rc else "UD", psn, wr.length, wr.imm, wr.remote_addr,
+            wr.rkey, None if kind == "read_req" or kind == "atomic" else data,
+            (qp.qpn, psn), wr.meta,
+            (opcode, wr.compare_add, wr.swap) if kind == "atomic" else None,
+            header, retries, wr.span,
         )
-        if qp.transport is Transport.RC:
+        if rc:
             qp.outstanding[psn] = wr
 
-        wire_payload = msg.wire_bytes if kind != "read_req" else msg.header_bytes
+        wire_payload = header if kind == "read_req" else wr.length + header
+        trace = self.sim.trace
         if trace.enabled:
             trace.emit(self.sim.now, "nic", "tx_start",
                        host=self.host_id, qpn=qp.qpn, wr_id=wr.wr_id,
@@ -464,7 +480,14 @@ class Nic:
                 trace.emit(self.sim.now, "span", "mark", span=wr.span,
                            stage="tx_wire", host=self.host_id, comp="wire")
         assert self._fabric is not None
-        yield from self._fabric.transmit(self.host_id, dst_host, wire_payload, msg)
+        self._fabric.send(self.host_id, dst_host, wire_payload, msg,
+                          self._tx_sent, (qp, wr, psn, retries, wire_payload))
+
+    def _tx_sent(self, ctx: tuple) -> None:
+        """The last bit left the port: count it, then arm the ACK timer
+        (RC) or complete the send (UD, which is unacknowledged)."""
+        qp, wr, psn, retries, wire_payload = ctx
+        trace = self.sim.trace
         if trace.enabled:
             trace.emit(self.sim.now, "nic", "tx_done",
                        host=self.host_id, qpn=qp.qpn, wr_id=wr.wr_id, psn=psn)
@@ -475,67 +498,63 @@ class Nic:
         self.counters.tx_bytes += wire_payload
         qp.bytes_sent += wr.length
 
-        if (qp.transport is Transport.RC
-                and getattr(self._fabric, "lossy", False)):
-            # The fabric is lossless unless a fault layer is attached or a
-            # bounded switch buffer can tail-drop, so ACK-timeout timers
-            # are armed only then: loss-free runs see no extra heap events
-            # and stay bit-identical.
-            self._arm_ack_timer(qp, psn, retries)
-
-        if qp.transport is Transport.UD:
-            # UD is unacknowledged: the send completes once it is on the wire.
+        if qp.transport is _RC:
+            if getattr(self._fabric, "lossy", False):
+                # The fabric is lossless unless a fault layer is attached
+                # or a bounded switch buffer can tail-drop, so ACK-timeout
+                # timers are armed only then: loss-free runs see no extra
+                # heap events and stay bit-identical.
+                self._arm_ack_timer(qp, psn, retries)
+        else:
             qp.sq_outstanding -= 1
             if wr.signaled:
-                yield from self._post_cqe(
-                    qp.send_cq,
-                    CQE(wr_id=wr.wr_id, status=WCStatus.SUCCESS, opcode=wr.opcode,
-                        byte_len=wr.length, qp_num=qp.qpn, span=wr.span),
-                )
+                self._post_cqe(qp.send_cq, CQE(
+                    wr.wr_id, _SUCCESS, wr.opcode, wr.length, qp.qpn,
+                    0, None, 0.0, None, None, wr.span))
 
     # -- receive path -----------------------------------------------------------------
 
-    def _dispatch(self, msg: WireMessage) -> Generator["Event", object, None]:
-        if msg.kind == "ip":
+    def _dispatch(self, msg: WireMessage) -> None:
+        kind = msg.kind
+        if kind == "ip":
             # Socket path: hand off to the kernel's IPoIB device.
             if self.ip_handler is not None:
                 self.ip_handler(msg)
             return
-        if msg.kind == "cnp":
+        if kind == "cnp":
             self._handle_cnp(msg)
             return
-        if msg.kind in ("ack", "nak_rnr"):
-            yield from self._handle_response(msg)
+        if kind == "ack" or kind == "nak_rnr":
+            self._handle_response(msg)
             return
-        if msg.kind in ("read_resp", "atomic_resp"):
-            yield from self._handle_read_resp(msg)
+        if kind == "read_resp" or kind == "atomic_resp":
+            self._handle_read_resp(msg)
             return
 
         qp = self._qps.get(msg.dst_qpn)
-        if qp is None or qp.state in (QPState.RESET, QPState.ERROR, QPState.INIT):
+        if qp is None or qp.state in _NOT_READY:
             # No such QP: RC would NAK; we count and drop (benchmarks never
             # hit this; tests assert the counter).
             self.counters.remote_access_errors += 1
             return
 
-        if msg.ecn and self.cc is not None and msg.transport == "RC":
+        rc = msg.transport == "RC"
+        if msg.ecn and self.cc is not None and rc:
             # ECN-marked request: notify the initiator (responder half of
             # the DCQCN loop).  Evaluated before PSN ordering on purpose —
             # a reordered or duplicate arrival still crossed the congested
             # queue and still carries a valid congestion signal.
             self._note_ecn(msg)
 
-        if msg.transport == "RC":
-            yield from self._rx_rc(qp, msg)
+        if rc:
+            self._rx_rc(qp, msg)
             mon = self.sim._monitor
             if mon is not None:
                 mon.on_responder_update(qp)
         else:
             self._accept(qp, msg)
 
-    def _rx_rc(
-        self, qp: QueuePair, msg: WireMessage
-    ) -> Generator["Event", object, None]:
+    def _rx_rc(self, qp: QueuePair, msg: WireMessage) -> None:
         """RC responder: enforce per-QP PSN acceptance order.
 
         All PSN comparisons are 24-bit serial arithmetic (:class:`Psn`):
@@ -551,11 +570,10 @@ class Nic:
             # Duplicate (retry of a message whose response was lost);
             # answer again without re-executing side effects.
             if msg.kind in ("send", "write"):
-                yield from self._send_ack(qp, msg, "ack")
+                self._send_ack((qp, msg, "ack", _SUCCESS))
             elif msg.kind == "read_req":
                 # Reads are idempotent: just serve the data again.
-                self.sim.spawn(self._exec_read_req(qp, msg),
-                               name=self._ex_read_name)
+                self.sim.call_soon(self._exec_read_req, (qp, msg))
             elif msg.kind == "atomic":
                 self._replay_atomic(qp, msg)
             return
@@ -593,37 +611,38 @@ class Nic:
         """
         cached = qp.atomic_cache.get(msg.psn)
         if cached is not None:
-            self.sim.spawn(self._exec_atomic_resp(qp, msg, cached),
-                           name=self._ex_atomic_name)
+            self.sim.call_soon(self._exec_atomic_resp, (qp, msg, cached))
 
     def _accept(self, qp: QueuePair, msg: WireMessage) -> bool:
         """Synchronous in-order acceptance of a request at the responder:
-        claims queue entries and validates keys, then spawns the timed
-        execution (DMA + CQE + ACK) concurrently so back-to-back messages
-        pipeline as on real hardware.  Returns False when RNR-NAKed."""
-        if msg.kind == "send":
+        claims queue entries and validates keys, then starts the timed
+        execution (DMA + CQE + ACK) as its own stage chain so back-to-back
+        messages pipeline as on real hardware.  Returns False when
+        RNR-NAKed."""
+        kind = msg.kind
+        if kind == "send":
             rwr = self._claim_recv_wqe(qp)
             if rwr is None:
                 if msg.transport == "RC":
                     qp.rnr_naks += 1
                     self.counters.rnr_naks_sent += 1
-                    self.sim.spawn(self._send_ack(qp, msg, "nak_rnr"))
+                    self.sim.call_soon(self._send_ack,
+                                       (qp, msg, "nak_rnr", _SUCCESS))
                 else:
                     self.counters.ud_drops += 1
                 return False
-            self.sim.spawn(self._exec_send(qp, msg, rwr), name=self._ex_send_name)
+            self.sim.call_soon(self._exec_send, (qp, msg, rwr))
             return True
 
-        if msg.kind == "write":
+        if kind == "write":
             assert self.mr_table is not None
             mr = self.mr_table.check_remote(
                 msg.rkey, msg.remote_addr, msg.length, write=True
             )
             if mr is None:
                 self.counters.remote_access_errors += 1
-                self.sim.spawn(
-                    self._send_ack(qp, msg, "ack", status=WCStatus.REM_ACCESS_ERR)
-                )
+                self.sim.call_soon(self._send_ack,
+                                   (qp, msg, "ack", _REM_ACCESS_ERR))
                 return True
             rwr = None
             if msg.imm is not None:
@@ -632,16 +651,17 @@ class Nic:
                 if rwr is None:
                     qp.rnr_naks += 1
                     self.counters.rnr_naks_sent += 1
-                    self.sim.spawn(self._send_ack(qp, msg, "nak_rnr"))
+                    self.sim.call_soon(self._send_ack,
+                                       (qp, msg, "nak_rnr", _SUCCESS))
                     return False
-            self.sim.spawn(self._exec_write(qp, msg, mr, rwr), name=self._ex_write_name)
+            self.sim.call_soon(self._exec_write, (qp, msg, mr, rwr))
             return True
 
-        if msg.kind == "read_req":
-            self.sim.spawn(self._exec_read_req(qp, msg), name=self._ex_read_name)
+        if kind == "read_req":
+            self.sim.call_soon(self._exec_read_req, (qp, msg))
             return True
 
-        if msg.kind == "atomic":
+        if kind == "atomic":
             # The read-modify-write happens *now*, synchronously, in PSN
             # acceptance order — that is what makes it atomic across
             # concurrent initiators.  Only the response timing is async.
@@ -649,14 +669,13 @@ class Nic:
             mr = self.mr_table.check_remote(msg.rkey, msg.remote_addr, 8, write=True)
             if mr is None:
                 self.counters.remote_access_errors += 1
-                self.sim.spawn(
-                    self._send_ack(qp, msg, "ack", status=WCStatus.REM_ACCESS_ERR)
-                )
+                self.sim.call_soon(self._send_ack,
+                                   (qp, msg, "ack", _REM_ACCESS_ERR))
                 return True
             offset = msg.remote_addr - mr.buffer.addr
             original = int.from_bytes(mr.buffer.read(offset, 8), "little")
             opcode, compare_add, swap = msg.atomic  # type: ignore[misc]
-            if opcode is Opcode.ATOMIC_FETCH_ADD:
+            if opcode is _FETCH_ADD:
                 newval = (original + compare_add) & (2**64 - 1)
             else:  # CMP_SWAP
                 newval = swap if original == compare_add else original
@@ -669,12 +688,10 @@ class Nic:
             self._notify_memory_watchers(msg.remote_addr, 8)
             self.counters.rx_msgs += 1
             self.counters.rx_bytes += msg.wire_bytes
-            self.sim.spawn(
-                self._exec_atomic_resp(qp, msg, original), name=self._ex_atomic_name
-            )
+            self.sim.call_soon(self._exec_atomic_resp, (qp, msg, original))
             return True
 
-        raise HardwareError(f"unknown message kind {msg.kind!r}")  # pragma: no cover
+        raise HardwareError(f"unknown message kind {kind!r}")  # pragma: no cover
 
     def _claim_recv_wqe(self, qp: QueuePair):
         """Take the next recv WQE: from the QP's SRQ if it has one."""
@@ -687,60 +704,76 @@ class Nic:
             return qp.srq.pop() if len(qp.srq) else None
         return qp.rq.popleft() if qp.rq else None
 
-    def _exec_send(
-        self, qp: QueuePair, msg: WireMessage, rwr: RecvWR
-    ) -> Generator["Event", object, None]:
+    def _exec_send(self, ctx: tuple) -> None:
+        """``(qp, msg, rwr)``: land a SEND in its recv buffer."""
+        _qp, msg, rwr = ctx
         trace = self.sim.trace
         if trace.enabled and msg.span is not None:
             trace.emit(self.sim.now, "span", "mark", span=msg.span,
                        stage="rx_exec", host=self.host_id, comp="nic.rx")
-        status = WCStatus.SUCCESS
-        if msg.length > rwr.length:
-            status = WCStatus.LOC_LEN_ERR
-        elif msg.length > 0:
+        if 0 < msg.length <= rwr.length:
             # Payload DMA pipeline-fill; bandwidth already paid on the wire.
-            yield self.profile.dma_write_lat_ns
-            if msg.data is not None:
+            self.sim.call_later(self.profile.dma_write_lat_ns,
+                                self._send_landed, ctx)
+        else:
+            self._send_landed(ctx)
+
+    def _send_landed(self, ctx: tuple) -> None:
+        qp, msg, rwr = ctx
+        if msg.length > rwr.length:
+            status = _LOC_LEN_ERR
+        else:
+            status = _SUCCESS
+            if msg.length > 0 and msg.data is not None:
                 assert self.mr_table is not None
                 mr = self.mr_table.check_local(rwr.lkey, rwr.addr, msg.length, write=True)
                 mr.buffer.write(rwr.addr - mr.buffer.addr, msg.data)
                 self._notify_memory_watchers(rwr.addr, msg.length)
         self.counters.rx_msgs += 1
         self.counters.rx_bytes += msg.wire_bytes
-        yield from self._post_cqe(
+        self._post_cqe(
             qp.recv_cq,
-            CQE(wr_id=rwr.wr_id, status=status, opcode=Opcode.SEND,
-                byte_len=msg.length, qp_num=qp.qpn, src_qp=msg.src_qpn,
-                imm=msg.imm, data=msg.data, meta=msg.meta, span=msg.span),
+            CQE(rwr.wr_id, status, _SEND, msg.length, qp.qpn, msg.src_qpn,
+                msg.imm, 0.0, msg.data, msg.meta, msg.span),
+            self._send_ack if msg.transport == "RC" else None,
+            (qp, msg, "ack", _SUCCESS),
         )
-        if msg.transport == "RC":
-            yield from self._send_ack(qp, msg, "ack")
 
-    def _exec_write(
-        self, qp: QueuePair, msg: WireMessage, mr, rwr: Optional[RecvWR]
-    ) -> Generator["Event", object, None]:
+    def _exec_write(self, ctx: tuple) -> None:
+        """``(qp, msg, mr, rwr)``: land an RDMA WRITE in its target MR."""
+        msg = ctx[1]
         trace = self.sim.trace
         if trace.enabled and msg.span is not None:
             trace.emit(self.sim.now, "span", "mark", span=msg.span,
                        stage="rx_exec", host=self.host_id, comp="nic.rx")
         if msg.length > 0:
-            yield self.profile.dma_write_lat_ns
+            self.sim.call_later(self.profile.dma_write_lat_ns,
+                                self._write_landed, ctx)
+        else:
+            self._write_landed(ctx)
+
+    def _write_landed(self, ctx: tuple) -> None:
+        qp, msg, mr, rwr = ctx
+        if msg.length > 0:
             if msg.data is not None:
                 mr.buffer.write(msg.remote_addr - mr.buffer.addr, msg.data)
             self._notify_memory_watchers(msg.remote_addr, msg.length)
         self.counters.rx_msgs += 1
         self.counters.rx_bytes += msg.wire_bytes
+        ack = (qp, msg, "ack", _SUCCESS)
         if rwr is not None:
-            yield from self._post_cqe(
+            self._post_cqe(
                 qp.recv_cq,
-                CQE(wr_id=rwr.wr_id, status=WCStatus.SUCCESS,
-                    opcode=Opcode.RDMA_WRITE_WITH_IMM, byte_len=msg.length,
-                    qp_num=qp.qpn, src_qp=msg.src_qpn, imm=msg.imm,
-                    meta=msg.meta, span=msg.span),
+                CQE(rwr.wr_id, _SUCCESS, _WRITE_WITH_IMM, msg.length, qp.qpn,
+                    msg.src_qpn, msg.imm, 0.0, None, msg.meta, msg.span),
+                self._send_ack, ack,
             )
-        yield from self._send_ack(qp, msg, "ack")
+        else:
+            self._send_ack(ack)
 
-    def _exec_read_req(self, qp: QueuePair, msg: WireMessage) -> Generator["Event", object, None]:
+    def _exec_read_req(self, ctx: tuple) -> None:
+        """``(qp, msg)``: serve an RDMA READ from the target MR."""
+        qp, msg = ctx
         trace = self.sim.trace
         if trace.enabled and msg.span is not None:
             trace.emit(self.sim.now, "span", "mark", span=msg.span,
@@ -749,64 +782,55 @@ class Nic:
         mr = self.mr_table.check_remote(msg.rkey, msg.remote_addr, msg.length, write=False)
         if mr is None:
             self.counters.remote_access_errors += 1
-            yield from self._send_ack(qp, msg, "ack", status=WCStatus.REM_ACCESS_ERR)
+            self._send_ack((qp, msg, "ack", _REM_ACCESS_ERR))
             return
-        data: Optional[bytes] = None
         if msg.length > 0:
             # Responder-side payload fetch pipeline fill.
-            yield self.profile.dma_read_lat_ns
-            if mr.buffer.data is not None:
-                data = mr.buffer.read(msg.remote_addr - mr.buffer.addr, msg.length)
-        resp = WireMessage(
-            kind="read_resp",
-            src_host=self.host_id,
-            dst_host=msg.src_host,
-            src_qpn=msg.dst_qpn,
-            dst_qpn=msg.src_qpn,
-            transport=msg.transport,
-            psn=msg.psn,
-            length=msg.length,
-            data=data,
-            token=msg.token,
-            header_bytes=HEADER_BYTES,
-            span=msg.span,
-        )
-        assert self._fabric is not None
-        yield from self._fabric.transmit(self.host_id, msg.src_host, resp.wire_bytes, resp)
-        self.counters.tx_msgs += 1
-        self.counters.tx_bytes += resp.wire_bytes
+            self.sim.call_later(self.profile.dma_read_lat_ns,
+                                self._read_fetched, (msg, mr))
+        else:
+            self._read_fetched((msg, mr))
 
-    def _exec_atomic_resp(
-        self, qp: QueuePair, msg: WireMessage, original: int
-    ) -> Generator["Event", object, None]:
-        """Return the pre-op value to the initiator."""
+    def _read_fetched(self, ctx: tuple) -> None:
+        msg, mr = ctx
+        data: Optional[bytes] = None
+        if msg.length > 0 and mr.buffer.data is not None:
+            data = mr.buffer.read(msg.remote_addr - mr.buffer.addr, msg.length)
+        self._send_response(msg, WireMessage(
+            "read_resp", self.host_id, msg.src_host, msg.dst_qpn, msg.src_qpn,
+            msg.transport, msg.psn, msg.length, None, 0, 0, data, msg.token,
+            None, None, HEADER_BYTES, 0, msg.span,
+        ))
+
+    def _exec_atomic_resp(self, ctx: tuple) -> None:
+        """``(qp, msg, original)``: return the pre-op value to the initiator."""
+        qp, msg, original = ctx
         mon = self.sim._monitor
         if mon is not None:
             # Every response for this (qpn, psn) must carry the same value
             # (PROTO106): first execution and cache replays alike land here.
             mon.on_atomic_response(qp, msg.psn, original)
-        yield self.profile.ack_ns
-        resp = WireMessage(
-            kind="atomic_resp",
-            src_host=self.host_id,
-            dst_host=msg.src_host,
-            src_qpn=msg.dst_qpn,
-            dst_qpn=msg.src_qpn,
-            transport=msg.transport,
-            psn=msg.psn,
-            length=8,
-            data=original.to_bytes(8, "little"),
-            token=msg.token,
-            header_bytes=HEADER_BYTES,
-            span=msg.span,
-        )
+        self.sim.call_later(self.profile.ack_ns, self._atomic_resp_out, ctx)
+
+    def _atomic_resp_out(self, ctx: tuple) -> None:
+        _qp, msg, original = ctx
+        self._send_response(msg, WireMessage(
+            "atomic_resp", self.host_id, msg.src_host, msg.dst_qpn,
+            msg.src_qpn, msg.transport, msg.psn, 8, None, 0, 0,
+            original.to_bytes(8, "little"), msg.token, None, None,
+            HEADER_BYTES, 0, msg.span,
+        ))
+
+    def _send_response(self, request: WireMessage, resp: WireMessage) -> None:
         assert self._fabric is not None
-        yield from self._fabric.transmit(self.host_id, msg.src_host,
-                                         resp.wire_bytes, resp)
+        self._fabric.send(self.host_id, request.src_host, resp.wire_bytes,
+                          resp, self._response_sent, resp)
+
+    def _response_sent(self, resp: WireMessage) -> None:
         self.counters.tx_msgs += 1
         self.counters.tx_bytes += resp.wire_bytes
 
-    def _handle_read_resp(self, msg: WireMessage) -> Generator["Event", object, None]:
+    def _handle_read_resp(self, msg: WireMessage) -> None:
         """READ / atomic response at the initiator."""
         qp = self._qps.get(msg.dst_qpn)
         if qp is None:
@@ -819,22 +843,25 @@ class Nic:
         qp.retx_retries.pop(psn, None)
         qp.retx_epoch.pop(psn, None)
         if msg.length > 0:
-            yield self.profile.dma_write_lat_ns
-            if msg.data is not None:
-                assert self.mr_table is not None
-                mr = self.mr_table.check_local(wr.lkey, wr.addr, msg.length, write=True)
-                mr.buffer.write(wr.addr - mr.buffer.addr, msg.data)
-                self._notify_memory_watchers(wr.addr, msg.length)
+            self.sim.call_later(self.profile.dma_write_lat_ns,
+                                self._read_resp_landed, (qp, wr, msg))
+        else:
+            self._read_resp_landed((qp, wr, msg))
+
+    def _read_resp_landed(self, ctx: tuple) -> None:
+        qp, wr, msg = ctx
+        if msg.length > 0 and msg.data is not None:
+            assert self.mr_table is not None
+            mr = self.mr_table.check_local(wr.lkey, wr.addr, msg.length, write=True)
+            mr.buffer.write(wr.addr - mr.buffer.addr, msg.data)
+            self._notify_memory_watchers(wr.addr, msg.length)
         qp.sq_outstanding -= 1
         if wr.signaled:
-            yield from self._post_cqe(
-                qp.send_cq,
-                CQE(wr_id=wr.wr_id, status=WCStatus.SUCCESS, opcode=wr.opcode,
-                    byte_len=msg.length, qp_num=qp.qpn, data=msg.data,
-                    span=wr.span),
-            )
+            self._post_cqe(qp.send_cq, CQE(
+                wr.wr_id, _SUCCESS, wr.opcode, msg.length, qp.qpn,
+                0, None, 0.0, msg.data, None, wr.span))
 
-    def _handle_response(self, msg: WireMessage) -> Generator["Event", object, None]:
+    def _handle_response(self, msg: WireMessage) -> None:
         """ACK / RNR-NAK arriving back at the initiator."""
         qp = self._qps.get(msg.dst_qpn)
         if qp is None:
@@ -852,14 +879,10 @@ class Nic:
                 qp.retx_retries.pop(psn, None)
                 qp.retx_epoch.pop(psn, None)
                 qp.sq_outstanding -= 1
-                yield from self._post_cqe(
-                    qp.send_cq,
-                    CQE(wr_id=wr.wr_id, status=WCStatus.RNR_RETRY_EXC_ERR,
-                        opcode=wr.opcode, byte_len=wr.length, qp_num=qp.qpn,
-                        span=wr.span),
-                )
-                if qp.state not in (QPState.ERROR, QPState.RESET):
-                    qp.modify(QPState.ERROR)
+                self._post_cqe(qp.send_cq, CQE(
+                    wr.wr_id, _RNR_RETRY_EXC_ERR, wr.opcode, wr.length,
+                    qp.qpn, 0, None, 0.0, None, None, wr.span),
+                    self._error_qp, qp)
                 return
             # Invalidate any armed ACK timer right away: the responder has
             # spoken for this attempt, the back-off below owns the retry.
@@ -869,29 +892,33 @@ class Nic:
             self.counters.retries += 1
             # Escalating back-off: delay grows with the retry index so
             # repeated RNR NAKs don't hot-loop (first retry unchanged).
-            yield RNR_DELAY_NS * (retries + 1)
-            self._queue_retransmit(qp, wr, psn, retries + 1)
+            self.sim.call_later(RNR_DELAY_NS * (retries + 1), self._rnr_retry,
+                                (qp, wr, psn, retries + 1))
             return
         # Positive ACK.
-        status = WCStatus.REM_ACCESS_ERR if msg.imm == -1 else WCStatus.SUCCESS
+        status = _REM_ACCESS_ERR if msg.imm == -1 else _SUCCESS
         qp.outstanding.pop(psn, None)
         qp.retx_retries.pop(psn, None)
         qp.retx_epoch.pop(psn, None)
         qp.sq_outstanding -= 1
         if msg.length < 0:  # pragma: no cover - defensive
             raise HardwareError("negative ack length")
-        if wr.signaled or status is not WCStatus.SUCCESS:
-            yield from self._post_cqe(
-                qp.send_cq,
-                CQE(wr_id=wr.wr_id, status=status, opcode=wr.opcode,
-                    byte_len=wr.length, qp_num=qp.qpn, span=wr.span),
-            )
-        if status is not WCStatus.SUCCESS and qp.state not in (
-            QPState.ERROR, QPState.RESET
-        ):
-            # A remote error ACK is fatal for the QP: transition to ERROR
-            # and flush the remaining in-flight work, as real RC does.
-            qp.modify(QPState.ERROR)
+        if wr.signaled or status is not _SUCCESS:
+            # A remote error ACK is fatal for the QP: once its CQE is
+            # written, the QP enters ERROR and flushes the remaining
+            # in-flight work, as real RC does.
+            self._post_cqe(qp.send_cq, CQE(
+                wr.wr_id, status, wr.opcode, wr.length, qp.qpn,
+                0, None, 0.0, None, None, wr.span),
+                None if status is _SUCCESS else self._error_qp, qp)
+
+    def _rnr_retry(self, item: tuple) -> None:
+        self._queue_retransmit(*item)
+
+    def _error_qp(self, qp: QueuePair) -> None:
+        """A fatal completion was written: error out the QP (once)."""
+        if qp.state not in _DEAD:
+            qp.modify(_ERROR)
 
     # -- RC loss recovery (ACK-timeout retransmission) ---------------------------
 
@@ -923,7 +950,7 @@ class Nic:
         if qp.retx_epoch.get(psn) != epoch:
             return  # stale: acked, NAKed or re-armed since
         wr = qp.outstanding.get(psn)
-        if wr is None or qp.state is not QPState.RTS:
+        if wr is None or qp.state is not _RTS:
             qp.retx_epoch.pop(psn, None)
             return
         self.counters.ack_timeouts += 1
@@ -941,8 +968,7 @@ class Nic:
             qp.retx_retries.pop(psn, None)
             qp.retx_epoch.pop(psn, None)
             qp.sq_outstanding -= 1
-            self.sim.spawn(self._complete_retry_exhausted(qp, wr),
-                           name=self._retry_name)
+            self.sim.call_soon(self._complete_retry_exhausted, (qp, wr))
             return
         qp.retx_retries[psn] = retries + 1
         self._queue_retransmit(qp, wr, psn, retries + 1)
@@ -961,7 +987,7 @@ class Nic:
         queue *two* retransmissions for the same PSN — both passed
         ``_initiate``'s liveness check and both hit the wire, amplifying
         exactly the congestion that caused the loss.  The counter moves
-        to ``_initiate`` for the same reason: it must reflect messages
+        to ``_tx_fetched`` for the same reason: it must reflect messages
         actually retransmitted, not retry intents later cancelled.
         """
         if psn in qp.retx_pending:
@@ -980,40 +1006,29 @@ class Nic:
                        host=self.host_id, qpn=qp.qpn, psn=psn, retries=retries)
         self._tx_submit((qp, wr, psn, retries))
 
-    def _complete_retry_exhausted(
-        self, qp: QueuePair, wr: SendWR
-    ) -> Generator["Event", object, None]:
-        """retry_cnt exhausted: fail the WR, then error-out the QP."""
-        yield from self._post_cqe(
-            qp.send_cq,
-            CQE(wr_id=wr.wr_id, status=WCStatus.RETRY_EXC_ERR,
-                opcode=wr.opcode, byte_len=wr.length, qp_num=qp.qpn,
-                span=wr.span),
-        )
-        if qp.state not in (QPState.ERROR, QPState.RESET):
-            qp.modify(QPState.ERROR)
+    def _complete_retry_exhausted(self, ctx: tuple) -> None:
+        """``(qp, wr)``: retry_cnt exhausted: fail the WR, then error-out
+        the QP."""
+        qp, wr = ctx
+        self._post_cqe(qp.send_cq, CQE(
+            wr.wr_id, _RETRY_EXC_ERR, wr.opcode, wr.length, qp.qpn,
+            0, None, 0.0, None, None, wr.span),
+            self._error_qp, qp)
 
-    def _send_ack(
-        self,
-        qp: QueuePair,
-        request: WireMessage,
-        kind: str,
-        status: WCStatus = WCStatus.SUCCESS,
-    ) -> Generator["Event", object, None]:
-        yield self.profile.ack_ns
+    def _send_ack(self, ctx: tuple) -> None:
+        """``(qp, request, kind, status)``: answer a request with an ACK
+        (``imm == -1`` flags a remote error) or an RNR NAK, after the
+        ``ack_ns`` turnaround."""
+        self.sim.call_later(self.profile.ack_ns, self._ack_out, ctx)
+
+    def _ack_out(self, ctx: tuple) -> None:
+        qp, request, kind, status = ctx
         ack = WireMessage(
-            kind=kind,
-            src_host=self.host_id,
-            dst_host=request.src_host,
-            src_qpn=request.dst_qpn,
-            dst_qpn=request.src_qpn,
-            transport=request.transport,
-            psn=request.psn,
-            imm=-1 if status is not WCStatus.SUCCESS else None,
-            token=request.token,
-            header_bytes=HEADER_BYTES,
-            retries=request.retries,
-            span=request.span,
+            kind, self.host_id, request.src_host, request.dst_qpn,
+            request.src_qpn, request.transport, request.psn, 0,
+            -1 if status is not _SUCCESS else None, 0, 0, None,
+            request.token, None, None, HEADER_BYTES, request.retries,
+            request.span,
         )
         mon = self.sim._monitor
         if mon is not None:
@@ -1023,7 +1038,10 @@ class Nic:
             trace.emit(self.sim.now, "span", "mark", span=request.span,
                        stage="ack", host=self.host_id, comp="nic.tx")
         assert self._fabric is not None
-        yield from self._fabric.transmit(self.host_id, request.src_host, ack.wire_bytes, ack)
+        self._fabric.send(self.host_id, request.src_host, ack.wire_bytes, ack,
+                          self._ack_sent, kind)
+
+    def _ack_sent(self, kind: str) -> None:
         if kind == "ack":
             self.counters.acks_sent += 1
 
@@ -1066,30 +1084,25 @@ class Nic:
             trace.emit(self.sim.now, "nic", "cnp_send",
                        host=self.host_id, dst_host=msg.src_host,
                        qpn=msg.src_qpn, psn=msg.psn)
-        self.sim.spawn(self._send_cnp(msg), name=self._cnp_name)
+        self.sim.call_soon(self._send_cnp, msg)
 
-    def _send_cnp(self, request: WireMessage) -> Generator["Event", object, None]:
+    def _send_cnp(self, request: WireMessage) -> None:
         """Build and transmit one CNP (same turnaround cost as an ACK).
 
         CNPs are unacknowledged and never retransmitted — losing one only
         delays the next rate cut by a CNP interval, as on real fabrics.
         """
-        yield self.profile.ack_ns
+        self.sim.call_later(self.profile.ack_ns, self._cnp_out, request)
+
+    def _cnp_out(self, request: WireMessage) -> None:
         cnp = WireMessage(
-            kind="cnp",
-            src_host=self.host_id,
-            dst_host=request.src_host,
-            src_qpn=request.dst_qpn,
-            dst_qpn=request.src_qpn,
-            transport=request.transport,
-            psn=request.psn,
-            token=request.token,
-            header_bytes=HEADER_BYTES,
+            "cnp", self.host_id, request.src_host, request.dst_qpn,
+            request.src_qpn, request.transport, request.psn, 0, None, 0, 0,
+            None, request.token, None, None, HEADER_BYTES,
         )
         assert self._fabric is not None
-        yield from self._fabric.transmit(
-            self.host_id, request.src_host, cnp.wire_bytes, cnp
-        )
+        self._fabric.send(self.host_id, request.src_host, cnp.wire_bytes, cnp,
+                          _cnp_sent)
 
     def _handle_cnp(self, msg: WireMessage) -> None:
         """Initiator half of the loop: cut the marked QP's rate."""
@@ -1112,9 +1125,15 @@ class Nic:
 
     # -- completion + memory watch helpers ---------------------------------------
 
-    def _post_cqe(self, cq, cqe: CQE) -> Generator["Event", object, None]:
-        """Write a CQE to host memory (timed) and push it."""
-        yield self.profile.dma_write_lat_ns
+    def _post_cqe(self, cq, cqe: CQE,
+                  then: Optional[Callable[[object], None]] = None,
+                  arg: object = None) -> None:
+        """Write a CQE to host memory (timed) and push it, then ``then(arg)``."""
+        self.sim.call_later(self.profile.dma_write_lat_ns, self._cqe_written,
+                            (cq, cqe, then, arg))
+
+    def _cqe_written(self, ctx: tuple) -> None:
+        cq, cqe, then, arg = ctx
         trace = self.sim.trace
         if trace.enabled:
             trace.emit(self.sim.now, "nic", "cqe",
@@ -1128,6 +1147,8 @@ class Nic:
         tele = self.sim.telemetry
         if tele.enabled:
             tele.scope(self._scope).histogram("cq.depth").observe(len(cq.entries))
+        if then is not None:
+            then(arg)
 
     # Memory watchers let applications "poll on memory" (perftest write_lat
     # detects arrival by spinning on the target buffer's last byte).

@@ -37,8 +37,11 @@ dynamically, at the places where the static shape is already wrong:
   space; raw integer math silently diverges at the wrap point.
 - **PROTO003** — a function that consumes an in-flight WR (pops from
   ``outstanding`` or decrements ``sq_outstanding``) but contains no
-  completion-posting machinery (``_post_cqe``/``push``/``spawn``): a
-  completion path that can retire work without ever emitting a CQE.
+  completion-posting machinery: a ``_post_cqe`` or ``push`` call, or a
+  stage hand-off (``call_later``/``call_soon``/``spawn``) whose callback
+  is a ``self.<method>`` of the same class that itself calls
+  ``_post_cqe``.  A completion path that can retire work without ever
+  emitting a CQE.
 - **PROTO004** — a protocol-monitor hook call (``mon.on_*``,
   ``register_qp``) not dominated by its ``is None`` guard; monitors-off
   runs must cost exactly one branch per site.
@@ -119,6 +122,38 @@ def _dotted(node: ast.AST) -> list[str]:
     return parts
 
 
+#: Stage hand-off calls (PROTO003) -> position of the callback argument.
+_HANDOFF_ARG = {"call_later": 1, "call_soon": 0, "spawn": 0}
+
+
+def _posting_methods(cls: ast.ClassDef) -> frozenset[str]:
+    """Methods of ``cls`` whose own body calls ``_post_cqe``."""
+    return frozenset(
+        item.name for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(sub, ast.Call) and "_post_cqe" in _dotted(sub.func)
+                for sub in ast.walk(item))
+    )
+
+
+def _hands_off_to(call: ast.Call, parts: list[str],
+                  posting: frozenset[str]) -> bool:
+    """Is ``call`` a stage hand-off to a ``self.<method>`` in ``posting``?
+
+    ``spawn`` takes the generator call itself (``spawn(self.m(...))``);
+    ``call_later``/``call_soon`` take the bound method.
+    """
+    idx = _HANDOFF_ARG.get(parts[-1]) if parts else None
+    if idx is None or len(call.args) <= idx:
+        return False
+    target = call.args[idx]
+    if isinstance(target, ast.Call):
+        target = target.func
+    return (isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self" and target.attr in posting)
+
+
 def _names_in(node: ast.AST) -> Iterable[str]:
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -191,6 +226,8 @@ class _Visitor(ast.NodeVisitor):
         self._notnone_depth = 0  # `if faults is not None:` Ifs dominating
         self._hook_lines: set[int] = set()  # SIM005/PROTO004 dedupe
         self._class_stack: list[ast.ClassDef] = []
+        #: Per enclosing class: its methods that call ``_post_cqe``.
+        self._posting_stack: list[frozenset[str]] = []
         self._func_stack: list[str] = []
 
         self.in_src = f"{os.sep}repro{os.sep}" in norm_path or \
@@ -246,14 +283,14 @@ class _Visitor(ast.NodeVisitor):
     def _check_no_cqe_path(self, node) -> None:
         consumes: Optional[ast.AST] = None
         posts = False
+        posting = self._posting_stack[-1] if self._posting_stack else frozenset()
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
                 parts = _dotted(sub.func)
                 if parts[-2:] == ["outstanding", "pop"]:
                     consumes = consumes or sub
-                if "_post_cqe" in parts or (
-                    parts and parts[-1] in ("push", "spawn")
-                ):
+                if "_post_cqe" in parts or (parts and parts[-1] == "push") \
+                        or _hands_off_to(sub, parts, posting):
                     posts = True
             elif isinstance(sub, ast.AugAssign) and isinstance(sub.op, ast.Sub) \
                     and isinstance(sub.target, ast.Attribute) \
@@ -264,8 +301,9 @@ class _Visitor(ast.NodeVisitor):
                 "PROTO003", consumes,
                 f"`{node.name}` retires in-flight work (outstanding.pop / "
                 "sq_outstanding -= 1) but never posts a CQE",
-                "every consumed WR must complete: call _post_cqe (or spawn "
-                "the generator that does)",
+                "every consumed WR must complete: call _post_cqe, or hand "
+                "off (call_later/call_soon/spawn) to a self method that "
+                "calls it",
             )
 
     # -- PROTO001 / PROTO002: QP state writes and raw PSN math -------------------
@@ -507,7 +545,9 @@ class _Visitor(ast.NodeVisitor):
                 "declare __slots__ (instances are allocated on the hot path)",
             )
         self._class_stack.append(node)
+        self._posting_stack.append(_posting_methods(node))
         self.generic_visit(node)
+        self._posting_stack.pop()
         self._class_stack.pop()
 
     @staticmethod

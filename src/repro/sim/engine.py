@@ -15,8 +15,10 @@ and :meth:`Simulator.call_later` pushes a :class:`_Callback` invoking
 ``fn(arg)``.  Each takes the ``(time, priority, sequence)`` key a
 ``Timeout`` created at the same point would get, and is recycled through
 a free pool the moment it pops, so the steady-state hot loop allocates
-nothing per delay.  The goldens in ``tests/test_golden_determinism.py``
-pin the resulting bits.
+nothing per delay.  :meth:`Simulator.call_soon` pushes the same
+:class:`_Callback` at ``(now, URGENT)``, the key a spawned process's
+first step takes, so a callback stage can stand in for a spawn.  The
+goldens in ``tests/test_golden_determinism.py`` pin the resulting bits.
 
 Dispatch loops
 --------------
@@ -44,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.verify.choice import Chooser
     from repro.verify.monitors import ProtocolMonitor
 from repro.sanitize.runtime import env_sanitize
-from repro.sim.events import NORMAL, AllOf, AnyOf, Event, Timeout
+from repro.sim.events import NORMAL, URGENT, AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator, _Resume
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace
@@ -175,9 +177,10 @@ class Simulator:
         Like :meth:`process`, but the returned handle cannot be joined or
         interrupted (both raise :class:`SimulationError`), its completion
         leaves no termination record on the heap, and a crash propagates
-        out of :meth:`run`.  Use it for hot per-message work whose result
-        nobody waits on (the relative order of all other records is
-        unchanged — see :mod:`repro.sim.process`).
+        out of :meth:`run`.  Use it for work nobody waits on that is easier
+        to write as a generator (the relative order of all other records
+        is unchanged — see :mod:`repro.sim.process`); hot per-message work
+        is cheaper as :meth:`call_soon`/:meth:`call_later` stages.
         """
         return Process(self, generator, name, True)
 
@@ -244,6 +247,20 @@ class Simulator:
         rec.fn = fn
         rec.arg = arg
         heapq.heappush(self._queue, (self._now + delay, NORMAL, self._seq, rec))
+        self._seq += 1
+
+    def call_soon(self, fn: Callable[[object], None], arg: object = None) -> None:
+        """Run ``fn(arg)`` now, ahead of this instant's NORMAL records.
+
+        The pooled record takes ``(now, URGENT, next seq)``, the key
+        :meth:`spawn` gives a process's first step: replacing a spawn with
+        a ``call_soon`` stage keeps every record's place in the schedule.
+        """
+        pool = self._cb_pool
+        rec = pool.pop() if pool else _Callback()
+        rec.fn = fn
+        rec.arg = arg
+        heapq.heappush(self._queue, (self._now, URGENT, self._seq, rec))
         self._seq += 1
 
     def peek(self) -> float:

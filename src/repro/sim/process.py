@@ -19,14 +19,14 @@ key a Timeout created at that point would get.
 Detached processes
 ------------------
 
-:meth:`Simulator.spawn` creates a *detached* process for hot per-message
-work that nothing joins or interrupts.  It is born processed
-(``callbacks is None``), so its end schedules no termination record, and
-a crash propagates straight out of :meth:`Simulator.run` instead of being
-stored for a joiner.  Dropping that record cannot change the interleaving
-of the remaining ones: it never has callbacks, and removing an allocation
-from the sequence-number stream preserves the relative order of all other
-records.  Joining (``yield``, ``run(until=...)``) or interrupting a
+:meth:`Simulator.spawn` creates a *detached* process for work that
+nothing joins or interrupts (the IPoIB and IRQ paths, storage commands).
+It is born processed (``callbacks is None``), so its end schedules no
+termination record, and a crash propagates straight out of
+:meth:`Simulator.run` instead of being stored for a joiner.  Dropping
+that record cannot change the interleaving of the remaining ones: it
+never has callbacks, and removing an allocation from the sequence-number
+stream preserves the relative order of all other records.  Joining (``yield``, ``run(until=...)``) or interrupting a
 detached process raises :class:`~repro.errors.SimulationError`.
 """
 
@@ -103,7 +103,7 @@ class Process(Event):
 
     Pass ``detached`` positionally: a keyword argument sends the class call
     down CPython's slow path, and :meth:`Simulator.spawn` runs once per
-    simulated message.
+    IPoIB message.
     """
 
     __slots__ = ("_target", "_send", "_throw", "_pending")

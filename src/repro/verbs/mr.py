@@ -15,6 +15,12 @@ from repro.errors import MemoryAccessError, VerbsError
 from repro.hw.memory import Buffer
 from repro.verbs.wr import AccessFlags
 
+# Plain-int permission bits: ``IntFlag.__and__`` costs 10-20x an int
+# ``&`` on CPython 3.11, and the NIC checks access once per message.
+_LOCAL_WRITE = int(AccessFlags.LOCAL_WRITE)
+_REMOTE_WRITE = int(AccessFlags.REMOTE_WRITE)
+_REMOTE_READ = int(AccessFlags.REMOTE_READ)
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.verbs.pd import ProtectionDomain
 
@@ -72,7 +78,7 @@ class MrTable:
                 f"local access [{addr:#x},+{length}) outside MR "
                 f"[{mr.addr:#x},+{mr.length})"
             )
-        if write and not mr.access & AccessFlags.LOCAL_WRITE:
+        if write and not int(mr.access) & _LOCAL_WRITE:
             raise MemoryAccessError(f"MR lkey={lkey:#x} lacks LOCAL_WRITE")
         return mr
 
@@ -89,8 +95,7 @@ class MrTable:
             return None
         if not mr.contains(addr, length):
             return None
-        needed = AccessFlags.REMOTE_WRITE if write else AccessFlags.REMOTE_READ
-        if not mr.access & needed:
+        if not int(mr.access) & (_REMOTE_WRITE if write else _REMOTE_READ):
             return None
         return mr
 

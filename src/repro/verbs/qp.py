@@ -49,6 +49,15 @@ _VALID_TRANSITIONS = {
     QPState.ERROR: {QPState.RESET},
 }
 
+# Members bound once for the per-call checks below: on CPython 3.11 each
+# ``QPState.RTS`` evaluation goes through ``EnumType.__getattr__``.
+_RESET = QPState.RESET
+_RTR = QPState.RTR
+_RTS = QPState.RTS
+_ERROR = QPState.ERROR
+_RC = Transport.RC
+_UD = Transport.UD
+
 
 class QueuePair:
     """``ibv_qp`` analogue."""
@@ -157,7 +166,7 @@ class QueuePair:
         """
         if new_state not in _VALID_TRANSITIONS[self._state]:
             raise QPStateError(f"illegal transition {self._state} -> {new_state}")
-        if new_state is QPState.RTR and self.transport is Transport.RC:
+        if new_state is _RTR and self.transport is _RC:
             if remote is None:
                 raise QPStateError("RC RTR transition requires remote (host, qpn)")
             self.remote = remote
@@ -165,9 +174,9 @@ class QueuePair:
         if mon is not None:
             mon.on_qp_transition(self, self._state, new_state)
         self._state = new_state
-        if new_state is QPState.ERROR:
+        if new_state is _ERROR:
             self._flush_with_errors()
-        if new_state is QPState.RESET:
+        if new_state is _RESET:
             self._flush()
 
     def _flush_with_errors(self) -> None:
@@ -216,7 +225,7 @@ class QueuePair:
     # -- posting validation (data structures only; costs live in dataplane) -----
 
     def check_post_send(self, wr: SendWR) -> None:
-        if self.state is not QPState.RTS:
+        if self.state is not _RTS:
             raise QPStateError(f"post_send on QP {self.qpn} in state {self.state}")
         wr.validate()
         if self.sq_outstanding >= self.sq_depth:
@@ -225,7 +234,7 @@ class QueuePair:
             raise VerbsError(
                 f"inline length {wr.length} exceeds max_inline {self.max_inline}"
             )
-        if self.transport is Transport.UD:
+        if self.transport is _UD:
             if not wr.opcode.is_send:
                 raise VerbsError(f"UD supports only SEND, got {wr.opcode}")
             if wr.ah is None:
@@ -239,14 +248,14 @@ class QueuePair:
             raise VerbsError(
                 f"QP {self.qpn} uses SRQ {self.srq.srqn}; post to the SRQ"
             )
-        if self.state in (QPState.RESET, QPState.ERROR):
+        if self.state in (_RESET, _ERROR):
             raise QPStateError(f"post_recv on QP {self.qpn} in state {self.state}")
         if len(self.rq) >= self.rq_depth:
             raise VerbsError(f"QP {self.qpn} recv queue full (depth {self.rq_depth})")
 
     def destination_for(self, wr: SendWR) -> tuple[int, int]:
         """Resolve (host, qpn) the WR targets."""
-        if self.transport is Transport.UD:
+        if self.transport is _UD:
             assert wr.ah is not None
             return wr.ah
         assert self.remote is not None

@@ -11,6 +11,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.errors import VerbsError
+
 
 class Psn:
     """24-bit packet-sequence-number arithmetic (IBTA §9.7.2).
@@ -98,6 +100,8 @@ class Opcode(enum.Enum):
     consumes_recv_wqe: bool
     #: Does the initiating NIC DMA payload out of local memory?
     reads_local_memory: bool
+    #: The :class:`WireMessage` kind this op puts on the wire.
+    wire_kind: str
 
 
 for _op in Opcode:
@@ -107,7 +111,12 @@ for _op in Opcode:
     _op.is_atomic = _op in (Opcode.ATOMIC_FETCH_ADD, Opcode.ATOMIC_CMP_SWAP)
     _op.consumes_recv_wqe = _op.is_send or _op is Opcode.RDMA_WRITE_WITH_IMM
     _op.reads_local_memory = _op.is_send or _op.is_write
+    _op.wire_kind = ("send" if _op.is_send else "write" if _op.is_write
+                     else "read_req" if _op is Opcode.RDMA_READ else "atomic")
 del _op
+#: Bound once for :meth:`SendWR.validate` (runs per post): on CPython 3.11
+#: an ``Opcode.RDMA_READ`` lookup goes through ``EnumType.__getattr__``.
+_RDMA_READ = Opcode.RDMA_READ
 
 
 class WCStatus(enum.Enum):
@@ -121,6 +130,9 @@ class WCStatus(enum.Enum):
     RNR_RETRY_EXC_ERR = "rnr_retry_exceeded"
     RETRY_EXC_ERR = "retry_exceeded"
     WR_FLUSH_ERR = "flushed"
+
+
+_SUCCESS = WCStatus.SUCCESS
 
 
 class AccessFlags(enum.IntFlag):
@@ -170,13 +182,11 @@ class SendWR:
     span: Optional[int] = None
 
     def validate(self) -> None:
-        from repro.errors import VerbsError
-
         if self.length < 0:
             raise VerbsError(f"negative WR length: {self.length}")
         if self.opcode.has_imm and self.imm is None:
             raise VerbsError(f"{self.opcode} requires an immediate value")
-        if self.opcode is Opcode.RDMA_READ and self.inline:
+        if self.opcode is _RDMA_READ and self.inline:
             raise VerbsError("RDMA_READ cannot be inline")
         if self.opcode.is_atomic:
             if self.length != 8:
@@ -221,7 +231,7 @@ class CQE:
 
     @property
     def ok(self) -> bool:
-        return self.status is WCStatus.SUCCESS
+        return self.status is _SUCCESS
 
 
 @dataclass(slots=True)

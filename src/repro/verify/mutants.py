@@ -18,11 +18,11 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterator
+from typing import Callable, Iterator
 
 from repro.hw.nic import Nic
 from repro.verbs.qp import QPState, QueuePair
-from repro.verbs.wr import CQE, Psn, SendWR, WCStatus, WireMessage
+from repro.verbs.wr import CQE, Psn, WCStatus, WireMessage
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,10 @@ def _skip_error_flush() -> Iterator[None]:
 def _ack_wrong_psn() -> Iterator[None]:
     orig = Nic._send_ack
 
-    def bad(self: Nic, qp: QueuePair, request: WireMessage, kind: str,
-            status: WCStatus = WCStatus.SUCCESS,
-            ) -> "Generator[object, object, None]":
+    def bad(self: Nic, ctx: tuple) -> None:
+        qp, request, kind, status = ctx
         shifted = dataclasses.replace(request, psn=Psn.next(request.psn))
-        yield from orig(self, qp, shifted, kind, status)
+        orig(self, (qp, shifted, kind, status))
 
     with _patched(Nic, "_send_ack", bad):
         yield
@@ -95,8 +94,7 @@ def _atomic_reexec() -> Iterator[None]:
             # Re-run the RMW: the "original" value returned to the retry
             # now includes the first execution's add — a lost update bug.
             add = msg.atomic[1] if msg.atomic else 1
-            self.sim.spawn(self._exec_atomic_resp(qp, msg, cached + add),
-                           name=self._ex_atomic_name)
+            self.sim.call_soon(self._exec_atomic_resp, (qp, msg, cached + add))
 
     with _patched(Nic, "_replay_atomic", bad):
         yield
@@ -108,14 +106,13 @@ def _atomic_reexec() -> Iterator[None]:
 def _double_complete() -> Iterator[None]:
     orig = Nic._handle_response
 
-    def bad(self: Nic, msg: WireMessage,
-            ) -> "Generator[object, object, None]":
+    def bad(self: Nic, msg: WireMessage) -> None:
         qp = self._qps.get(msg.dst_qpn)
         wr = psn = None
         if qp is not None and msg.kind == "ack" and msg.token is not None:
             _qpn, psn = msg.token
             wr = qp.outstanding.get(psn)
-        yield from orig(self, msg)
+        orig(self, msg)
         if (wr is not None and qp is not None
                 and psn not in qp.outstanding
                 and qp.state is QPState.RTS):
@@ -132,13 +129,13 @@ def _double_complete() -> Iterator[None]:
 
 @contextlib.contextmanager
 def _direct_state_write() -> Iterator[None]:
-    def bad(self: Nic, qp: QueuePair, wr: "SendWR",
-            ) -> "Generator[object, object, None]":
+    def bad(self: Nic, ctx: tuple) -> None:
+        qp, wr = ctx
         if qp.state not in (QPState.ERROR, QPState.RESET):
             # Bypasses modify(): no legality check, no flush, and the
             # monitor's shadow state goes stale until the next hook.
             qp._state = QPState.ERROR  # sim: allow-qp-state-write(seeded mutant M5)
-        yield from self._post_cqe(
+        self._post_cqe(
             qp.send_cq,
             CQE(wr_id=wr.wr_id, status=WCStatus.RETRY_EXC_ERR,
                 opcode=wr.opcode, byte_len=wr.length, qp_num=qp.qpn,

@@ -363,13 +363,13 @@ def test_drop_split_partitions_total_under_faults_and_contention():
     fabric.inject_faults(FaultPlan(loss=0.05, drop_control=False))
 
     sent = [0]
-    orig = fabric.transmit
+    orig = fabric.send
 
-    def counting(src, dst, nbytes, payload):
+    def counting(src, dst, nbytes, payload, done, arg=None):
         sent[0] += 1
-        return orig(src, dst, nbytes, payload)
+        orig(src, dst, nbytes, payload, done, arg)
 
-    fabric.transmit = counting
+    fabric.send = counting
     r = _drive(sim, cfg, fabric, hosts, pairs)
     assert fabric.drops_wire > 0 and fabric.drops_rxq > 0
     assert (fabric.drops_hairpin + fabric.drops_wire + fabric.drops_rxq

@@ -220,25 +220,34 @@ def test_chunked_fabric_interleaves_flows():
 #
 # The TX engine serves doorbelled WQEs one at a time (``wqe_process_ns``
 # each, plus any congestion-control pacing) and hands every served WQE to
-# a per-message ``_initiate``; the RX engine serves arrivals one at a time
-# (``rx_process_ns``, a quarter of it for ACK/NAK/CNP) and hands each to
-# ``_dispatch``.  These tests pin when each hand-off happens and what the
+# the per-message ``_initiate`` stage; the RX engine serves arrivals one at
+# a time (``rx_process_ns``, a quarter of it for ACK/NAK/CNP) and hands
+# each to ``_dispatch``.  A hand-off is the ``call_soon`` that schedules
+# the stage.  These tests pin when each hand-off happens and what the
 # fast-forward queue-depth fingerprint sees meanwhile.
 
 
-def _record_handoffs(nic, method, log, extra, forward=True):
-    """Wrap ``nic.<method>`` to log ``(now, *extra(args))`` at each hand-off.
+def _record_handoffs(monkeypatch, nic, method, log, extra, forward=True):
+    """Log ``(now, *extra(arg))`` whenever ``nic`` hands ``arg`` to its
+    ``<method>`` stage.
 
-    With ``forward=False`` the hand-off is swallowed (an empty generator
-    is spawned instead), for fake arrivals that target no QP.
+    With ``forward=False`` the stage is swallowed (its record runs a no-op
+    instead), for fake arrivals that target no QP.
     """
-    orig = getattr(nic, method)
+    call_soon = Simulator.call_soon
 
-    def wrapped(*args):
-        log.append((nic.sim.now, *extra(*args)))
-        return orig(*args) if forward else (_ for _ in ())
+    def wrapped(sim, fn, arg=None):
+        if getattr(fn, "__self__", None) is nic and fn.__name__ == method:
+            log.append((sim.now, *extra(arg)))
+            if not forward:
+                fn = _swallow
+        call_soon(sim, fn, arg)
 
-    setattr(nic, method, wrapped)
+    monkeypatch.setattr(Simulator, "call_soon", wrapped)
+
+
+def _swallow(_arg):
+    pass
 
 
 def _arrival(kind):
@@ -263,15 +272,16 @@ def _write(ep, peer, wr_id, length=64):
                   rkey=peer.mr.rkey, signaled=False)
 
 
-def test_tx_burst_is_spaced_by_wqe_process_ns_in_fifo_order_across_qps():
+def test_tx_burst_is_spaced_by_wqe_process_ns_in_fifo_order_across_qps(
+        monkeypatch):
     sim = Simulator(seed=1)
     _fabric, host_a, host_b = build_pair(sim, SYSTEM_L)
     pairs = _rc_pairs(sim, host_a, host_b, 2)
     nic = host_a.nic
     log = []
-    _record_handoffs(nic, "_initiate", log,
-                     lambda qp, wr, psn, retries=0: (
-                         qp.qpn, wr.wr_id, nic._queue_depth_state()[0]))
+    _record_handoffs(monkeypatch, nic, "_initiate", log,
+                     lambda item: (item[0].qpn, item[1].wr_id,
+                                   nic._queue_depth_state()[0]))
     n = 6
     posted = []
     depth_after_burst = []
@@ -303,13 +313,13 @@ def test_tx_burst_is_spaced_by_wqe_process_ns_in_fifo_order_across_qps():
     assert nic._queue_depth_state()[:2] == (0, 0)
 
 
-def test_rx_control_messages_cost_ack_fraction_of_rx_process_ns():
+def test_rx_control_messages_cost_ack_fraction_of_rx_process_ns(monkeypatch):
     sim = Simulator(seed=1)
     _fabric, host_a, _host_b = build_pair(sim, SYSTEM_L)
     nic = host_a.nic
     log = []
-    _record_handoffs(nic, "_dispatch", log, lambda msg: (msg.kind,),
-                     forward=False)
+    _record_handoffs(monkeypatch, nic, "_dispatch", log,
+                     lambda msg: (msg.kind,), forward=False)
     kinds = ["ack", "nak_rnr", "cnp", "send", "write", "read_resp"]
     full = nic.profile.rx_process_ns
     cost = {k: full * ACK_RX_FRACTION if k in ("ack", "nak_rnr", "cnp") else full
@@ -339,12 +349,12 @@ def test_rx_control_messages_cost_ack_fraction_of_rx_process_ns():
     assert nic._queue_depth_state()[:2] == (0, 0)
 
 
-def test_rx_burst_depth_counts_only_waiting_messages():
+def test_rx_burst_depth_counts_only_waiting_messages(monkeypatch):
     sim = Simulator(seed=1)
     _fabric, host_a, _host_b = build_pair(sim, SYSTEM_L)
     nic = host_a.nic
     depths = []
-    _record_handoffs(nic, "_dispatch", depths,
+    _record_handoffs(monkeypatch, nic, "_dispatch", depths,
                      lambda msg: (nic._queue_depth_state()[1],), forward=False)
 
     def feed():
@@ -358,7 +368,7 @@ def test_rx_burst_depth_counts_only_waiting_messages():
     assert [d for _t, d in depths] == [3, 2, 1, 0]
 
 
-def test_cc_paced_qp_holds_the_tx_engine_for_other_qps():
+def test_cc_paced_qp_holds_the_tx_engine_for_other_qps(monkeypatch):
     sim = Simulator(seed=3)
     _fabric, hosts = build_cluster(sim, SYSTEM_L, 2, rx_contention=True,
                                    congestion="dcqcn")
@@ -367,8 +377,8 @@ def test_cc_paced_qp_holds_the_tx_engine_for_other_qps():
     assert nic.cc is not None
     (big, big_peer), (small, small_peer) = _rc_pairs(sim, src, dst, 2)
     log = []
-    _record_handoffs(nic, "_initiate", log,
-                     lambda qp, wr, psn, retries=0: (wr.wr_id,))
+    _record_handoffs(monkeypatch, nic, "_initiate", log,
+                     lambda item: (item[1].wr_id,))
     wqe = nic.profile.wqe_process_ns
 
     def burst():

@@ -12,14 +12,24 @@ Three properties the perf work must never break:
    float arithmetic — no libm variance) must reproduce exactly.  A perf
    change that shifts these numbers changed simulation semantics, not
    just speed.
-3. **Worker-count invariance.**  ``parallel_sweep`` must return the same
+3. **Heap-record counts.**  The same workloads must schedule exactly as
+   many heap records as before.  A speed-up that keeps every value but
+   adds or drops records (running a stage inline instead of in its own
+   record, say) moved work between dispatches: it changes ``sim.events``
+   and the runtime sanitizer's per-dispatch buckets.
+4. **Worker-count invariance.**  ``parallel_sweep`` must return the same
    bits serially and fanned over processes, in point order.
 """
 
 import pytest
 
 from repro.bench_support import parallel_sweep
-from repro.perftest.runner import PerftestConfig, run_bw, run_lat
+from repro.perftest.runner import (
+    PerftestConfig,
+    run_bw,
+    run_lat,
+    run_stats_snapshot,
+)
 
 #: Small fixed workload — independent of REPRO_BENCH_SCALE on purpose.
 SIZE = 4096
@@ -58,6 +68,16 @@ GOLDEN_A = {
 }
 
 
+#: Heap records one ``_measure`` schedules, per (system, dataplane)
+#: (see property 3).
+GOLDEN_EVENTS = {
+    ("L", "bypass"): 5149,
+    ("L", "cord"): 4987,
+    ("A", "bypass"): 5299,
+    ("A", "cord"): 5151,
+}
+
+
 def _cfg(dataplane: str, system: str = "L") -> PerftestConfig:
     return PerftestConfig(system=system, client=dataplane, server=dataplane,
                           iters=ITERS, warmup=WARMUP, window=WINDOW)
@@ -92,6 +112,16 @@ def test_golden_values_system_l(dataplane):
 def test_golden_values_system_a(dataplane):
     _assert_golden(_measure(dataplane, system="A"), GOLDEN_A[dataplane],
                    f"A/{dataplane}")
+
+
+@pytest.mark.parametrize("system,dataplane", sorted(GOLDEN_EVENTS))
+def test_heap_record_counts(system, dataplane, monkeypatch):
+    # Fast-forward skips records by design; the count is pinned without it.
+    monkeypatch.delenv("REPRO_FASTFORWARD", raising=False)
+    before = run_stats_snapshot()["events_scheduled"]
+    _measure(dataplane, system)
+    scheduled = run_stats_snapshot()["events_scheduled"] - before
+    assert scheduled == GOLDEN_EVENTS[system, dataplane]
 
 
 @pytest.mark.parametrize("dataplane", ["bypass", "cord"])

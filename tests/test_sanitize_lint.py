@@ -263,6 +263,54 @@ def test_proto003_completion_path_with_cqe_is_clean():
                        rules=["PROTO003"]) == []
 
 
+_STAGED_NIC = (
+    "class Nic:\n"
+    "    def _fire(self, qp, psn):\n"
+    "        wr = qp.outstanding.pop(psn)\n"
+    "        qp.sq_outstanding -= 1\n"
+    "        self.sim.{handoff}self.{stage}, (qp, wr))\n"
+    "    def _complete(self, ctx):\n"
+    "        qp, wr = ctx\n"
+    "        self._post_cqe(qp.send_cq, wr)\n"
+    "    def _log(self, ctx):\n"
+    "        self.log.append(ctx)\n"
+)
+_HANDOFFS = ["call_soon(", "call_later(0.0, "]
+
+
+@pytest.mark.parametrize("handoff", _HANDOFFS)
+def test_proto003_handoff_to_a_posting_stage_is_clean(handoff):
+    src = _STAGED_NIC.format(handoff=handoff, stage="_complete")
+    assert lint_source(src, path="src/repro/hw/nic.py",
+                       rules=["PROTO003"]) == []
+
+
+@pytest.mark.parametrize("handoff", _HANDOFFS)
+def test_proto003_handoff_to_a_non_posting_stage_is_flagged(handoff):
+    src = _STAGED_NIC.format(handoff=handoff, stage="_log")
+    findings = lint_source(src, path="src/repro/hw/nic.py",
+                           rules=["PROTO003"])
+    assert [f.rule for f in findings] == ["PROTO003"]
+    assert "call_later/call_soon/spawn" in findings[0].hint
+
+
+def test_proto003_spawn_counts_only_a_posting_generator():
+    src = (
+        "class Nic:\n"
+        "    def _fire(self, qp, psn):\n"
+        "        wr = qp.outstanding.pop(psn)\n"
+        "        self.sim.spawn(self._notify(qp, wr))\n"
+        "    def _notify(self, qp, wr):\n"
+        "        yield 1.0\n"
+    )
+    assert [f.line for f in lint_source(src, path="src/repro/hw/nic.py",
+                                        rules=["PROTO003"])] == [3]
+    posting = src.replace("        yield 1.0\n",
+                          "        yield from self._post_cqe(qp.send_cq, wr)\n")
+    assert lint_source(posting, path="src/repro/hw/nic.py",
+                       rules=["PROTO003"]) == []
+
+
 def test_proto004_guarded_monitor_hook_is_clean():
     src = (
         "def f(self, qp):\n"

@@ -1,5 +1,7 @@
 """Verbs layer unit tests: QP state machine, MR table, CQ, WR validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import build_pair
@@ -11,7 +13,15 @@ from repro.verbs.cq import CompletionQueue
 from repro.verbs.mr import MemoryRegionV, MrTable
 from repro.verbs.pd import ProtectionDomain
 from repro.verbs.qp import QPState, QueuePair, Transport
-from repro.verbs.wr import CQE, AccessFlags, Opcode, RecvWR, SendWR, WCStatus
+from repro.verbs.wr import (
+    CQE,
+    AccessFlags,
+    Opcode,
+    RecvWR,
+    SendWR,
+    WCStatus,
+    WireMessage,
+)
 
 
 def make_qp(transport=Transport.RC):
@@ -138,6 +148,33 @@ def test_opcode_properties():
     assert not Opcode.RDMA_WRITE.consumes_recv_wqe
     assert not Opcode.RDMA_READ.reads_local_memory
     assert Opcode.RDMA_WRITE.reads_local_memory
+
+
+def test_opcode_wire_kind():
+    assert {op: op.wire_kind for op in Opcode} == {
+        Opcode.SEND: "send",
+        Opcode.SEND_WITH_IMM: "send",
+        Opcode.RDMA_WRITE: "write",
+        Opcode.RDMA_WRITE_WITH_IMM: "write",
+        Opcode.RDMA_READ: "read_req",
+        Opcode.ATOMIC_FETCH_ADD: "atomic",
+        Opcode.ATOMIC_CMP_SWAP: "atomic",
+    }
+
+
+def test_record_field_order_is_pinned():
+    """The NIC builds CQEs and wire messages positionally (keywords cost
+    twice as much per record), so reordering these fields would silently
+    scramble every completion and message it builds."""
+    assert [f.name for f in dataclasses.fields(CQE)] == [
+        "wr_id", "status", "opcode", "byte_len", "qp_num", "src_qp", "imm",
+        "timestamp", "data", "meta", "span",
+    ]
+    assert [f.name for f in dataclasses.fields(WireMessage)] == [
+        "kind", "src_host", "dst_host", "src_qpn", "dst_qpn", "transport",
+        "psn", "length", "imm", "remote_addr", "rkey", "data", "token",
+        "meta", "atomic", "header_bytes", "retries", "span", "ecn",
+    ]
 
 
 # -- MR table ----------------------------------------------------------------------
