@@ -151,6 +151,8 @@ class Fabric:
                 "off switch output-queue occupancy"
             )
         self.name = name
+        #: Memo of :meth:`serialization_ns` by size (the profile is frozen).
+        self._serialization_ns: dict[int, float] = {}
         self._nics: dict[int, "Nic"] = {}
         self._tx_ports: dict[int, Resource] = {}
         self._rx_ports: dict[int, SwitchPort] = {}
@@ -283,8 +285,12 @@ class Fabric:
     # -- timing ---------------------------------------------------------------
 
     def serialization_ns(self, nbytes: int) -> float:
-        packets = max(1, math.ceil(nbytes / self.profile.mtu)) if nbytes > 0 else 1
-        return packets * self.profile.per_packet_ns + nbytes / self.profile.link_bw
+        ns = self._serialization_ns.get(nbytes)
+        if ns is None:
+            packets = max(1, math.ceil(nbytes / self.profile.mtu)) if nbytes > 0 else 1
+            ns = self._serialization_ns[nbytes] = \
+                packets * self.profile.per_packet_ns + nbytes / self.profile.link_bw
+        return ns
 
     def _loopback_ns(self, nbytes: int) -> float:
         packets = max(1, math.ceil(nbytes / self.profile.mtu)) if nbytes > 0 else 1

@@ -26,7 +26,7 @@ as in the paper.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.core import driver
 from repro.core.policy import OpContext, PolicyChain
@@ -93,11 +93,13 @@ class Dataplane:
                 # sim: allow-unguarded-hook(helper is only called under the caller's trace.enabled guard)
                 trace.emit(now, "span", "op_end", span=cqe.span, host=host)
 
-    def _count_op(self, op: str, n: int = 1, size: float = 0.0) -> None:
+    def _count_ops(self, op: str, wrs: list) -> None:
+        """Count each posted WR once, with its length, chained or not."""
         # sim: allow-unguarded-hook(helper is only called under the caller's telemetry.enabled guard)
         counter = self.sim.telemetry.scope(self.host.name).counter("dataplane.ops")
-        for _ in range(n):
-            counter.inc(size, key=f"{self.tag}.{op}")
+        key = f"{self.tag}.{op}"
+        for wr in wrs:
+            counter.inc(wr.length, key=key)
 
     # -- interface ---------------------------------------------------------------
 
@@ -257,7 +259,7 @@ class BypassDataplane(Dataplane):
         if self.sim.trace.enabled:
             wr.span = self._begin_span("post_send", qp.qpn, wr.wr_id, wr.length)
         if self.sim.telemetry.enabled:
-            self._count_op("post_send", size=wr.length)
+            self._count_ops("post_send", (wr,))
         wr.inline = driver.should_inline(self.system, qp, wr, cord=False)
         cpu = driver.post_send_cpu_ns(self.system, wr, wr.inline)
         cpu += driver.doorbell_cpu_ns(self.system)
@@ -270,7 +272,7 @@ class BypassDataplane(Dataplane):
         if self.sim.trace.enabled:
             span = self._begin_span("post_recv", qp.qpn, wr.wr_id, wr.length)
         if self.sim.telemetry.enabled:
-            self._count_op("post_recv", size=wr.length)
+            self._count_ops("post_recv", (wr,))
         yield from self.core.run(driver.post_recv_cpu_ns(self.system))
         self.host.nic.hw_post_recv(qp, wr)
         self.ops_posted += 1
@@ -280,19 +282,22 @@ class BypassDataplane(Dataplane):
     def post_recv_many(
         self, qp: QueuePair, wrs: list[RecvWR]
     ) -> Generator["Event", object, None]:
-        if not wrs:
-            return
-        yield from self.core.run(driver.post_recv_cpu_ns(self.system) * len(wrs))
-        for wr in wrs:
-            self.host.nic.hw_post_recv(qp, wr)
-        self.ops_posted += len(wrs)
+        return self._post_recvs(wrs, self.host.nic.hw_post_recv, qp)
 
     def post_srq_recv_many(self, srq, wrs: list[RecvWR]) -> Generator["Event", object, None]:
+        return self._post_recvs(wrs, self.host.nic.hw_post_srq_recv, srq)
+
+    def _post_recvs(
+        self, wrs: list[RecvWR], hw_post: Callable, target: object
+    ) -> Generator["Event", object, None]:
+        """One chained recv post: ``hw_post(target, wr)`` for each WR."""
         if not wrs:
             return
+        if self.sim.telemetry.enabled:
+            self._count_ops("post_recv", wrs)
         yield from self.core.run(driver.post_recv_cpu_ns(self.system) * len(wrs))
         for wr in wrs:
-            self.host.nic.hw_post_srq_recv(srq, wr)
+            hw_post(target, wr)
         self.ops_posted += len(wrs)
 
     def post_send_many(
@@ -304,7 +309,7 @@ class BypassDataplane(Dataplane):
             for wr in wrs:
                 wr.span = self._begin_span("post_send", qp.qpn, wr.wr_id, wr.length)
         if self.sim.telemetry.enabled:
-            self._count_op("post_send", n=len(wrs))
+            self._count_ops("post_send", wrs)
         cpu = 0.0
         for wr in wrs:
             wr.inline = driver.should_inline(self.system, qp, wr, cord=False)
@@ -329,8 +334,8 @@ class BypassDataplane(Dataplane):
         return cqes
 
     def _charge_poll(self, hit: bool) -> Generator["Event", object, None]:
-        cost = self.system.cpu.poll_hit_ns if hit else self.system.cpu.poll_miss_ns
-        yield from self.core.run(cost)
+        return self.core.run(
+            self.system.cpu.poll_hit_ns if hit else self.system.cpu.poll_miss_ns)
 
 
 class CordDataplane(Dataplane):
@@ -351,26 +356,40 @@ class CordDataplane(Dataplane):
 
     # -- helpers -----------------------------------------------------------------
 
+    def _context(self, op: str, qp: Optional[QueuePair] = None,
+                 send_wr: Optional[SendWR] = None,
+                 recv_wr: Optional[RecvWR] = None,
+                 cq: Optional[CompletionQueue] = None) -> Optional[OpContext]:
+        """What the policy chain sees of one operation, or None when the
+        chain is empty.  Decided per operation: a chain may grow later."""
+        if not self.policies.policies:
+            return None
+        return OpContext(self.sim.now, self.host, op, qp, send_wr, recv_wr,
+                         cq, self.tenant)
+
+    def _deny(self, exc: PolicyViolation) -> Generator["Event", object, None]:
+        """A denied operation: its syscall still happened.  Pay transition
+        + serialization; the driver fast path never runs."""
+        self.denied_ops += 1
+        yield from self.core.syscall(
+            self.system.cord_serialize_ns + self.system.cord_kernel_driver_ns)
+        raise exc
+
     def _interpose(
-        self, ctx: OpContext, fast_path_ns: float
-    ) -> Generator["Event", object, bool]:
+        self, ctx: Optional[OpContext], fast_path_ns: float
+    ) -> Generator["Event", object, None]:
         """One CoRD syscall: transition + serialize + policies + fast path.
 
-        Returns False (after charging the full round trip) when a policy
-        denied the operation — the syscall still happened.
+        ``ctx`` is None for an empty chain (see :meth:`_context`).  A
+        policy denial is charged by :meth:`_deny`, which re-raises it.
         """
-        serialize = self.system.cord_serialize_ns
-        kernel_entry = self.system.cord_kernel_driver_ns
-        try:
-            policy_ns = self.policies.evaluate(ctx)
-        except PolicyViolation:
-            self.denied_ops += 1
-            # Denied: pay transition + serialization + the policy walk up to
-            # the denial; the driver fast path never runs.
-            yield from self.core.syscall(serialize + kernel_entry)
-            raise
-        yield from self.core.syscall(serialize + kernel_entry + policy_ns + fast_path_ns)
-        return True
+        cost = self.system.cord_serialize_ns + self.system.cord_kernel_driver_ns
+        if ctx is not None:
+            try:
+                cost += self.policies.evaluate(ctx)
+            except PolicyViolation as exc:
+                return self._deny(exc)
+        return self.core.syscall(cost + fast_path_ns)
 
     # -- interface ----------------------------------------------------------------
 
@@ -378,15 +397,11 @@ class CordDataplane(Dataplane):
         if self.sim.trace.enabled:
             wr.span = self._begin_span("post_send", qp.qpn, wr.wr_id, wr.length)
         if self.sim.telemetry.enabled:
-            self._count_op("post_send", size=wr.length)
+            self._count_ops("post_send", (wr,))
         wr.inline = driver.should_inline(self.system, qp, wr, cord=True)
         fast = driver.post_send_cpu_ns(self.system, wr, wr.inline)
         fast += driver.doorbell_cpu_ns(self.system)
-        ctx = OpContext(
-            now=self.sim.now, host=self.host, op="post_send",
-            qp=qp, send_wr=wr, tenant=self.tenant,
-        )
-        yield from self._interpose(ctx, fast)
+        yield from self._interpose(self._context("post_send", qp, send_wr=wr), fast)
         self.host.nic.hw_post_send(qp, wr)
         self.ops_posted += 1
 
@@ -395,12 +410,9 @@ class CordDataplane(Dataplane):
         if self.sim.trace.enabled:
             span = self._begin_span("post_recv", qp.qpn, wr.wr_id, wr.length)
         if self.sim.telemetry.enabled:
-            self._count_op("post_recv", size=wr.length)
-        ctx = OpContext(
-            now=self.sim.now, host=self.host, op="post_recv",
-            qp=qp, recv_wr=wr, tenant=self.tenant,
-        )
-        yield from self._interpose(ctx, driver.post_recv_cpu_ns(self.system))
+            self._count_ops("post_recv", (wr,))
+        yield from self._interpose(self._context("post_recv", qp, recv_wr=wr),
+                                   driver.post_recv_cpu_ns(self.system))
         self.host.nic.hw_post_recv(qp, wr)
         self.ops_posted += 1
         if span is not None:
@@ -409,24 +421,31 @@ class CordDataplane(Dataplane):
     def post_recv_many(
         self, qp: QueuePair, wrs: list[RecvWR]
     ) -> Generator["Event", object, None]:
+        return self._post_recvs(wrs, self.host.nic.hw_post_recv, qp, qp)
+
+    def post_srq_recv_many(self, srq, wrs: list[RecvWR]) -> Generator["Event", object, None]:
+        return self._post_recvs(wrs, self.host.nic.hw_post_srq_recv, srq, None)
+
+    def _post_recvs(
+        self, wrs: list[RecvWR], hw_post: Callable, target: object,
+        qp: Optional[QueuePair],
+    ) -> Generator["Event", object, None]:
+        """One chained recv post: ``hw_post(target, wr)`` for each WR; the
+        policy chain sees ``qp`` (None for an SRQ)."""
         if not wrs:
             return
+        if self.sim.telemetry.enabled:
+            self._count_ops("post_recv", wrs)
         # One syscall carries the whole chain; the policy chain still sees
         # each WR (it must — that is the control CoRD promises).
         policy_ns = 0.0
         for wr in wrs:
-            ctx = OpContext(
-                now=self.sim.now, host=self.host, op="post_recv",
-                qp=qp, recv_wr=wr, tenant=self.tenant,
-            )
-            try:
-                policy_ns += self.policies.evaluate(ctx)
-            except PolicyViolation:
-                self.denied_ops += 1
-                yield from self.core.syscall(
-                    self.system.cord_serialize_ns + self.system.cord_kernel_driver_ns
-                )
-                raise
+            ctx = self._context("post_recv", qp, recv_wr=wr)
+            if ctx is not None:
+                try:
+                    policy_ns += self.policies.evaluate(ctx)
+                except PolicyViolation as exc:
+                    yield from self._deny(exc)
         fast = driver.post_recv_cpu_ns(self.system) * len(wrs)
         yield from self.core.syscall(
             self.system.cord_serialize_ns
@@ -435,26 +454,7 @@ class CordDataplane(Dataplane):
             + fast
         )
         for wr in wrs:
-            self.host.nic.hw_post_recv(qp, wr)
-        self.ops_posted += len(wrs)
-
-    def post_srq_recv_many(self, srq, wrs: list[RecvWR]) -> Generator["Event", object, None]:
-        if not wrs:
-            return
-        policy_ns = 0.0
-        for wr in wrs:
-            ctx = OpContext(
-                now=self.sim.now, host=self.host, op="post_recv",
-                recv_wr=wr, tenant=self.tenant,
-            )
-            policy_ns += self.policies.evaluate(ctx)
-        fast = driver.post_recv_cpu_ns(self.system) * len(wrs)
-        yield from self.core.syscall(
-            self.system.cord_serialize_ns + self.system.cord_kernel_driver_ns
-            + policy_ns + fast
-        )
-        for wr in wrs:
-            self.host.nic.hw_post_srq_recv(srq, wr)
+            hw_post(target, wr)
         self.ops_posted += len(wrs)
 
     def post_send_many(
@@ -466,7 +466,7 @@ class CordDataplane(Dataplane):
             for wr in wrs:
                 wr.span = self._begin_span("post_send", qp.qpn, wr.wr_id, wr.length)
         if self.sim.telemetry.enabled:
-            self._count_op("post_send", n=len(wrs))
+            self._count_ops("post_send", wrs)
         # One syscall + one serialization carries the chain; the policy
         # chain still inspects every WR, and the per-WR driver fast path
         # still runs (in the kernel).
@@ -475,18 +475,12 @@ class CordDataplane(Dataplane):
         for wr in wrs:
             wr.inline = driver.should_inline(self.system, qp, wr, cord=True)
             fast += driver.post_send_cpu_ns(self.system, wr, wr.inline)
-            ctx = OpContext(
-                now=self.sim.now, host=self.host, op="post_send",
-                qp=qp, send_wr=wr, tenant=self.tenant,
-            )
-            try:
-                policy_ns += self.policies.evaluate(ctx)
-            except PolicyViolation:
-                self.denied_ops += 1
-                yield from self.core.syscall(
-                    self.system.cord_serialize_ns + self.system.cord_kernel_driver_ns
-                )
-                raise
+            ctx = self._context("post_send", qp, send_wr=wr)
+            if ctx is not None:
+                try:
+                    policy_ns += self.policies.evaluate(ctx)
+                except PolicyViolation as exc:
+                    yield from self._deny(exc)
         yield from self.core.syscall(
             self.system.cord_serialize_ns
             + self.system.cord_kernel_driver_ns
@@ -500,9 +494,7 @@ class CordDataplane(Dataplane):
     def poll_cq(
         self, cq: CompletionQueue, max_entries: int = 16
     ) -> Generator["Event", object, list[CQE]]:
-        ctx = OpContext(
-            now=self.sim.now, host=self.host, op="poll_cq", cq=cq, tenant=self.tenant
-        )
+        ctx = self._context("poll_cq", cq=cq)
         cqes = cq.poll(max_entries)
         base = self.system.cpu.poll_hit_ns if cqes else self.system.cpu.poll_miss_ns
         yield from self._interpose(ctx, base)
@@ -513,10 +505,10 @@ class CordDataplane(Dataplane):
 
     def _charge_poll(self, hit: bool) -> Generator["Event", object, None]:
         base = self.system.cpu.poll_hit_ns if hit else self.system.cpu.poll_miss_ns
-        yield from self.core.syscall(
+        self.polls += 1
+        return self.core.syscall(
             self.system.cord_serialize_ns + self.system.cord_kernel_driver_ns + base
         )
-        self.polls += 1
 
     #: Share of a CoRD poll-wait the DVFS governor credits as idle
     #: (kernel entry/exit pipeline stalls during the syscall spin loop).

@@ -91,10 +91,10 @@ class Endpoint:
     # -- dataplane shortcuts -------------------------------------------------------
 
     def post_send(self, wr) -> Generator["Event", object, None]:
-        yield from self.dataplane.post_send(self.qp, wr)
+        return self.dataplane.post_send(self.qp, wr)
 
     def post_recv(self, wr) -> Generator["Event", object, None]:
-        yield from self.dataplane.post_recv(self.qp, wr)
+        return self.dataplane.post_recv(self.qp, wr)
 
     def poll_send(self, max_entries: int = 16):
         return self.dataplane.poll_cq(self.send_cq, max_entries)

@@ -172,11 +172,14 @@ class Core:
 
     # -- execution -----------------------------------------------------------------
 
-    def run(self, work_ns: float) -> Generator[Event, object, None]:
+    def run(self, work_ns: float,
+            credit: Optional[float] = None) -> Generator[Event, object, None]:
         """Execute ``work_ns`` of nominal-frequency work on this core.
 
         Acquires the core (queueing behind other pinned threads), advances
         time by the frequency-scaled duration, updates DVFS accounting.
+        After the release, a ``credit`` (a syscall's duty multiplier, see
+        :meth:`syscall`) is folded into the duty EMA.
         """
         if work_ns < 0:
             raise HardwareError(f"negative work: {work_ns}")
@@ -223,6 +226,13 @@ class Core:
                     remaining -= slice_nominal
         finally:
             res.release(tok)
+        if credit is not None:
+            # Inlined grant_idle_credit(dvfs_syscall_credit_ns).  A run that
+            # did any work left the EMA current, so the decay step is only
+            # needed after zero work.
+            if self._duty_t < self.sim._now:
+                self._decay_duty()
+            self._duty *= credit
 
     def syscall(
         self, kernel_work_ns: float = 0.0
@@ -230,7 +240,8 @@ class Core:
         """One syscall round trip plus ``kernel_work_ns`` of kernel work.
 
         Applies KPTI cost when the system profile enables it and lognormal
-        jitter on virtualized systems.
+        jitter on virtualized systems.  The cost is drawn when this is
+        called, and the returned generator is :meth:`run` itself.
         """
         cost = self._jitter.draw(self._syscall_base + kernel_work_ns,
                                  self._jitter_cv)
@@ -238,15 +249,7 @@ class Core:
         tele = self.sim.telemetry
         if tele.enabled:
             tele.scope(self._scope).counter("cpu.syscalls").inc(cost, key=self.name)
-        yield from self.run(cost)
-        credit = self._syscall_credit
-        if credit is not None:
-            # Inlined grant_idle_credit(dvfs_syscall_credit_ns).  A run that
-            # did any work left the EMA current, so the decay step is only
-            # needed after a zero-cost syscall.
-            if self._duty_t < self.sim._now:
-                self._decay_duty()
-            self._duty *= credit
+        return self.run(cost, self._syscall_credit)
 
     def busy_poll(self, until: Event, check_ns: float) -> Generator[Event, object, float]:
         """Busy-poll on the core until ``until`` fires.

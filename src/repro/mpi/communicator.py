@@ -112,7 +112,7 @@ class Communicator:
 
     def compute(self, work_ns: float) -> Generator["Event", object, None]:
         """Burn ``work_ns`` of CPU on this rank (NPB compute phases)."""
-        yield from self.engine.compute(work_ns)
+        return self.engine.compute(work_ns)
 
     # -- collectives -----------------------------------------------------------------
 

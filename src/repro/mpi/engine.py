@@ -134,7 +134,7 @@ class RankEngine:
 
     def compute(self, work_ns: float) -> Generator:
         """Model a compute phase on this rank's core."""
-        yield from self.core.run(work_ns)
+        return self.core.run(work_ns)
 
 
 # ---------------------------------------------------------------------------

@@ -74,12 +74,7 @@ class Techniques:
         only pays the emulated syscall."""
         if self.kernel_bypass:
             return _NO_CHARGE
-        return self._charge_recv(ep, nbytes)
-
-    def _charge_recv(
-        self, ep: "Endpoint", nbytes: int
-    ) -> Generator["Event", object, None]:
-        yield from ep.core.syscall(0.0)
+        return ep.core.syscall(0.0)
 
 
 #: Shared pre-exhausted iterator: ``yield from _NO_CHARGE`` is a no-op and,

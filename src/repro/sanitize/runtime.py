@@ -66,15 +66,20 @@ def drain_global_findings() -> list[Finding]:
     return out
 
 
-def _describe_event(event: object) -> str:
-    """A stable human-readable tag for a heap entry (no addresses)."""
-    cls = event.__class__.__name__
-    process = getattr(event, "process", None)
-    if process is not None and cls == "_Resume":
-        return f"resume:{getattr(process, 'name', '?')}"
-    fn = getattr(event, "fn", None)
-    if fn is not None and cls == "_Callback":
+def _describe_event(fn: object, arg: object) -> str:
+    """A stable human-readable tag for a heap record (no addresses)."""
+    # Imported here: the engine imports this module while repro.sim loads.
+    from repro.sim.events import _fire
+    from repro.sim.process import _wake
+
+    if fn is _wake:
+        process = getattr(arg, "process", None)
+        return "_Resume" if process is None \
+            else f"resume:{getattr(process, 'name', '?')}"
+    if fn is not _fire:
         return f"call_later:{getattr(fn, '__qualname__', repr(fn))}"
+    event = arg
+    cls = event.__class__.__name__
     name = getattr(event, "name", "")
     tag = f"{cls}:{name}" if name else cls
     # A generic event that wakes a process carries its bound ``_resume``
@@ -161,12 +166,13 @@ class RuntimeSanitizer:
 
     # -- engine hooks ----------------------------------------------------------
 
-    def on_dispatch(self, when: float, priority: int, event: object) -> None:
-        """Called by the instrumented loop before each event executes."""
+    def on_dispatch(self, when: float, priority: int, fn: object,
+                    arg: object) -> None:
+        """Called by the instrumented loop before each record executes."""
         if when < self.sim._now:
             self._emit(
                 "SIM103",
-                f"event {_describe_event(event)} dispatched at t={when} "
+                f"event {_describe_event(fn, arg)} dispatched at t={when} "
                 f"while the clock is at t={self.sim._now}",
                 "something pushed a heap entry into the past",
             )
@@ -175,7 +181,7 @@ class RuntimeSanitizer:
             self._flush_bucket()
             self._bucket_key = key
         self._dispatch_id += 1
-        self._dispatch_desc = _describe_event(event)
+        self._dispatch_desc = _describe_event(fn, arg)
 
     def begin_run(self) -> None:
         self.run_started = True

@@ -6,19 +6,23 @@ deterministic FIFO order within a priority class — determinism is a hard
 requirement because hardware profiles carry seeded jitter and benchmark
 results must be exactly reproducible.
 
-Pooled records
---------------
+Heap records
+------------
 
-Two record types skip the Event machinery: a process's scalar sleep
-(``yield 250.0``, see :mod:`repro.sim.process`) pushes a :class:`_Resume`,
-and :meth:`Simulator.call_later` pushes a :class:`_Callback` invoking
-``fn(arg)``.  Each takes the ``(time, priority, sequence)`` key a
-``Timeout`` created at the same point would get, and is recycled through
-a free pool the moment it pops, so the steady-state hot loop allocates
-nothing per delay.  :meth:`Simulator.call_soon` pushes the same
-:class:`_Callback` at ``(now, URGENT)``, the key a spawned process's
-first step takes, so a callback stage can stand in for a spawn.  The
-goldens in ``tests/test_golden_determinism.py`` pin the resulting bits.
+Every heap record is a flat ``(time, priority, sequence, fn, arg)``
+tuple, and dispatching one is ``fn(arg)``.  :meth:`Simulator.call_later`
+and :meth:`Simulator.call_soon` push their ``fn``/``arg`` as they are.
+A triggered event pushes :func:`~repro.sim.events._fire` over itself,
+which runs its callbacks.  A process's first step and every scalar sleep
+(``yield 250.0``, see :mod:`repro.sim.process`) push
+:func:`~repro.sim.process._wake` over a pooled ``_Resume``, so an
+interrupt can still cancel the sleep in place.  Each record takes the
+``(time, priority, sequence)`` key a ``Timeout`` created at the same
+point would get; ``call_soon`` takes ``(now, URGENT)``, the key a
+spawned process's first step takes, so a callback stage can stand in
+for a spawn.  The sequence number is unique, so a comparison never
+reaches ``fn``.  The goldens in ``tests/test_golden_determinism.py`` pin
+the resulting bits.
 
 Dispatch loops
 --------------
@@ -35,8 +39,8 @@ ties while the sanitizer observes the schedule it produces.
 
 from __future__ import annotations
 
-import heapq
 import os
+from heapq import heappop, heappush
 from numbers import Real
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
@@ -46,21 +50,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.verify.choice import Chooser
     from repro.verify.monitors import ProtocolMonitor
 from repro.sanitize.runtime import env_sanitize
-from repro.sim.events import NORMAL, URGENT, AllOf, AnyOf, Event, Timeout
+from repro.sim.events import NORMAL, URGENT, AllOf, AnyOf, Event, Timeout, _fire
 from repro.sim.process import Process, ProcessGenerator, _Resume
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace
 from repro.telemetry.metrics import Telemetry
-
-
-class _Callback:
-    """Pooled heap record: invoke ``fn(arg)`` at the scheduled time."""
-
-    __slots__ = ("fn", "arg")
-
-    def __init__(self) -> None:
-        self.fn = None
-        self.arg = None
 
 
 def _env_monitors() -> bool:
@@ -105,7 +99,7 @@ class Simulator:
 
     __slots__ = (
         "_now", "_queue", "_seq", "_active_process", "_resume_pool",
-        "_cb_pool", "_sanitize", "_time_hooks", "_state_providers",
+        "_sanitize", "_time_hooks", "_state_providers",
         "_monitor", "_chooser", "rng", "trace", "telemetry",
     )
 
@@ -118,11 +112,10 @@ class Simulator:
         monitors: Optional[bool] = None,
     ):
         self._now: float = 0.0
-        self._queue: list[tuple[float, int, int, object]] = []
+        self._queue: list[tuple[float, int, int, Callable, object]] = []
         self._seq: int = 0
         self._active_process: Optional[Process] = None
         self._resume_pool: list[_Resume] = []
-        self._cb_pool: list[_Callback] = []
         self._time_hooks: list[Callable[[float], None]] = []
         self._state_providers: list[Callable[[], tuple]] = []
         self.rng = RngRegistry(seed)
@@ -230,37 +223,30 @@ class Simulator:
         """Insert a triggered event into the queue ``delay`` ns from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        heappush(self._queue,
+                 (self._now + delay, priority, self._seq, _fire, event))
         self._seq += 1
 
     def call_later(self, delay: float, fn: Callable[[object], None], arg: object = None) -> None:
         """Run ``fn(arg)`` after ``delay`` ns (fire-and-forget, no Event).
 
-        Equivalent to hanging a callback off a :class:`Timeout` but backed by
-        a pooled record; scheduling order is identical (NORMAL priority, next
-        sequence number).
+        Equivalent to hanging a callback off a :class:`Timeout`, but the
+        record is the bare ``fn``/``arg`` pair; scheduling order is
+        identical (NORMAL priority, next sequence number).
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        pool = self._cb_pool
-        rec = pool.pop() if pool else _Callback()
-        rec.fn = fn
-        rec.arg = arg
-        heapq.heappush(self._queue, (self._now + delay, NORMAL, self._seq, rec))
+        heappush(self._queue, (self._now + delay, NORMAL, self._seq, fn, arg))
         self._seq += 1
 
     def call_soon(self, fn: Callable[[object], None], arg: object = None) -> None:
         """Run ``fn(arg)`` now, ahead of this instant's NORMAL records.
 
-        The pooled record takes ``(now, URGENT, next seq)``, the key
-        :meth:`spawn` gives a process's first step: replacing a spawn with
-        a ``call_soon`` stage keeps every record's place in the schedule.
+        The record takes ``(now, URGENT, next seq)``, the key :meth:`spawn`
+        gives a process's first step: replacing a spawn with a
+        ``call_soon`` stage keeps every record's place in the schedule.
         """
-        pool = self._cb_pool
-        rec = pool.pop() if pool else _Callback()
-        rec.fn = fn
-        rec.arg = arg
-        heapq.heappush(self._queue, (self._now, URGENT, self._seq, rec))
+        heappush(self._queue, (self._now, URGENT, self._seq, fn, arg))
         self._seq += 1
 
     def peek(self) -> float:
@@ -348,7 +334,7 @@ class Simulator:
             raise SimulationError("pending event predates the clock")
         if shift > 0.0:
             if queue:
-                queue[:] = [(t + shift, p, s, e) for (t, p, s, e) in queue]
+                queue[:] = [(t + shift, p, s, f, a) for (t, p, s, f, a) in queue]
                 if queue[0][0] < until:  # pragma: no cover - invariant
                     raise SimulationError(
                         "advance_clock shifted an event into the past"
@@ -402,12 +388,9 @@ class Simulator:
             return self._run_instrumented(until)
         stop_event, deadline = self._run_bounds(until)
 
-        # Hot loop: locals bound once, record dispatch inlined.  This is the
+        # Hot loop: pop, set the clock, run the record.  This is the
         # innermost loop of every benchmark; it must not allocate.
         queue = self._queue
-        heappop = heapq.heappop
-        resume_pool = self._resume_pool
-        cb_pool = self._cb_pool
         while True:
             if stop_event is not None and stop_event.callbacks is None:
                 if stop_event._ok:
@@ -426,29 +409,9 @@ class Simulator:
                 self._now = deadline
                 return None
 
-            when, _prio, _seq, event = heappop(queue)
+            when, _prio, _seq, fn, arg = heappop(queue)
             self._now = when
-            cls = event.__class__
-            if cls is _Resume:
-                process = event.process
-                event.process = None
-                resume_pool.append(event)
-                if process is not None:
-                    process._step(None, None)
-                continue
-            if cls is _Callback:
-                fn, arg = event.fn, event.arg
-                event.fn = event.arg = None
-                cb_pool.append(event)
-                fn(arg)
-                continue
-
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
+            fn(arg)
 
     def _run_instrumented(self, until: "float | Event | None") -> object:
         """Twin of :meth:`run` used when a sanitizer or a chooser is attached.
@@ -501,7 +464,7 @@ class Simulator:
         dispatch window.  Both hooks may be attached at once.
         """
         queue = self._queue
-        record = heapq.heappop(queue)
+        record = heappop(queue)
         when, prio = record[0], record[1]
         chooser = self._chooser
         if chooser is not None:
@@ -509,41 +472,22 @@ class Simulator:
             # exactly the default dispatch order.
             front = [record]
             while queue and not queue[0][0] > when and queue[0][1] == prio:
-                front.append(heapq.heappop(queue))
+                front.append(heappop(queue))
             if len(front) > 1:
                 record = front.pop(chooser.choose(len(front), front))
                 for rec in front:
-                    heapq.heappush(queue, rec)
-        event = record[3]
+                    heappush(queue, rec)
+        fn, arg = record[3], record[4]
         san = self._sanitize
         if san is not None:
-            san.on_dispatch(when, prio, event)
+            san.on_dispatch(when, prio, fn, arg)
         if when < self._now:
             raise SimulationError("event scheduled in the past")
         self._now = when
         if san is not None:
             san.in_dispatch = True
         try:
-            cls = event.__class__
-            if cls is _Resume:
-                process = event.process
-                event.process = None
-                self._resume_pool.append(event)
-                if process is not None:
-                    process._step(None, None)
-            elif cls is _Callback:
-                fn, arg = event.fn, event.arg
-                event.fn = event.arg = None
-                self._cb_pool.append(event)
-                fn(arg)
-            else:
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    # A failure nobody waited for: surface it, don't lose it.
-                    raise event._value
+            fn(arg)
         finally:
             if san is not None:
                 san.in_dispatch = False

@@ -27,6 +27,20 @@ LOW = 2
 _PENDING = object()
 
 
+def _fire(event: "Event") -> None:
+    """Heap-record body of a triggered event: run its callbacks.
+
+    A failure nobody waited for is re-raised, so it surfaces from
+    :meth:`~repro.sim.engine.Simulator.run` instead of being lost.
+    """
+    callbacks = event.callbacks
+    event.callbacks = None
+    for callback in callbacks:
+        callback(event)
+    if not event._ok and not event._defused:
+        raise event._value  # type: ignore[misc]
+
+
 class Event:
     """A happening at a point in simulated time.
 
@@ -94,7 +108,7 @@ class Event:
         # Inlined sim._schedule(self, NORMAL, 0.0): succeed() is the hottest
         # trigger path (stores, resources, CQ wakeups).
         sim = self.sim
-        heappush(sim._queue, (sim._now, NORMAL, sim._seq, self))
+        heappush(sim._queue, (sim._now, NORMAL, sim._seq, _fire, self))
         sim._seq += 1
         return self
 
@@ -154,7 +168,7 @@ class Timeout(Event):
         self._ok = True
         self._defused = False
         self.delay = delay
-        heappush(sim._queue, (sim._now + delay, NORMAL, sim._seq, self))
+        heappush(sim._queue, (sim._now + delay, NORMAL, sim._seq, _fire, self))
         sim._seq += 1
 
 

@@ -99,6 +99,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Optional
 
+from repro.sim.events import _fire
+from repro.sim.process import _wake
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
 
@@ -576,11 +579,15 @@ class FastForward:
     # -- verify phase ----------------------------------------------------------
 
     def _queue_sig(self) -> tuple:
+        """Pending records in relative time, tagged by kind: the event
+        class, ``_Resume`` for a sleep, one ``_Callback`` for every
+        callback stage."""
         sim = self._sim
         now = sim._now
         return tuple(sorted(
-            (t - now, prio, type(entry).__name__)
-            for (t, prio, _seq, entry) in sim._queue
+            (t - now, prio, type(arg).__name__
+             if fn is _fire or fn is _wake else "_Callback")
+            for (t, prio, _seq, fn, arg) in sim._queue
         ))
 
     def _verify_boundary(self, step: Optional[tuple]) -> Optional[Skip]:
@@ -711,7 +718,7 @@ class FastForward:
         else:
             binade_end = math.inf
         queue = self._sim._queue
-        max_off = max((t for (t, _p, _s, _e) in queue), default=now) - now
+        max_off = max((rec[0] for rec in queue), default=now) - now
         target = now
         stepped = 0
         while stepped < cycles:

@@ -45,17 +45,26 @@ ProcessGenerator = Generator[Event, object, object]
 
 
 class _Resume:
-    """Pooled heap record: resume ``process`` with value ``None``.
+    """Pooled argument of a :func:`_wake` record: the process to resume.
 
     Scheduled for a process's first step and for every scalar-yield sleep.
     Tombstoning (``process = None``, done by interrupt delivery) cancels a
-    pending record in place; the engine skips tombstones and recycles them.
+    pending record in place; :func:`_wake` then drops it.
     """
 
     __slots__ = ("process",)
 
     def __init__(self) -> None:
         self.process = None
+
+
+def _wake(rec: _Resume) -> None:
+    """Heap-record body of a resume: recycle ``rec``, step its process."""
+    process = rec.process
+    if process is not None:
+        rec.process = None
+        process.sim._resume_pool.append(rec)
+        process._step(None, None)
 
 
 class Interruption(Event):
@@ -91,8 +100,8 @@ class Interruption(Event):
         process._target = None
         pending = process._pending
         if pending is not None:
-            # Sleeping on a resume record: tombstone it in place (the
-            # engine skips and recycles it when it pops).
+            # Sleeping on a resume record: tombstone it in place (_wake
+            # drops it when it pops).
             pending.process = None
             process._pending = None
         process._resume(self)
@@ -127,7 +136,7 @@ class Process(Event):
         pool = sim._resume_pool
         rec = pool.pop() if pool else _Resume()
         rec.process = self
-        heappush(sim._queue, (sim._now, URGENT, sim._seq, rec))
+        heappush(sim._queue, (sim._now, URGENT, sim._seq, _wake, rec))
         sim._seq += 1
         self._pending = rec
 
@@ -206,7 +215,8 @@ class Process(Event):
                 pool = sim._resume_pool
                 rec = pool.pop() if pool else _Resume()
                 rec.process = self
-                heappush(sim._queue, (sim._now + target, NORMAL, sim._seq, rec))
+                heappush(sim._queue,
+                         (sim._now + target, NORMAL, sim._seq, _wake, rec))
                 sim._seq += 1
                 self._pending = rec
                 sim._active_process = None

@@ -48,7 +48,7 @@ class CompletionQueue:
             # Real hardware transitions the CQ to error; we record and drop.
             self.overflowed = True
             raise CQError(f"CQ {self.name} overflow (depth {self.depth})")
-        cqe.timestamp = self.sim.now
+        now = cqe.timestamp = self.sim.now
         self.entries.append(cqe)
         self.total_cqes += 1
         mon = self.sim._monitor
@@ -56,7 +56,7 @@ class CompletionQueue:
             mon.on_cqe(self, cqe)
         waiters, self._nonempty_waiters = self._nonempty_waiters, []
         for ev in waiters:
-            ev.succeed(self.sim.now)
+            ev.succeed(now)
         if self.armed:
             self.armed = False
             self.events_raised += 1

@@ -73,7 +73,7 @@ class MrTable:
         mr = self._by_lkey.get(lkey)
         if mr is None or not mr.valid:
             raise MemoryAccessError(f"invalid lkey {lkey:#x}")
-        if not mr.contains(addr, length):
+        if not (mr.addr <= addr and addr + length <= mr.addr + mr.length):
             raise MemoryAccessError(
                 f"local access [{addr:#x},+{length}) outside MR "
                 f"[{mr.addr:#x},+{mr.length})"

@@ -10,19 +10,18 @@ them can be pruned.  A fingerprint folds together:
   monotone allocators are deliberately excluded, they never recur);
 - CQ contents and arming;
 - the pending event heap in *relative* time (``t - now``), tagged by the
-  stable :func:`~repro.sanitize.runtime._describe_event` labels plus each
-  suspended process's generator instruction offset — the positional order
-  of equal-key records preserves the FIFO tie order that decides default
-  dispatch;
+  stable :func:`~repro.sanitize.runtime._describe_event` labels — the
+  positional order of equal-key records preserves the FIFO tie order that
+  decides default dispatch;
 - every registered component state provider (NIC queue depths, switch
   ports), the RNG stream positions, fabric port occupancy and the
   remaining fault budget.
 
-Suspended-generator *locals* are approximated by the instruction offset
-only; for the small closed scenarios the explorer drives, locals are a
-function of the fingerprinted component state, so this is exact in
-practice — and dedup can be disabled outright (``Explorer(dedup=False)``)
-to fall back to pure schedule enumeration.
+Suspended generators are not hashed (neither their locals nor their
+resume point); for the small closed scenarios the explorer drives, both
+are a function of the fingerprinted component state and the record tags,
+so this is exact in practice — and dedup can be disabled outright
+(``Explorer(dedup=False)``) to fall back to pure schedule enumeration.
 """
 
 from __future__ import annotations
@@ -72,16 +71,8 @@ def queue_signature(sim: "Simulator") -> tuple:
     monotone sequence numbers that would keep any state from recurring.
     """
     now = sim.now
-    out = []
-    for when, prio, _seq, event in sorted(sim._queue, key=lambda r: r[:3]):
-        tag = _describe_event(event)
-        process = getattr(event, "process", None)
-        gen = getattr(process, "generator", None) if process is not None \
-            else None
-        frame = getattr(gen, "gi_frame", None)
-        pos = frame.f_lasti if frame is not None else -1
-        out.append((when - now, prio, tag, pos))
-    return tuple(out)
+    return tuple((when - now, prio, _describe_event(fn, arg))
+                 for when, prio, _seq, fn, arg in sorted(sim._queue))
 
 
 def fabric_signature(fabric: Optional["Fabric"]) -> tuple:

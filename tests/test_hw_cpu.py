@@ -1,6 +1,7 @@
 """CPU core model: execution, syscalls, DVFS governor, pinning."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -141,6 +142,37 @@ def test_idle_credit_restores_turbo():
     saturated = core.frequency_factor
     core.grant_idle_credit(SYSTEM_A.cpu.dvfs_window_ns * 10)
     assert core.frequency_factor > saturated
+
+
+@pytest.mark.parametrize("syscall_ns", [0.0, 300.0])
+def test_syscall_credit_keeps_the_governor_arithmetic(syscall_ns):
+    """A syscall on a turbo core leaves the duty EMA bit-equal to the
+    governor's own steps: decay over the idle gap, absorb the scaled
+    work, then multiply in the idle credit (after a decay only when no
+    work ran)."""
+    cpu = SYSTEM_A.cpu
+    system = SYSTEM_A.with_overrides(
+        cpu=replace(cpu, syscall_ns=syscall_ns), kpti=False,
+        syscall_jitter_cv=0.0)
+    sim, core = make_core(system)
+    window = cpu.dvfs_window_ns
+    head = cpu.turbo_headroom - 1.0
+
+    def proc():
+        yield from core.run(1000.0)
+        yield 300.0
+        yield from core.syscall(0.0)
+
+    run(sim, proc())
+    duty = 1.0 - math.exp(-(1000.0 / cpu.turbo_headroom) / window)
+    duty *= math.exp(-300.0 / window)
+    if syscall_ns > 0:
+        scaled = syscall_ns / (1.0 + head * (1.0 - duty))
+        frac = math.exp(-scaled / window)
+        duty = (1.0 - frac) + duty * frac
+    duty *= math.exp(-cpu.dvfs_syscall_credit_ns / window)
+    assert core._duty == duty
+    assert core.syscalls == 1
 
 
 def test_busy_poll_counts_wait_as_duty():

@@ -8,8 +8,10 @@ from repro.errors import SimulationError
 from repro.sanitize import drain_global_findings, findings_of
 from repro.sanitize.runtime import GLOBAL_FINDINGS, env_sanitize
 from repro.sim import Resource, Simulator, Store
-from repro.sim.engine import _Callback
+from repro.sim.fastforward import FastForward
+from repro.verbs.cq import CompletionQueue
 from repro.verify import Chooser
+from repro.verify.hashing import queue_signature
 
 
 @pytest.fixture(autouse=True)
@@ -197,9 +199,7 @@ def test_past_dispatch_recorded_before_engine_raises():
     sim = Simulator(sanitize=True)
 
     def plant(_):
-        rec = _Callback()
-        rec.fn = lambda _a: None
-        heapq.heappush(sim._queue, (5.0, 1, sim._seq, rec))
+        heapq.heappush(sim._queue, (5.0, 1, sim._seq, lambda _a: None, None))
         sim._seq += 1
 
     sim.call_later(10.0, plant)
@@ -209,6 +209,59 @@ def test_past_dispatch_recorded_before_engine_raises():
     assert _rules(findings) == ["SIM103"]
     assert "t=5.0" in findings[0].message
     assert "t=10.0" in findings[0].message
+
+
+# -- record tags ------------------------------------------------------------------
+
+
+def _stage(_arg):
+    pass
+
+
+def _tagged_schedule(sanitize):
+    """One pending record of each kind: call_soon, a CQ wake, call_later
+    and a scalar sleep, in that heap order."""
+    sim = Simulator(sanitize=sanitize)
+    wake = CompletionQueue(sim, name="cq0").wait_nonempty()
+
+    def sleeper():
+        yield 40.0
+
+    def waiter():
+        yield wake
+
+    sim.spawn(sleeper(), name="sleeper")
+    sim.spawn(waiter(), name="waiter")
+    sim.run(until=1.0)
+    sim.call_later(30.0, _stage)
+    sim.call_soon(_stage)
+    wake.succeed()
+    return sim
+
+
+TAGS = ["call_later:_stage", "Event:cq0.nonempty->resume:waiter",
+        "call_later:_stage", "resume:sleeper"]
+
+
+def test_record_tags_are_stable():
+    """Race reports, explore fingerprints and fast-forward signatures all
+    name heap records; these names are part of their contracts."""
+    sim = _tagged_schedule(sanitize=False)
+    assert [sig[:3] for sig in queue_signature(sim)] == [
+        (0.0, 0, TAGS[0]), (0.0, 1, TAGS[1]),
+        (30.0, 1, TAGS[2]), (39.0, 1, TAGS[3])]
+    # Fast-forward keeps one coarse tag per callback: a finer one would
+    # change which boundaries match.
+    assert FastForward(sim)._queue_sig() == (
+        (0.0, 0, "_Callback"), (0.0, 1, "Event"),
+        (30.0, 1, "_Callback"), (39.0, 1, "_Resume"))
+
+    sim = _tagged_schedule(sanitize=True)
+    seen = []
+    for _ in TAGS:
+        sim.step()
+        seen.append(sim._sanitize._dispatch_desc)
+    assert seen == TAGS
 
 
 # -- determinism of the sanitizers themselves -------------------------------------

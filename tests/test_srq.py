@@ -4,7 +4,8 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.core.endpoint import make_endpoint
-from repro.errors import VerbsError
+from repro.core.policy import Policy, PolicyChain
+from repro.errors import PolicyViolation, VerbsError
 from repro.hw.profiles import SYSTEM_L
 from repro.sim import Simulator
 from repro.units import us
@@ -171,3 +172,40 @@ def test_srq_conservation_under_mixed_load():
     assert got == total
     assert srq.recvs_consumed == total
     assert len(srq) == 4  # exactly the surplus remains
+
+
+class _DenyRecvs(Policy):
+    name = "deny-recvs"
+
+    def _evaluate(self, ctx):
+        if ctx.op == "post_recv":
+            raise self.deny("no receives")
+        return 0.0
+
+
+def test_denied_srq_post_pays_the_syscall_like_a_qp_post():
+    """A CoRD SRQ post denied by policy still crosses the kernel: one
+    syscall, one denied op and the same charge as a denied QP post."""
+    sim = Simulator(seed=5)
+    _fabric, hosts = build_cluster(sim, SYSTEM_L, 2)
+
+    def main():
+        ep = yield from make_endpoint(
+            hosts[1], "cord", policies=PolicyChain([_DenyRecvs()]))
+        srq = yield from ep.ctx.create_srq(ep.pd, depth=8)
+        charges = []
+        for post in (lambda wrs: ep.dataplane.post_recv_many(ep.qp, wrs),
+                     lambda wrs: ep.dataplane.post_srq_recv_many(srq, wrs)):
+            t0, calls = sim.now, ep.core.syscalls
+            with pytest.raises(PolicyViolation, match="deny-recvs"):
+                yield from post([RecvWR(wr_id=1, addr=ep.buf.addr,
+                                        length=64, lkey=ep.mr.lkey)])
+            charges.append((sim.now - t0, ep.core.syscalls - calls))
+        return charges, ep.dataplane.denied_ops, len(srq)
+
+    charges, denied, pooled = sim.run(sim.process(main()))
+    assert charges[0][0] > 0.0
+    assert charges[1] == charges[0]
+    assert charges[0][1] == 1
+    assert denied == 2
+    assert pooled == 0

@@ -9,6 +9,7 @@ from repro.core.policies.observability import FlowStats
 from repro.core.policy import OpContext
 from repro.core.endpoint import make_rc_pair
 from repro.hw.profiles import get_profile
+from repro.perftest.bw import send_bw
 from repro.sim import Simulator
 from repro.sim.trace import Trace
 from repro.telemetry import (
@@ -173,6 +174,27 @@ def test_metrics_snapshot_shape():
     # Pulled device state rides along even for push-disabled runs.
     assert snap["hosts"]["host0"]["nic"]["tx_msgs"] > 0
     assert snap["hosts"]["host1"]["nic"]["rx_msgs"] > 0
+
+
+@pytest.mark.parametrize("kind", ["bypass", "cord"])
+def test_chained_recv_posts_count_every_wr(kind):
+    """send_bw replenishes its RQ with chained posts; ``dataplane.ops``
+    must count each WR, with its bytes, as single posts do."""
+    sim = Simulator(seed=7)
+    sim.telemetry.enabled = True
+    _fabric, host_a, host_b = build_pair(sim, get_profile("L"))
+
+    def main():
+        a, b = yield from make_rc_pair(host_a, host_b, kind, kind)
+        yield from send_bw(sim, a, b, 1024, iters=40, window=16, warmup=8)
+        return b
+
+    b = sim.run(sim.process(main()))
+    ops = sim.telemetry.scope(host_b.name).counter("dataplane.ops")
+    posted = b.qp.recvs_posted
+    assert posted == 48
+    assert ops.by_key == {f"{b.dataplane.tag}.post_recv": posted}
+    assert ops.total == posted * b.buf.length
 
 
 def test_metrics_snapshot_includes_flow_report():
