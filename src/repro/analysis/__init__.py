@@ -9,7 +9,7 @@ from repro.analysis.critpath import (
     format_path,
     stage_totals,
 )
-from repro.analysis.timeline import format_timeline, message_timeline, stage_latencies
+from repro.analysis.timeline import format_timeline
 
 __all__ = [
     "Series",
@@ -19,9 +19,7 @@ __all__ = [
     "CheckResult",
     "check_ratio",
     "check_between",
-    "message_timeline",
     "format_timeline",
-    "stage_latencies",
     "PathSegment",
     "critical_path",
     "format_path",

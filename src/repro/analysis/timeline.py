@@ -1,72 +1,58 @@
-"""Message-life timelines from NIC trace records.
+"""Per-op timelines rebuilt from op spans.
 
 Enable tracing (``Simulator(trace=Trace(enabled=True))``), run traffic,
-then render where each nanosecond went::
+fold the trace with :func:`repro.telemetry.build_spans`, then render
+where each nanosecond went — one header per op, then its stage marks and
+protocol notes, relative to the op's post::
 
-    t+0.000 us  host0  doorbell    qpn=65 wr=3 send 4096 B
-    t+0.105 us  host0  tx_start    wire 4144 B
-    t+0.583 us  host0  tx_done
-    t+0.833 us  host1  rx_arrive   send psn=3
-    t+1.393 us  host1  cqe         wr=1001 success
+    post_send  BP  qpn=65 wr=0 1024 B  at 1747.160 us
+      t+   0.000 us  host0  post          driver
+      t+   0.250 us  host0  doorbell      nic.tx
+      t+   0.355 us  host0  wqe_fetch     nic.tx
+      t+   0.975 us  host0  tx_wire       wire
+      t+   1.086 us  host0  tx_done       wire
+      ...
+      t+ 101.086 us  host0  !ack_timeout  psn=0  qpn=65
+      t+ 101.191 us  host0  wqe_fetch     nic.tx
+      t+ 101.811 us  host0  !retransmit   psn=0  qpn=65  retries=1
+      t+ 101.811 us  host0  tx_wire       wire
 
-This doubles as the debugging story for the simulator itself and as the
-"what would an OS see" demo for CoRD-style observability.
+Per-stage durations are ``OpSpan.stage_durations()``; one op kind is
+``build_spans(trace, op=...)``.  This doubles as the debugging story for
+the simulator itself and as the "what would an OS see" demo for
+CoRD-style observability.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from repro.telemetry.spans import OpSpan
 
-from repro.sim.trace import Trace, TraceRecord
-
-
-def message_timeline(trace: Trace, psn: Optional[int] = None,
-                     qpn: Optional[int] = None) -> list[TraceRecord]:
-    """NIC records, optionally filtered to one message (psn) or QP."""
-    out = []
-    for rec in trace.select(category="nic"):
-        # Records without the filtered field (e.g. CQE writes carry no PSN)
-        # pass through; the filter narrows only what it can identify.
-        rec_psn = rec.get("psn", None)
-        if psn is not None and rec_psn is not None and rec_psn != psn:
-            continue
-        rec_qpn = rec.get("qpn", None)
-        if qpn is not None and rec_qpn is not None and rec_qpn != qpn:
-            continue
-        out.append(rec)
-    return out
+_NOTE_SKIP = ("host", "name", "span")
 
 
-def format_timeline(records: list[TraceRecord], t0: Optional[float] = None) -> str:
-    """Human-readable rendering, timestamps relative to the first record."""
-    if not records:
-        return "(no trace records — is tracing enabled?)"
-    base = records[0].time if t0 is None else t0
-    lines = []
-    for rec in records:
-        fields = {k: v for k, v in rec.fields}
-        host = fields.pop("host", "?")
-        detail = "  ".join(f"{k}={v}" for k, v in sorted(fields.items()))
-        lines.append(
-            f"t+{(rec.time - base) / 1000:8.3f} us  host{host}  "
-            f"{rec.event:<10} {detail}"
-        )
-    return "\n".join(lines)
+def format_timeline(spans: list[OpSpan]) -> str:
+    """Human-readable rendering of each op's marks and notes in time order.
 
-
-def stage_latencies(records: list[TraceRecord]) -> dict[str, float]:
-    """Per-stage deltas for a single message's records (ns).
-
-    Returns spans between consecutive milestones, keyed
-    ``"<from>-><to>"`` — e.g. ``doorbell->tx_start`` is NIC scheduling +
-    fetch, ``tx_start->tx_done`` is wire serialization.
+    A note shares its instant with the mark emitted right after it (a
+    retransmit with its ``tx_wire``), so notes sort ahead of marks on ties.
     """
-    out: dict[str, float] = {}
-    for prev, cur in zip(records, records[1:]):
-        key = f"{prev.event}->{cur.event}"
-        n = 2
-        while key in out:  # disambiguate repeats (e.g. data CQE vs ack CQE)
-            key = f"{prev.event}->{cur.event}#{n}"
-            n += 1
-        out[key] = cur.time - prev.time
-    return out
+    if not spans:
+        return "(no trace records — is tracing enabled?)"
+    lines = []
+    for span in spans:
+        lines.append(f"{span.op}  {span.dataplane}  qpn={span.qpn} "
+                     f"wr={span.wr_id} {span.size} B  "
+                     f"at {span.begin_ns / 1000:.3f} us")
+        rows = [(span.begin_ns, span.host, "post", "driver")]
+        rows += [
+            (note.time, note.get("host", "?"), f"!{note.get('name', '?')}",
+             "  ".join(f"{k}={v}" for k, v in note.fields
+                       if k not in _NOTE_SKIP))
+            for note in span.notes
+        ]
+        rows += [(m.time, m.host, m.stage, m.comp) for m in span.marks]
+        rows.sort(key=lambda row: row[0])  # stable: post, notes, marks
+        for time, host, what, detail in rows:
+            lines.append(f"  t+{(time - span.begin_ns) / 1000:8.3f} us  "
+                         f"host{host}  {what:<13} {detail}")
+    return "\n".join(lines)

@@ -304,8 +304,8 @@ def cmd_trace(args) -> int:
     """Run traced sends; print a timeline or export the trace."""
     import json
 
-    from repro.analysis import format_timeline, message_timeline
-    from repro.telemetry import chrome_trace, folded_stacks, jsonl_lines
+    from repro.analysis import format_timeline
+    from repro.telemetry import build_spans, chrome_trace, folded_stacks, jsonl_lines
 
     sim, _host_a, _host_b = _run_traced_pair(args, iters=args.iters)
     _warn_dropped(sim.trace)
@@ -321,7 +321,7 @@ def cmd_trace(args) -> int:
         return 0
     header = (f"life of one {args.size} B RC send, "
               f"{args.client}->{args.server}, system {args.system}:\n")
-    _emit_text(header + "\n" + format_timeline(message_timeline(sim.trace)),
+    _emit_text(header + "\n" + format_timeline(build_spans(sim.trace)),
                args.output)
     return 0
 

@@ -144,6 +144,11 @@ class Fabric:
         #: rate-limiter loop).  Requires the receiver-side contention
         #: model — marking keys off switch queue occupancy.
         self.cc = cc
+        if chunk_bytes is not None and chunk_bytes < 1:
+            raise HardwareError(
+                f"chunk_bytes must be >= 1 (got {chunk_bytes}): a chunked "
+                "send would never make progress"
+            )
         if cc is not None and self.rx_contention is None:
             raise HardwareError(
                 "congestion control needs the receiver-side contention "
@@ -278,8 +283,10 @@ class Fabric:
             )
         trace = self.sim.trace
         if trace.enabled:
-            trace.emit(self.sim.now, "fabric", "ecn_mark",
-                       host=port.host_id, kind=payload.kind,  # type: ignore[attr-defined]
+            trace.emit(self.sim.now, "span", "note",
+                       span=payload.span,  # type: ignore[attr-defined]
+                       name="ecn_mark", host=port.host_id,
+                       kind=payload.kind,  # type: ignore[attr-defined]
                        size=nbytes, queued=q)
 
     # -- timing ---------------------------------------------------------------
@@ -469,8 +476,9 @@ class Fabric:
                     nbytes, key=getattr(payload, "kind", "raw"))
             trace = self.sim.trace
             if trace.enabled:
-                trace.emit(self.sim.now, "fabric", "rx_drop",
-                           host=dst.host_id,
+                trace.emit(self.sim.now, "span", "note",
+                           span=getattr(payload, "span", None),
+                           name="rx_drop", host=dst.host_id,
                            kind=getattr(payload, "kind", "raw"),
                            size=nbytes, queued=port.queued_bytes)
             return

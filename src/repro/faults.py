@@ -214,8 +214,9 @@ class FaultInjector:
             reg.counter("fault.dropped_bytes").inc(nbytes, key=kind)
         trace = self.sim.trace
         if trace.enabled:
-            trace.emit(self.sim.now, "fault", "drop",
-                       kind=kind, cause=cause, size=nbytes)
+            trace.emit(self.sim.now, "span", "note", span=None,
+                       name="drop", host=src, kind=kind, cause=cause,
+                       size=nbytes)
         return None
 
     def snapshot(self) -> dict[str, object]:

@@ -203,13 +203,9 @@ class Nic:
     def deliver(self, msg: WireMessage) -> None:
         """Fabric drops an arriving message into the receive pipeline."""
         trace = self.sim.trace
-        if trace.enabled:
-            trace.emit(self.sim.now, "nic", "rx_arrive",
-                       host=self.host_id, kind=msg.kind, psn=msg.psn,
-                       src_host=msg.src_host, size=msg.length)
-            if msg.span is not None:
-                trace.emit(self.sim.now, "span", "mark", span=msg.span,
-                           stage="rx_arrive", host=self.host_id, comp="nic.rx")
+        if trace.enabled and msg.span is not None:
+            trace.emit(self.sim.now, "span", "mark", span=msg.span,
+                       stage="rx_arrive", host=self.host_id, comp="nic.rx")
         tele = self.sim.telemetry
         if tele.enabled:
             reg = tele.scope(self._scope)
@@ -256,13 +252,9 @@ class Nic:
         qp.sq_outstanding += 1
         qp.sends_posted += 1
         trace = self.sim.trace
-        if trace.enabled:
-            trace.emit(self.sim.now, "nic", "doorbell",
-                       host=self.host_id, qpn=qp.qpn, wr_id=wr.wr_id,
-                       opcode=wr.opcode.value, psn=psn, size=wr.length)
-            if wr.span is not None:
-                trace.emit(self.sim.now, "span", "mark", span=wr.span,
-                           stage="doorbell", host=self.host_id, comp="nic.tx")
+        if trace.enabled and wr.span is not None:
+            trace.emit(self.sim.now, "span", "mark", span=wr.span,
+                       stage="doorbell", host=self.host_id, comp="nic.tx")
         tele = self.sim.telemetry
         if tele.enabled:
             reg = tele.scope(self._scope)
@@ -429,17 +421,22 @@ class Nic:
                 # WR: re-inserting it below would send a duplicate whose
                 # re-ACK completes it a second time.
                 return
-            # Counted here — at actual (re)transmission — not at queue
-            # time: a retry cancelled by an ACK that raced it through the
-            # TX queue or the fetch never hits the wire and must not
-            # inflate the counter (``retransmits`` matches real
-            # duplicate traffic).
+            # Counted and traced here — at actual (re)transmission — not
+            # at queue time: a retry cancelled by an ACK that raced it
+            # through the TX queue or the fetch never hits the wire and
+            # must not inflate the counter or the ``retransmit`` notes
+            # (both match real duplicate traffic).
             self.counters.retransmits += 1
             tele = self.sim.telemetry
             if tele.enabled:
                 tele.scope(self._scope).counter("nic.rc.retransmits").inc(
                     key=wr.opcode.value
                 )
+            trace = self.sim.trace
+            if trace.enabled:
+                trace.emit(self.sim.now, "span", "note", span=wr.span,
+                           name="retransmit", host=self.host_id, qpn=qp.qpn,
+                           psn=psn, retries=retries)
 
         dst_host, dst_qpn = qp.destination_for(wr)
         opcode = wr.opcode
@@ -472,13 +469,9 @@ class Nic:
 
         wire_payload = header if kind == "read_req" else wr.length + header
         trace = self.sim.trace
-        if trace.enabled:
-            trace.emit(self.sim.now, "nic", "tx_start",
-                       host=self.host_id, qpn=qp.qpn, wr_id=wr.wr_id,
-                       psn=psn, wire_bytes=wire_payload)
-            if wr.span is not None:
-                trace.emit(self.sim.now, "span", "mark", span=wr.span,
-                           stage="tx_wire", host=self.host_id, comp="wire")
+        if trace.enabled and wr.span is not None:
+            trace.emit(self.sim.now, "span", "mark", span=wr.span,
+                       stage="tx_wire", host=self.host_id, comp="wire")
         assert self._fabric is not None
         self._fabric.send(self.host_id, dst_host, wire_payload, msg,
                           self._tx_sent, (qp, wr, psn, retries, wire_payload))
@@ -488,12 +481,9 @@ class Nic:
         (RC) or complete the send (UD, which is unacknowledged)."""
         qp, wr, psn, retries, wire_payload = ctx
         trace = self.sim.trace
-        if trace.enabled:
-            trace.emit(self.sim.now, "nic", "tx_done",
-                       host=self.host_id, qpn=qp.qpn, wr_id=wr.wr_id, psn=psn)
-            if wr.span is not None:
-                trace.emit(self.sim.now, "span", "mark", span=wr.span,
-                           stage="tx_done", host=self.host_id, comp="wire")
+        if trace.enabled and wr.span is not None:
+            trace.emit(self.sim.now, "span", "mark", span=wr.span,
+                       stage="tx_done", host=self.host_id, comp="wire")
         self.counters.tx_msgs += 1
         self.counters.tx_bytes += wire_payload
         qp.bytes_sent += wr.length
@@ -959,8 +949,9 @@ class Nic:
             tele.scope(self._scope).counter("nic.rc.ack_timeouts").inc()
         trace = self.sim.trace
         if trace.enabled:
-            trace.emit(self.sim.now, "nic", "ack_timeout",
-                       host=self.host_id, qpn=qp.qpn, psn=psn)
+            trace.emit(self.sim.now, "span", "note", span=wr.span,
+                       name="ack_timeout", host=self.host_id, qpn=qp.qpn,
+                       psn=psn)
         retries = qp.retx_retries.get(psn, 0)
         if retries >= qp.retry_cnt:
             self.counters.retry_exc_errs += 1
@@ -1000,10 +991,6 @@ class Nic:
             # Checked here rather than at the call sites so any retry path
             # (ACK timeout, RNR NAK, or a future one) is bounded (PROTO105).
             mon.on_retransmit(qp, psn, retries)
-        trace = self.sim.trace
-        if trace.enabled:
-            trace.emit(self.sim.now, "nic", "retransmit",
-                       host=self.host_id, qpn=qp.qpn, psn=psn, retries=retries)
         self._tx_submit((qp, wr, psn, retries))
 
     def _complete_retry_exhausted(self, ctx: tuple) -> None:
@@ -1081,9 +1068,9 @@ class Nic:
             tele.scope(self._scope).counter("nic.cc.cnps").inc(key="sent")
         trace = self.sim.trace
         if trace.enabled:
-            trace.emit(self.sim.now, "nic", "cnp_send",
-                       host=self.host_id, dst_host=msg.src_host,
-                       qpn=msg.src_qpn, psn=msg.psn)
+            trace.emit(self.sim.now, "span", "note", span=msg.span,
+                       name="cnp_send", host=self.host_id,
+                       dst_host=msg.src_host, qpn=msg.src_qpn, psn=msg.psn)
         self.sim.call_soon(self._send_cnp, msg)
 
     def _send_cnp(self, request: WireMessage) -> None:
@@ -1119,9 +1106,9 @@ class Nic:
             tele.scope(self._scope).counter("nic.cc.cnps").inc(key="received")
         trace = self.sim.trace
         if trace.enabled:
-            trace.emit(self.sim.now, "nic", "cnp_recv",
-                       host=self.host_id, qpn=qp.qpn, psn=msg.psn,
-                       rate=lim.rate)
+            trace.emit(self.sim.now, "span", "note", span=None,
+                       name="cnp_recv", host=self.host_id, qpn=qp.qpn,
+                       psn=msg.psn, rate=lim.rate)
 
     # -- completion + memory watch helpers ---------------------------------------
 
@@ -1135,14 +1122,9 @@ class Nic:
     def _cqe_written(self, ctx: tuple) -> None:
         cq, cqe, then, arg = ctx
         trace = self.sim.trace
-        if trace.enabled:
-            trace.emit(self.sim.now, "nic", "cqe",
-                       host=self.host_id, wr_id=cqe.wr_id,
-                       qpn=cqe.qp_num, status=cqe.status.value,
-                       opcode=cqe.opcode.value, size=cqe.byte_len)
-            if cqe.span is not None:
-                trace.emit(self.sim.now, "span", "mark", span=cqe.span,
-                           stage="cqe", host=self.host_id, comp="cq")
+        if trace.enabled and cqe.span is not None:
+            trace.emit(self.sim.now, "span", "mark", span=cqe.span,
+                       stage="cqe", host=self.host_id, comp="cq")
         cq.push(cqe)
         tele = self.sim.telemetry
         if tele.enabled:

@@ -1,22 +1,21 @@
 """Structured tracing and counters.
 
-Tracing exists for three consumers: tests (assert that a component emitted
-the expected sequence of records), the observability CoRD policy (flow
-statistics), and the :mod:`repro.telemetry` exporters (Perfetto/JSONL op
-spans).  The trace is disabled by default and costs a single branch per
-call site when off.
+Tracing exists for two consumers: tests (assert that a component emitted
+the expected sequence of records) and :mod:`repro.telemetry`, which folds
+the ``"span"`` records into op spans for attribution, timelines and
+Perfetto/JSONL export.  The trace is disabled by default and costs a
+single branch per call site when off.
 
 Retention is bounded by ``max_records``: a ring buffer keeps the newest
-records and counts what it evicted (``dropped``).  ``max_records=0``
-retains nothing but still notifies live subscribers, so long simulations
-can stream records to an exporter without holding the whole trace in RAM.
+records and counts what it evicted (``dropped``); ``max_records=0``
+retains nothing.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -45,53 +44,37 @@ class TraceRecord:
 
 
 class Trace:
-    """An append-only trace with category filtering and bounded retention."""
+    """An append-only trace with bounded retention."""
 
-    __slots__ = ("enabled", "categories", "max_records", "records",
-                 "dropped", "_subscribers", "_span_seq")
+    __slots__ = ("enabled", "max_records", "records", "dropped", "_span_seq")
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        categories: Optional[set[str]] = None,
-        max_records: Optional[int] = None,
-    ):
+    def __init__(self, enabled: bool = True,
+                 max_records: Optional[int] = None):
         self.enabled = enabled
-        #: If non-None, only these categories are recorded.
-        self.categories = categories
-        #: Retention cap: None = unbounded, 0 = stream-only (notify
-        #: subscribers, keep nothing), N = ring buffer of the newest N.
+        #: Retention cap: None = unbounded, 0 = keep nothing, N = ring
+        #: buffer of the newest N.
         self.max_records = max_records
         self.records: deque[TraceRecord] = deque(maxlen=max_records)
         #: Records evicted by the ring buffer (or never retained at cap 0).
         self.dropped = 0
-        #: Optional live subscribers (e.g. observability policy exporters).
-        self._subscribers: list[Callable[[TraceRecord], None]] = []
         # Span-id allocator for repro.telemetry op spans.  Lives here so
         # span instrumentation rides the same enabled gate as emit().
         self._span_seq = 0
 
     def emit(self, time: float, category: str, event: str, **fields: object) -> None:
-        """Record an event if tracing is on and the category passes the filter."""
+        """Record an event if tracing is on."""
         if not self.enabled:
             return
-        if self.categories is not None and category not in self.categories:
-            return
-        record = TraceRecord(time, category, event, tuple(sorted(fields.items())))
         records = self.records
         if records.maxlen is not None and len(records) == records.maxlen:
             self.dropped += 1
-        records.append(record)
-        for subscriber in self._subscribers:
-            subscriber(record)
+        records.append(TraceRecord(time, category, event,
+                                   tuple(sorted(fields.items()))))
 
     def new_span(self) -> int:
         """Allocate the next op-span id (see :mod:`repro.telemetry.spans`)."""
         self._span_seq += 1
         return self._span_seq
-
-    def subscribe(self, callback: Callable[[TraceRecord], None]) -> None:
-        self._subscribers.append(callback)
 
     def select(self, category: Optional[str] = None, event: Optional[str] = None) -> list[TraceRecord]:
         """Records matching the given category and/or event name."""

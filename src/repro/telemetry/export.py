@@ -4,8 +4,9 @@ Chrome format reference: the Trace Event Format's ``traceEvents`` array.
 Spans become complete (``"X"``) events — one per stage — on per-host
 process tracks with per-component threads, so a message's life renders as
 a causally ordered staircase across ``host0`` and ``host1`` tracks in
-Perfetto (https://ui.perfetto.dev).  Non-span trace records become instant
-(``"i"``) events on the same tracks.  Timestamps are microseconds (the
+Perfetto (https://ui.perfetto.dev).  Every ``note`` record — a protocol
+event such as a retransmit or a fault drop, with or without a span —
+becomes an instant (``"i"``) event on its host's track.  Timestamps are microseconds (the
 format's unit); simulated nanoseconds divide by 1e3.
 """
 
@@ -42,7 +43,6 @@ def _tid(comp: str) -> int:
 def chrome_trace(
     trace: Union[Trace, Iterable[TraceRecord]],
     spans: Optional[list[OpSpan]] = None,
-    include_instants: bool = True,
 ) -> dict[str, object]:
     """Build a Perfetto-loadable trace-event document.
 
@@ -74,23 +74,21 @@ def chrome_trace(
                 },
             })
 
-    if include_instants:
-        records = trace if not isinstance(trace, Trace) else iter(trace)
-        for rec in records:
-            if rec.category == SPAN_CATEGORY:
-                continue
-            fields = dict(rec.fields)
-            host = fields.pop("host", "?")
-            events.append({
-                "name": rec.event,
-                "cat": rec.category,
-                "ph": "i",
-                "s": "t",
-                "ts": rec.time / 1e3,
-                "pid": _pid(host, pids),
-                "tid": _tid("trace"),
-                "args": fields,
-            })
+    for rec in trace:
+        if rec.category != SPAN_CATEGORY or rec.event != "note":
+            continue
+        fields = dict(rec.fields)
+        host = fields.pop("host", "?")
+        events.append({
+            "name": fields.pop("name", "?"),
+            "cat": "note",
+            "ph": "i",
+            "s": "t",
+            "ts": rec.time / 1e3,
+            "pid": _pid(host, pids),
+            "tid": _tid("trace"),
+            "args": fields,
+        })
 
     # Metadata: name the process/thread tracks.
     for host, pid in sorted(pids.items(), key=lambda kv: kv[1]):

@@ -1,7 +1,8 @@
 """Causal op spans reconstructed from trace records.
 
-Instrumented layers emit three record shapes into the simulator's
-:class:`~repro.sim.trace.Trace` under category ``"span"``:
+``"span"`` is the only trace category the simulator emits.  Instrumented
+layers write four record shapes into the simulator's
+:class:`~repro.sim.trace.Trace`:
 
 - ``op_begin`` — a dataplane entry point (``post_send``/``post_recv``)
   allocated a span id (``Trace.new_span``) and attached it to the WR;
@@ -9,12 +10,18 @@ Instrumented layers emit three record shapes into the simulator's
   fetch, wire serialization, delivery, DMA, CQE write...).  The span id
   rides the :class:`~repro.verbs.wr.SendWR` → ``WireMessage`` → ``CQE``
   chain, so marks on *both* hosts correlate to the one operation;
+- ``note``     — a protocol event with a ``name`` (``ack_timeout``,
+  ``retransmit``, ``cnp_send``, ``cnp_recv``, ``ecn_mark``, ``rx_drop``,
+  fault ``drop``) plus its detail fields.  ``span`` names the message's
+  span where the site has one and is ``None`` otherwise (a CNP, an IPoIB
+  segment, a fault drop);
 - ``op_end``   — the application observed a completion for the span (its
   ``poll_cq`` returned the span's CQE).
 
 :func:`build_spans` folds those records into :class:`OpSpan` objects whose
 stages partition ``[begin, end]`` exactly: stage *i* runs from mark *i* to
 mark *i+1*, so per-stage durations always sum to the span's total latency.
+Notes ride along in :attr:`OpSpan.notes` and never create stages.
 """
 
 from __future__ import annotations
@@ -66,6 +73,8 @@ class OpSpan:
     size: int = 0
     begin_ns: float = 0.0
     marks: list[SpanMark] = field(default_factory=list)
+    #: The span's ``note`` records, in emission order (never stages).
+    notes: list[TraceRecord] = field(default_factory=list)
     #: True once an op_end arrived (the app saw the completion).
     complete: bool = False
 
@@ -102,10 +111,11 @@ def build_spans(
 ) -> list[OpSpan]:
     """Fold span trace records into :class:`OpSpan` objects.
 
-    ``source`` is a :class:`Trace` or any iterable of records (e.g. a live
-    subscriber's buffer).  Spans come back sorted by begin time; marks are
-    kept in emission (= causal, the trace is append-only) order.  Spans
-    whose ``op_begin`` was evicted from a ring-buffered trace are skipped.
+    ``source`` is a :class:`Trace` or any iterable of records (e.g. one
+    read back with ``records_from_jsonl``).  Spans come back sorted by
+    begin time; marks and notes are kept in emission (= causal, the trace
+    is append-only) order.  Spans whose ``op_begin`` was evicted from a
+    ring-buffered trace are skipped, as are notes with no span.
     """
     records = source.select(category=SPAN_CATEGORY) if isinstance(source, Trace) \
         else [r for r in source if r.category == SPAN_CATEGORY]
@@ -134,6 +144,8 @@ def build_spans(
                 rec.time, str(rec.get("stage", "?")),
                 rec.get("host", "?"), str(rec.get("comp", "?")),
             ))
+        elif rec.event == "note":
+            span.notes.append(rec)
         elif rec.event == "op_end":
             span.marks.append(SpanMark(
                 rec.time, "completion", rec.get("host", "?"), "app",

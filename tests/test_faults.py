@@ -17,6 +17,7 @@ from repro.faults import FaultInjector, FaultPlan, parse_fault_spec
 from repro.hw.profiles import SYSTEM_L
 from repro.sim import Simulator
 from repro.sim.trace import Trace
+from repro.telemetry import attribute_spans, build_spans
 from repro.units import us
 from repro.verbs.cq import CompletionQueue
 from repro.verbs.qp import QPState, QueuePair, Transport
@@ -55,6 +56,19 @@ def _recv_wr(b, wr_id):
 def _send_wr(a, wr_id, nbytes=1024):
     return SendWR(wr_id=wr_id, opcode=Opcode.SEND, addr=a.buf.addr,
                   length=nbytes, lkey=a.mr.lkey)
+
+
+def _notes(trace, name):
+    """The trace's ``note`` records called ``name``, in emission order."""
+    return [r for r in trace.select(category="span", event="note")
+            if r.get("name") == name]
+
+
+def _tx_wires(trace, wr_id):
+    """Wire-start marks of host 0's send ``wr_id`` (one per transmission)."""
+    (span,) = [s for s in build_spans(trace, op="post_send")
+               if s.host == 0 and s.wr_id == wr_id]
+    return [m for m in span.marks if m.stage == "tx_wire"]
 
 
 # -- plan parsing and validation -------------------------------------------------
@@ -124,6 +138,27 @@ def test_lossy_sends_all_recover():
     assert statuses == [WCStatus.SUCCESS] * 40
     assert inj.drops >= 1
     assert timeouts >= 1 and retx >= 1
+
+
+def test_notes_never_move_attribution():
+    """Notes ride along on their spans but create no stage: attribution is
+    the same with every note record removed, and every ACK-timeout and
+    retransmit note names a span ``build_spans`` returns."""
+    _result, sim, _inj = run_faulty(_lossy_burst(), plan=FaultPlan(loss=0.2),
+                                    trace=True)
+    records = list(sim.trace)
+    notes = [r for r in records if r.event == "note"]
+    assert {r.get("name") for r in notes} >= {"ack_timeout", "retransmit",
+                                              "drop"}
+    spans = build_spans(records)
+    bare = build_spans([r for r in records if r.event != "note"])
+    assert [s.stages() for s in spans] == [s.stages() for s in bare]
+    assert attribute_spans(spans) == attribute_spans(bare)
+    assert sum(len(s.notes) for s in spans) > 0
+    ids = {s.span_id for s in spans}
+    for note in notes:
+        if note.get("name") in ("ack_timeout", "retransmit"):
+            assert note.get("span") in ids, note
 
 
 def test_same_seed_is_bit_identical():
@@ -281,8 +316,7 @@ def test_rnr_backoff_escalates():
 
     (cqes), sim, _inj = run_faulty(scenario, plan_at=plan_at, trace=True)
     assert cqes[0].ok
-    times = [rec.time for rec in sim.trace.records
-             if rec.category == "nic" and rec.event == "retransmit"]
+    times = [rec.time for rec in _notes(sim.trace, "retransmit")]
     assert len(times) >= 2
     gaps = [b - a for a, b in zip(times, times[1:])]
     assert all(g2 > g1 for g1, g2 in zip(gaps, gaps[1:])), gaps
@@ -397,9 +431,7 @@ def test_retries_go_through_tx_pipeline():
 
     cqes, sim, _inj = run_faulty(scenario, plan_at=plan_at, trace=True)
     assert cqes[0].ok
-    starts = [rec for rec in sim.trace.records
-              if rec.category == "nic" and rec.event == "tx_start"
-              and rec.get("host") == 0 and rec.get("wr_id") == 1]
+    starts = _tx_wires(sim.trace, wr_id=1)
     assert len(starts) >= 2  # original + at least one retry, both traced
 
 
@@ -435,7 +467,7 @@ def test_late_ack_during_retry_fetch_completes_once(monkeypatch):
     monkeypatch.setenv("REPRO_VERIFY_MONITORS", "1")
     # Probe: when does the ACK timer fire with the ACK held long enough?
     _, counters, trace, start = _held_ack_send(us(150))
-    fired = [r.time for r in trace.records if r.event == "ack_timeout"]
+    fired = [r.time for r in _notes(trace, "ack_timeout")]
     assert counters.ack_timeouts == len(fired) == 1
     # Releases from just before the timer to past the retry's fetch
     # (TX engine slot, WQE and payload DMA reads, then the ACK's RX slot).
@@ -445,8 +477,7 @@ def test_late_ack_during_retry_fetch_completes_once(monkeypatch):
         release = fired[0] - start + step * span / 32
         cqes, counters, trace, _ = _held_ack_send(release)
         assert [c.status for c in cqes] == [WCStatus.SUCCESS], release
-        sent = [r for r in trace.records if r.event == "tx_start"
-                and r.get("host") == 0 and r.get("wr_id") == 1]
+        sent = _tx_wires(trace, wr_id=1)
         assert counters.retransmits == len(sent) - 1, release
 
 

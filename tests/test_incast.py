@@ -18,7 +18,7 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.hw.profiles import SYSTEM_L, RxContentionProfile, get_profile
 from repro.perftest.incast import IncastConfig, run_incast, run_incast_attributed
 from repro.sim import Simulator
-from repro.telemetry import attribute_spans, build_spans
+from repro.telemetry import attribute_spans, build_spans, chrome_trace
 from repro.units import to_gbit_per_s
 
 LINK_GBIT = to_gbit_per_s(get_profile("L").nic.link_bw)
@@ -218,3 +218,37 @@ def test_rx_contention_spec_validation():
     off = Fabric(sim, SYSTEM_L.nic, propagation_ns=100.0, rx_contention=True)
     assert off.rx_contention.buffer_bytes is None
     assert not off.lossy  # unbounded: nothing can be lost
+
+
+def test_retransmit_notes_match_the_counter():
+    """A ``retransmit`` note is emitted where ``counters.retransmits`` is
+    counted — when the duplicate really goes onto the wire.  Under incast
+    tail drops many queued retries are overtaken by an ACK and never sent,
+    so a note at queue time would overcount (56 notes for 50 sends here)."""
+    cfg = _cfg(dataplane="cord", msgs_per_sender=8, window=16,
+               buffer_bytes=256 * 1024, congestion="dcqcn")
+    result, sim = run_incast_attributed(cfg)
+    notes = sim.trace.select(category="span", event="note")
+    names = {r.get("name") for r in notes}
+    assert names >= {"retransmit", "ack_timeout", "rx_drop", "ecn_mark",
+                     "cnp_send", "cnp_recv"}
+    assert result.retransmits > 0
+    assert sum(r.get("name") == "retransmit" for r in notes) \
+        == result.retransmits
+    # Every note is a Perfetto instant, span or not (a CNP has none).
+    instants = [e for e in chrome_trace(sim.trace)["traceEvents"]
+                if e["ph"] == "i"]
+    assert len(instants) == len(notes)
+    assert any(e["args"]["span"] is None for e in instants)
+
+
+@pytest.mark.parametrize("chunk_bytes", [0, -4096])
+def test_chunk_bytes_must_be_positive(chunk_bytes):
+    """A chunk of < 1 byte never advances a chunked send: rejected at
+    build time instead of spinning the simulator on zero-delay records."""
+    sim = Simulator(seed=1)
+    with pytest.raises(HardwareError, match="chunk_bytes"):
+        Fabric(sim, SYSTEM_L.nic, propagation_ns=100.0,
+               chunk_bytes=chunk_bytes)
+    assert Fabric(sim, SYSTEM_L.nic, propagation_ns=100.0,
+                  chunk_bytes=1).chunk_bytes == 1

@@ -20,27 +20,12 @@ def test_emit_and_select():
     assert trace.select(event="syscall")[0].time == 3.0
 
 
-def test_category_filter():
-    trace = Trace(categories={"nic"})
-    trace.emit(1.0, "nic", "tx")
-    trace.emit(2.0, "cpu", "run")
-    assert [r.category for r in trace] == ["nic"]
-
-
 def test_record_field_access():
     rec = TraceRecord(1.0, "nic", "tx", (("size", 64), ("qp", 7)))
     assert rec.get("size") == 64
     assert rec.get("missing", "dflt") == "dflt"
     d = rec.asdict()
     assert d["qp"] == 7 and d["event"] == "tx"
-
-
-def test_subscribers_see_live_records():
-    trace = Trace()
-    seen = []
-    trace.subscribe(seen.append)
-    trace.emit(5.0, "x", "y")
-    assert len(seen) == 1 and seen[0].time == 5.0
 
 
 def test_trace_clear():
