@@ -1,15 +1,11 @@
-"""Incast benchmark — N→1 fan-in under receiver-side fabric contention.
+"""Incast benchmark — N→1 fan-in through the receiver's switch port.
 
 Sweeps the sender count (N ∈ {2, 4, 8, 16}) for a bypass (BP) and a CoRD
 (CD) dataplane, all senders streaming RDMA writes at one receiver host.
-With the receiver-side contention model on (the default for >2-host
-clusters), all flows share the receiver's switch output port, so the
-aggregate receive rate caps at one link's bandwidth and per-flow goodput
-falls as 1/N.  The sweep also runs one point with the legacy
-source-port-only fabric (``rx_contention=False``) to expose the modeling
-bug this layer fixes — N links' worth of aggregate receive bandwidth —
-and one point with a bounded switch buffer to exercise tail drops through
-the RC retransmit machinery.
+All flows share the receiver's switch output port, so the aggregate
+receive rate caps at one link's bandwidth and per-flow goodput falls as
+1/N.  The sweep also runs one point with a bounded switch buffer to
+exercise tail drops through the RC retransmit machinery.
 
 Results are recorded into ``results/BENCH_incast.json`` (smoke-scale runs
 must point ``REPRO_INCAST_JSON`` somewhere explicitly, mirroring the
@@ -21,7 +17,6 @@ Shape checks:
 - every contention-on aggregate rate is capped at one link's bandwidth;
 - mean per-flow goodput is non-increasing in N (per dataplane);
 - unbounded buffers never drop and never retransmit;
-- the legacy fabric exceeds one link's bandwidth at N=8 (the bug exists);
 - a bounded buffer drops, retransmits recover, and every flow completes;
 - DCQCN congestion control recovers the bounded-buffer 16→1 incast:
   ≥80% of the unbounded aggregate goodput and ≥10× fewer tail drops than
@@ -75,27 +70,24 @@ def _cfg(dataplane: str, senders: int) -> IncastConfig:
 
 def _sweep():
     points = [_cfg(kind, n) for _label, kind in PLANES for n in SENDERS]
-    # Controls: the legacy source-port-only fabric at N=8, and a bounded
-    # switch buffer at N=8 (tail drops + RC retransmit recovery).
-    legacy = _cfg("bypass", 8).with_(rx_contention=False)
+    # Control: a bounded switch buffer at N=8 (tail drops + RC
+    # retransmit recovery).
     bounded = _cfg("bypass", 8).with_(buffer_bytes=BOUNDED_BUFFER)
     # Congestion-control pair: the bounded 16→1 incast with and without
     # DCQCN.  The unbounded reference is the bypass N=16 sweep point.
     cc_off = _cfg("bypass", 16).with_(buffer_bytes=BOUNDED_BUFFER)
     cc_on = cc_off.with_(congestion="dcqcn")
-    results = parallel_sweep(_point, points + [legacy, bounded, cc_off, cc_on])
+    results = parallel_sweep(_point, points + [bounded, cc_off, cc_on])
     cc_on_r = results.pop()
     cc_off_r = results.pop()
     bounded_r = results.pop()
-    legacy_r = results.pop()
-    return points, results, legacy_r, bounded_r, cc_off_r, cc_on_r
+    return points, results, bounded_r, cc_off_r, cc_on_r
 
 
 def _entry(r) -> dict:
     return {
         "senders": r.config.senders,
         "dataplane": r.config.dataplane,
-        "rx_contention": r.config.rx_contention,
         "buffer_bytes": r.config.buffer_bytes,
         "msgs_per_sender": r.config.msgs_per_sender,
         "size": r.config.size,
@@ -114,7 +106,7 @@ def _entry(r) -> dict:
     }
 
 
-def _record(results, legacy_r, bounded_r, cc_ref_r, cc_off_r, cc_on_r) -> None:
+def _record(results, bounded_r, cc_ref_r, cc_off_r, cc_on_r) -> None:
     path = _incast_json_path()
     if bench_scale() < 1.0 and not os.environ.get(INCAST_JSON_ENV, "").strip():
         print(f"[bench] not recording incast sweep at scale {bench_scale():g} "
@@ -127,7 +119,6 @@ def _record(results, legacy_r, bounded_r, cc_ref_r, cc_off_r, cc_on_r) -> None:
         "link_gbit": link_gbit,
         "scale": bench_scale(),
         "sweep": {},
-        "legacy_rx_off": _entry(legacy_r),
         "bounded_buffer": _entry(bounded_r),
         # The congestion-collapse fix at N=16: unbounded reference (the
         # bypass sweep point), bounded CC-off, bounded DCQCN.
@@ -146,7 +137,7 @@ def _record(results, legacy_r, bounded_r, cc_ref_r, cc_off_r, cc_on_r) -> None:
     print(f"[bench] recorded incast sweep -> {path}")
 
 
-def _report(points, results, legacy_r, bounded_r, cc_off_r, cc_on_r):
+def _report(points, results, bounded_r, cc_off_r, cc_on_r):
     link_gbit = to_gbit_per_s(get_profile(SYSTEM).nic.link_bw)
     agg = SweepTable(f"Incast: aggregate receive rate, {SIZE // 1024} KiB "
                      "writes (Gbit/s)", "N")
@@ -167,9 +158,6 @@ def _report(points, results, legacy_r, bounded_r, cc_off_r, cc_on_r):
         h, r = t.rows()
         parts.append(format_table(h, r, t.title))
     parts.append(
-        f"legacy fabric (rx_contention off), N=8: "
-        f"{legacy_r.aggregate_gbit:.1f} Gbit/s aggregate "
-        f"(link is {link_gbit:.0f} Gbit/s)\n"
         f"bounded buffer ({BOUNDED_BUFFER // 1024} KiB), N=8: "
         f"{bounded_r.aggregate_gbit:.1f} Gbit/s, "
         f"{bounded_r.messages_dropped} drops, "
@@ -207,9 +195,6 @@ def _report(points, results, legacy_r, bounded_r, cc_off_r, cc_on_r):
             float(sum(r.messages_dropped + r.retransmits for r in rs)),
             0.0, 0.0))
     checks.append(check_between(
-        "legacy rx-off fabric exceeds one link at N=8 (the bug)",
-        legacy_r.aggregate_gbit, link_gbit * 2.0, float("inf")))
-    checks.append(check_between(
         "bounded buffer tail-drops (drops > 0)",
         float(bounded_r.messages_dropped), 1.0, float("inf")))
     checks.append(check_between(
@@ -236,7 +221,7 @@ def _report(points, results, legacy_r, bounded_r, cc_off_r, cc_on_r):
         "DCQCN loop engaged (ECN marks and CNPs observed)",
         float(min(cc_on_r.ecn_marked, cc_on_r.cnps)), 1.0, float("inf")))
     emit("incast_fan_in", text + "\n" + report_checks("incast", checks))
-    _record(results, legacy_r, bounded_r, cc_ref_r, cc_off_r, cc_on_r)
+    _record(results, bounded_r, cc_ref_r, cc_off_r, cc_on_r)
 
 
 @pytest.mark.benchmark(group="incast")

@@ -1,20 +1,15 @@
-"""NPB world-size scale-out on a multi-host cluster with rx contention.
+"""NPB world-size scale-out on a four-host switched cluster.
 
 Sweeps MPI world size (4/8/16 ranks) for the comm-heavy IS (alltoall/v)
 and CG (halo exchange) skeletons on a four-host cluster, bypass vs CoRD.
-With >2 hosts ``build_cluster`` defaults to the receiver-side contention
-model, so the many-to-one phases of these collectives contend for each
-receiver's switch output port rather than enjoying the legacy fabric's
-unbounded aggregate receive bandwidth.  A control point re-runs the
-largest IS world with ``rx_contention=False`` to measure how much the
-legacy fabric under-reported communication time.
+The many-to-one phases of these collectives contend for each receiver's
+switch output port.
 
 Shape checks (loose — skeleton timings, not the paper's absolutes):
 
 - strong scaling: per-iteration time falls as ranks split the fixed
   class-A problem;
-- CoRD stays within 2x of bypass at every point;
-- the legacy rx-off fabric is no slower than the contention model.
+- CoRD stays within 2x of bypass at every point.
 """
 
 import pytest
@@ -33,9 +28,8 @@ ITER_SCALE = 0.1
 
 
 def _point(point):
-    cfg, transport, rx = point
-    return run_npb(cfg, transport=transport, system=SYSTEM,
-                   hosts_n=HOSTS, rx_contention=rx)
+    cfg, transport = point
+    return run_npb(cfg, transport=transport, system=SYSTEM, hosts_n=HOSTS)
 
 
 def _sweep():
@@ -45,16 +39,11 @@ def _sweep():
             cfg = NpbConfig(name=name, klass="A", ranks=ranks,
                             iter_scale=ITER_SCALE)
             for _label, transport in PLANES:
-                points.append((cfg, transport, "auto"))
-    # Control: the legacy source-port-only fabric at the largest world.
-    legacy = (NpbConfig(name="IS", klass="A", ranks=RANKS[-1],
-                        iter_scale=ITER_SCALE), "bypass", False)
-    results = parallel_sweep(_point, points + [legacy])
-    legacy_r = results.pop()
-    return points, results, legacy_r
+                points.append((cfg, transport))
+    return points, parallel_sweep(_point, points)
 
 
-def _report(points, results, legacy_r):
+def _report(points, results):
     tables = {name: SweepTable(
         f"NPB {name}.A on {HOSTS} hosts: time per iteration (us)", "ranks")
         for name in NAMES}
@@ -73,12 +62,6 @@ def _report(points, results, legacy_r):
     for name in NAMES:
         h, rows = tables[name].rows()
         parts.append(format_table(h, rows, tables[name].title))
-    rx_on = by_key[("IS", RANKS[-1], "BP")]
-    parts.append(
-        f"IS.A x{RANKS[-1]} control, rx contention off: "
-        f"{legacy_r.per_iter_ns / 1e3:.1f} us/iter vs "
-        f"{rx_on.per_iter_ns / 1e3:.1f} us/iter with it on"
-    )
     text = "\n\n".join(parts)
 
     checks = []
@@ -94,9 +77,6 @@ def _report(points, results, legacy_r):
                    / by_key[(name, ranks, "BP")].per_iter_ns)
             checks.append(check_between(
                 f"{name} x{ranks}: CoRD within 2x of bypass", rel, 0.9, 2.0))
-    checks.append(check_between(
-        "legacy rx-off fabric is optimistic (no slower than rx on)",
-        legacy_r.per_iter_ns / rx_on.per_iter_ns, 0.0, 1.001))
     emit("scaleout_npb", text + "\n" + report_checks("scaleout_npb", checks))
 
 

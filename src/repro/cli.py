@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 from repro.analysis import format_table
 from repro.faults import parse_fault_spec
 from repro.hw.profiles import PROFILES
-from repro.npb import NpbConfig, run_npb
-from repro.npb.runner import DEFAULT_SUITE
+from repro.npb import NpbConfig
+from repro.npb.runner import DEFAULT_SUITE, run_on_hosts
 from repro.perftest.runner import PerftestConfig, default_sizes, run_bw, run_lat
 from repro.perftest.techniques import Techniques
 from repro.units import pretty_size
@@ -98,27 +98,26 @@ def cmd_bw(args) -> int:
     return 0
 
 
-def _rx_contention_arg(args):
-    """Map --rx-contention/--rx-buffer-bytes to a build_cluster argument."""
-    from repro.hw.profiles import RxContentionProfile
+def _npb_point(args, cfg: NpbConfig, transport: str):
+    """One NPB run; ``--rx-buffer-bytes`` bounds every switch port."""
+    from repro.cluster import build_cluster
+    from repro.hw.profiles import RxContentionProfile, get_profile
+    from repro.sim import Simulator
 
-    if args.rx_buffer_bytes is not None:
-        return RxContentionProfile(buffer_bytes=args.rx_buffer_bytes)
-    return {"auto": "auto", "on": True, "off": False}[args.rx_contention]
+    rx = (None if args.rx_buffer_bytes is None
+          else RxContentionProfile(buffer_bytes=args.rx_buffer_bytes))
+    _fabric, hosts = build_cluster(Simulator(seed=args.seed),
+                                   get_profile(args.system), args.hosts,
+                                   rx_contention=rx)
+    return run_on_hosts(cfg, hosts, transport)
 
 
 def cmd_npb(args) -> int:
-    rx_contention = _rx_contention_arg(args)
     rows = []
     for name in args.bench:
         cfg = NpbConfig(name=name, klass=args.klass, ranks=args.ranks,
                         iter_scale=args.iter_scale)
-        results = {}
-        for transport in args.transports:
-            results[transport] = run_npb(cfg, transport=transport,
-                                         system=args.system, seed=args.seed,
-                                         hosts_n=args.hosts,
-                                         rx_contention=rx_contention)
+        results = {t: _npb_point(args, cfg, t) for t in args.transports}
         base = results[args.transports[0]]
         row = [name, f"{base.per_iter_ns / 1e6:.3f}"]
         for transport in args.transports:
@@ -142,8 +141,8 @@ def cmd_incast(args) -> int:
         cfg = IncastConfig(
             system=args.system, dataplane=args.dataplane, senders=n,
             size=args.size, msgs_per_sender=args.msgs, window=args.window,
-            seed=args.seed, rx_contention=args.rx_contention != "off",
-            buffer_bytes=args.rx_buffer_bytes, congestion=args.congestion,
+            seed=args.seed, buffer_bytes=args.rx_buffer_bytes,
+            congestion=args.congestion,
         )
         r = run_incast(cfg)
         rows.append([
@@ -157,8 +156,7 @@ def cmd_incast(args) -> int:
         rows,
         title=f"{args.dataplane} incast on system {args.system}, "
               f"{pretty_size(args.size)} x {args.msgs} msgs/sender "
-              f"(rx_contention {'off' if args.rx_contention == 'off' else 'on'}"
-              f", congestion {args.congestion})",
+              f"(congestion {args.congestion})",
     ))
     return 0
 
@@ -550,24 +548,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_npb.add_argument("--seed", type=int, default=11)
     p_npb.add_argument("--hosts", type=int, default=2,
                        help="number of hosts ranks are spread over")
-    p_npb.add_argument("--rx-contention", choices=["auto", "on", "off"],
-                       default="auto",
-                       help="receiver-side fabric contention (auto: on for "
-                            ">2 hosts)")
     p_npb.add_argument("--rx-buffer-bytes", type=int, default=None,
-                       help="bounded switch output-port buffer (implies "
-                            "rx contention on; drops feed RC retransmit)")
+                       help="bounded switch output-port buffer (a two-host "
+                            "pair gets a switch too; drops feed RC "
+                            "retransmit)")
     p_npb.set_defaults(func=cmd_npb)
 
     p_incast = sub.add_parser(
         "incast",
-        help="N→1 incast sweep (receiver-side contention demo)",
+        help="N→1 incast sweep through the receiver's switch port",
         description="Many senders stream RDMA writes at one receiver.  "
-                    "With receiver-side contention on (default), the "
-                    "aggregate receive rate caps at one link's bandwidth; "
-                    "with --rx-contention off the legacy source-port-only "
-                    "fabric absorbs N links' worth (the modeling bug this "
-                    "mode exists to show).",
+                    "The flows share the receiver's switch output port, so "
+                    "the aggregate receive rate caps at one link's "
+                    "bandwidth.",
     )
     p_incast.add_argument("--system", choices=sorted(PROFILES), default="L")
     p_incast.add_argument("--dataplane", choices=["bypass", "cord"],
@@ -580,8 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_incast.add_argument("--window", type=int, default=16,
                           help="per-sender in-flight write window")
     p_incast.add_argument("--seed", type=int, default=7)
-    p_incast.add_argument("--rx-contention", choices=["on", "off"],
-                          default="on")
     p_incast.add_argument("--rx-buffer-bytes", type=int, default=None,
                           help="bounded switch output-port buffer in bytes "
                                "(default unbounded)")

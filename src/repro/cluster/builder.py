@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.cluster.fabric import Fabric, RxContentionSpec
+from repro.cluster.fabric import Fabric
 from repro.cluster.host import Host
 from repro.errors import ConfigError
 from repro.hw.profiles import CcProfile, RxContentionProfile, SystemProfile
@@ -37,36 +37,32 @@ def build_cluster(
     system: SystemProfile,
     num_hosts: int,
     chunk_bytes: Optional[int] = None,
-    rx_contention: Union[str, RxContentionSpec] = "auto",
+    rx_contention: Optional[RxContentionProfile] = None,
     congestion: CongestionSpec = "auto",
 ) -> tuple[Fabric, list[Host]]:
     """Build ``num_hosts`` hosts on one fabric.
 
-    ``rx_contention`` selects the receiver-side contention model (see
-    :mod:`repro.cluster.fabric`): ``"auto"`` (default) enables it only for
-    clusters larger than the paper's two-node testbeds — where fan-in is
-    possible — taking ``system.rx_contention`` when set and falling back
-    to an unbounded-buffer :class:`RxContentionProfile`.  Pass
-    ``True``/``False``/a profile to force it either way.  Two-host builds
-    stay bit-identical to the committed goldens under ``"auto"``.
+    The fabric models a switch output queue per host (see
+    :mod:`repro.cluster.fabric`) when ``rx_contention`` is given, when the
+    cluster has more than two hosts (fan-in is possible), or when
+    congestion control is on (marking keys off that queue); it then uses
+    ``rx_contention`` or, by default, an unbounded-buffer
+    :class:`RxContentionProfile`.  A two-host build with neither is the
+    paper's back-to-back pair, with no switch port.
 
     ``congestion`` selects end-to-end congestion control (ECN marking +
     DCQCN-style rate limiting; see :mod:`repro.hw.congestion`): ``"auto"``
     (default) follows ``system.cc`` — ``None`` on the shipped profiles, so
     CC is strictly opt-in and all committed goldens stay bit-identical.
     Pass ``"dcqcn"`` (profile's ``cc`` or the DCQCN defaults), ``"off"``,
-    or an explicit :class:`CcProfile`.  Requires the receiver-side
-    contention model (marking keys off switch queue occupancy).
+    or an explicit :class:`CcProfile`.
     """
     if num_hosts < 1:
         raise ValueError(f"need at least one host, got {num_hosts}")
     cc = _normalize_congestion(congestion, system)
-    if rx_contention == "auto":
-        rx: RxContentionSpec = None
-        if num_hosts > 2 or cc is not None:
-            rx = system.rx_contention or RxContentionProfile()
-    else:
-        rx = rx_contention  # type: ignore[assignment]
+    rx = rx_contention
+    if rx is None and (num_hosts > 2 or cc is not None):
+        rx = RxContentionProfile()
     fabric = Fabric(
         sim,
         system.nic,

@@ -7,20 +7,20 @@ correctly shares a single 100/200 Gbit/s port per host — then arrives at the
 destination after the propagation delay.  Per-packet overheads are charged
 arithmetically from the MTU (see :mod:`repro.hw.link` for rationale).
 
-**Receiver-side contention** (opt-in via ``rx_contention=``): the source-only
-model gives an N→1 incast unbounded aggregate receive bandwidth — every
+**Receiver-side contention** (``rx_contention=``, an
+:class:`~repro.hw.profiles.RxContentionProfile`): the source-only model
+would give an N→1 incast unbounded aggregate receive bandwidth — every
 sender's port runs at full rate and the arrivals just stack up at the
-destination.  With an :class:`~repro.hw.profiles.RxContentionProfile`
-attached, each host additionally owns an **RX ingress port** (a capacity-1
-serial resource mirroring the TX side) fed by a **switch output queue**:
-a message pays propagation, is admitted to the destination port's byte
-buffer (tail-dropped on overflow when ``buffer_bytes`` is bounded — the RC
-ACK-timeout machinery retransmits), then drains through the ingress port at
-link rate before the NIC sees it.  Fan-in therefore sustains at most one
-link's bandwidth at the receiver, and queue occupancy is exported as
-telemetry plus an ``rx_port`` attribution stage.  With ``rx_contention``
-off (the default) the transmit path is byte-for-byte the paper's two-node
-model, so all committed goldens stay bit-identical.
+destination.  With a profile attached, each host additionally owns an
+**RX ingress port** (a capacity-1 serial resource mirroring the TX side)
+fed by a **switch output queue**: a message pays propagation, is admitted
+to the destination port's byte buffer (tail-dropped on overflow when
+``buffer_bytes`` is bounded — the RC ACK-timeout machinery retransmits),
+then drains through the ingress port at link rate before the NIC sees it.
+Fan-in therefore sustains at most one link's bandwidth at the receiver,
+and queue occupancy is exported as telemetry plus an ``rx_port``
+attribution stage.  ``rx_contention=None`` is a back-to-back cable with
+no switch port: the paper's two-node model, where fan-in cannot occur.
 
 Loopback (src == dst) bypasses the wire: the NIC hairpins the message at
 PCIe bandwidth with a small fixed latency.  The paper's MPI runs forbid
@@ -33,7 +33,7 @@ degradation apply to intra-host ranks in multi-host MPI worlds too.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Generator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.errors import HardwareError
 from repro.hw.profiles import CcProfile, NicProfile, RxContentionProfile
@@ -43,10 +43,6 @@ from repro.sim.resources import Request, Resource
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.nic import Nic
     from repro.sim.engine import Simulator
-
-#: What callers may pass as ``rx_contention``: a profile, a bool toggle
-#: (``True`` = unbounded-buffer defaults), or ``None`` (off).
-RxContentionSpec = Union[None, bool, RxContentionProfile]
 
 #: Wire-message kinds eligible for ECN marking: RC requests whose marked
 #: arrival makes the responder NIC emit a CNP.  Responses/ACKs are left
@@ -81,22 +77,10 @@ def _hold(res: Resource, then: Callable[[Request, object], None],
     then(tok, ctx)
 
 
-def _normalize_rx_contention(spec: RxContentionSpec) -> Optional[RxContentionProfile]:
-    if spec is None or spec is False:
-        return None
-    if spec is True:
-        return RxContentionProfile()
-    if isinstance(spec, RxContentionProfile):
-        return spec
-    raise HardwareError(
-        f"rx_contention must be None/bool/RxContentionProfile, got {spec!r}"
-    )
-
-
 class SwitchPort:
     """One switch output port: a byte buffer draining through a serial
-    ingress resource at link rate.  Created per attached host when the
-    fabric runs with receiver-side contention."""
+    ingress resource at link rate.  Created per attached host on a
+    switched fabric."""
 
     __slots__ = ("host_id", "resource", "buffer_bytes", "queued_bytes",
                  "peak_queued_bytes", "messages_dropped", "bytes_dropped",
@@ -125,7 +109,7 @@ class Fabric:
         propagation_ns: float,
         loopback_latency_ns: float = 350.0,
         chunk_bytes: Optional[int] = None,
-        rx_contention: RxContentionSpec = None,
+        rx_contention: Optional[RxContentionProfile] = None,
         cc: Optional[CcProfile] = None,
         name: str = "fabric",
     ):
@@ -136,24 +120,36 @@ class Fabric:
         #: Optional transmission granularity for fairness experiments: large
         #: messages are chopped into chunks so flows interleave on the port.
         self.chunk_bytes = chunk_bytes
-        #: Receiver-side contention model (see module docstring); ``None``
-        #: keeps the source-port-only semantics bit-identical to the seed.
-        self.rx_contention = _normalize_rx_contention(rx_contention)
+        #: Switch output-queue model (see module docstring); ``None`` is a
+        #: back-to-back pair with no switch port.
+        if rx_contention is not None and not isinstance(
+                rx_contention, RxContentionProfile):
+            raise HardwareError(
+                "rx_contention must be None or an RxContentionProfile, "
+                f"got {rx_contention!r}"
+            )
+        self.rx_contention = rx_contention
         #: Congestion-control profile: enables WRED/ECN marking at the
         #: switch output queues (and tells attached NICs to run the CNP /
-        #: rate-limiter loop).  Requires the receiver-side contention
-        #: model — marking keys off switch queue occupancy.
+        #: rate-limiter loop).  Requires ``rx_contention`` — marking keys
+        #: off switch queue occupancy.
         self.cc = cc
         if chunk_bytes is not None and chunk_bytes < 1:
             raise HardwareError(
                 f"chunk_bytes must be >= 1 (got {chunk_bytes}): a chunked "
                 "send would never make progress"
             )
+        buffer_bytes = rx_contention.buffer_bytes if rx_contention else None
+        if buffer_bytes is not None and buffer_bytes < 1:
+            raise HardwareError(
+                f"buffer_bytes must be >= 1 (got {buffer_bytes}): a switch "
+                "port that admits nothing drops every message"
+            )
         if cc is not None and self.rx_contention is None:
             raise HardwareError(
-                "congestion control needs the receiver-side contention "
-                "model (pass rx_contention=... as well): ECN marking keys "
-                "off switch output-queue occupancy"
+                "congestion control needs a switch output queue (pass an "
+                "RxContentionProfile as rx_contention): ECN marking keys "
+                "off its occupancy"
             )
         self.name = name
         #: Memo of :meth:`serialization_ns` by size (the profile is frozen).
@@ -231,13 +227,12 @@ class Fabric:
             raise HardwareError(f"no host {host_id} on {self.name}") from None
 
     def rx_port(self, host_id: int) -> SwitchPort:
-        """The switch output port feeding ``host_id`` (rx_contention only)."""
+        """The switch output port feeding ``host_id``."""
         try:
             return self._rx_ports[host_id]
         except KeyError:
             raise HardwareError(
-                f"no rx port for host {host_id} on {self.name} "
-                "(is rx_contention enabled?)"
+                f"no switch port for host {host_id} on {self.name}"
             ) from None
 
     def _rx_queue_state(self) -> tuple:
@@ -320,7 +315,7 @@ class Fabric:
         ``done`` runs in the record where the last bit leaves the source
         port, also when the message is lost there (the sender carries on
         either way).  Delivery happens ``propagation_ns`` later (plus
-        receiver-port queueing when ``rx_contention`` is on).  FIFO per
+        switch output-port queueing on a switched fabric).  FIFO per
         source port preserves per-QP ordering (PSN reordering at the
         receiver covers the rest).
         """

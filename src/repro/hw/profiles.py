@@ -127,15 +127,17 @@ class NicProfile:
 
 @dataclass(frozen=True)
 class RxContentionProfile:
-    """Receiver-side fabric contention (opt-in; see ``cluster/fabric.py``).
+    """A switched fabric's receiver side (see ``cluster/fabric.py``).
 
-    When attached to a :class:`~repro.cluster.fabric.Fabric`, every host
-    gets an RX ingress port — a capacity-1 serial resource mirroring the
-    TX side — fed by a switch output queue with ``buffer_bytes`` of
-    buffering.  An N→1 incast then drains at one link's bandwidth instead
-    of N links' worth, and a bounded buffer tail-drops overflow into the
-    RC retransmit machinery.  The default (``None`` buffer) is an
-    unbounded, lossless output queue: contention without drops.
+    Every switched :class:`~repro.cluster.fabric.Fabric` carries one
+    (``build_cluster`` attaches the default for more than two hosts or
+    with congestion control); only a back-to-back pair has none.  Every
+    host gets an RX ingress port — a capacity-1 serial resource mirroring
+    the TX side — fed by a switch output queue with ``buffer_bytes`` of
+    buffering.  An N→1 incast therefore drains at one link's bandwidth,
+    and a bounded buffer tail-drops overflow into the RC retransmit
+    machinery.  The default (``None`` buffer) is an unbounded, lossless
+    output queue: contention without drops.
     """
 
     #: Per switch-output-port buffer in bytes; ``None`` = unbounded.
@@ -252,11 +254,6 @@ class SystemProfile:
     #: serialization is the main tax).
     cord_serialize_ns: float = 150.0
     cord_kernel_driver_ns: float = 120.0
-    #: Receiver-side fabric contention model.  ``None`` keeps the paper's
-    #: two-node semantics (source-port serialization only); clusters built
-    #: with >2 hosts enable an unbounded-buffer model by default (see
-    #: ``repro.cluster.builder.build_cluster``).
-    rx_contention: Optional[RxContentionProfile] = None
     #: End-to-end congestion control (ECN + DCQCN-style rate limiting).
     #: ``None`` on the shipped profiles: the loop is strictly opt-in via
     #: ``build_cluster(..., congestion=...)`` / the ``--congestion`` CLI

@@ -21,21 +21,26 @@ def run_npb(
     system: "SystemProfile | str" = "A",
     hosts_n: int = 2,
     seed: int = 11,
-    rx_contention="auto",
 ) -> NpbResult:
     """Run one benchmark on a fresh cluster; returns its timing.
 
-    ``rx_contention`` passes through to
-    :func:`repro.cluster.build_cluster`: ``"auto"`` (default) models
-    receiver-side fabric contention whenever the cluster has >2 hosts.
+    A cluster of more than two hosts models each receiver's switch output
+    queue (see :func:`repro.cluster.build_cluster`), so collective fan-in
+    shares one link per receiver.
     """
     from repro.sim import Simulator
 
     profile = get_profile(system) if isinstance(system, str) else system
     sim = Simulator(seed=seed)
-    _fabric, hosts = build_cluster(sim, profile, hosts_n,
-                                   rx_contention=rx_contention)
-    world = MpiWorld(sim, hosts, config.ranks, transport=transport)
+    _fabric, hosts = build_cluster(sim, profile, hosts_n)
+    return run_on_hosts(config, hosts, transport)
+
+
+def run_on_hosts(
+    config: NpbConfig, hosts: list, transport: str = "bypass"
+) -> NpbResult:
+    """Run one benchmark over already-built hosts of one cluster."""
+    world = MpiWorld(hosts[0].sim, hosts, config.ranks, transport=transport)
     program, iters = get_benchmark(config.name)(config)
     results = world.run(program)
     t0 = min(r[0] for r in results)

@@ -1,11 +1,9 @@
 """N→1 incast driver: many senders stream RDMA writes at one receiver.
 
-The scale-out stress test the source-port-only fabric gets wrong: with
-``rx_contention`` off every sender's port runs at full rate and the
-receiver absorbs N links' worth of bandwidth; with it on (the default
-here) the flows share the receiver's switch output port and the aggregate
-receive rate caps at one link's bandwidth — with a bounded buffer, tail
-drops feed the RC retransmit machinery.
+The scale-out stress test for the fabric's switch output queue: the
+flows share the receiver's switch output port, so the aggregate receive
+rate caps at one link's bandwidth — with a bounded buffer, tail drops
+feed the RC retransmit machinery.
 
 Used by ``benchmarks/bench_incast.py`` (N/dataplane sweep), the
 ``repro incast`` CLI subcommand, ``tools/check_incast.py`` and the
@@ -20,6 +18,7 @@ from typing import Generator, Optional
 from repro.cluster import Fabric, build_cluster
 from repro.core.endpoint import Endpoint, connect, make_endpoint
 from repro.errors import ConfigError
+from repro.hw.nic import HEADER_BYTES
 from repro.hw.profiles import RxContentionProfile, get_profile
 from repro.sim import Simulator
 from repro.units import to_gbit_per_s
@@ -45,9 +44,6 @@ class IncastConfig:
     #: Per-sender write window (in-flight cap; clamped to sq_depth).
     window: int = 16
     seed: int = 7
-    #: Receiver-side contention: the point of the exercise.  ``False``
-    #: reproduces the legacy source-port-only fabric for comparison.
-    rx_contention: bool = True
     #: Switch output-port buffer in bytes; ``None`` = unbounded (no drops).
     buffer_bytes: Optional[int] = None
     chunk_bytes: Optional[int] = None
@@ -67,10 +63,17 @@ class IncastConfig:
             raise ConfigError(
                 f"congestion must be 'off' or 'dcqcn', got {self.congestion!r}"
             )
-        if self.congestion != "off" and not self.rx_contention:
+        if self.window < 1:
             raise ConfigError(
-                "congestion control needs rx_contention (ECN marks the "
-                "switch output queue)"
+                f"window must be >= 1 (got {self.window}): no write could "
+                "ever be posted"
+            )
+        if (self.buffer_bytes is not None
+                and self.buffer_bytes < self.size + HEADER_BYTES):
+            raise ConfigError(
+                f"buffer_bytes {self.buffer_bytes} is below one write's wire "
+                f"size ({self.size} + {HEADER_BYTES} B header): the switch "
+                "would drop every write"
             )
 
     def with_(self, **kwargs) -> "IncastConfig":
@@ -86,8 +89,7 @@ class IncastResult:
     duration_ns: float
     #: Per-sender goodput (payload bits over the flow's own lifetime).
     flow_goodputs_gbit: tuple
-    #: Peak switch output-queue occupancy at the receiver (0 when
-    #: rx_contention is off).
+    #: Peak switch output-queue occupancy at the receiver.
     rx_queue_peak_bytes: int
     #: Messages lost in the fabric (switch tail drops; 0 when unbounded).
     messages_dropped: int
@@ -183,12 +185,10 @@ def build_incast(
     endpoints share one pinned core (the sink is passive for RDMA writes).
     """
     profile = get_profile(config.system)
-    rx = (RxContentionProfile(buffer_bytes=config.buffer_bytes)
-          if config.rx_contention else False)
     fabric, hosts = build_cluster(
-        sim, profile, config.senders + 1,
-        chunk_bytes=config.chunk_bytes, rx_contention=rx,
-        congestion="off" if config.congestion == "off" else config.congestion,
+        sim, profile, config.senders + 1, chunk_bytes=config.chunk_bytes,
+        rx_contention=RxContentionProfile(buffer_bytes=config.buffer_bytes),
+        congestion=config.congestion,
     )
     buf_bytes = max(config.size, 4096)
     pairs: list[tuple[Endpoint, Endpoint]] = []
@@ -229,8 +229,7 @@ def _drive(
         if t1 > t0 else 0.0
         for (t0, t1), nf in zip(spans, fails)
     )
-    peak = fabric.rx_port(0).peak_queued_bytes if config.rx_contention else 0
-    marked = fabric.rx_port(0).messages_marked if config.rx_contention else 0
+    port = fabric.rx_port(0)
     rates = [
         lim.lowest_rate for h in hosts for lim in h.nic._limiters.values()
         if lim.rate_cuts
@@ -239,11 +238,11 @@ def _drive(
         config=config,
         duration_ns=t_last - t_first,
         flow_goodputs_gbit=goodputs,
-        rx_queue_peak_bytes=peak,
+        rx_queue_peak_bytes=port.peak_queued_bytes,
         messages_dropped=fabric.messages_dropped,
         retransmits=sum(h.nic.counters.retransmits for h in hosts),
         ack_timeouts=sum(h.nic.counters.ack_timeouts for h in hosts),
-        ecn_marked=marked,
+        ecn_marked=port.messages_marked,
         cnps=sum(h.nic.counters.cnps_sent for h in hosts),
         min_rate=min(rates) if rates else 0.0,
         failed_msgs=sum(fails),

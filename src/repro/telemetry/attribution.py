@@ -43,8 +43,7 @@ from repro.telemetry.spans import OpSpan
 #: ``rx_arrive`` = the rx engine, ``tx_wire`` = the source port
 #: (capacity-1 resource; serialization is FIFO per host), ``rx_port`` =
 #: the destination's switch output queue + RX ingress port (emitted only
-#: when the fabric runs with receiver-side contention; fan-in queueing
-#: lands here).
+#: on a switched fabric; fan-in queueing lands here).
 SERIAL_STAGES = frozenset({"doorbell", "rx_arrive", "tx_wire", "rx_port"})
 
 #: Stages that are pure waiting: the CQE is in host memory, the op is done

@@ -73,6 +73,28 @@ def test_npb_command(capsys):
     assert "EP" in out and "cord rel" in out
 
 
+def test_npb_command_bounded_switch_buffer(capsys):
+    assert main(["npb", "--bench", "IS", "--klass", "S", "--ranks", "8",
+                 "--hosts", "4", "--rx-buffer-bytes", "1048576",
+                 "--transports", "bypass"]) == 0
+    assert "4 hosts" in capsys.readouterr().out
+
+
+def test_incast_command(capsys):
+    assert main(["incast", "--senders", "2", "--msgs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "peak rxq" in out
+    row = out.strip().splitlines()[-1].split()
+    assert row[0] == "2" and int(row[3]) > 0  # "<n> B" peak queue
+
+
+def test_incast_rejects_zero_window():
+    from repro.errors import ConfigError
+
+    with pytest.raises(ConfigError, match="window"):
+        main(["incast", "--senders", "2", "--msgs", "2", "--window", "0"])
+
+
 def test_trace_timeline_default(capsys):
     assert main(["trace", "--size", "1024"]) == 0
     out = capsys.readouterr().out

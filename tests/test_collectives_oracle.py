@@ -2,8 +2,8 @@
 
 The alltoall/alltoallv/allgather algorithms take different code paths for
 non-power-of-two worlds (ring shifts instead of XOR partners).  These
-tests run them on >2-host clusters — where the receiver-side contention
-model is on by default — at world sizes 3 and 6, and compare the data
+tests run them on >2-host clusters — where every receiver has a switch
+output queue — at world sizes 3 and 6, and compare the data
 every rank receives against a naive oracle that moves the same payloads
 with one tagged point-to-point message per (src, dst) pair.
 """
@@ -22,7 +22,7 @@ SIZES = [3, 6]
 def run_world(program, size, hosts_n=3, seed=5):
     sim = Simulator(seed=seed)
     fabric, hosts = build_cluster(sim, SYSTEM_L, hosts_n)
-    assert fabric.rx_contention is not None  # >2 hosts -> contention on
+    assert fabric.rx_contention is not None  # >2 hosts -> switch queue
     world = MpiWorld(sim, hosts, size)
     return world.run(program)
 

@@ -10,7 +10,7 @@ cancellation, and the loss-site drop accounting split.
 
 import pytest
 
-from repro.cluster import build_cluster
+from repro.cluster import Fabric, build_cluster
 from repro.errors import ConfigError, HardwareError
 from repro.faults import FaultPlan
 from repro.hw.congestion import DcqcnLimiter
@@ -185,8 +185,7 @@ def test_state_clamps_ages_for_cycle_detection():
 
 def _marking_fabric():
     sim = Simulator(seed=3)
-    fabric, _hosts = build_cluster(sim, SYSTEM_L, 2, rx_contention=True,
-                                   congestion="dcqcn")
+    fabric, _hosts = build_cluster(sim, SYSTEM_L, 2, congestion="dcqcn")
     return sim, fabric
 
 
@@ -250,9 +249,8 @@ def test_only_request_kinds_are_marked():
 
 def test_congestion_requires_rx_contention():
     sim = Simulator(seed=1)
-    with pytest.raises(HardwareError):
-        build_cluster(sim, SYSTEM_L, 4, rx_contention=False,
-                      congestion="dcqcn")
+    with pytest.raises(HardwareError, match="switch output queue"):
+        Fabric(sim, SYSTEM_L.nic, propagation_ns=100.0, cc=CcProfile())
 
 
 def test_builder_rejects_unknown_congestion_spec():
@@ -264,8 +262,6 @@ def test_builder_rejects_unknown_congestion_spec():
 def test_incast_config_validates_congestion():
     with pytest.raises(ConfigError):
         IncastConfig(congestion="bogus")
-    with pytest.raises(ConfigError):
-        IncastConfig(congestion="dcqcn", rx_contention=False)
 
 
 def test_auto_congestion_is_off_on_shipped_profiles():

@@ -370,8 +370,7 @@ def test_rx_burst_depth_counts_only_waiting_messages(monkeypatch):
 
 def test_cc_paced_qp_holds_the_tx_engine_for_other_qps(monkeypatch):
     sim = Simulator(seed=3)
-    _fabric, hosts = build_cluster(sim, SYSTEM_L, 2, rx_contention=True,
-                                   congestion="dcqcn")
+    _fabric, hosts = build_cluster(sim, SYSTEM_L, 2, congestion="dcqcn")
     src, dst = hosts
     nic = src.nic
     assert nic.cc is not None

@@ -211,8 +211,8 @@ def test_rx_contention_on_seed_stability(dataplane):
     """The receiver-side contention model must be exactly as deterministic
     as the rest of the engine: a contended 4→1 incast reruns bit-identical
     (including queue peaks and attribution-relevant flow spans), and the
-    two-host golden workloads — where ``rx_contention`` stays off under
-    ``"auto"`` — still reproduce their committed values bit for bit."""
+    two-host golden workloads — back-to-back pairs with no switch port —
+    still reproduce their committed values bit for bit."""
     from repro.perftest.incast import IncastConfig, run_incast
 
     cfg = IncastConfig(dataplane=dataplane, senders=4, size=16 * 1024,

@@ -1,10 +1,8 @@
 """N→1 incast regressions: receiver-side contention, drops, attribution.
 
-The tentpole regression suite for the fan-in modeling fix: with
-``rx_contention`` on, an 8→1 incast's aggregate receive rate must cap at
-one link's bandwidth; with it off (the legacy source-port-only fabric)
-the unphysical N-links aggregate is reproduced for comparison.  Also
-covers the bounded switch buffer (tail drops recovered by RC
+The regression suite for the switch output-queue model: an 8→1 incast's
+aggregate receive rate must cap at one link's bandwidth.  Also covers
+the bounded switch buffer (tail drops recovered by RC
 retransmission), the ``rx_port`` attribution stage, and the satellite
 fabric fixes (delivered-only counters, chunk packet accounting, loopback
 fault coverage).
@@ -13,10 +11,12 @@ fault coverage).
 import pytest
 
 from repro.cluster import Fabric, build_cluster
-from repro.errors import HardwareError
+from repro.errors import ConfigError, HardwareError
 from repro.faults import FaultInjector, FaultPlan
+from repro.hw.nic import HEADER_BYTES
 from repro.hw.profiles import SYSTEM_L, RxContentionProfile, get_profile
 from repro.perftest.incast import IncastConfig, run_incast, run_incast_attributed
+from repro.perftest.runner import PerftestConfig, run_attributed
 from repro.sim import Simulator
 from repro.telemetry import attribute_spans, build_spans, chrome_trace
 from repro.units import to_gbit_per_s
@@ -34,18 +34,11 @@ def _cfg(**kwargs):
 
 
 def test_incast_rx_on_caps_aggregate_at_one_link():
-    r = run_incast(_cfg(rx_contention=True))
+    r = run_incast(_cfg())
     assert r.aggregate_gbit <= LINK_GBIT * 1.02
     assert r.messages_dropped == 0 and r.retransmits == 0
     # The queue really formed: at some instant ~7 messages sat waiting.
     assert r.rx_queue_peak_bytes >= 6 * 64 * 1024
-
-
-def test_incast_rx_off_reproduces_the_fan_in_bug():
-    """The legacy fabric hands the receiver N links' worth of bandwidth."""
-    r = run_incast(_cfg(rx_contention=False))
-    assert r.aggregate_gbit > LINK_GBIT * 2.0
-    assert r.rx_queue_peak_bytes == 0
 
 
 def test_per_flow_goodput_splits_the_link():
@@ -85,25 +78,29 @@ def test_incast_same_seed_is_bit_identical():
 
 
 def test_rx_port_stage_explains_added_incast_latency():
-    cfg = _cfg(senders=4, msgs_per_sender=8)
-    on, sim = run_incast_attributed(cfg)
-    off = run_incast(cfg.with_(rx_contention=False))
+    """Every ``rx_port`` stage is one message's drain through the switch
+    port (its serialization time) plus the fan-in queue ahead of it."""
+    _r, sim = run_incast_attributed(_cfg(senders=4, msgs_per_sender=8))
     assert sim.trace.dropped == 0
     blames = attribute_spans(build_spans(sim.trace, op="post_send"))
-    rx_ns = sum(s.duration_ns for b in blames for s in b.stages
-                if s.name.split("#")[0] == "rx_port")
-    added_ns = on.duration_ns - off.duration_ns
-    assert added_ns > 0
-    assert rx_ns >= 0.95 * added_ns
+    stages = [s for b in blames for s in b.stages
+              if s.name.split("#")[0] == "rx_port"]
+    # One per write at the receiver (host 0), one per ACK at its sender.
+    assert len(blames) == 32 and len(stages) == 64
+    wire = Fabric(Simulator(seed=1), SYSTEM_L.nic, propagation_ns=0.0)
+    for s in stages:
+        carried = 64 * 1024 + HEADER_BYTES if s.host == 0 else HEADER_BYTES
+        assert s.service_ns == pytest.approx(wire.serialization_ns(carried),
+                                             rel=1e-9)
     # And the stage rides the serial-server queue/service split.
-    queued = [s for b in blames for s in b.stages
-              if s.name.split("#")[0] == "rx_port" and s.queue_ns > 0]
+    queued = [s for s in stages if s.queue_ns > 0]
     assert queued, "expected some rx_port stages to report queueing"
 
 
 def test_rx_contention_off_has_no_rx_port_stage():
-    cfg = _cfg(senders=2, msgs_per_sender=4, rx_contention=False)
-    _r, sim = run_incast_attributed(cfg)
+    """A back-to-back pair has no switch, so no ``rx_port`` stage."""
+    cfg = PerftestConfig(iters=8, warmup=2, window=4, seed=7)
+    _r, sim, _pair = run_attributed(cfg, 64 * 1024, "bw")
     blames = attribute_spans(build_spans(sim.trace, op="post_send"))
     assert blames
     assert not any(s.name.split("#")[0] == "rx_port"
@@ -115,7 +112,7 @@ def test_rx_contention_off_has_no_rx_port_stage():
 
 def test_rx_port_accessor_rejects_when_model_off():
     sim = Simulator(seed=1)
-    fabric, _hosts = build_cluster(sim, SYSTEM_L, 2)  # auto -> off
+    fabric, _hosts = build_cluster(sim, SYSTEM_L, 2)  # back-to-back pair
     with pytest.raises(HardwareError):
         fabric.rx_port(0)
 
@@ -215,9 +212,10 @@ def test_rx_contention_spec_validation():
                     rx_contention=RxContentionProfile(buffer_bytes=4096))
     assert fabric.rx_contention.buffer_bytes == 4096
     assert fabric.lossy  # bounded buffer can drop even without faults
-    off = Fabric(sim, SYSTEM_L.nic, propagation_ns=100.0, rx_contention=True)
-    assert off.rx_contention.buffer_bytes is None
-    assert not off.lossy  # unbounded: nothing can be lost
+    unbounded = Fabric(sim, SYSTEM_L.nic, propagation_ns=100.0,
+                       rx_contention=RxContentionProfile())
+    assert unbounded.rx_contention.buffer_bytes is None
+    assert not unbounded.lossy  # unbounded: nothing can be lost
 
 
 def test_retransmit_notes_match_the_counter():
@@ -252,3 +250,33 @@ def test_chunk_bytes_must_be_positive(chunk_bytes):
                chunk_bytes=chunk_bytes)
     assert Fabric(sim, SYSTEM_L.nic, propagation_ns=100.0,
                   chunk_bytes=1).chunk_bytes == 1
+
+
+@pytest.mark.parametrize("buffer_bytes", [0, -4096])
+def test_switch_buffer_must_hold_a_byte(buffer_bytes):
+    """A switch port with no buffer tail-drops every message."""
+    sim = Simulator(seed=1)
+    with pytest.raises(HardwareError, match="buffer_bytes"):
+        Fabric(sim, SYSTEM_L.nic, propagation_ns=100.0,
+               rx_contention=RxContentionProfile(buffer_bytes=buffer_bytes))
+    assert Fabric(sim, SYSTEM_L.nic, propagation_ns=100.0,
+                  rx_contention=RxContentionProfile(buffer_bytes=1)).lossy
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_incast_window_must_be_positive(window):
+    """A zero window never posts, so every message used to be booked as
+    failed behind a "dead" QP with an aggregate of 0.0."""
+    with pytest.raises(ConfigError, match="window"):
+        _cfg(senders=2, msgs_per_sender=2, window=window)
+
+
+def test_incast_buffer_must_fit_one_write():
+    """A write's wire size is its payload plus the RC header; a buffer
+    below that drops every copy and every retransmit."""
+    for buffer_bytes in (64 * 1024, 0, -1):
+        with pytest.raises(ConfigError, match="buffer_bytes"):
+            _cfg(senders=2, msgs_per_sender=2, buffer_bytes=buffer_bytes)
+    r = run_incast(_cfg(senders=2, msgs_per_sender=2,
+                        buffer_bytes=64 * 1024 + HEADER_BYTES))
+    assert r.failed_msgs == 0 and r.aggregate_gbit > 0

@@ -2,10 +2,10 @@
 """CI gate: incast sweep invariants in ``BENCH_incast.json``.
 
 ``benchmarks/bench_incast.py`` records an N→1 fan-in sweep (sender count
-x dataplane) plus two control points.  This gate re-checks the physics
-the receiver-side contention model must honour, on whatever record the
-benchmark produced (committed full-scale or a smoke-scale run pointed at
-by ``REPRO_INCAST_JSON``):
+x dataplane) plus a bounded-buffer control and a congestion-control
+trio.  This gate re-checks the physics the switch output-queue model
+must honour, on whatever record the benchmark produced (committed
+full-scale or a smoke-scale run pointed at by ``REPRO_INCAST_JSON``):
 
 - per-flow mean goodput is non-increasing in the sender count for every
   dataplane series (flows share one receiver port; more senders can only
@@ -13,8 +13,6 @@ by ``REPRO_INCAST_JSON``):
 - aggregate receive rate never exceeds one link's bandwidth (small
   tolerance for the duration being measured first-start → last-finish);
 - unbounded switch buffers never drop and never retransmit;
-- the legacy rx-off control *exceeds* one link's bandwidth (the modeling
-  bug stays demonstrably fixed, not silently re-hidden);
 - the bounded-buffer control drops, and every drop is matched by at
   least one retransmit (RC recovery engaged);
 - DCQCN recovers the bounded 16→1 incast: ≥80% of the unbounded
@@ -73,13 +71,6 @@ def check(doc: dict) -> list[str]:
                     f"{e['messages_dropped']} / retransmitted "
                     f"{e['retransmits']}")
 
-    legacy = doc["legacy_rx_off"]
-    if legacy["aggregate_gbit"] <= link * AGG_TOL:
-        problems.append(
-            f"legacy rx-off control only reached "
-            f"{legacy['aggregate_gbit']:.1f} Gbit/s — the fan-in bug it "
-            "demonstrates appears to have leaked into the rx-off path")
-
     bounded = doc["bounded_buffer"]
     if bounded["messages_dropped"] < 1:
         problems.append("bounded-buffer control recorded zero drops")
@@ -120,6 +111,14 @@ def check(doc: dict) -> list[str]:
     return problems
 
 
+def count_runs(doc: dict) -> int:
+    """Distinct simulated runs in the record (the congestion reference is
+    a copy of the bypass N=16 sweep point, so it counts once)."""
+    entries = [e for v in doc["sweep"].values() for e in v]
+    entries += [doc["bounded_buffer"], *doc["congestion"].values()]
+    return len({json.dumps(e, sort_keys=True) for e in entries})
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("path", nargs="?", default=DEFAULT_PATH, type=Path,
@@ -128,15 +127,12 @@ def main(argv=None) -> int:
 
     doc = json.loads(args.path.read_text())
     problems = check(doc)
-    # Control points: legacy rx-off, bounded buffer, CC-off, DCQCN (the
-    # congestion reference is the bypass N=16 sweep point, not a rerun).
-    n_points = sum(len(v) for v in doc["sweep"].values()) + 4
     if problems:
         print(f"check_incast: {len(problems)} violation(s) in {args.path}:")
         for p in problems:
             print(f"  - {p}")
         return 1
-    print(f"check_incast: OK ({n_points} points in {args.path}, "
+    print(f"check_incast: OK ({count_runs(doc)} points in {args.path}, "
           f"link {doc['link_gbit']:.0f} Gbit/s, scale {doc.get('scale', 1)})")
     return 0
 
