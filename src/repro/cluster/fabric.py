@@ -235,6 +235,30 @@ class Fabric:
                 f"no switch port for host {host_id} on {self.name}"
             ) from None
 
+    def snapshot(self) -> dict[str, object]:
+        """Carried and dropped totals, per switch port and fault layer."""
+        return {
+            "messages_carried": self.messages_carried,
+            "bytes_carried": self.bytes_carried,
+            "messages_dropped": self.messages_dropped,
+            "bytes_dropped": self.bytes_dropped,
+            "drops_hairpin": self.drops_hairpin,
+            "drops_wire": self.drops_wire,
+            "drops_rxq": self.drops_rxq,
+            "ports": {
+                f"host{hid}": {
+                    "queued_bytes": port.queued_bytes,
+                    "peak_queued_bytes": port.peak_queued_bytes,
+                    "messages_dropped": port.messages_dropped,
+                    "bytes_dropped": port.bytes_dropped,
+                    "messages_marked": port.messages_marked,
+                }
+                for hid, port in sorted(self._rx_ports.items())
+            },
+            "faults": (self.faults.snapshot()
+                       if self.faults is not None else None),
+        }
+
     def _rx_queue_state(self) -> tuple:
         return tuple(
             (hid, port.queued_bytes, len(port.resource.users),
@@ -271,11 +295,6 @@ class Fabric:
                 return
         payload.ecn = True  # type: ignore[attr-defined]
         port.messages_marked += 1
-        tele = self.sim.telemetry
-        if tele.enabled:
-            tele.scope(f"host{port.host_id}").counter("fabric.ecn.marked").inc(
-                nbytes, key=payload.kind  # type: ignore[attr-defined]
-            )
         trace = self.sim.trace
         if trace.enabled:
             trace.emit(self.sim.now, "span", "note",
@@ -464,11 +483,6 @@ class Fabric:
             self.messages_dropped += 1
             self.bytes_dropped += nbytes
             self.drops_rxq += 1
-            tele = self.sim.telemetry
-            if tele.enabled:
-                reg = tele.scope(f"host{dst.host_id}")
-                reg.counter("fabric.rx.dropped").inc(
-                    nbytes, key=getattr(payload, "kind", "raw"))
             trace = self.sim.trace
             if trace.enabled:
                 trace.emit(self.sim.now, "span", "note",
@@ -484,9 +498,8 @@ class Fabric:
             port.peak_queued_bytes = port.queued_bytes
         tele = self.sim.telemetry
         if tele.enabled:
-            reg = tele.scope(f"host{dst.host_id}")
-            reg.gauge("fabric.rxq.bytes").set(port.queued_bytes)
-            reg.histogram("fabric.rxq.occupancy").observe(port.queued_bytes)
+            tele.scope(f"host{dst.host_id}").histogram(
+                "fabric.rxq.occupancy").observe(port.queued_bytes)
         trace = self.sim.trace
         if trace.enabled:
             span = getattr(payload, "span", None)
@@ -504,10 +517,6 @@ class Fabric:
         port = self._rx_ports[dst.host_id]
         port.resource.release(tok)
         port.queued_bytes -= nbytes
-        tele = self.sim.telemetry
-        if tele.enabled:
-            tele.scope(f"host{dst.host_id}").gauge(
-                "fabric.rxq.bytes").set(port.queued_bytes)
         self.bytes_carried += nbytes
         self.messages_carried += 1
         dst.deliver(payload)

@@ -207,11 +207,6 @@ class FaultInjector:
         self.drops += 1
         key = (src, dst)
         self.drops_by_link[key] = self.drops_by_link.get(key, 0) + 1
-        tele = self.sim.telemetry
-        if tele.enabled:
-            reg = tele.scope(self.scope)
-            reg.counter("fault.drops").inc(key=cause)
-            reg.counter("fault.dropped_bytes").inc(nbytes, key=kind)
         trace = self.sim.trace
         if trace.enabled:
             trace.emit(self.sim.now, "span", "note", span=None,

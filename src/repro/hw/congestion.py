@@ -41,7 +41,7 @@ hook so steady-state fast-forward clock jumps keep ``now - t`` math valid.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING
 
 from repro.hw.profiles import CcProfile
 
@@ -63,16 +63,9 @@ class DcqcnLimiter:
     __slots__ = ("sim", "cc", "line_rate", "min_rate", "rate", "target",
                  "alpha", "tokens", "_last_ns", "_last_cut_ns",
                  "_alpha_armed", "_inc_armed", "_inc_rounds", "cnps",
-                 "rate_cuts", "timeout_cuts", "lowest_rate", "paced_ns",
-                 "_on_rate")
+                 "rate_cuts", "timeout_cuts", "lowest_rate", "paced_ns")
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        cc: CcProfile,
-        line_rate: float,
-        on_rate_change: Optional[Callable[[float], None]] = None,
-    ):
+    def __init__(self, sim: "Simulator", cc: CcProfile, line_rate: float):
         self.sim = sim
         self.cc = cc
         #: Uncongested sending rate (bytes/ns) — the link bandwidth.
@@ -104,7 +97,6 @@ class DcqcnLimiter:
         self.lowest_rate = line_rate
         #: Total pacing delay imposed (ns) — the ``cc_pace`` stage budget.
         self.paced_ns = 0.0
-        self._on_rate = on_rate_change
         sim.on_time_shift(self._shift_time)
         if self.rate < line_rate:
             # Skip fast recovery for the startup ramp (there was no cut
@@ -201,8 +193,6 @@ class DcqcnLimiter:
         if not self._inc_armed:
             self._inc_armed = True
             self.sim.call_later(self.cc.rate_increase_ns, self._inc_fired, None)
-        if self._on_rate is not None:
-            self._on_rate(self.rate)
 
     # -- timers -------------------------------------------------------------
 
@@ -233,8 +223,6 @@ class DcqcnLimiter:
             self._inc_armed = False
         else:
             self.sim.call_later(cc.rate_increase_ns, self._inc_fired, None)
-        if self._on_rate is not None:
-            self._on_rate(self.rate)
 
     # -- observability ------------------------------------------------------
 
@@ -256,3 +244,14 @@ class DcqcnLimiter:
         cut_age = min(now - self._last_cut_ns, self.cc.cut_interval_ns)
         return (self.rate, self.target, self.alpha, tokens, cut_age,
                 self._alpha_armed, self._inc_armed, self._inc_rounds)
+
+    def snapshot(self) -> dict[str, float]:
+        """Rate state and cut totals for the metrics snapshot."""
+        return {
+            "rate": self.rate,
+            "lowest_rate": self.lowest_rate,
+            "rate_cuts": self.rate_cuts,
+            "timeout_cuts": self.timeout_cuts,
+            "cnps": self.cnps,
+            "paced_ns": self.paced_ns,
+        }

@@ -72,8 +72,6 @@ class Core:
         if self._turbo and cpu.dvfs_syscall_credit_ns > 0:
             self._syscall_credit = math.exp(
                 -cpu.dvfs_syscall_credit_ns / cpu.dvfs_window_ns)
-        #: Telemetry scope: core names are "<host>.coreN" (host scope).
-        self._scope = self.name.split(".", 1)[0]
         # Duty-cycle EMA state for the DVFS governor.
         self._duty: float = 0.0
         self._duty_t: float = sim.now
@@ -246,9 +244,6 @@ class Core:
         cost = self._jitter.draw(self._syscall_base + kernel_work_ns,
                                  self._jitter_cv)
         self.syscalls += 1
-        tele = self.sim.telemetry
-        if tele.enabled:
-            tele.scope(self._scope).counter("cpu.syscalls").inc(cost, key=self.name)
         return self.run(cost, self._syscall_credit)
 
     def busy_poll(self, until: Event, check_ns: float) -> Generator[Event, object, float]:

@@ -79,7 +79,8 @@ def _cnp_sent(_arg: object) -> None:
 
 
 class NicCounters:
-    """Observable NIC statistics (also feed the observability policy)."""
+    """Always-on NIC statistics, read by ``metrics_snapshot`` and the
+    benchmark drivers (the one count of each NIC happening)."""
 
     def __init__(self) -> None:
         self.tx_msgs = 0
@@ -427,11 +428,6 @@ class Nic:
             # must not inflate the counter or the ``retransmit`` notes
             # (both match real duplicate traffic).
             self.counters.retransmits += 1
-            tele = self.sim.telemetry
-            if tele.enabled:
-                tele.scope(self._scope).counter("nic.rc.retransmits").inc(
-                    key=wr.opcode.value
-                )
             trace = self.sim.trace
             if trace.enabled:
                 trace.emit(self.sim.now, "span", "note", span=wr.span,
@@ -944,9 +940,6 @@ class Nic:
             qp.retx_epoch.pop(psn, None)
             return
         self.counters.ack_timeouts += 1
-        tele = self.sim.telemetry
-        if tele.enabled:
-            tele.scope(self._scope).counter("nic.rc.ack_timeouts").inc()
         trace = self.sim.trace
         if trace.enabled:
             trace.emit(self.sim.now, "span", "note", span=wr.span,
@@ -1038,16 +1031,9 @@ class Nic:
         """The QP's DCQCN limiter, created on first use (CC on only)."""
         lim = self._limiters.get(qp.qpn)
         if lim is None:
-            lim = DcqcnLimiter(
-                self.sim, self.cc, self.profile.link_bw, self._rate_changed
-            )
+            lim = DcqcnLimiter(self.sim, self.cc, self.profile.link_bw)
             self._limiters[qp.qpn] = lim
         return lim
-
-    def _rate_changed(self, rate: float) -> None:
-        tele = self.sim.telemetry
-        if tele.enabled:
-            tele.scope(self._scope).gauge("nic.cc.rate").set(rate)
 
     def _note_ecn(self, msg: WireMessage) -> None:
         """Responder half of the loop: an ECN-marked RC request arrived.
@@ -1063,9 +1049,6 @@ class Nic:
             return
         self._last_cnp_ns[key] = now
         self.counters.cnps_sent += 1
-        tele = self.sim.telemetry
-        if tele.enabled:
-            tele.scope(self._scope).counter("nic.cc.cnps").inc(key="sent")
         trace = self.sim.trace
         if trace.enabled:
             trace.emit(self.sim.now, "span", "note", span=msg.span,
@@ -1101,9 +1084,6 @@ class Nic:
         self.counters.cnps_received += 1
         lim = self._limiter(qp)
         lim.on_cnp(self.sim.now)
-        tele = self.sim.telemetry
-        if tele.enabled:
-            tele.scope(self._scope).counter("nic.cc.cnps").inc(key="received")
         trace = self.sim.trace
         if trace.enabled:
             trace.emit(self.sim.now, "span", "note", span=None,

@@ -32,7 +32,6 @@ class IrqModel:
         self.sim = sim
         self.system = system
         self._jitter = sim.rng.jitter_stream(f"irq:h{host_id}")
-        self._scope = f"host{host_id}"
         self.delivered = 0
 
     def delivery_delay_ns(self) -> float:
@@ -41,9 +40,6 @@ class IrqModel:
         cpu = self.system.cpu
         base = self.system.nic.irq_moderation_ns + cpu.irq_entry_ns
         self.delivered += 1
-        tele = self.sim.telemetry
-        if tele.enabled:
-            tele.scope(self._scope).counter("kernel.irqs").inc()
         return self._jitter.draw(base, self.system.syscall_jitter_cv)
 
 

@@ -14,7 +14,7 @@ SimPy-flavoured API (written from scratch; SimPy is not a dependency):
   socket buffers).
 - :mod:`~repro.sim.rng` — named, seeded random streams so runs are
   reproducible and components do not perturb each other's draws.
-- :mod:`~repro.sim.trace` — structured event tracing and counters.
+- :mod:`~repro.sim.trace` — structured event tracing.
 """
 
 from repro.sim.engine import Simulator
@@ -24,7 +24,7 @@ from repro.sim.process import Process
 from repro.sim.resources import PriorityResource, Resource
 from repro.sim.store import FilterStore, Store
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import Trace, Counter
+from repro.sim.trace import Trace
 
 __all__ = [
     "Simulator",
@@ -42,5 +42,4 @@ __all__ = [
     "FilterStore",
     "RngRegistry",
     "Trace",
-    "Counter",
 ]

@@ -758,11 +758,6 @@ class FastForward:
         stats.units_skipped += counter_deltas[self._primary]
         stats.events_skipped += events_per_period * stepped
         stats.time_skipped_ns += skipped_ns
-        tele = self._sim.telemetry
-        if tele.enabled:
-            scope = tele.scope("sim")
-            scope.counter("fastforward.cycles_skipped").inc(stepped)
-            scope.counter("fastforward.time_skipped_ns").inc(skipped_ns)
         # Translate the detector's history across the jump instead of
         # discarding it: boundary times shift with the clock, counters by
         # the skipped deltas; the step signatures — and the hash map over

@@ -1,4 +1,4 @@
-"""Structured tracing and counters.
+"""Structured tracing.
 
 Tracing exists for two consumers: tests (assert that a component emitted
 the expected sequence of records) and :mod:`repro.telemetry`, which folds
@@ -14,7 +14,7 @@ retains nothing.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 
@@ -94,30 +94,3 @@ class Trace:
     def clear(self) -> None:
         self.records.clear()
         self.dropped = 0
-
-
-@dataclass
-class Counter:
-    """A monotonically increasing counter with byte/op accounting."""
-
-    name: str
-    ops: int = 0
-    bytes: int = 0
-    _by_key: dict[str, int] = field(default_factory=dict)
-
-    def add(self, nbytes: int = 0, key: Optional[str] = None) -> None:
-        self.ops += 1
-        self.bytes += nbytes
-        if key is not None:
-            self._by_key[key] = self._by_key.get(key, 0) + 1
-
-    def by_key(self, key: str) -> int:
-        return self._by_key.get(key, 0)
-
-    def snapshot(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "ops": self.ops,
-            "bytes": self.bytes,
-            "by_key": dict(self._by_key),
-        }

@@ -6,9 +6,9 @@ Three pieces, all disabled by default and free when off:
   ``post_send``/``post_recv`` entry, threaded driver → doorbell → WQE
   pipeline → DMA → wire → rx → CQE → completion, so one message's life is
   reconstructable with per-stage durations.
-- :mod:`~repro.telemetry.metrics` — per-host registry of counters, gauges
-  and log2 histograms (NIC queue occupancy, CQ depth, syscalls, IRQs,
-  per-policy cost, MPI protocol mix).
+- :mod:`~repro.telemetry.metrics` — per-host registry of counters and
+  log2 histograms (dataplane ops, NIC posts/deliveries, NIC/switch queue
+  occupancy, CQ depth, per-policy cost, MPI protocol mix).
 - :mod:`~repro.telemetry.export` — Chrome trace-event JSON (Perfetto),
   JSONL record dumps, metrics snapshot JSON.
 
@@ -40,7 +40,6 @@ from repro.telemetry.export import (
     records_from_jsonl,
 )
 from repro.telemetry.metrics import (
-    Gauge,
     Log2Histogram,
     MetricCounter,
     MetricsRegistry,
@@ -68,7 +67,6 @@ __all__ = [
     "records_from_jsonl",
     "run_figure_probes",
     "run_probe",
-    "Gauge",
     "Log2Histogram",
     "MetricCounter",
     "MetricsRegistry",

@@ -192,8 +192,11 @@ def metrics_snapshot(
 
     The registry half holds what instrumented sites pushed while
     ``sim.telemetry`` was enabled; the pulled half reads each host's
-    always-on counters (NIC, cores, IRQs, CQ totals) so the snapshot is
-    useful even for runs that never enabled push telemetry.
+    always-on counters (NIC, cores, IRQs, and per-QP DCQCN limiters when
+    congestion control is on) and each distinct fabric's
+    :meth:`~repro.cluster.fabric.Fabric.snapshot`, so every count has one
+    source and the snapshot is complete for runs that never enabled push
+    telemetry.
     """
     out: dict[str, object] = {
         "time_ns": sim.now,
@@ -207,14 +210,26 @@ def metrics_snapshot(
         "scopes": sim.telemetry.snapshot(),
     }
     host_state: dict[str, object] = {}
+    fabrics: dict[str, object] = {}
     for host in hosts:
-        host_state[host.name] = {
-            "nic": host.nic.counters.snapshot(),
+        nic = host.nic
+        state = host_state[host.name] = {
+            "nic": nic.counters.snapshot(),
             "cores": _core_stats(host),
             "irqs_delivered": host.kernel.irq.delivered,
         }
+        if nic.cc is not None:
+            state["limiters"] = {
+                str(qpn): lim.snapshot()
+                for qpn, lim in sorted(nic._limiters.items())
+            }
+        fabric = host.fabric
+        if fabric is not None and fabric.name not in fabrics:
+            fabrics[fabric.name] = fabric.snapshot()
     if host_state:
         out["hosts"] = host_state
+    if fabrics:
+        out["fabrics"] = fabrics
     if flows is not None:
         out["flows"] = flows
     return out

@@ -1,12 +1,15 @@
-"""Per-host metrics: counters, gauges, log2 histograms, and the registry.
+"""Per-host push metrics: counters, log2 histograms, and the registry.
 
-This generalizes the byte/op :class:`repro.sim.trace.Counter` into a small
-metric family every layer can report into.  A :class:`Telemetry` instance
-hangs off the :class:`~repro.sim.engine.Simulator` (disabled by default):
-instrumented sites pay exactly one branch when it is off, and when it is on
-they only mutate plain Python numbers — telemetry never creates events,
-consumes simulated time, or touches an RNG stream, so enabling it cannot
-change simulation results (see ``tests/test_golden_determinism.py``).
+Push metrics cover what no component counts on its own: per-op and
+per-policy tallies and occupancy distributions.  Counts a component
+already keeps (NIC, core, fabric and limiter counters) are read at
+snapshot time by :func:`repro.telemetry.export.metrics_snapshot` instead
+of being counted twice.  A :class:`Telemetry` instance hangs off the
+:class:`~repro.sim.engine.Simulator` (disabled by default): instrumented
+sites pay exactly one branch when it is off, and when it is on they only
+mutate plain Python numbers — telemetry never creates events, consumes
+simulated time, or touches an RNG stream, so enabling it cannot change
+simulation results (see ``tests/test_golden_determinism.py``).
 
 Scopes group metrics per host (``"host0"``, ``"host1"``...); a scope is a
 :class:`MetricsRegistry` created lazily on first use.
@@ -44,37 +47,6 @@ class MetricCounter:
         if self.by_key:
             out["by_key"] = dict(self.by_key)
         return out
-
-
-class Gauge:
-    """Last-value metric with min/max watermarks."""
-
-    __slots__ = ("name", "value", "min", "max", "samples")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-        self.samples = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self.samples += 1
-
-    def snapshot(self) -> dict[str, object]:
-        if self.samples == 0:
-            return {"value": None, "min": None, "max": None, "samples": 0}
-        return {
-            "value": self.value,
-            "min": self.min,
-            "max": self.max,
-            "samples": self.samples,
-        }
 
 
 class Log2Histogram:
@@ -143,12 +115,11 @@ class Log2Histogram:
 class MetricsRegistry:
     """One scope's (usually one host's) named metrics, created on demand."""
 
-    __slots__ = ("scope", "counters", "gauges", "histograms")
+    __slots__ = ("scope", "counters", "histograms")
 
     def __init__(self, scope: str):
         self.scope = scope
         self.counters: dict[str, MetricCounter] = {}
-        self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Log2Histogram] = {}
 
     def counter(self, name: str) -> MetricCounter:
@@ -156,12 +127,6 @@ class MetricsRegistry:
         if c is None:
             c = self.counters[name] = MetricCounter(name)
         return c
-
-    def gauge(self, name: str) -> Gauge:
-        g = self.gauges.get(name)
-        if g is None:
-            g = self.gauges[name] = Gauge(name)
-        return g
 
     def histogram(self, name: str) -> Log2Histogram:
         h = self.histograms.get(name)
@@ -172,7 +137,6 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, object]:
         return {
             "counters": {n: c.snapshot() for n, c in sorted(self.counters.items())},
-            "gauges": {n: g.snapshot() for n, g in sorted(self.gauges.items())},
             "histograms": {
                 n: h.snapshot() for n, h in sorted(self.histograms.items())
             },
@@ -186,7 +150,7 @@ class Telemetry:
 
         tele = self.sim.telemetry
         if tele.enabled:
-            tele.scope("host0").counter("cpu.syscalls").inc()
+            tele.scope("host0").counter("dataplane.ops").inc()
     """
 
     __slots__ = ("enabled", "_scopes")

@@ -23,7 +23,8 @@ from repro.perftest.incast import (
     _drive,
 )
 from repro.sim import Simulator
-from repro.telemetry import attribute_spans, build_spans
+from repro.sim.trace import Trace
+from repro.telemetry import attribute_spans, build_spans, metrics_snapshot
 from repro.verbs.qp import QueuePair, Transport
 from repro.verbs.wr import WireMessage
 
@@ -278,18 +279,21 @@ def test_auto_congestion_is_off_on_shipped_profiles():
 
 def test_cc_telemetry_and_cc_pace_attribution():
     cfg = _cfg(senders=8, msgs_per_sender=8, congestion="dcqcn")
-    r, sim = run_incast_attributed(cfg)
+    sim = Simulator(seed=cfg.seed, trace=Trace(enabled=True))
+    sim.telemetry.enabled = True
+    fabric, hosts, pairs = build_incast(sim, cfg)
+    sim.trace.clear()
+    r = _drive(sim, cfg, fabric, hosts, pairs)
     assert r.ecn_marked > 0 and r.cnps > 0
-    snap = sim.telemetry.snapshot()
-    # Marks land at the receiver's switch port scope; CNPs at its NIC.
-    assert snap["host0"]["counters"]["fabric.ecn.marked"]["count"] > 0
-    assert snap["host0"]["counters"]["nic.cc.cnps"]["by_key"]["sent"] > 0
-    # At least one sender NIC saw a rate change and received CNPs.
-    sender_scopes = [f"host{i}" for i in range(1, cfg.senders + 1)]
-    assert any(
-        "nic.cc.rate" in snap.get(s, {}).get("gauges", {})
-        for s in sender_scopes
-    )
+    snap = metrics_snapshot(sim, hosts=hosts)
+    # Marks land at the receiver's switch port; CNPs leave its NIC.
+    assert snap["fabrics"][fabric.name]["ports"]["host0"]["messages_marked"] > 0
+    assert snap["hosts"]["host0"]["nic"]["cnps_sent"] > 0
+    # At least one sender's limiter took a CNP and cut its rate.
+    limiters = [lim for i in range(1, cfg.senders + 1)
+                for lim in snap["hosts"][f"host{i}"]["limiters"].values()]
+    assert any(lim["cnps"] > 0 and lim["rate_cuts"] > 0
+               and lim["lowest_rate"] < LINE_BW for lim in limiters)
     # Pacing shows up as its own attribution stage on post_send spans.
     blames = attribute_spans(build_spans(sim.trace, op="post_send"))
     pace_ns = sum(s.duration_ns for b in blames for s in b.stages

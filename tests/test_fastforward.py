@@ -13,7 +13,6 @@ import math
 import pytest
 
 from repro.faults import FaultPlan
-from repro.perftest.lat import send_lat
 from repro.perftest.techniques import Techniques
 from repro.perftest.runner import (
     PerftestConfig,
@@ -21,7 +20,6 @@ from repro.perftest.runner import (
     run_bw,
     run_lat,
     run_stats_snapshot,
-    _build,
 )
 from repro.sim import FastForward, Simulator
 from repro.sim.trace import Trace
@@ -165,31 +163,6 @@ def test_probe_observe_after_disarm_is_cheap_noop():
     probe.begin("i", (10, 100))
     assert probe.observe({"i": 1}) is None
     assert probe.stats.jumps == 0
-
-
-def test_telemetry_counts_skipped_cycles():
-    """fastforward.cycles_skipped lands in the sim scope when metrics are
-    on (metrics alone — full trace export would disarm the probe)."""
-    cfg = PerftestConfig(system="L", op="send", client="bypass",
-                         server="bypass", **LAT_CFG)
-    sim, client, server = _build(cfg)
-    sim.telemetry.enabled = True
-    probe = FastForward(sim, label="lat:test")
-    assert probe.enabled
-
-    def main():
-        result = yield from send_lat(
-            sim, client, server, 64, iters=cfg.iters, warmup=cfg.warmup,
-            techniques=cfg.techniques, fastforward=probe,
-        )
-        return result
-
-    sim.run(sim.process(main()))
-    assert probe.stats.cycles_skipped > 0
-    counter = sim.telemetry.scope("sim").counter("fastforward.cycles_skipped")
-    assert counter.total == probe.stats.cycles_skipped
-    skipped_ns = sim.telemetry.scope("sim").counter("fastforward.time_skipped_ns")
-    assert skipped_ns.total == probe.stats.time_skipped_ns > 0
 
 
 # -- advance_clock (the engine primitive) -------------------------------------

@@ -1,6 +1,6 @@
-"""Trace and counter utilities."""
+"""Trace utilities."""
 
-from repro.sim import Counter, Simulator, Trace
+from repro.sim import Simulator, Trace
 from repro.sim.trace import TraceRecord
 
 
@@ -33,19 +33,6 @@ def test_trace_clear():
     trace.emit(1.0, "a", "b")
     trace.clear()
     assert len(trace) == 0
-
-
-def test_counter_accounting():
-    c = Counter("rx")
-    c.add(100, key="send")
-    c.add(200, key="send")
-    c.add(50, key="write")
-    assert c.ops == 3
-    assert c.bytes == 350
-    assert c.by_key("send") == 2
-    assert c.by_key("nope") == 0
-    snap = c.snapshot()
-    assert snap["by_key"] == {"send": 2, "write": 1}
 
 
 def test_simulator_owns_a_disabled_trace_by_default():

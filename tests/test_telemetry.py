@@ -8,12 +8,13 @@ from repro.cluster import build_pair
 from repro.core.policies.observability import FlowStats
 from repro.core.policy import OpContext
 from repro.core.endpoint import make_rc_pair
+from repro.faults import FaultPlan
 from repro.hw.profiles import get_profile
 from repro.perftest.bw import send_bw
+from repro.perftest.incast import IncastConfig, build_incast, _drive
 from repro.sim import Simulator
 from repro.sim.trace import Trace
 from repro.telemetry import (
-    Gauge,
     Log2Histogram,
     MetricCounter,
     Telemetry,
@@ -168,12 +169,16 @@ def test_metrics_snapshot_shape():
     host0 = snap["scopes"]["host0"]
     ops = host0["counters"]["dataplane.ops"]
     assert ops["by_key"]["CD.post_send"] == 4
-    assert host0["counters"]["cpu.syscalls"]["count"] > 0
     assert host0["histograms"]["nic.txq.occupancy"]["count"] > 0
     assert host0["histograms"]["cq.depth"]["count"] > 0
     # Pulled device state rides along even for push-disabled runs.
     assert snap["hosts"]["host0"]["nic"]["tx_msgs"] > 0
     assert snap["hosts"]["host1"]["nic"]["rx_msgs"] > 0
+    assert sum(c["syscalls"] for c in snap["hosts"]["host0"]["cores"]) > 0
+    # A back-to-back pair has no switch port and no fault layer.
+    (fabric,) = snap["fabrics"].values()
+    assert fabric["ports"] == {} and fabric["faults"] is None
+    assert "gauges" not in host0
 
 
 @pytest.mark.parametrize("kind", ["bypass", "cord"])
@@ -218,14 +223,6 @@ def test_metric_counter_counts_and_keys():
     assert c.count == 3 and c.total == 15.0
     assert c.by_key == {"a": 2}
     assert c.snapshot()["by_key"] == {"a": 2}
-
-
-def test_gauge_watermarks():
-    g = Gauge("depth")
-    assert g.snapshot()["value"] is None
-    for v in (3.0, 9.0, 1.0):
-        g.set(v)
-    assert g.value == 1.0 and g.min == 1.0 and g.max == 9.0 and g.samples == 3
 
 
 @pytest.mark.parametrize("value,bucket", [
@@ -303,7 +300,6 @@ def test_telemetry_scopes_lazy_and_stable():
     reg = tele.scope("host0")
     assert tele.scope("host0") is reg
     assert reg.counter("c") is reg.counter("c")
-    assert reg.gauge("g") is reg.gauge("g")
     assert reg.histogram("h") is reg.histogram("h")
     assert tele.scopes() == ["host0"]
 
@@ -365,3 +361,52 @@ def test_flow_report_rates_for_real_flows():
     (flow,) = stats.report()
     assert flow["duration_ns"] == 1000.0
     assert flow["msg_rate_per_s"] == pytest.approx(1e6)
+
+
+# -- pulled counts: one count source, push telemetry on or off --------------------
+
+
+def _pulled(telemetry, faults=None):
+    """Run an incast and return the snapshot's pulled sections as JSON."""
+    if faults is None:
+        cfg = IncastConfig(senders=8, msgs_per_sender=8,
+                           buffer_bytes=256 * 1024, congestion="dcqcn")
+    else:
+        cfg = IncastConfig(senders=4, msgs_per_sender=6,
+                           buffer_bytes=256 * 1024)
+    sim = Simulator(seed=cfg.seed)
+    sim.telemetry.enabled = telemetry
+    fabric, hosts, pairs = build_incast(sim, cfg)
+    if faults is not None:
+        fabric.inject_faults(faults)
+    result = _drive(sim, cfg, fabric, hosts, pairs)
+    snap = metrics_snapshot(sim, hosts=hosts)
+    pulled = json.loads(json.dumps({"hosts": snap["hosts"],
+                                    "fabrics": snap["fabrics"]}))
+    return result, pulled
+
+
+@pytest.mark.parametrize("telemetry", [False, True])
+def test_pulled_snapshot_carries_incast_counts(telemetry):
+    """Marks, drops, CNPs and the deepest cut are read from the component
+    counters, so they are the same with push telemetry on or off."""
+    r, pulled = _pulled(telemetry)
+    (fabric,) = pulled["fabrics"].values()
+    hosts = pulled["hosts"].values()
+    assert fabric["ports"]["host0"]["messages_marked"] == r.ecn_marked > 0
+    assert fabric["messages_dropped"] == r.messages_dropped > 0
+    assert sum(h["nic"]["cnps_sent"] for h in hosts) == r.cnps > 0
+    cut = [lim["lowest_rate"] for h in hosts
+           for lim in h["limiters"].values() if lim["rate_cuts"]]
+    assert min(cut) == r.min_rate
+    assert pulled == _pulled(not telemetry)[1]
+
+
+@pytest.mark.parametrize("telemetry", [False, True])
+def test_pulled_snapshot_carries_fault_drops(telemetry):
+    plan = FaultPlan(loss=0.05, drop_control=False)
+    _r, pulled = _pulled(telemetry, faults=plan)
+    (fabric,) = pulled["fabrics"].values()
+    assert fabric["faults"]["drops"] == (
+        fabric["drops_hairpin"] + fabric["drops_wire"]) > 0
+    assert pulled == _pulled(not telemetry, faults=plan)[1]
