@@ -1,7 +1,7 @@
 """Result series, ASCII tables and paper-comparison helpers."""
 
 from repro.analysis.series import Series, SweepTable
-from repro.analysis.tables import format_table, print_table
+from repro.analysis.tables import format_table
 from repro.analysis.compare import CheckResult, check_ratio, check_between
 from repro.analysis.critpath import (
     PathSegment,
@@ -15,7 +15,6 @@ __all__ = [
     "Series",
     "SweepTable",
     "format_table",
-    "print_table",
     "CheckResult",
     "check_ratio",
     "check_between",

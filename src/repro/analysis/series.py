@@ -21,15 +21,6 @@ class Series:
     def y_at(self, x):
         return self.ys[self.xs.index(x)]
 
-    def ratio_to(self, other: "Series") -> "Series":
-        """Element-wise self/other over the common xs."""
-        out = Series(f"{self.name}/{other.name}")
-        for x, y in zip(self.xs, self.ys):
-            if x in other.xs:
-                base = other.y_at(x)
-                out.add(x, y / base if base else float("nan"))
-        return out
-
     def __len__(self) -> int:
         return len(self.xs)
 

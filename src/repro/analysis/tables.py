@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Sequence
 
 
 def format_table(
@@ -27,14 +27,3 @@ def format_table(
     out.append("  ".join("-" * w for w in widths))
     out.extend(line(r) for r in rows)
     return "\n".join(out)
-
-
-def print_table(
-    header: Sequence[str],
-    rows: Iterable[Sequence[str]],
-    title: str = "",
-    file: Optional[TextIO] = None,
-) -> str:
-    text = format_table(header, rows, title)
-    print(text, file=file)
-    return text

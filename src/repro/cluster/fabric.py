@@ -4,8 +4,10 @@ Models a non-blocking switch (or a back-to-back cable for two hosts): each
 host owns one TX port and one RX delivery path.  A message occupies the
 *source* port for its serialization time — so fan-out traffic (alltoall)
 correctly shares a single 100/200 Gbit/s port per host — then arrives at the
-destination after the propagation delay.  Per-packet overheads are charged
-arithmetically from the MTU (see :mod:`repro.hw.link` for rationale).
+destination after the propagation delay.  A message is one wire segment,
+not one event per packet: the per-packet overhead is charged
+arithmetically (``ceil(size / mtu) * per_packet_ns``), which keeps the
+bandwidth-vs-size curve exact at O(1) events per message.
 
 **Receiver-side contention** (``rx_contention=``, an
 :class:`~repro.hw.profiles.RxContentionProfile`): the source-only model

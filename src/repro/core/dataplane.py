@@ -164,34 +164,6 @@ class Dataplane:
         cqes = yield from self.poll_cq(cq, max_entries)
         return cqes
 
-    def wait_cq_any(
-        self,
-        cqs: list[CompletionQueue],
-        max_entries: int = 16,
-    ) -> Generator["Event", object, list[CQE]]:
-        """Poll-wait on several CQs at once; reap from whichever is ready.
-
-        The multiplexed analogue of :meth:`wait_cq` (POLL mode) for servers
-        draining many QPs.  Built on ``Simulator.wait_any`` — one shared
-        waiter callback instead of an ``AnyOf`` condition object per loop
-        iteration, so a steady-state poll loop allocates nothing per wake.
-        Reaps up to ``max_entries`` CQEs total, scanning ready CQs in the
-        order given.
-        """
-        ready = [cq for cq in cqs if cq.entries]
-        if not ready:
-            first = self.sim.wait_any([cq.wait_nonempty() for cq in cqs])
-            waited = yield from self.core.busy_poll(first, 0.0)
-            self._waited(waited)
-            ready = [cq for cq in cqs if cq.entries]
-        yield from self._charge_poll(hit=False)
-        out: list[CQE] = []
-        for cq in ready:
-            if len(out) >= max_entries:
-                break
-            out.extend((yield from self.poll_cq(cq, max_entries - len(out))))
-        return out
-
     #: CPU cost of ibv_req_notify_cq + ibv_ack_cq_events bookkeeping.
     REARM_NS = 110.0
 

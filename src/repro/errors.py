@@ -16,17 +16,6 @@ class SimulationError(ReproError):
     """Misuse of the discrete-event engine (e.g. yielding a used event)."""
 
 
-class ProcessInterrupt(ReproError):
-    """Thrown inside a simulated process when another process interrupts it.
-
-    Mirrors SimPy's ``Interrupt``: carries an arbitrary ``cause``.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class HardwareError(ReproError):
     """Invalid hardware configuration or operation."""
 

@@ -120,8 +120,8 @@ class FaultPlan:
 class FaultInjector:
     """Binds a :class:`FaultPlan` to one simulator and makes the calls.
 
-    The fabric (or a bare :class:`~repro.hw.link.Link`) consults
-    :meth:`on_transmit` once per message after serialization; the NIC's
+    The fabric consults :meth:`on_transmit` once per message after
+    serialization; the NIC's
     responder consults :meth:`recv_paused` when claiming a recv WQE.
     """
 

@@ -1,4 +1,4 @@
-"""Hardware models: CPU cores (with DVFS), memory, PCIe DMA, links, NICs.
+"""Hardware models: CPU cores (with DVFS), memory, NICs.
 
 Everything is parameterized by a :class:`~repro.hw.profiles.SystemProfile`;
 the two calibrated instances are :data:`~repro.hw.profiles.SYSTEM_L` (paper's
@@ -16,8 +16,6 @@ from repro.hw.profiles import (
 )
 from repro.hw.cpu import Core, CpuSet
 from repro.hw.memory import AddressSpace, MemoryModel, MemoryRegion
-from repro.hw.pcie import PcieBus
-from repro.hw.link import Link
 from repro.hw.nic import Nic
 
 __all__ = [
@@ -32,7 +30,5 @@ __all__ = [
     "MemoryModel",
     "MemoryRegion",
     "AddressSpace",
-    "PcieBus",
-    "Link",
     "Nic",
 ]

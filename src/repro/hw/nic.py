@@ -244,11 +244,11 @@ class Nic:
         # the WQE; we surface it synchronously for debuggability).
         if wr.opcode.reads_local_memory and not wr.inline and wr.length > 0:
             assert self.mr_table is not None
-            self.mr_table.check_local(wr.lkey, wr.addr, wr.length, write=False)
+            self.mr_table.check_local(wr.lkey, wr.addr, wr.length, write=False, pd=qp.pd)
         if wr.opcode is _READ or wr.opcode.is_atomic:
             # The fetched / original value is DMA-written locally.
             assert self.mr_table is not None
-            self.mr_table.check_local(wr.lkey, wr.addr, wr.length, write=True)
+            self.mr_table.check_local(wr.lkey, wr.addr, wr.length, write=True, pd=qp.pd)
         psn = qp.assign_psn() if qp.transport is _RC else 0
         qp.sq_outstanding += 1
         qp.sends_posted += 1
@@ -271,7 +271,7 @@ class Nic:
         qp.check_post_recv(wr)
         if wr.length > 0:
             assert self.mr_table is not None
-            self.mr_table.check_local(wr.lkey, wr.addr, wr.length, write=True)
+            self.mr_table.check_local(wr.lkey, wr.addr, wr.length, write=True, pd=qp.pd)
         qp.rq.append(wr)
         qp.recvs_posted += 1
         mon = self.sim._monitor
@@ -283,7 +283,7 @@ class Nic:
         srq.check_post(wr)
         if wr.length > 0:
             assert self.mr_table is not None
-            self.mr_table.check_local(wr.lkey, wr.addr, wr.length, write=True)
+            self.mr_table.check_local(wr.lkey, wr.addr, wr.length, write=True, pd=srq.pd)
         srq.push(wr)
         mon = self.sim._monitor
         if mon is not None:
@@ -441,7 +441,7 @@ class Nic:
             # Materialize real bytes only if the source buffer holds some.
             assert self.mr_table is not None
             try:
-                mr = self.mr_table.check_local(wr.lkey, wr.addr, wr.length, write=False)
+                mr = self.mr_table.check_local(wr.lkey, wr.addr, wr.length, write=False, pd=qp.pd)
                 if mr.buffer.data is not None:
                     data = mr.buffer.read(wr.addr - mr.buffer.addr, wr.length)
             except MemoryAccessError:
@@ -623,7 +623,7 @@ class Nic:
         if kind == "write":
             assert self.mr_table is not None
             mr = self.mr_table.check_remote(
-                msg.rkey, msg.remote_addr, msg.length, write=True
+                msg.rkey, msg.remote_addr, msg.length, write=True, pd=qp.pd
             )
             if mr is None:
                 self.counters.remote_access_errors += 1
@@ -652,7 +652,7 @@ class Nic:
             # acceptance order — that is what makes it atomic across
             # concurrent initiators.  Only the response timing is async.
             assert self.mr_table is not None
-            mr = self.mr_table.check_remote(msg.rkey, msg.remote_addr, 8, write=True)
+            mr = self.mr_table.check_remote(msg.rkey, msg.remote_addr, 8, write=True, pd=qp.pd)
             if mr is None:
                 self.counters.remote_access_errors += 1
                 self.sim.call_soon(self._send_ack,
@@ -712,7 +712,8 @@ class Nic:
             status = _SUCCESS
             if msg.length > 0 and msg.data is not None:
                 assert self.mr_table is not None
-                mr = self.mr_table.check_local(rwr.lkey, rwr.addr, msg.length, write=True)
+                pd = qp.srq.pd if qp.srq is not None else qp.pd
+                mr = self.mr_table.check_local(rwr.lkey, rwr.addr, msg.length, write=True, pd=pd)
                 mr.buffer.write(rwr.addr - mr.buffer.addr, msg.data)
                 self._notify_memory_watchers(rwr.addr, msg.length)
         self.counters.rx_msgs += 1
@@ -765,7 +766,8 @@ class Nic:
             trace.emit(self.sim.now, "span", "mark", span=msg.span,
                        stage="rx_exec", host=self.host_id, comp="nic.rx")
         assert self.mr_table is not None
-        mr = self.mr_table.check_remote(msg.rkey, msg.remote_addr, msg.length, write=False)
+        mr = self.mr_table.check_remote(msg.rkey, msg.remote_addr, msg.length,
+                                        write=False, pd=qp.pd)
         if mr is None:
             self.counters.remote_access_errors += 1
             self._send_ack((qp, msg, "ack", _REM_ACCESS_ERR))
@@ -838,7 +840,7 @@ class Nic:
         qp, wr, msg = ctx
         if msg.length > 0 and msg.data is not None:
             assert self.mr_table is not None
-            mr = self.mr_table.check_local(wr.lkey, wr.addr, msg.length, write=True)
+            mr = self.mr_table.check_local(wr.lkey, wr.addr, msg.length, write=True, pd=qp.pd)
             mr.buffer.write(wr.addr - mr.buffer.addr, msg.data)
             self._notify_memory_watchers(wr.addr, msg.length)
         qp.sq_outstanding -= 1

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 from repro.errors import KernelError
 from repro.hw.cpu import Core
 from repro.kernel.netstack import NetstackProfile, Softirq
-from repro.sim.store import FilterStore, Store
+from repro.sim.store import Store
 from repro.verbs.wr import WireMessage
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -110,7 +110,7 @@ class IPoIBSocket:
         self.peer: Optional["IPoIBSocket"] = None
         self._accept_q: Store = Store(self.sim, name=f"sock{self.sock_id}.accept")
         #: Fully reassembled inbound messages: (src_host, nbytes, data).
-        self._rx_msgs: FilterStore = FilterStore(self.sim, name=f"sock{self.sock_id}.rx")
+        self._rx_msgs: Store = Store(self.sim, name=f"sock{self.sock_id}.rx")
         self._partial: dict[int, dict] = {}
         self._seq = itertools.count()
         # Credit-based flow control against the peer's receive buffer.
@@ -307,7 +307,12 @@ class IPoIBSocket:
         host = self.device.host
         # Enter the kernel and block until a message is assembled.
         yield from core.syscall(prof.per_message_ns)
-        item = yield self._rx_msgs.get()
+        ready: "Event" = self._rx_msgs.get()
+        if ready.callbacks is None:
+            # A message that was already queued still reaches the reader
+            # through one record at this instant, as a parked reader's does.
+            ready = self.sim.event(ready.name).succeed(ready.value)
+        item = yield ready
         src_host, nbytes, data, meta = item  # type: ignore[misc]
         # Wakeup + kernel->user copy.
         yield from core.run(host.system.cpu.context_switch_ns)

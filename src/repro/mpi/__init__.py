@@ -19,7 +19,7 @@ real numpy arrays and verify the collectives' results.
 
 from repro.mpi.requests import Request
 from repro.mpi.communicator import ANY_SOURCE, ANY_TAG, Communicator
-from repro.mpi.world import MpiWorld, run_mpi
+from repro.mpi.world import MpiWorld
 
 __all__ = [
     "Request",
@@ -27,5 +27,4 @@ __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
     "MpiWorld",
-    "run_mpi",
 ]

@@ -166,21 +166,3 @@ class MpiWorld:
         done = self.sim.all_of(procs)
         self.sim.run(done)
         return [p.value for p in procs]
-
-
-def run_mpi(
-    sim: "Simulator",
-    hosts: list["Host"],
-    size: int,
-    program: Callable,
-    *args,
-    transport: str = "bypass",
-    eager_threshold: int = 8192,
-    policies_factory=None,
-) -> list:
-    """One-call convenience: build a world, run a program, return results."""
-    world = MpiWorld(
-        sim, hosts, size, transport=transport,
-        eager_threshold=eager_threshold, policies_factory=policies_factory,
-    )
-    return world.run(program, *args)

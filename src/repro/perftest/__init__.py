@@ -14,7 +14,7 @@
 from repro.perftest.techniques import Techniques
 from repro.perftest.lat import LatencyResult, read_lat, send_lat, write_lat
 from repro.perftest.bw import BwResult, read_bw, send_bw, write_bw
-from repro.perftest.runner import PerftestConfig, run_lat, run_bw, sweep_bw, sweep_lat
+from repro.perftest.runner import PerftestConfig, run_lat, run_bw
 
 __all__ = [
     "Techniques",
@@ -29,6 +29,4 @@ __all__ = [
     "PerftestConfig",
     "run_lat",
     "run_bw",
-    "sweep_lat",
-    "sweep_bw",
 ]

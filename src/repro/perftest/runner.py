@@ -294,14 +294,6 @@ def run_attributed(
     return result, sim, (client, server)
 
 
-def sweep_lat(config: PerftestConfig, sizes: list[int]) -> list[LatencyResult]:
-    return [run_lat(config, size) for size in sizes]
-
-
-def sweep_bw(config: PerftestConfig, sizes: list[int]) -> list[BwResult]:
-    return [run_bw(config, size) for size in sizes]
-
-
 def default_sizes(
     max_bytes: int = 8 * 1024 * 1024, min_bytes: int = 2
 ) -> list[int]:

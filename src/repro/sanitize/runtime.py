@@ -14,12 +14,11 @@ The three checks (rule ids continue the SIM lint pack):
   therefore of the QP/CQ work queues built on them) are bucketed per
   ``(now, priority)``.  If, inside one bucket, two *different* event
   dispatches contend for the same object — one wins a slot/item inline
-  while another parks, two park on the same queue, or two ``try_get``
-  polls race for one item — then the winner is decided by heap-insertion
-  ``seq``.  That is deterministic, but it is exactly the fragile coupling
-  the determinism contract exists to keep out of model code: reordering
-  two unrelated ``put``/``request`` calls in a refactor silently changes
-  results.  Both event descriptions are reported.
+  while another parks, or two park on the same queue — then the winner
+  is decided by heap-insertion ``seq``.  That is deterministic, but it is
+  exactly the fragile coupling the determinism contract exists to keep
+  out of model code: reordering two unrelated ``put``/``request`` calls
+  in a refactor silently changes results.  Both event descriptions are reported.
 - **SIM102 — RNG stream discipline.**  Every named stream must be drawn
   by a single component (call site); a stream shared by two components
   couples their draw sequences, so adding a draw in one silently perturbs
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.sanitize.findings import Finding
 
@@ -73,9 +72,7 @@ def _describe_event(fn: object, arg: object) -> str:
     from repro.sim.process import _wake
 
     if fn is _wake:
-        process = getattr(arg, "process", None)
-        return "_Resume" if process is None \
-            else f"resume:{getattr(process, 'name', '?')}"
+        return f"resume:{getattr(arg, 'name', '?')}"
     if fn is not _fire:
         return f"call_later:{getattr(fn, '__qualname__', repr(fn))}"
     event = arg
@@ -83,12 +80,12 @@ def _describe_event(fn: object, arg: object) -> str:
     name = getattr(event, "name", "")
     tag = f"{cls}:{name}" if name else cls
     # A generic event that wakes a process carries its bound ``_resume``
-    # (or a waiter-group ``_check``/``_deliver``) in the callback list;
+    # (or an ``AllOf``'s ``_check``) in the callback list;
     # naming the woken process beats a bare class name in race reports.
     for cb in getattr(event, "callbacks", None) or ():
         target = getattr(cb, "__self__", None)
         woken = getattr(target, "name", None)
-        if woken and getattr(cb, "__name__", "") in ("_resume", "_deliver", "_check"):
+        if woken and getattr(cb, "__name__", "") in ("_resume", "_check"):
             return f"{tag}->resume:{woken}"
     return tag
 

@@ -15,8 +15,7 @@ and :meth:`Simulator.call_soon` push their ``fn``/``arg`` as they are.
 A triggered event pushes :func:`~repro.sim.events._fire` over itself,
 which runs its callbacks.  A process's first step and every scalar sleep
 (``yield 250.0``, see :mod:`repro.sim.process`) push
-:func:`~repro.sim.process._wake` over a pooled ``_Resume``, so an
-interrupt can still cancel the sleep in place.  Each record takes the
+:func:`~repro.sim.process._wake` over the process.  Each record takes the
 ``(time, priority, sequence)`` key a ``Timeout`` created at the same
 point would get; ``call_soon`` takes ``(now, URGENT)``, the key a
 spawned process's first step takes, so a callback stage can stand in
@@ -50,8 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.verify.choice import Chooser
     from repro.verify.monitors import ProtocolMonitor
 from repro.sanitize.runtime import env_sanitize
-from repro.sim.events import NORMAL, URGENT, AllOf, AnyOf, Event, Timeout, _fire
-from repro.sim.process import Process, ProcessGenerator, _Resume
+from repro.sim.events import NORMAL, URGENT, AllOf, Event, Timeout, _fire
+from repro.sim.process import Process, ProcessGenerator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace
 from repro.telemetry.metrics import Telemetry
@@ -98,7 +97,7 @@ class Simulator:
     """
 
     __slots__ = (
-        "_now", "_queue", "_seq", "_active_process", "_resume_pool",
+        "_now", "_queue", "_seq",
         "_sanitize", "_time_hooks", "_state_providers",
         "_monitor", "_chooser", "rng", "trace", "telemetry",
     )
@@ -114,8 +113,6 @@ class Simulator:
         self._now: float = 0.0
         self._queue: list[tuple[float, int, int, Callable, object]] = []
         self._seq: int = 0
-        self._active_process: Optional[Process] = None
-        self._resume_pool: list[_Resume] = []
         self._time_hooks: list[Callable[[float], None]] = []
         self._state_providers: list[Callable[[], tuple]] = []
         self.rng = RngRegistry(seed)
@@ -145,11 +142,6 @@ class Simulator:
         """Current simulated time in nanoseconds."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing (None outside process context)."""
-        return self._active_process
-
     # -- factories -------------------------------------------------------------
 
     def event(self, name: str = "") -> Event:
@@ -167,8 +159,8 @@ class Simulator:
     def spawn(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Run ``generator`` as a detached, fire-and-forget process.
 
-        Like :meth:`process`, but the returned handle cannot be joined or
-        interrupted (both raise :class:`SimulationError`), its completion
+        Like :meth:`process`, but the returned handle cannot be joined
+        (that raises :class:`SimulationError`), its completion
         leaves no termination record on the heap, and a crash propagates
         out of :meth:`run`.  Use it for work nobody waits on that is easier
         to write as a generator (the relative order of all other records
@@ -179,43 +171,6 @@ class Simulator:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def wait_any(self, events: Iterable[Event], name: str = "") -> Event:
-        """First-of waiter without :class:`AnyOf`/``ConditionValue`` overhead.
-
-        Returns an event that succeeds with the *first* sub-event to succeed
-        (the sub-event itself is the value) or fails with the first failure.
-        Unlike :class:`AnyOf` it allocates one shared callback instead of a
-        condition object, a sub-event tuple and a ``ConditionValue`` — the
-        allocation-free way to multiplex a poll loop over several queues.
-        An empty iterable succeeds immediately with ``None``.
-        """
-        out = Event(self, name=name)
-
-        def _first(ev: Event) -> None:
-            if out._value is not _EVENT_PENDING:
-                if not ev._ok:
-                    ev._defused = True
-                return
-            if ev._ok:
-                out.succeed(ev)
-            else:
-                ev._defused = True
-                out.fail(ev._value)  # type: ignore[arg-type]
-
-        armed = False
-        for ev in events:
-            armed = True
-            if ev.callbacks is None:
-                _first(ev)
-            else:
-                ev.callbacks.append(_first)
-        if not armed:
-            out.succeed(None)
-        return out
 
     # -- scheduling --------------------------------------------------------------
 
@@ -492,6 +447,3 @@ class Simulator:
             if san is not None:
                 san.in_dispatch = False
 
-
-# Sentinel shared with events.py for the wait_any fast check.
-from repro.sim.events import _PENDING as _EVENT_PENDING  # noqa: E402

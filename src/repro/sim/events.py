@@ -17,12 +17,11 @@ from repro.errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
 
-# Scheduling priorities: at equal timestamps, URGENT events (interrupts,
-# resource releases) are processed before NORMAL ones, which precede LOW
-# (e.g. simulation-end sentinels).  Ties beyond priority preserve FIFO order.
+# Scheduling priorities: at equal timestamps, URGENT records (a process's
+# first step and its end, call_soon stages) are processed before NORMAL
+# ones.  Ties beyond priority preserve FIFO order.
 URGENT = 0
 NORMAL = 1
-LOW = 2
 
 _PENDING = object()
 
@@ -137,12 +136,6 @@ class Event:
 
     # -- misc ------------------------------------------------------------------
 
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.sim, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.sim, [self, other])
-
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         state = (
@@ -172,47 +165,12 @@ class Timeout(Event):
         sim._seq += 1
 
 
-class ConditionValue:
-    """Mapping-like result of a condition: events -> values, in wait order."""
+class AllOf(Event):
+    """Triggered once *all* sub-events have succeeded.
 
-    __slots__ = ("events", "_lookup")
-
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-        #: Lazily built set mirror of ``events`` for O(1) membership tests
-        #: (rebuilt if ``events`` was reassigned/extended since last lookup).
-        self._lookup: Optional[set[Event]] = None
-
-    def __getitem__(self, event: Event) -> object:
-        if event not in self:
-            raise KeyError(repr(event))
-        return event.value
-
-    def __contains__(self, event: Event) -> bool:
-        lookup = self._lookup
-        if lookup is None or len(lookup) != len(self.events):
-            lookup = self._lookup = set(self.events)
-        return event in lookup
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def todict(self) -> dict[Event, object]:
-        return {e: e.value for e in self.events}
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ConditionValue {self.todict()!r}>"
-
-
-class Condition(Event):
-    """Composite event over a fixed set of sub-events.
-
-    Subclasses define :meth:`_satisfied`.  The condition fails as soon as any
-    sub-event fails (the sub-event is defused; its exception becomes the
-    condition's).
+    Its value is the list of the sub-events' values, in the order given.
+    It fails as soon as any sub-event fails (the sub-event is defused; its
+    exception becomes this event's).
     """
 
     __slots__ = ("_events", "_count")
@@ -225,16 +183,13 @@ class Condition(Event):
             if event.sim is not sim:
                 raise SimulationError("condition spans multiple simulators")
         if not self._events:
-            self.succeed(ConditionValue())
+            self.succeed([])
             return
         for event in self._events:
             if event.processed:
                 self._check(event)
             else:
                 event.callbacks.append(self._check)
-
-    def _satisfied(self, count: int, total: int) -> bool:
-        raise NotImplementedError
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -246,25 +201,5 @@ class Condition(Event):
             self.fail(event._value)  # type: ignore[arg-type]
             return
         self._count += 1
-        if self._satisfied(self._count, len(self._events)):
-            value = ConditionValue()
-            value.events = [e for e in self._events if e.processed and e._ok]
-            self.succeed(value)
-
-
-class AllOf(Condition):
-    """Triggered once *all* sub-events have succeeded."""
-
-    __slots__ = ()
-
-    def _satisfied(self, count: int, total: int) -> bool:
-        return count == total
-
-
-class AnyOf(Condition):
-    """Triggered once *any* sub-event has succeeded."""
-
-    __slots__ = ()
-
-    def _satisfied(self, count: int, total: int) -> bool:
-        return count >= 1
+        if self._count == len(self._events):
+            self.succeed([e._value for e in self._events])

@@ -580,13 +580,15 @@ class FastForward:
 
     def _queue_sig(self) -> tuple:
         """Pending records in relative time, tagged by kind: the event
-        class, ``_Resume`` for a sleep, one ``_Callback`` for every
-        callback stage."""
+        class, ``_Resume`` for a sleep or a first step, one ``_Callback``
+        for every callback stage.  A wake record's argument is a
+        ``Process``, so it takes its own tag: the class name would collide
+        with a joinable process's end record."""
         sim = self._sim
         now = sim._now
         return tuple(sorted(
-            (t - now, prio, type(arg).__name__
-             if fn is _fire or fn is _wake else "_Callback")
+            (t - now, prio, type(arg).__name__ if fn is _fire
+             else "_Resume" if fn is _wake else "_Callback")
             for (t, prio, _seq, fn, arg) in sim._queue
         ))
 

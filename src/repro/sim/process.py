@@ -11,23 +11,24 @@ Scalar-yield protocol
 ---------------------
 
 ``yield 250.0`` (any non-bool ``float``/``int``) means "sleep 250 ns" and
-orders exactly like ``yield sim.timeout(250.0)``: the sleep is backed by a
-pooled resume record instead of a Timeout event — no allocation, no
-callback dispatch — carrying the same ``(time, priority, sequence)`` heap
+orders exactly like ``yield sim.timeout(250.0)``: the sleep is one
+``(time, priority, sequence, _wake, process)`` heap record instead of a
+Timeout event — no allocation, no callback dispatch — carrying the same
 key a Timeout created at that point would get.
 
 Detached processes
 ------------------
 
 :meth:`Simulator.spawn` creates a *detached* process for work that
-nothing joins or interrupts (the IPoIB and IRQ paths, storage commands).
+nothing joins (the IPoIB and IRQ paths, storage commands).
 It is born processed (``callbacks is None``), so its end schedules no
 termination record, and a crash propagates straight out of
 :meth:`Simulator.run` instead of being stored for a joiner.  Dropping
 that record cannot change the interleaving of the remaining ones: it
 never has callbacks, and removing an allocation from the sequence-number
-stream preserves the relative order of all other records.  Joining (``yield``, ``run(until=...)``) or interrupting a
-detached process raises :class:`~repro.errors.SimulationError`.
+stream preserves the relative order of all other records.  Joining a
+detached process (``yield``, ``run(until=...)``) raises
+:class:`~repro.errors.SimulationError`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from heapq import heappush
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.errors import ProcessInterrupt, SimulationError
+from repro.errors import SimulationError
 from repro.sim.events import _PENDING, NORMAL, URGENT, Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -44,67 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 ProcessGenerator = Generator[Event, object, object]
 
 
-class _Resume:
-    """Pooled argument of a :func:`_wake` record: the process to resume.
-
-    Scheduled for a process's first step and for every scalar-yield sleep.
-    Tombstoning (``process = None``, done by interrupt delivery) cancels a
-    pending record in place; :func:`_wake` then drops it.
-    """
-
-    __slots__ = ("process",)
-
-    def __init__(self) -> None:
-        self.process = None
-
-
-def _wake(rec: _Resume) -> None:
-    """Heap-record body of a resume: recycle ``rec``, step its process."""
-    process = rec.process
-    if process is not None:
-        rec.process = None
-        process.sim._resume_pool.append(rec)
-        process._step(None, None)
-
-
-class Interruption(Event):
-    """Internal immediate event carrying a :class:`ProcessInterrupt`."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: object):
-        super().__init__(process.sim, name=f"interrupt:{process.name}")
-        if process.processed:
-            raise SimulationError(f"{process!r} has terminated; cannot interrupt")
-        if process is process.sim.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        self.process = process
-        self._ok = False
-        self._value = ProcessInterrupt(cause)
-        self._defused = True
-        self.callbacks.append(self._deliver)
-        process.sim._schedule(self, URGENT, 0.0)
-
-    def _deliver(self, event: Event) -> None:
-        process = self.process
-        if process.processed:
-            return  # terminated between scheduling and delivery
-        # Detach the process from whatever it currently waits on, then resume
-        # it with the interrupt exception.
-        target = process._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(process._resume)
-            except ValueError:
-                pass
-        process._target = None
-        pending = process._pending
-        if pending is not None:
-            # Sleeping on a resume record: tombstone it in place (_wake
-            # drops it when it pops).
-            pending.process = None
-            process._pending = None
-        process._resume(self)
+def _wake(process: "Process") -> None:
+    """Heap-record body of a first step or a scalar-yield sleep."""
+    process._step(None, None)
 
 
 class Process(Event):
@@ -115,7 +58,7 @@ class Process(Event):
     IPoIB message.
     """
 
-    __slots__ = ("_target", "_send", "_throw", "_pending")
+    __slots__ = ("_send", "_throw")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator,
                  name: str = "", detached: bool = False):
@@ -131,35 +74,14 @@ class Process(Event):
         self._value = _PENDING
         self._ok = True
         self._defused = False
-        self._target: Optional[Event] = None
-        # First step: a resume record at (now, URGENT, next seq).
-        pool = sim._resume_pool
-        rec = pool.pop() if pool else _Resume()
-        rec.process = self
-        heappush(sim._queue, (sim._now, URGENT, sim._seq, _wake, rec))
+        # First step: a wake record at (now, URGENT, next seq).
+        heappush(sim._queue, (sim._now, URGENT, sim._seq, _wake, self))
         sim._seq += 1
-        self._pending = rec
 
     @property
     def detached(self) -> bool:
         """True for a :meth:`Simulator.spawn` process (never joinable)."""
         return self.callbacks is None and self._value is _PENDING
-
-    @property
-    def is_alive(self) -> bool:
-        """True until the wrapped generator of a joinable process has ended."""
-        return not self.triggered
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process currently waits on (None while running)."""
-        return self._target
-
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`ProcessInterrupt` into the process immediately."""
-        if self.detached:
-            raise SimulationError(f"{self!r} is detached; cannot interrupt")
-        Interruption(self, cause)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
@@ -172,8 +94,6 @@ class Process(Event):
     def _step(self, value: object, exc: Optional[BaseException]) -> None:
         """Core resume loop: feed ``value``/``exc`` in, dispatch the yield."""
         sim = self.sim
-        sim._active_process = self
-        self._pending = None
         send = self._send
         while True:
             try:
@@ -184,14 +104,12 @@ class Process(Event):
                     exc = None
                     target = self._throw(pending_exc)
             except StopIteration as stop:
-                sim._active_process = None
                 if self.callbacks is not None:  # joinable: schedule the end
                     self._ok = True
                     self._value = stop.value
                     sim._schedule(self, URGENT, 0.0)
                 return
             except BaseException as crashed:  # noqa: BLE001 - process crashed
-                sim._active_process = None
                 if self.callbacks is None:
                     raise  # detached: nobody could catch it, so run() does
                 self._ok = False
@@ -209,17 +127,11 @@ class Process(Event):
                         f"process {self.name!r} yielded a negative delay: {target!r}"
                     )
                     continue
-                # Schedule a pooled _Resume record inline: one sleep per
-                # event-loop dispatch makes this the hottest line in the
-                # simulator.
-                pool = sim._resume_pool
-                rec = pool.pop() if pool else _Resume()
-                rec.process = self
+                # Push the wake record inline: one sleep per event-loop
+                # dispatch makes this the hottest line in the simulator.
                 heappush(sim._queue,
-                         (sim._now + target, NORMAL, sim._seq, _wake, rec))
+                         (sim._now + target, NORMAL, sim._seq, _wake, self))
                 sim._seq += 1
-                self._pending = rec
-                sim._active_process = None
                 return
             if not isinstance(target, Event):
                 value = None
@@ -238,8 +150,6 @@ class Process(Event):
             if callbacks is not None:
                 # Not yet processed: park until it is.
                 callbacks.append(self._resume)
-                self._target = target
-                sim._active_process = None
                 return
             # Already processed: feed its outcome straight back in.
             if target._value is _PENDING:

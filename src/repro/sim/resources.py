@@ -1,7 +1,8 @@
-"""Capacity-limited resources.
+"""Capacity-limited FIFO resources.
 
-Used for CPU cores (capacity 1 per core), NIC execution units, IRQ lines
-and the like.  Every hold follows one protocol::
+Used for CPU cores (capacity 1 per core), the fabric's TX/RX ports, the
+kernel's softirq queues and storage channels.  Every hold follows one
+protocol::
 
     tok = res.try_hold()
     if tok is None:
@@ -14,27 +15,22 @@ and the like.  Every hold follows one protocol::
 :meth:`Resource.try_hold` takes an idle capacity-1 resource inline and
 returns the resource's reusable grant token — no :class:`Request` is
 allocated and the caller does not yield.  Otherwise it returns ``None``
-and :meth:`Resource.acquire` queues a :class:`Request` (granted in FIFO
-order through the event loop), cancelling it if the wait is interrupted.
+and :meth:`Resource.acquire` queues a :class:`Request`, granted in FIFO
+order through the event loop.
 
-A bare request is an event that succeeds when a slot is granted.  Open the
-``try`` *before* the wait, so an interrupted waiter cancels its queued
-request instead of leaking the slot it would later be granted::
+A bare request is an event that succeeds when a slot is granted::
 
     req = res.request()
-    try:
-        yield req
-        yield busy_time
-    finally:
-        res.release(req)
+    yield req
+    yield busy_time
+    res.release(req)
 
-Requests also work as context managers for the same bracket
-(``with resource.request() as req: yield req``).
+Releasing a request that is still queued cancels it.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.errors import SimulationError
@@ -47,9 +43,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Request(Event):
     """A pending or granted claim on a :class:`Resource` slot."""
 
-    __slots__ = ("resource", "priority", "_order")
+    __slots__ = ()
 
-    def __init__(self, resource: "Resource", priority: int = 0):
+    def __init__(self, resource: "Resource"):
         # Inlined Event.__init__ with the resource's precomputed request name
         # (one request per hold not taken inline — hot).  The callbacks list
         # is left unset; Resource.request fills it in (None for an inline
@@ -59,36 +55,12 @@ class Request(Event):
         self._value = _PENDING
         self._ok = True
         self._defused = False
-        self.resource = resource
-        self.priority = priority
-        resource._order_seq += 1
-        self._order = resource._order_seq
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.resource.release(self)
-
-    def __lt__(self, other: "Request") -> bool:
-        return (self.priority, self._order) < (other.priority, other._order)
 
 
 class Resource:
     """FIFO resource with integer capacity."""
 
-    __slots__ = (
-        "sim",
-        "capacity",
-        "name",
-        "users",
-        "queue",
-        "_order_seq",
-        "_busy_integral",
-        "_last_change",
-        "_req_name",
-        "_held",
-    )
+    __slots__ = ("sim", "capacity", "name", "users", "queue", "_req_name", "_held")
 
     def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "resource"):
         if capacity < 1:
@@ -98,11 +70,7 @@ class Resource:
         self.name = name
         self._req_name = f"req:{name}"
         self.users: list[Request] = []
-        self.queue: list[Request] = []
-        self._order_seq = 0
-        # Utilization accounting: busy integral for average-occupancy stats.
-        self._busy_integral = 0.0
-        self._last_change = sim.now
+        self.queue: deque[Request] = deque()
         #: ``users`` while an inline hold is on (see :meth:`try_hold`): a
         #: fixed one-element list holding the reusable grant token.  Only
         #: capacity-1 resources of an unsanitized simulator have one; the
@@ -114,30 +82,6 @@ class Resource:
             tok._value = tok
             tok.callbacks = None
             self._held = [tok]
-
-    # -- accounting ------------------------------------------------------------
-
-    def _account(self) -> None:
-        now = self.sim.now
-        # sim: allow-float-eq(same-instant skip; both floats are copies of sim.now)
-        if now != self._last_change:
-            self._busy_integral += len(self.users) * (now - self._last_change)
-            self._last_change = now
-
-    def utilization(self, since: float = 0.0) -> float:
-        """Average fraction of capacity busy since ``since`` (default t=0)."""
-        self._account()
-        elapsed = self.sim.now - since
-        if elapsed <= 0:
-            return 0.0
-        return self._busy_integral / (elapsed * self.capacity)
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently in use."""
-        return len(self.users)
-
-    # -- protocol ---------------------------------------------------------------
 
     def try_hold(self) -> Optional[Request]:
         """Hold an idle capacity-1 resource inline; ``None`` if that is not possible.
@@ -154,31 +98,19 @@ class Resource:
         held = self._held
         if held is None or self.users:
             return None
-        # No users, so the busy integral gains 0 over the idle gap: only
-        # the change mark moves.  Installing the fixed list (instead of
-        # appending to ``users``) keeps the hold free of list mutation, and
-        # makes "the token holds" an identity test in :meth:`release`.
-        self._last_change = self.sim._now
+        # Installing the fixed list (instead of appending to ``users``)
+        # keeps the hold free of list mutation, and makes "the token
+        # holds" an identity test in :meth:`release`.
         self.users = held
         return held[0]
 
-    def acquire(self, priority: int = 0) -> Generator[Event, object, Request]:
-        """Wait for a slot (generator); return the granted request.
-
-        If the wait ends in an exception (an interrupt), the request is
-        cancelled — or, if it was granted in the same instant, released —
-        before the exception propagates, so an abandoned waiter never
-        strands the slot.
-        """
-        req = self.request(priority)
-        try:
-            yield req
-        except BaseException:
-            self.release(req)
-            raise
+    def acquire(self) -> Generator[Event, object, Request]:
+        """Wait for a slot (generator); return the granted request."""
+        req = self.request()
+        yield req
         return req
 
-    def request(self, priority: int = 0) -> Request:
+    def request(self) -> Request:
         """Claim a slot; the returned event succeeds when granted.
 
         An uncontended grant completes the request *inline* (the event is
@@ -187,13 +119,7 @@ class Resource:
         timestamp anyway.  Contended requests queue and are granted through
         the event loop by :meth:`release`, preserving FIFO wake order.
         """
-        req = Request(self, priority=priority)
-        sim = self.sim
-        now = sim._now
-        # sim: allow-float-eq(same-instant skip; both floats are copies of sim.now)
-        if now != self._last_change:
-            self._busy_integral += len(self.users) * (now - self._last_change)
-            self._last_change = now
+        req = Request(self)
         if len(self.users) < self.capacity:
             self.users.append(req)
             req._value = req
@@ -201,9 +127,9 @@ class Resource:
             parked = False
         else:
             req.callbacks = []
-            self._enqueue(req)
+            self.queue.append(req)
             parked = True
-        san = sim._sanitize
+        san = self.sim._sanitize
         if san is not None:
             # Contended when the grant raced a full resource: an inline win
             # or a park decides the winner by heap-insertion seq.
@@ -211,32 +137,15 @@ class Resource:
                            contended=parked)
         return req
 
-    def _enqueue(self, req: Request) -> None:
-        self.queue.append(req)
-
-    def _dequeue(self) -> Request:
-        return self.queue.pop(0)
-
     def release(self, req: Request) -> None:
         """Return a slot.  Releasing a queued (ungranted) request cancels it."""
         users = self.users
         if users is self._held and req is users[0]:
-            # Inline token: it is the sole user of a capacity-1 resource, so
-            # the busy integral gains ``1 * gap`` (adding 0.0 is exact when
-            # the gap is empty).  No sanitizer is attached (no token else).
-            # The held list itself is never mutated: a fresh one replaces it.
-            now = self.sim._now
-            self._busy_integral += now - self._last_change
-            self._last_change = now
+            # Inline token: the held list itself is never mutated, a fresh
+            # one replaces it.  No sanitizer is attached (no token else).
             self.users = users = []
         else:
-            sim = self.sim
-            now = sim._now
-            # sim: allow-float-eq(same-instant skip; both floats are copies of sim.now)
-            if now != self._last_change:
-                self._busy_integral += len(users) * (now - self._last_change)
-                self._last_change = now
-            san = sim._sanitize
+            san = self.sim._sanitize
             if san is not None:
                 # A release hands the slot to the FIFO head regardless of
                 # seq order within the bucket, so it never contends by itself.
@@ -245,44 +154,15 @@ class Resource:
             try:
                 users.remove(req)
             except ValueError:
-                self._cancel(req)
+                try:
+                    self.queue.remove(req)
+                except ValueError:
+                    raise SimulationError(
+                        f"release of {req!r} that neither holds nor waits "
+                        f"for {self.name}"
+                    ) from None
                 return
         if self.queue:
-            nxt = self._dequeue()
+            nxt = self.queue.popleft()
             users.append(nxt)
             nxt.succeed(nxt)
-
-    def _cancel(self, req: Request) -> None:
-        try:
-            self.queue.remove(req)
-        except ValueError:
-            raise SimulationError(
-                f"release of {req!r} that neither holds nor waits for {self.name}"
-            ) from None
-
-
-class PriorityResource(Resource):
-    """Resource whose wait queue is ordered by (priority, FIFO).
-
-    Lower priority values are served first, matching SimPy convention.
-    The wait queue is kept as a heap.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "presource"):
-        super().__init__(sim, capacity=capacity, name=name)
-
-    def _enqueue(self, req: Request) -> None:
-        heapq.heappush(self.queue, req)
-
-    def _dequeue(self) -> Request:
-        return heapq.heappop(self.queue)
-
-    def _cancel(self, req: Request) -> None:
-        super()._cancel(req)
-        heapq.heapify(self.queue)
-
-    @property
-    def queue_length(self) -> int:
-        return len(self.queue)

@@ -68,11 +68,19 @@ class MrTable:
         self._next_key += 2
         return lkey, rkey
 
-    def check_local(self, lkey: int, addr: int, length: int, write: bool) -> MemoryRegionV:
-        """Validate a local (lkey) access; raise on violation."""
+    def check_local(
+        self, lkey: int, addr: int, length: int, write: bool,
+        pd: Optional["ProtectionDomain"],
+    ) -> MemoryRegionV:
+        """Validate a local (lkey) access by a WQE of ``pd``; raise on violation."""
         mr = self._by_lkey.get(lkey)
         if mr is None or not mr.valid:
             raise MemoryAccessError(f"invalid lkey {lkey:#x}")
+        if mr.pd is not pd:
+            raise MemoryAccessError(
+                f"MR lkey={lkey:#x} belongs to PD {getattr(mr.pd, 'handle', None)}, "
+                f"not PD {getattr(pd, 'handle', None)}"
+            )
         if not (mr.addr <= addr and addr + length <= mr.addr + mr.length):
             raise MemoryAccessError(
                 f"local access [{addr:#x},+{length}) outside MR "
@@ -83,15 +91,16 @@ class MrTable:
         return mr
 
     def check_remote(
-        self, rkey: int, addr: int, length: int, write: bool
+        self, rkey: int, addr: int, length: int, write: bool,
+        pd: Optional["ProtectionDomain"],
     ) -> Optional[MemoryRegionV]:
-        """Validate a remote (rkey) access; return None on violation.
+        """Validate a remote (rkey) access to a QP of ``pd``; None on violation.
 
         Remote violations must not raise inside the NIC engine — the IB
         spec turns them into NAKs / error completions at the initiator.
         """
         mr = self._by_rkey.get(rkey)
-        if mr is None or not mr.valid:
+        if mr is None or not mr.valid or mr.pd is not pd:
             return None
         if not mr.contains(addr, length):
             return None

@@ -1,15 +1,18 @@
 """Protection domains.
 
-A PD groups MRs and QPs; a QP may only use MRs from its own PD.  In the
-simulation this is enforced at post time (local keys) and at the responder
-NIC (remote keys), mirroring real hardware checks.
+A PD groups MRs, QPs and SRQs; a work request may only use MRs from the
+PD of the queue it is posted to.  The NIC enforces it as hardware does,
+through :meth:`~repro.verbs.mr.MrTable.check_local` and
+:meth:`~repro.verbs.mr.MrTable.check_remote`.  A local key from another
+PD fails the post (``MemoryAccessError``), as do a bad key or range.  A
+remote key from a PD other than the responder QP's is a remote access
+error: the responder NAKs, and the initiator's WR completes with
+``REM_ACCESS_ERR``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
-
-from repro.errors import VerbsError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.verbs.device import Context
@@ -28,15 +31,6 @@ class ProtectionDomain:
         ProtectionDomain._next_handle += 1
         self.mrs: list["MemoryRegionV"] = []
         self.qps: list["QueuePair"] = []
-
-    def owns_mr(self, mr: "MemoryRegionV") -> bool:
-        return mr.pd is self
-
-    def check_mr(self, mr: "MemoryRegionV") -> None:
-        if not self.owns_mr(mr):
-            raise VerbsError(
-                f"MR lkey={mr.lkey:#x} belongs to PD {mr.pd.handle}, not {self.handle}"
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<PD {self.handle} mrs={len(self.mrs)} qps={len(self.qps)}>"

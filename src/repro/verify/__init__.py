@@ -25,7 +25,6 @@ from repro.verify.explorer import (
     Counterexample,
     Explorer,
     ExploreResult,
-    explore_all,
 )
 from repro.verify.hashing import fingerprint
 from repro.verify.monitors import ProtocolMonitor
@@ -47,6 +46,5 @@ __all__ = [
     "ScenarioSpec",
     "ScheduleDivergence",
     "ScriptedChooser",
-    "explore_all",
     "fingerprint",
 ]

@@ -232,21 +232,3 @@ class Explorer:
                 },
                 fh, indent=2,
             )
-
-
-def explore_all(
-    specs: Optional[list[ScenarioSpec]] = None,
-    max_schedules: int = 20000,
-    dedup: bool = True,
-    artifacts_dir: Optional[str] = None,
-) -> list[ExploreResult]:
-    """Explore every (or the given) scenario; collect per-scenario results."""
-    from repro.verify.scenarios import SCENARIOS
-
-    if specs is None:
-        specs = list(SCENARIOS.values())
-    return [
-        Explorer(spec, max_schedules=max_schedules, dedup=dedup,
-                 artifacts_dir=artifacts_dir).explore()
-        for spec in specs
-    ]

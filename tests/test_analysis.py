@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import (
-    CheckResult,
     Series,
     SweepTable,
     check_between,
@@ -20,17 +19,6 @@ def test_series_add_and_lookup():
     assert len(s) == 2
     with pytest.raises(ValueError):
         s.y_at(99)
-
-
-def test_series_ratio():
-    a = Series("a")
-    b = Series("b")
-    for x in (1, 2, 4):
-        a.add(x, float(x * 10))
-        b.add(x, float(x * 5))
-    r = a.ratio_to(b)
-    assert r.ys == [2.0, 2.0, 2.0]
-    assert r.name == "a/b"
 
 
 def test_sweep_table_rows_align_mixed_xs():

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.cluster import build_cluster, build_pair
-from repro.core.endpoint import connect, make_endpoint, make_rc_pair
+from repro.core.endpoint import make_endpoint, make_rc_pair
 from repro.errors import VerbsError
 from repro.hw.profiles import SYSTEM_L
 from repro.sim import Simulator
+from repro.verbs.qp import Transport
 from repro.verbs.wr import Opcode, Psn, SendWR, WireMessage
 
 
@@ -82,15 +83,17 @@ def test_fetch_add_is_atomic_across_concurrent_initiators():
 
     def main():
         # One shared counter MR on the target host; each client gets its
-        # own RC connection to a per-client endpoint there (an RC QP has
-        # exactly one peer), all addressing the same registered memory.
+        # own RC QP there (an RC QP has exactly one peer), all in the
+        # counter's PD so that they may address its registered memory.
         target = yield from make_endpoint(target_host, "bypass")
         clients = []
         for host in hosts[1:]:
             for _ in range(2):
                 c = yield from make_endpoint(host, "bypass")
-                server_side = yield from make_endpoint(target_host, "bypass")
-                yield from connect(c, server_side)
+                cq = yield from target.ctx.create_cq()
+                qp = yield from target.ctx.create_qp(target.pd, Transport.RC, cq, cq)
+                yield from c.ctx.connect_qp(c.qp, (target_host.host_id, qp.qpn))
+                yield from target.ctx.connect_qp(qp, c.addr)
                 clients.append(c)
 
         def adder(client, n):

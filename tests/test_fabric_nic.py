@@ -1,17 +1,14 @@
 """Fabric and NIC engine behaviour: serialization, sharing, loopback, UD."""
 
-import math
-
 import pytest
 
 from repro.cluster import build_cluster, build_pair
 from repro.core.endpoint import connect, make_endpoint, make_rc_pair, make_ud_pair
 from repro.errors import HardwareError
-from repro.hw.link import Link
 from repro.hw.nic import ACK_RX_FRACTION
 from repro.hw.profiles import SYSTEM_L
 from repro.sim import Simulator
-from repro.units import gbit_per_s, to_gbit_per_s, us
+from repro.units import to_gbit_per_s, us
 from repro.verbs.wr import Opcode, RecvWR, SendWR, WireMessage
 
 
@@ -96,24 +93,20 @@ def test_loopback_same_host_faster_than_wire_but_not_free():
     assert 0 < elapsed < us(50)
 
 
-def test_link_two_node_wrapper():
+def test_fabric_two_node_transmit():
     sim = Simulator()
-    link = Link(sim, bandwidth=gbit_per_s(100), propagation_ns=100.0,
-                mtu=4096, per_packet_ns=25.0)
+    fabric, _host_a, _host_b = build_pair(sim, SYSTEM_L)
     got = []
-    link.ports[1].deliver = got.append
+    fabric.nic(1).deliver = lambda msg: got.append((msg, sim.now))
 
     def proc():
-        yield from link.transmit(link.ports[0], 4096, "payload")
+        yield from fabric.transmit(0, 1, 4096, "payload")
         return sim.now
 
     left_wire = sim.run(sim.process(proc()))
     sim.run()
-    assert got == ["payload"]
-    assert left_wire == pytest.approx(link.serialization_ns(4096))
-    assert link.peer(link.ports[0]) is link.ports[1]
-    with pytest.raises(HardwareError):
-        link.peer(object())
+    assert left_wire == pytest.approx(fabric.serialization_ns(4096))
+    assert got == [("payload", left_wire + fabric.propagation_ns)]
 
 
 def test_nic_counters_track_traffic():

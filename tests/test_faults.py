@@ -555,22 +555,19 @@ def test_injector_uses_named_rng_streams():
     assert "faults.fabric.l1-0" not in sim.rng._streams
 
 
-def test_link_level_fault_hook():
-    """A bare Link honours an attached injector (drops by port index)."""
-    from repro.hw.link import Link
-
+def test_fabric_level_fault_hook():
+    """The fabric honours an attached injector (drops by directed link)."""
     sim = Simulator(seed=1)
-    link = Link(sim, bandwidth=12.5, propagation_ns=250.0, mtu=4096,
-                per_packet_ns=10.0)
+    fabric, _host_a, _host_b = build_pair(sim, SYSTEM_L)
+    inj = fabric.inject_faults(FaultPlan(flaps=((0.0, 1e9),)))
     got = []
-    link.ports[1].deliver = got.append
-    link.faults = FaultInjector(sim, FaultPlan(flaps=((0.0, 1e9),)),
-                                scope="link")
+    fabric.nic(1).deliver = got.append
 
     def sender():
-        yield from link.transmit(link.ports[0], 512, "payload")
+        yield from fabric.transmit(0, 1, 512, "payload")
 
     sim.run(sim.process(sender()))
     sim.run()
     assert got == []  # flap window swallowed it
-    assert link.faults.drops == 1
+    assert inj.drops == 1
+    assert inj.snapshot()["drops_by_link"] == {"0-1": 1}

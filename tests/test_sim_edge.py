@@ -36,18 +36,6 @@ def test_run_until_unreachable_event_raises():
         sim.run(never)
 
 
-def test_interrupt_terminated_process_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    p = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError, match="terminated"):
-        p.interrupt()
-
-
 def test_event_value_before_trigger_raises():
     sim = Simulator()
     ev = sim.event()
@@ -75,38 +63,6 @@ def test_trigger_copies_other_events_outcome():
         return value
 
     assert sim.run(sim.process(proc())) == 42
-
-
-def test_try_get_with_parked_getters_rejected():
-    from repro.sim import Store
-
-    sim = Simulator()
-    store = Store(sim)
-
-    def getter():
-        yield store.get()
-
-    sim.process(getter())
-    sim.run()
-    with pytest.raises(SimulationError, match="parked getters"):
-        store.try_get()
-
-
-def test_condition_value_mapping_interface():
-    sim = Simulator()
-
-    def proc():
-        t1 = sim.timeout(1.0, value="a")
-        t2 = sim.timeout(2.0, value="b")
-        result = yield t1 & t2
-        assert result[t1] == "a"
-        assert len(result) == 2
-        assert list(result) == [t1, t2]
-        with pytest.raises(KeyError):
-            _ = result[sim.event()]
-        return result.todict()[t2]
-
-    assert sim.run(sim.process(proc())) == "b"
 
 
 def test_yielding_foreign_simulator_event_fails():

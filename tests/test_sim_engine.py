@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.errors import ProcessInterrupt, SimulationError
+from repro.errors import SimulationError
 from repro.sim import Simulator
-from repro.units import us
 
 
 def test_clock_starts_at_zero():
@@ -260,32 +259,6 @@ def test_scalar_and_timeout_interleave_identically(detached):
                      ("timeout", 10.0)]
 
 
-@pytest.mark.parametrize("detached", [True, False])
-def test_interrupt_during_scalar_sleep(detached):
-    # The victim must be joinable to be interrupted; the interrupter may be
-    # either kind.
-    sim = Simulator()
-
-    def sleeper():
-        try:
-            yield us(100)
-            return "slept"
-        except ProcessInterrupt as intr:
-            return ("interrupted", intr.cause, sim.now)
-
-    def poker(victim):
-        yield us(1)
-        victim.interrupt("wake up")
-
-    victim = sim.process(sleeper())
-    _start(sim, poker(victim), detached)
-    assert sim.run(victim) == ("interrupted", "wake up", us(1))
-    # The cancelled sleep record stays queued (like a detached Timeout) but
-    # drains without resuming the terminated process.
-    sim.run()
-    assert sim.now == us(100)
-
-
 def test_spawn_leaves_no_termination_record():
     def body():
         yield 5.0
@@ -334,8 +307,6 @@ def test_detached_process_cannot_be_joined(finished):
     assert "detached" in sim.run(sim.process(waiter()))
     with pytest.raises(SimulationError, match="detached"):
         sim.run(handle)
-    with pytest.raises(SimulationError, match="detached"):
-        handle.interrupt()
 
 
 @pytest.mark.parametrize("until", ["10", [10.0], object()])
@@ -361,84 +332,14 @@ def test_call_later_rejects_negative_delay():
         sim.call_later(-1.0, lambda _: None)
 
 
-def test_wait_any_returns_first_event():
-    sim = Simulator()
-    slow = sim.timeout(100.0, value="slow")
-    fast = sim.timeout(10.0, value="fast")
-    first = sim.run(sim.wait_any([slow, fast]))
-    assert first is fast
-    assert first.value == "fast"
-
-
-def test_wait_any_with_already_processed_event():
-    sim = Simulator()
-    done = sim.event()
-    done.succeed("early")
-    sim.run()  # process `done`
-    first = sim.run(sim.wait_any([done, sim.timeout(50.0)]))
-    assert first is done
-    assert sim.now == 0.0
-
-
-def test_wait_any_empty_succeeds_immediately():
-    sim = Simulator()
-    assert sim.run(sim.wait_any([])) is None
-
-
-def test_interrupt_wakes_process_early():
-    sim = Simulator()
-
-    def sleeper():
-        try:
-            yield sim.timeout(us(100))
-            return "slept"
-        except ProcessInterrupt as intr:
-            return ("interrupted", intr.cause, sim.now)
-
-    def interrupter(victim):
-        yield sim.timeout(10.0)
-        victim.interrupt("wakeup")
-
-    victim = sim.process(sleeper())
-    sim.process(interrupter(victim))
-    assert sim.run(victim) == ("interrupted", "wakeup", 10.0)
-
-
-def test_interrupt_self_rejected():
-    sim = Simulator()
-
-    def proc():
-        me = sim.active_process
-        me.interrupt("nope")
-        yield sim.timeout(1.0)
-
-    sim.process(proc())
-    with pytest.raises(SimulationError):
-        sim.run()
-
-
-def test_any_of_returns_first():
-    sim = Simulator()
-
-    def proc():
-        t1 = sim.timeout(10.0, value="fast")
-        t2 = sim.timeout(20.0, value="slow")
-        result = yield t1 | t2
-        assert t1 in result
-        assert t2 not in result
-        return result[t1], sim.now
-
-    assert sim.run(sim.process(proc())) == ("fast", 10.0)
-
-
 def test_all_of_waits_for_all():
     sim = Simulator()
 
     def proc():
-        t1 = sim.timeout(10.0, value="a")
-        t2 = sim.timeout(20.0, value="b")
-        result = yield t1 & t2
-        return sorted(result.todict().values()), sim.now
+        t1 = sim.timeout(20.0, value="a")
+        t2 = sim.timeout(10.0, value="b")
+        result = yield sim.all_of([t1, t2])
+        return result, sim.now
 
     assert sim.run(sim.process(proc())) == (["a", "b"], 20.0)
 

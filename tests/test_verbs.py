@@ -193,32 +193,32 @@ def make_mr(length=4096, access=AccessFlags.all_remote()):
 
 def test_mr_local_check_passes_and_bounds():
     table, mr = make_mr()
-    assert table.check_local(mr.lkey, mr.addr, 100, write=True) is mr
+    assert table.check_local(mr.lkey, mr.addr, 100, write=True, pd=mr.pd) is mr
     with pytest.raises(MemoryAccessError):
-        table.check_local(mr.lkey, mr.addr + 4000, 200, write=False)
+        table.check_local(mr.lkey, mr.addr + 4000, 200, write=False, pd=mr.pd)
     with pytest.raises(MemoryAccessError):
-        table.check_local(0xBAD, mr.addr, 10, write=False)
+        table.check_local(0xBAD, mr.addr, 10, write=False, pd=mr.pd)
 
 
 def test_mr_local_write_needs_permission():
     table, mr = make_mr(access=AccessFlags.REMOTE_READ)
     with pytest.raises(MemoryAccessError, match="LOCAL_WRITE"):
-        table.check_local(mr.lkey, mr.addr, 10, write=True)
+        table.check_local(mr.lkey, mr.addr, 10, write=True, pd=mr.pd)
 
 
 def test_mr_remote_check_returns_none_not_raises():
     table, mr = make_mr(access=AccessFlags.LOCAL_WRITE)  # no remote perms
-    assert table.check_remote(mr.rkey, mr.addr, 10, write=True) is None
-    assert table.check_remote(0xBAD, mr.addr, 10, write=False) is None
-    assert table.check_remote(mr.rkey, mr.addr - 50, 10, write=False) is None
+    assert table.check_remote(mr.rkey, mr.addr, 10, write=True, pd=mr.pd) is None
+    assert table.check_remote(0xBAD, mr.addr, 10, write=False, pd=mr.pd) is None
+    assert table.check_remote(mr.rkey, mr.addr - 50, 10, write=False, pd=mr.pd) is None
 
 
 def test_mr_deregister_invalidates():
     table, mr = make_mr()
     table.remove(mr)
     with pytest.raises(MemoryAccessError):
-        table.check_local(mr.lkey, mr.addr, 10, write=False)
-    assert table.check_remote(mr.rkey, mr.addr, 10, write=True) is None
+        table.check_local(mr.lkey, mr.addr, 10, write=False, pd=mr.pd)
+    assert table.check_remote(mr.rkey, mr.addr, 10, write=True, pd=mr.pd) is None
 
 
 # -- CQ ------------------------------------------------------------------------------
