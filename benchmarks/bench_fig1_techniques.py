@@ -21,7 +21,7 @@ Iteration counts match the perftest defaults the paper ran (5000 bw /
 
 import pytest
 
-from repro.analysis import Series, SweepTable, check_between, format_table
+from repro.analysis import SweepTable, check_between, format_table
 from repro.bench_support import (
     emit,
     figure_bench,

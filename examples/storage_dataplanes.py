@@ -9,6 +9,7 @@ QoS enforcement that only the interposed paths can provide.
 Run:  python examples/storage_dataplanes.py
 """
 
+from repro.core.policy import PolicyChain
 from repro.errors import PolicyViolation
 from repro.hw.cpu import Core
 from repro.hw.profiles import SYSTEM_L
@@ -21,7 +22,6 @@ from repro.storage import (
     SpdkDataplane,
 )
 from repro.storage.dataplane import make_command
-from repro.storage.policies import StoragePolicyChain
 from repro.units import us
 
 TOTAL = 2000
@@ -65,7 +65,7 @@ def main() -> None:
                         ("cord", "CoRD           "),
                         ("blk", "kernel block   ")):
         print(f"  {label}: {iops(kind) / 1e3:8.0f} kIOPS")
-    capped = iops("cord", StoragePolicyChain(
+    capped = iops("cord", PolicyChain(
         [IoRateLimit(rate_bytes_per_s=400e6, burst_bytes=1 << 20)]))
     print(f"  CoRD + 400 MB/s IO rate-limit policy: {capped / 1e3:8.0f} kIOPS "
           f"(~{capped * 4096 / 1e6:.0f} MB/s)")

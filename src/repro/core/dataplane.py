@@ -1,11 +1,14 @@
 """The dataplanes: kernel bypass vs CoRD.
 
-Both implement the same three-operation interface (the ibverbs data plane,
-§4): ``post_send``, ``post_recv``, ``poll_cq``, plus ``wait_cq`` — a
-completion *waiter* that models either busy-polling or interrupt-driven
-blocking without simulating every spin of a poll loop.
+Both expose the ibverbs data plane (§4): ``post_send``, ``post_recv``,
+their chained forms and ``poll_cq``, plus ``wait_cq`` — a completion
+*waiter* that models either busy-polling or interrupt-driven blocking
+without simulating every spin of a poll loop.
 
-Costs:
+Each entry point is implemented once, in :class:`Dataplane`: the same
+driver fast path (:mod:`repro.core.driver`) builds the same WQE and rings
+the same doorbell.  A subclass only says how one call is charged
+(``_charge``):
 
 ========== ============================================= =========================
 operation  BypassDataplane                                CordDataplane
@@ -16,11 +19,12 @@ post_send  driver + doorbell (user space)                 syscall + serialize +
 post_recv  driver (user space)                            syscall + serialize +
                                                           policies + driver
 poll_cq    ibv_poll_cq (user space)                       syscall + serialize +
-                                                          poll (kernel)
+                                                          policies + poll (kernel)
 ========== ============================================= =========================
 
-The NIC behaviour after the doorbell is identical in both — by construction,
-as in the paper.
+A chained post is one call: one doorbell, and for CoRD one syscall, with
+the policy chain still evaluated once per WR.  The NIC behaviour after the
+doorbell is identical in both — by construction, as in the paper.
 """
 
 from __future__ import annotations
@@ -50,10 +54,12 @@ class WaitMode(enum.Enum):
 
 
 class Dataplane:
-    """Common state and the shared waiter logic."""
+    """The one post/poll/wait path; subclasses supply :meth:`_charge`."""
 
     #: Human-readable mode tag ("BP" or "CD"), mirroring the paper's figures.
     tag = "??"
+    #: The driver runs in the kernel (``driver.should_inline`` asks).
+    cord = False
 
     def __init__(self, host: "Host", core: Core, tenant: str = "default"):
         self.host = host
@@ -101,13 +107,35 @@ class Dataplane:
         for wr in wrs:
             counter.inc(wr.length, key=key)
 
-    # -- interface ---------------------------------------------------------------
+    # -- the one post/poll path ------------------------------------------------
+    #
+    # ``_charge`` returns the core's generator instead of wrapping it, so a
+    # CPU charge stays one generator frame.
 
     def post_send(self, qp: QueuePair, wr: SendWR) -> Generator["Event", object, None]:
-        raise NotImplementedError
+        if self.sim.trace.enabled:
+            wr.span = self._begin_span("post_send", qp.qpn, wr.wr_id, wr.length)
+        if self.sim.telemetry.enabled:
+            self._count_ops("post_send", (wr,))
+        wr.inline = driver.should_inline(self.system, qp, wr, self.cord)
+        fast = driver.post_send_cpu_ns(self.system, wr, wr.inline)
+        fast += driver.doorbell_cpu_ns(self.system)
+        yield from self._charge(fast, "post_send", qp, (wr,))
+        self.host.nic.hw_post_send(qp, wr)
+        self.ops_posted += 1
 
     def post_recv(self, qp: QueuePair, wr: RecvWR) -> Generator["Event", object, None]:
-        raise NotImplementedError
+        span = None
+        if self.sim.trace.enabled:
+            span = self._begin_span("post_recv", qp.qpn, wr.wr_id, wr.length)
+        if self.sim.telemetry.enabled:
+            self._count_ops("post_recv", (wr,))
+        yield from self._charge(driver.post_recv_cpu_ns(self.system),
+                                "post_recv", qp, (wr,))
+        self.host.nic.hw_post_recv(qp, wr)
+        self.ops_posted += 1
+        if span is not None:
+            self._end_span(span)
 
     def post_recv_many(
         self, qp: QueuePair, wrs: list[RecvWR]
@@ -115,7 +143,27 @@ class Dataplane:
         """Post a chain of recv WRs in one call (``ibv_post_recv`` takes a
         linked list) — in CoRD this is one syscall for the whole chain,
         which is how real consumers amortize the kernel crossing."""
-        raise NotImplementedError
+        return self._post_recvs(wrs, self.host.nic.hw_post_recv, qp, qp)
+
+    def post_srq_recv_many(self, srq, wrs: list[RecvWR]) -> Generator["Event", object, None]:
+        """Post a chain of recv WRs to a shared receive queue."""
+        return self._post_recvs(wrs, self.host.nic.hw_post_srq_recv, srq, None)
+
+    def _post_recvs(
+        self, wrs: list[RecvWR], hw_post: Callable, target: object,
+        qp: Optional[QueuePair],
+    ) -> Generator["Event", object, None]:
+        """One chained recv post: ``hw_post(target, wr)`` for each WR; a
+        policy chain sees ``qp`` (None for an SRQ)."""
+        if not wrs:
+            return
+        if self.sim.telemetry.enabled:
+            self._count_ops("post_recv", wrs)
+        yield from self._charge(driver.post_recv_cpu_ns(self.system) * len(wrs),
+                                "post_recv", qp, wrs)
+        for wr in wrs:
+            hw_post(target, wr)
+        self.ops_posted += len(wrs)
 
     def post_send_many(
         self, qp: QueuePair, wrs: list[SendWR]
@@ -123,16 +171,48 @@ class Dataplane:
         """Post a chain of send WRs in one call (``ibv_post_send`` takes a
         linked list; perftest's postlist mode).  For CoRD this is the
         paper-§6 "the problem is the API, not the transition" argument
-        made concrete: one syscall amortized over the whole chain."""
-        raise NotImplementedError
-
-    def post_srq_recv_many(self, srq, wrs: list[RecvWR]) -> Generator["Event", object, None]:
-        """Post a chain of recv WRs to a shared receive queue."""
-        raise NotImplementedError
+        made concrete: one syscall amortized over the whole chain, while
+        the per-WR driver fast path still runs (in the kernel)."""
+        if not wrs:
+            return
+        if self.sim.trace.enabled:
+            for wr in wrs:
+                wr.span = self._begin_span("post_send", qp.qpn, wr.wr_id, wr.length)
+        if self.sim.telemetry.enabled:
+            self._count_ops("post_send", wrs)
+        fast = 0.0
+        for wr in wrs:
+            wr.inline = driver.should_inline(self.system, qp, wr, self.cord)
+            fast += driver.post_send_cpu_ns(self.system, wr, wr.inline)
+        fast += driver.doorbell_cpu_ns(self.system)  # one doorbell per chain
+        yield from self._charge(fast, "post_send", qp, wrs)
+        for wr in wrs:
+            self.host.nic.hw_post_send(qp, wr)
+        self.ops_posted += len(wrs)
 
     def poll_cq(
         self, cq: CompletionQueue, max_entries: int = 16
     ) -> Generator["Event", object, list[CQE]]:
+        cqes = cq.poll(max_entries)
+        cpu = self.system.cpu
+        yield from self._charge(cpu.poll_hit_ns if cqes else cpu.poll_miss_ns,
+                                "poll_cq", cq=cq)
+        self.polls += 1
+        if self.sim.trace.enabled and cqes:
+            self._finish_spans(cqes)
+        return cqes
+
+    def _charge(
+        self, fast_ns: float, op: Optional[str] = None,
+        qp: Optional[QueuePair] = None, wrs=(),
+        cq: Optional[CompletionQueue] = None,
+    ) -> Generator["Event", object, None]:
+        """Charge one call whose driver fast path costs ``fast_ns``.
+
+        ``op``, ``qp``, ``wrs`` and ``cq`` say what a policy chain may
+        inspect: each WR of a post, or the CQ of a poll.  ``op`` None (the
+        missed probe of :meth:`wait_cq`) shows it nothing.
+        """
         raise NotImplementedError
 
     # -- completion waiting ----------------------------------------------------------
@@ -160,7 +240,8 @@ class Dataplane:
             self._waited(waited)
         # One unsuccessful probe (the loop iteration that raced the CQE)
         # plus the successful reap.
-        yield from self._charge_poll(hit=False)
+        self.polls += 1
+        yield from self._charge(self.system.cpu.poll_miss_ns)
         cqes = yield from self.poll_cq(cq, max_entries)
         return cqes
 
@@ -202,9 +283,6 @@ class Dataplane:
             yield from chan.wait(self.core)
             woke = True
 
-    def _charge_poll(self, hit: bool) -> Generator["Event", object, None]:
-        raise NotImplementedError
-
     def _waited(self, duration_ns: float) -> None:
         """Hook: the dataplane spun for ``duration_ns`` awaiting a CQE.
 
@@ -227,93 +305,16 @@ class BypassDataplane(Dataplane):
 
     tag = "BP"
 
-    def post_send(self, qp: QueuePair, wr: SendWR) -> Generator["Event", object, None]:
-        if self.sim.trace.enabled:
-            wr.span = self._begin_span("post_send", qp.qpn, wr.wr_id, wr.length)
-        if self.sim.telemetry.enabled:
-            self._count_ops("post_send", (wr,))
-        wr.inline = driver.should_inline(self.system, qp, wr, cord=False)
-        cpu = driver.post_send_cpu_ns(self.system, wr, wr.inline)
-        cpu += driver.doorbell_cpu_ns(self.system)
-        yield from self.core.run(cpu)
-        self.host.nic.hw_post_send(qp, wr)
-        self.ops_posted += 1
-
-    def post_recv(self, qp: QueuePair, wr: RecvWR) -> Generator["Event", object, None]:
-        span = None
-        if self.sim.trace.enabled:
-            span = self._begin_span("post_recv", qp.qpn, wr.wr_id, wr.length)
-        if self.sim.telemetry.enabled:
-            self._count_ops("post_recv", (wr,))
-        yield from self.core.run(driver.post_recv_cpu_ns(self.system))
-        self.host.nic.hw_post_recv(qp, wr)
-        self.ops_posted += 1
-        if span is not None:
-            self._end_span(span)
-
-    def post_recv_many(
-        self, qp: QueuePair, wrs: list[RecvWR]
-    ) -> Generator["Event", object, None]:
-        return self._post_recvs(wrs, self.host.nic.hw_post_recv, qp)
-
-    def post_srq_recv_many(self, srq, wrs: list[RecvWR]) -> Generator["Event", object, None]:
-        return self._post_recvs(wrs, self.host.nic.hw_post_srq_recv, srq)
-
-    def _post_recvs(
-        self, wrs: list[RecvWR], hw_post: Callable, target: object
-    ) -> Generator["Event", object, None]:
-        """One chained recv post: ``hw_post(target, wr)`` for each WR."""
-        if not wrs:
-            return
-        if self.sim.telemetry.enabled:
-            self._count_ops("post_recv", wrs)
-        yield from self.core.run(driver.post_recv_cpu_ns(self.system) * len(wrs))
-        for wr in wrs:
-            hw_post(target, wr)
-        self.ops_posted += len(wrs)
-
-    def post_send_many(
-        self, qp: QueuePair, wrs: list[SendWR]
-    ) -> Generator["Event", object, None]:
-        if not wrs:
-            return
-        if self.sim.trace.enabled:
-            for wr in wrs:
-                wr.span = self._begin_span("post_send", qp.qpn, wr.wr_id, wr.length)
-        if self.sim.telemetry.enabled:
-            self._count_ops("post_send", wrs)
-        cpu = 0.0
-        for wr in wrs:
-            wr.inline = driver.should_inline(self.system, qp, wr, cord=False)
-            cpu += driver.post_send_cpu_ns(self.system, wr, wr.inline)
-        cpu += driver.doorbell_cpu_ns(self.system)  # one doorbell per chain
-        yield from self.core.run(cpu)
-        for wr in wrs:
-            self.host.nic.hw_post_send(qp, wr)
-        self.ops_posted += len(wrs)
-
-    def poll_cq(
-        self, cq: CompletionQueue, max_entries: int = 16
-    ) -> Generator["Event", object, list[CQE]]:
-        cqes = cq.poll(max_entries)
-        cost = (
-            self.system.cpu.poll_hit_ns if cqes else self.system.cpu.poll_miss_ns
-        )
-        yield from self.core.run(cost)
-        self.polls += 1
-        if self.sim.trace.enabled and cqes:
-            self._finish_spans(cqes)
-        return cqes
-
-    def _charge_poll(self, hit: bool) -> Generator["Event", object, None]:
-        return self.core.run(
-            self.system.cpu.poll_hit_ns if hit else self.system.cpu.poll_miss_ns)
+    def _charge(self, fast_ns, op=None, qp=None, wrs=(), cq=None):
+        """The user-space driver runs the fast path; nothing interposes."""
+        return self.core.run(fast_ns)
 
 
 class CordDataplane(Dataplane):
     """CoRD: every dataplane operation crosses the kernel (fig. 2c)."""
 
     tag = "CD"
+    cord = True
 
     def __init__(
         self,
@@ -326,18 +327,33 @@ class CordDataplane(Dataplane):
         self.policies = policies if policies is not None else PolicyChain()
         self.denied_ops = 0
 
-    # -- helpers -----------------------------------------------------------------
+    def _charge(self, fast_ns, op=None, qp=None, wrs=(), cq=None):
+        """One CoRD syscall: transition + serialize + policies + fast path.
 
-    def _context(self, op: str, qp: Optional[QueuePair] = None,
-                 send_wr: Optional[SendWR] = None,
-                 recv_wr: Optional[RecvWR] = None,
-                 cq: Optional[CompletionQueue] = None) -> Optional[OpContext]:
-        """What the policy chain sees of one operation, or None when the
-        chain is empty.  Decided per operation: a chain may grow later."""
-        if not self.policies.policies:
-            return None
-        return OpContext(self.sim.now, self.host, op, qp, send_wr, recv_wr,
-                         cq, self.tenant)
+        The chain is evaluated once per WR (once per poll); an empty chain
+        builds no :class:`OpContext`, decided per call since a chain can
+        grow.  A denial is charged by :meth:`_deny`, which re-raises it.
+        """
+        policy_ns = 0.0
+        if op is not None and self.policies.policies:
+            evaluate = self.policies.evaluate
+            now, host, tenant = self.sim.now, self.host, self.tenant
+            try:
+                if cq is not None:
+                    policy_ns += evaluate(OpContext(now, host, op, cq=cq, tenant=tenant))
+                elif op == "post_send":
+                    for wr in wrs:
+                        policy_ns += evaluate(
+                            OpContext(now, host, op, qp, send_wr=wr, tenant=tenant))
+                else:
+                    for wr in wrs:
+                        policy_ns += evaluate(
+                            OpContext(now, host, op, qp, recv_wr=wr, tenant=tenant))
+            except PolicyViolation as exc:
+                return self._deny(exc)
+        return self.core.syscall(
+            self.system.cord_serialize_ns + self.system.cord_kernel_driver_ns
+            + policy_ns + fast_ns)
 
     def _deny(self, exc: PolicyViolation) -> Generator["Event", object, None]:
         """A denied operation: its syscall still happened.  Pay transition
@@ -346,141 +362,6 @@ class CordDataplane(Dataplane):
         yield from self.core.syscall(
             self.system.cord_serialize_ns + self.system.cord_kernel_driver_ns)
         raise exc
-
-    def _interpose(
-        self, ctx: Optional[OpContext], fast_path_ns: float
-    ) -> Generator["Event", object, None]:
-        """One CoRD syscall: transition + serialize + policies + fast path.
-
-        ``ctx`` is None for an empty chain (see :meth:`_context`).  A
-        policy denial is charged by :meth:`_deny`, which re-raises it.
-        """
-        cost = self.system.cord_serialize_ns + self.system.cord_kernel_driver_ns
-        if ctx is not None:
-            try:
-                cost += self.policies.evaluate(ctx)
-            except PolicyViolation as exc:
-                return self._deny(exc)
-        return self.core.syscall(cost + fast_path_ns)
-
-    # -- interface ----------------------------------------------------------------
-
-    def post_send(self, qp: QueuePair, wr: SendWR) -> Generator["Event", object, None]:
-        if self.sim.trace.enabled:
-            wr.span = self._begin_span("post_send", qp.qpn, wr.wr_id, wr.length)
-        if self.sim.telemetry.enabled:
-            self._count_ops("post_send", (wr,))
-        wr.inline = driver.should_inline(self.system, qp, wr, cord=True)
-        fast = driver.post_send_cpu_ns(self.system, wr, wr.inline)
-        fast += driver.doorbell_cpu_ns(self.system)
-        yield from self._interpose(self._context("post_send", qp, send_wr=wr), fast)
-        self.host.nic.hw_post_send(qp, wr)
-        self.ops_posted += 1
-
-    def post_recv(self, qp: QueuePair, wr: RecvWR) -> Generator["Event", object, None]:
-        span = None
-        if self.sim.trace.enabled:
-            span = self._begin_span("post_recv", qp.qpn, wr.wr_id, wr.length)
-        if self.sim.telemetry.enabled:
-            self._count_ops("post_recv", (wr,))
-        yield from self._interpose(self._context("post_recv", qp, recv_wr=wr),
-                                   driver.post_recv_cpu_ns(self.system))
-        self.host.nic.hw_post_recv(qp, wr)
-        self.ops_posted += 1
-        if span is not None:
-            self._end_span(span)
-
-    def post_recv_many(
-        self, qp: QueuePair, wrs: list[RecvWR]
-    ) -> Generator["Event", object, None]:
-        return self._post_recvs(wrs, self.host.nic.hw_post_recv, qp, qp)
-
-    def post_srq_recv_many(self, srq, wrs: list[RecvWR]) -> Generator["Event", object, None]:
-        return self._post_recvs(wrs, self.host.nic.hw_post_srq_recv, srq, None)
-
-    def _post_recvs(
-        self, wrs: list[RecvWR], hw_post: Callable, target: object,
-        qp: Optional[QueuePair],
-    ) -> Generator["Event", object, None]:
-        """One chained recv post: ``hw_post(target, wr)`` for each WR; the
-        policy chain sees ``qp`` (None for an SRQ)."""
-        if not wrs:
-            return
-        if self.sim.telemetry.enabled:
-            self._count_ops("post_recv", wrs)
-        # One syscall carries the whole chain; the policy chain still sees
-        # each WR (it must — that is the control CoRD promises).
-        policy_ns = 0.0
-        for wr in wrs:
-            ctx = self._context("post_recv", qp, recv_wr=wr)
-            if ctx is not None:
-                try:
-                    policy_ns += self.policies.evaluate(ctx)
-                except PolicyViolation as exc:
-                    yield from self._deny(exc)
-        fast = driver.post_recv_cpu_ns(self.system) * len(wrs)
-        yield from self.core.syscall(
-            self.system.cord_serialize_ns
-            + self.system.cord_kernel_driver_ns
-            + policy_ns
-            + fast
-        )
-        for wr in wrs:
-            hw_post(target, wr)
-        self.ops_posted += len(wrs)
-
-    def post_send_many(
-        self, qp: QueuePair, wrs: list[SendWR]
-    ) -> Generator["Event", object, None]:
-        if not wrs:
-            return
-        if self.sim.trace.enabled:
-            for wr in wrs:
-                wr.span = self._begin_span("post_send", qp.qpn, wr.wr_id, wr.length)
-        if self.sim.telemetry.enabled:
-            self._count_ops("post_send", wrs)
-        # One syscall + one serialization carries the chain; the policy
-        # chain still inspects every WR, and the per-WR driver fast path
-        # still runs (in the kernel).
-        policy_ns = 0.0
-        fast = driver.doorbell_cpu_ns(self.system)
-        for wr in wrs:
-            wr.inline = driver.should_inline(self.system, qp, wr, cord=True)
-            fast += driver.post_send_cpu_ns(self.system, wr, wr.inline)
-            ctx = self._context("post_send", qp, send_wr=wr)
-            if ctx is not None:
-                try:
-                    policy_ns += self.policies.evaluate(ctx)
-                except PolicyViolation as exc:
-                    yield from self._deny(exc)
-        yield from self.core.syscall(
-            self.system.cord_serialize_ns
-            + self.system.cord_kernel_driver_ns
-            + policy_ns
-            + fast
-        )
-        for wr in wrs:
-            self.host.nic.hw_post_send(qp, wr)
-        self.ops_posted += len(wrs)
-
-    def poll_cq(
-        self, cq: CompletionQueue, max_entries: int = 16
-    ) -> Generator["Event", object, list[CQE]]:
-        ctx = self._context("poll_cq", cq=cq)
-        cqes = cq.poll(max_entries)
-        base = self.system.cpu.poll_hit_ns if cqes else self.system.cpu.poll_miss_ns
-        yield from self._interpose(ctx, base)
-        self.polls += 1
-        if self.sim.trace.enabled and cqes:
-            self._finish_spans(cqes)
-        return cqes
-
-    def _charge_poll(self, hit: bool) -> Generator["Event", object, None]:
-        base = self.system.cpu.poll_hit_ns if hit else self.system.cpu.poll_miss_ns
-        self.polls += 1
-        return self.core.syscall(
-            self.system.cord_serialize_ns + self.system.cord_kernel_driver_ns + base
-        )
 
     #: Share of a CoRD poll-wait the DVFS governor credits as idle
     #: (kernel entry/exit pipeline stalls during the syscall spin loop).

@@ -22,7 +22,7 @@ INLINE_COPY_OVERHEAD_NS = 10.0
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.verbs.qp import QueuePair
-    from repro.verbs.wr import RecvWR, SendWR
+    from repro.verbs.wr import SendWR
 
 
 def should_inline(system: SystemProfile, qp: "QueuePair", wr: "SendWR", cord: bool) -> bool:

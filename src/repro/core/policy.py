@@ -68,7 +68,8 @@ class Policy:
 
 
 class PolicyChain:
-    """Ordered policies evaluated on every CoRD dataplane operation."""
+    """Ordered policies evaluated on every CoRD dataplane operation
+    (RDMA or storage)."""
 
     def __init__(self, policies: Iterable[Policy] = ()):
         self.policies: list[Policy] = list(policies)
@@ -84,17 +85,15 @@ class PolicyChain:
         charge), matching an in-kernel early return.
         """
         total = 0.0
-        host = ctx.host
+        counter = None
+        host = getattr(ctx, "host", None)  # storage contexts name no host
         if host is not None and host.sim.telemetry.enabled:
-            tele = host.sim.telemetry
-            cost_counter = tele.scope(host.name).counter("policy.eval_ns")
-            for policy in self.policies:
-                cost = policy.evaluate(ctx)
-                cost_counter.inc(cost, key=policy.name)
-                total += cost
-            return total
+            counter = host.sim.telemetry.scope(host.name).counter("policy.eval_ns")
         for policy in self.policies:
-            total += policy.evaluate(ctx)
+            cost = policy.evaluate(ctx)
+            if counter is not None:
+                counter.inc(cost, key=policy.name)
+            total += cost
         return total
 
     def __len__(self) -> int:

@@ -14,7 +14,8 @@ This subpackage demonstrates it end to end:
   ``CordStorageDataplane`` (every submit/poll is a syscall + policy chain),
   and ``KernelBlockDataplane`` (the classic blocking block layer with
   interrupt completions — the "socket stack" analogue).
-- :mod:`~repro.storage.policies` — storage flavours of the CoRD policies:
+- :mod:`~repro.storage.policies` — storage flavours of the CoRD policies,
+  run by the same :class:`~repro.core.policy.PolicyChain`:
   per-tenant IOPS/byte rate limiting and IO accounting.
 
 ``benchmarks/bench_storage.py`` sweeps block sizes and reproduces the

@@ -5,10 +5,13 @@ The exact structural analogue of :mod:`repro.core.dataplane`:
 =============== ==========================================================
 SpdkDataplane    user-space SQE build + doorbell; user-space CQ polling
 CordStorage      identical fast path, but submit/poll are system calls and
-                 a storage policy chain runs in the kernel
+                 a CoRD policy chain runs in the kernel
 KernelBlock      the classic path: syscall + block-layer per-IO work +
                  interrupt-driven completion (no polling, one IO per call)
 =============== ==========================================================
+
+As in the RDMA dataplanes, ``submit`` and ``poll`` are written once, in
+:class:`StorageDataplane`; SPDK and CoRD differ only in ``_charge``.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Generator, Optional
 
+from repro.core.policy import PolicyChain
+from repro.errors import PolicyViolation
 from repro.hw.cpu import Core
 from repro.hw.profiles import SystemProfile
 from repro.storage.device import IoCommand, NvmeDevice
-from repro.storage.policies import IoOpContext, StoragePolicyChain
+from repro.storage.policies import IoOpContext
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
@@ -57,10 +62,21 @@ class StorageDataplane:
         self.polls = 0
 
     def submit(self, cmd: IoCommand) -> Generator["Event", object, None]:
-        raise NotImplementedError
+        cmd.tenant = self.tenant
+        yield from self._charge(SUBMIT_CPU_NS, "submit", cmd)
+        self.device.hw_submit(self.qp, cmd)
+        self.submitted += 1
 
     def poll(self, max_entries: int = 16) -> Generator["Event", object, list[IoCommand]]:
-        raise NotImplementedError
+        cmds = self.qp.cq_pop(max_entries)
+        yield from self._charge(POLL_HIT_NS if cmds else POLL_MISS_NS, "poll")
+        self.polls += 1
+        return cmds
+
+    def _charge(self, fast_ns: float, op: str,
+                cmd: Optional[IoCommand] = None) -> Generator["Event", object, None]:
+        """Charge one call: here the user-space fast path, nothing else."""
+        return self.core.run(fast_ns)
 
     def wait(self, max_entries: int = 16) -> Generator["Event", object, list[IoCommand]]:
         """Block (by polling) until at least one completion, then reap."""
@@ -85,18 +101,6 @@ class SpdkDataplane(StorageDataplane):
 
     tag = "SPDK"
 
-    def submit(self, cmd: IoCommand) -> Generator["Event", object, None]:
-        cmd.tenant = self.tenant
-        yield from self.core.run(SUBMIT_CPU_NS)
-        self.device.hw_submit(self.qp, cmd)
-        self.submitted += 1
-
-    def poll(self, max_entries: int = 16) -> Generator["Event", object, list[IoCommand]]:
-        cmds = self.qp.cq_pop(max_entries)
-        yield from self.core.run(POLL_HIT_NS if cmds else POLL_MISS_NS)
-        self.polls += 1
-        return cmds
-
 
 class CordStorageDataplane(StorageDataplane):
     """CoRD applied to storage: submit/poll interposed by the kernel."""
@@ -104,39 +108,32 @@ class CordStorageDataplane(StorageDataplane):
     tag = "CoRD"
 
     def __init__(self, device: NvmeDevice, core: Core, system: SystemProfile,
-                 policies: Optional[StoragePolicyChain] = None,
+                 policies: Optional[PolicyChain] = None,
                  tenant: str = "default"):
         super().__init__(device, core, system, tenant)
-        self.policies = policies or StoragePolicyChain()
+        self.policies = policies if policies is not None else PolicyChain()
         self.denied = 0
 
-    def _interpose(self, ctx: IoOpContext, fast_ns: float) -> Generator["Event", object, None]:
-        from repro.errors import PolicyViolation
-
-        try:
-            policy_ns = self.policies.evaluate(ctx)
-        except PolicyViolation:
-            self.denied += 1
-            yield from self.core.syscall(self.system.cord_serialize_ns)
-            raise
-        yield from self.core.syscall(
+    def _charge(self, fast_ns: float, op: str,
+                cmd: Optional[IoCommand] = None) -> Generator["Event", object, None]:
+        """One syscall: transition + serialize + policies + fast path."""
+        policy_ns = 0.0
+        if self.policies.policies:
+            try:
+                policy_ns = self.policies.evaluate(
+                    IoOpContext(self.sim.now, op, cmd, self.tenant))
+            except PolicyViolation as exc:
+                return self._deny(exc)
+        return self.core.syscall(
             self.system.cord_serialize_ns + self.system.cord_kernel_driver_ns
             + policy_ns + fast_ns
         )
 
-    def submit(self, cmd: IoCommand) -> Generator["Event", object, None]:
-        cmd.tenant = self.tenant
-        ctx = IoOpContext(now=self.sim.now, op="submit", cmd=cmd, tenant=self.tenant)
-        yield from self._interpose(ctx, SUBMIT_CPU_NS)
-        self.device.hw_submit(self.qp, cmd)
-        self.submitted += 1
-
-    def poll(self, max_entries: int = 16) -> Generator["Event", object, list[IoCommand]]:
-        ctx = IoOpContext(now=self.sim.now, op="poll", tenant=self.tenant)
-        cmds = self.qp.cq_pop(max_entries)
-        yield from self._interpose(ctx, POLL_HIT_NS if cmds else POLL_MISS_NS)
-        self.polls += 1
-        return cmds
+    def _deny(self, exc: PolicyViolation) -> Generator["Event", object, None]:
+        """A denied call pays its syscall's serialization only, then re-raises."""
+        self.denied += 1
+        yield from self.core.syscall(self.system.cord_serialize_ns)
+        raise exc
 
 
 class KernelBlockDataplane(StorageDataplane):
@@ -164,11 +161,6 @@ class KernelBlockDataplane(StorageDataplane):
         # Blocking API: submit() performs the whole IO.
         done = yield from self.run_io(cmd)
         assert done.cmd_id == cmd.cmd_id
-
-    def poll(self, max_entries: int = 16) -> Generator["Event", object, list[IoCommand]]:
-        cmds = self.qp.cq_pop(max_entries)
-        yield from self.core.run(POLL_HIT_NS if cmds else POLL_MISS_NS)
-        return cmds
 
     def run_io(self, cmd: IoCommand) -> Generator["Event", object, IoCommand]:
         cmd.tenant = self.tenant

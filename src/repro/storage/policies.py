@@ -1,7 +1,8 @@
 """Storage flavours of the CoRD policies.
 
-Same framework as :mod:`repro.core.policy` (evaluate -> extra kernel ns or
-deny), operating on IO commands instead of work requests.
+They are :class:`repro.core.policy.Policy` subclasses run by the same
+:class:`~repro.core.policy.PolicyChain` (evaluate -> extra kernel ns or
+deny), inspecting IO commands instead of work requests.
 """
 
 from __future__ import annotations
@@ -9,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigError, PolicyViolation
+from repro.core.policy import Policy
+from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.device import IoCommand
@@ -19,7 +21,8 @@ IO_CHECK_NS = 30.0
 
 @dataclass
 class IoOpContext:
-    """What a storage policy may inspect."""
+    """What a storage policy may inspect.  It names no host, so the chain
+    keeps no ``policy.eval_ns`` telemetry for it."""
 
     now: float
     op: str  # "submit" | "poll"
@@ -27,31 +30,7 @@ class IoOpContext:
     tenant: str = "default"
 
 
-class StoragePolicy:
-    """Base: permit everything, count evaluations."""
-
-    name = "storage.policy"
-
-    def __init__(self) -> None:
-        self.evaluations = 0
-        self.denials = 0
-
-    def evaluate(self, ctx: IoOpContext) -> float:
-        self.evaluations += 1
-        try:
-            return self._evaluate(ctx)
-        except PolicyViolation:
-            self.denials += 1
-            raise
-
-    def _evaluate(self, ctx: IoOpContext) -> float:
-        return 0.0
-
-    def deny(self, reason: str) -> PolicyViolation:
-        return PolicyViolation(self.name, reason)
-
-
-class IoRateLimit(StoragePolicy):
+class IoRateLimit(Policy):
     """Token bucket over IO bytes per tenant (storage QoS)."""
 
     name = "storage.rate_limit"
@@ -76,7 +55,7 @@ class IoRateLimit(StoragePolicy):
         return IO_CHECK_NS
 
 
-class IoStats(StoragePolicy):
+class IoStats(Policy):
     """Per-tenant IO accounting (observability)."""
 
     name = "storage.stats"
@@ -96,19 +75,3 @@ class IoStats(StoragePolicy):
         else:
             rec["polls"] += 1
         return IO_CHECK_NS * 0.7
-
-
-class StoragePolicyChain:
-    """Ordered storage policies (mirrors :class:`repro.core.policy.PolicyChain`)."""
-
-    def __init__(self, policies=()):
-        self.policies = list(policies)
-
-    def evaluate(self, ctx: IoOpContext) -> float:
-        total = 0.0
-        for policy in self.policies:
-            total += policy.evaluate(ctx)
-        return total
-
-    def __len__(self) -> int:
-        return len(self.policies)

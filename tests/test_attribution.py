@@ -80,6 +80,28 @@ def test_cqe_stage_is_pure_wait():
                 assert stage.queue_ns == pytest.approx(stage.duration_ns)
 
 
+def test_nic_stages_identical_on_bypass_and_cord():
+    """After the doorbell the NIC does the same work whichever dataplane
+    posted the WQE (§3/§4): system L, 4 KiB sends, BP<->BP vs CD<->CD."""
+
+    def nic_stages(kind):
+        blames = _lat_blames(iters=10, client=kind, server=kind)
+        rows = []
+        for blame in blames:
+            names = [s.name for s in blame.stages]
+            first, last = names.index("doorbell"), names.index("cqe")
+            rows.append([(s.name, s.service_ns)
+                         for s in blame.stages[first:last + 1]])
+        return rows
+
+    bp, cd = nic_stages("bypass"), nic_stages("cord")
+    assert bp and len(bp) == len(cd)
+    for bp_op, cd_op in zip(bp, cd):
+        assert [name for name, _ in cd_op] == [name for name, _ in bp_op]
+        assert [svc for _, svc in cd_op] == \
+            pytest.approx([svc for _, svc in bp_op], abs=1e-6)
+
+
 def test_windowed_bw_attributes_wire_queueing():
     result, blames = _bw_blames()
     assert result.gbit_per_s > 0

@@ -7,7 +7,7 @@ from repro.cluster import build_cluster
 from repro.errors import MPIError
 from repro.hw.profiles import SYSTEM_L
 from repro.mpi import MpiWorld
-from repro.mpi.collectives import MAX, MIN, SUM
+from repro.mpi.collectives import MAX, MIN
 from repro.sim import Simulator
 
 

@@ -90,6 +90,18 @@ def test_cord_latency_exceeds_bypass():
     assert t_cd - t_bp < us(5)
 
 
+def test_polls_count_the_same_on_both_dataplanes():
+    """wait_cq's missed probe is one poll whichever dataplane charges it."""
+
+    def scenario(sim, a, b):
+        yield from _send_one(sim, a, b)
+        return a.dataplane.polls, b.dataplane.polls
+
+    bp = run_pair(scenario, "bypass", "bypass")
+    assert bp == run_pair(scenario, "cord", "cord")
+    assert bp == (2, 2)  # per side: the missed probe plus the reap
+
+
 def test_rdma_write_places_data_without_receiver_cpu():
     payload = b"\xab" * 2048
 

@@ -6,7 +6,7 @@ from repro.cluster import build_cluster
 from repro.errors import MPIError
 from repro.hw.profiles import SYSTEM_L
 from repro.mpi import ANY_SOURCE, MpiWorld
-from repro.mpi.engine import EagerHdr, RtsHdr, _PostedRecv, match_first
+from repro.mpi.engine import _PostedRecv, match_first
 from repro.sim import Simulator
 from collections import deque
 

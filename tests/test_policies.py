@@ -206,6 +206,43 @@ def test_denied_op_still_pays_the_syscall():
     assert elapsed >= SYSTEM_L.syscall_cost()  # the kernel round trip happened
 
 
+class _DenyWr(Policy):
+    name = "deny-wr"
+
+    def __init__(self, wr_id):
+        super().__init__()
+        self.wr_id = wr_id
+
+    def _evaluate(self, ctx):
+        if ctx.send_wr is not None and ctx.send_wr.wr_id == self.wr_id:
+            raise self.deny(f"wr {self.wr_id}")
+        return 0.0
+
+
+def test_send_chain_denied_mid_chain_pays_one_syscall_posts_nothing():
+    sim = Simulator(seed=6)
+    _fabric, host_a, host_b = build_pair(sim, SYSTEM_L)
+    deny = _DenyWr(wr_id=2)
+
+    def main():
+        a, _b = yield from make_rc_pair(host_a, host_b, "cord", "bypass",
+                                        policies_a=PolicyChain([deny]))
+        wrs = [SendWR(wr_id=i, opcode=Opcode.SEND, addr=a.buf.addr,
+                      length=64, lkey=a.mr.lkey) for i in range(4)]
+        t0, calls, sends = sim.now, a.core.syscalls, a.qp.sends_posted
+        with pytest.raises(PolicyViolation, match="deny-wr"):
+            yield from a.dataplane.post_send_many(a.qp, wrs)
+        return (sim.now - t0, a.core.syscalls - calls,
+                a.qp.sends_posted - sends, a.dataplane)
+
+    elapsed, syscalls, sends, dp = sim.run(sim.process(main()))
+    assert elapsed > 0.0
+    assert syscalls == 1
+    assert dp.denied_ops == 1
+    assert sends == 0 and dp.ops_posted == 0  # no WR reached the NIC
+    assert deny.evaluations == 3  # the chain stopped at the denied WR
+
+
 def test_policies_rejected_on_bypass():
     from repro.core.endpoint import make_dataplane
 

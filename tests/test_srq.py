@@ -10,7 +10,7 @@ from repro.hw.profiles import SYSTEM_L
 from repro.sim import Simulator
 from repro.units import us
 from repro.verbs.pd import ProtectionDomain
-from repro.verbs.qp import QPState, Transport
+from repro.verbs.qp import Transport
 from repro.verbs.srq import SharedReceiveQueue
 from repro.verbs.wr import Opcode, RecvWR, SendWR
 

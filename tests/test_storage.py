@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.policy import PolicyChain
 from repro.errors import HardwareError, PolicyViolation
 from repro.hw.cpu import Core
 from repro.hw.profiles import SYSTEM_L
@@ -16,7 +17,6 @@ from repro.storage import (
     SpdkDataplane,
 )
 from repro.storage.dataplane import make_command
-from repro.storage.policies import StoragePolicyChain
 from repro.units import us
 
 
@@ -127,7 +127,7 @@ def test_cord_storage_adds_constant_overhead():
 
 
 def test_io_rate_limit_denies_over_budget():
-    chain = StoragePolicyChain([IoRateLimit(rate_bytes_per_s=1e6, burst_bytes=8192)])
+    chain = PolicyChain([IoRateLimit(rate_bytes_per_s=1e6, burst_bytes=8192)])
     sim, _dev, dp = build("cord", policies=chain)
 
     def main():
@@ -141,7 +141,7 @@ def test_io_rate_limit_denies_over_budget():
 
 def test_io_stats_account_per_tenant():
     stats = IoStats()
-    chain = StoragePolicyChain([stats])
+    chain = PolicyChain([stats])
     sim, _dev, dp = build("cord", policies=chain)
     dp.tenant = "db"
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ProtocolViolation
 from repro.sanitize import drain_global_findings, findings_of
-from repro.verbs.wr import WCStatus
 from repro.verify import (
     MUTANTS,
     SCENARIOS,
