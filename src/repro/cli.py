@@ -265,8 +265,7 @@ def _emit_text(text: str, output: Optional[str]) -> None:
         print(text)
 
 
-def _run_traced_pair(args, iters: int = 1, telemetry: bool = False,
-                     sanitize: Optional[bool] = None):
+def _run_traced_pair(args, iters: int = 1, sanitize: Optional[bool] = None):
     """Run ``iters`` traced RC sends; returns (sim, host_a, host_b)."""
     from repro.cluster import build_pair
     from repro.core.endpoint import make_rc_pair
@@ -277,8 +276,6 @@ def _run_traced_pair(args, iters: int = 1, telemetry: bool = False,
 
     sim = Simulator(seed=args.seed, trace=Trace(enabled=True),
                     sanitize=sanitize)
-    if telemetry:
-        sim.telemetry.enabled = True
     _fabric, host_a, host_b = build_pair(sim, get_profile(args.system))
 
     def main_proc():
@@ -325,12 +322,12 @@ def cmd_trace(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    """Run a short telemetry-enabled exchange and dump the metrics snapshot."""
+    """Run a short traced exchange and dump the metrics snapshot."""
     import json
 
     from repro.telemetry import metrics_snapshot
 
-    sim, host_a, host_b = _run_traced_pair(args, iters=args.iters, telemetry=True)
+    sim, host_a, host_b = _run_traced_pair(args, iters=args.iters)
     snap = metrics_snapshot(sim, hosts=[host_a, host_b])
     _emit_text(json.dumps(snap, indent=2, sort_keys=True, default=str),
                args.output)

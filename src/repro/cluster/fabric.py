@@ -299,7 +299,7 @@ class Fabric:
         port.messages_marked += 1
         trace = self.sim.trace
         if trace.enabled:
-            trace.emit(self.sim.now, "span", "note",
+            trace.emit(self.sim.now, "note",
                        span=payload.span,  # type: ignore[attr-defined]
                        name="ecn_mark", host=port.host_id,
                        kind=payload.kind,  # type: ignore[attr-defined]
@@ -475,6 +475,7 @@ class Fabric:
     def _rx_admit(self, ctx: tuple) -> None:
         dst, nbytes, payload, _delay = ctx
         port = self._rx_ports[dst.host_id]
+        trace = self.sim.trace
         if (port.buffer_bytes is not None
                 and port.queued_bytes + nbytes > port.buffer_bytes):
             # Tail drop at the switch output queue.  The RC ACK-timeout
@@ -485,9 +486,8 @@ class Fabric:
             self.messages_dropped += 1
             self.bytes_dropped += nbytes
             self.drops_rxq += 1
-            trace = self.sim.trace
             if trace.enabled:
-                trace.emit(self.sim.now, "span", "note",
+                trace.emit(self.sim.now, "note",
                            span=getattr(payload, "span", None),
                            name="rx_drop", host=dst.host_id,
                            kind=getattr(payload, "kind", "raw"),
@@ -498,15 +498,12 @@ class Fabric:
         port.queued_bytes += nbytes
         if port.queued_bytes > port.peak_queued_bytes:
             port.peak_queued_bytes = port.queued_bytes
-        tele = self.sim.telemetry
-        if tele.enabled:
-            tele.scope(f"host{dst.host_id}").histogram(
-                "fabric.rxq.occupancy").observe(port.queued_bytes)
-        trace = self.sim.trace
         if trace.enabled:
+            trace.scope(f"host{dst.host_id}").histogram(
+                "fabric.rxq.occupancy").observe(port.queued_bytes)
             span = getattr(payload, "span", None)
             if span is not None:
-                trace.emit(self.sim.now, "span", "mark", span=span,
+                trace.emit(self.sim.now, "mark", span=span,
                            stage="rx_port", host=dst.host_id, comp="wire")
         _hold(port.resource, self._rx_drain, ctx)
 

@@ -30,7 +30,7 @@ doorbell is identical in both — by construction, as in the paper.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional, Sequence
 
 from repro.core import driver
 from repro.core.policy import OpContext, PolicyChain
@@ -71,71 +71,48 @@ class Dataplane:
         self.polls = 0
         self._channels: dict[int, "CompletionChannel"] = {}
 
-    # -- telemetry helpers (all callers guard on trace/telemetry .enabled) --------
+    # -- observation (callers guard on trace.enabled) ---------------------------
 
-    def _begin_span(self, op: str, qpn: int, wr_id: int, size: int) -> int:
-        """Allocate a span id and emit its ``op_begin`` record."""
-        trace = self.sim.trace
-        # sim: allow-unguarded-hook(helper is only called under the caller's trace.enabled guard)
-        span = trace.new_span()
-        # sim: allow-unguarded-hook(helper is only called under the caller's trace.enabled guard)
-        trace.emit(self.sim.now, "span", "op_begin", span=span,
-                   host=self.host.host_id, op=op, dataplane=self.tag,
-                   qpn=qpn, wr_id=wr_id, size=size)
-        return span
-
-    def _end_span(self, span: int) -> None:
-        # sim: allow-unguarded-hook(helper is only called under the caller's trace.enabled guard)
-        self.sim.trace.emit(self.sim.now, "span", "op_end", span=span,
-                            host=self.host.host_id)
-
-    def _finish_spans(self, cqes: list[CQE]) -> None:
-        """The application just observed these completions: close their spans."""
+    def _open_spans(self, op: str, qpn: int, wrs: Sequence) -> list[int]:
+        """Open one ``op`` span per WR and count it in ``dataplane.ops``."""
         trace = self.sim.trace
         now = self.sim.now
         host = self.host.host_id
-        for cqe in cqes:
-            if cqe.span is not None:
-                # sim: allow-unguarded-hook(helper is only called under the caller's trace.enabled guard)
-                trace.emit(now, "span", "op_end", span=cqe.span, host=host)
-
-    def _count_ops(self, op: str, wrs: list) -> None:
-        """Count each posted WR once, with its length, chained or not."""
-        # sim: allow-unguarded-hook(helper is only called under the caller's telemetry.enabled guard)
-        counter = self.sim.telemetry.scope(self.host.name).counter("dataplane.ops")
+        # sim: allow-unguarded-hook(helper is only called under the caller's trace.enabled guard)
+        counter = trace.scope(self.host.name).counter("dataplane.ops")
         key = f"{self.tag}.{op}"
+        spans = []
         for wr in wrs:
+            # sim: allow-unguarded-hook(helper is only called under the caller's trace.enabled guard)
+            span = trace.new_span()
+            # sim: allow-unguarded-hook(helper is only called under the caller's trace.enabled guard)
+            trace.emit(now, "op_begin", span=span, host=host, op=op,
+                       dataplane=self.tag, qpn=qpn, wr_id=wr.wr_id,
+                       size=wr.length)
             counter.inc(wr.length, key=key)
+            spans.append(span)
+        return spans
+
+    def _end_spans(self, spans: Iterable[Optional[int]]) -> None:
+        """Close these spans now (the application saw them finish)."""
+        trace = self.sim.trace
+        now = self.sim.now
+        host = self.host.host_id
+        for span in spans:
+            if span is not None:
+                # sim: allow-unguarded-hook(helper is only called under the caller's trace.enabled guard)
+                trace.emit(now, "op_end", span=span, host=host)
 
     # -- the one post/poll path ------------------------------------------------
     #
     # ``_charge`` returns the core's generator instead of wrapping it, so a
-    # CPU charge stays one generator frame.
+    # CPU charge stays one generator frame.  A single post is a chain of one.
 
     def post_send(self, qp: QueuePair, wr: SendWR) -> Generator["Event", object, None]:
-        if self.sim.trace.enabled:
-            wr.span = self._begin_span("post_send", qp.qpn, wr.wr_id, wr.length)
-        if self.sim.telemetry.enabled:
-            self._count_ops("post_send", (wr,))
-        wr.inline = driver.should_inline(self.system, qp, wr, self.cord)
-        fast = driver.post_send_cpu_ns(self.system, wr, wr.inline)
-        fast += driver.doorbell_cpu_ns(self.system)
-        yield from self._charge(fast, "post_send", qp, (wr,))
-        self.host.nic.hw_post_send(qp, wr)
-        self.ops_posted += 1
+        return self.post_send_many(qp, (wr,))
 
     def post_recv(self, qp: QueuePair, wr: RecvWR) -> Generator["Event", object, None]:
-        span = None
-        if self.sim.trace.enabled:
-            span = self._begin_span("post_recv", qp.qpn, wr.wr_id, wr.length)
-        if self.sim.telemetry.enabled:
-            self._count_ops("post_recv", (wr,))
-        yield from self._charge(driver.post_recv_cpu_ns(self.system),
-                                "post_recv", qp, (wr,))
-        self.host.nic.hw_post_recv(qp, wr)
-        self.ops_posted += 1
-        if span is not None:
-            self._end_span(span)
+        return self._post_recvs((wr,), self.host.nic.hw_post_recv, qp, qp)
 
     def post_recv_many(
         self, qp: QueuePair, wrs: list[RecvWR]
@@ -150,23 +127,28 @@ class Dataplane:
         return self._post_recvs(wrs, self.host.nic.hw_post_srq_recv, srq, None)
 
     def _post_recvs(
-        self, wrs: list[RecvWR], hw_post: Callable, target: object,
+        self, wrs: Sequence[RecvWR], hw_post: Callable, target: object,
         qp: Optional[QueuePair],
     ) -> Generator["Event", object, None]:
         """One chained recv post: ``hw_post(target, wr)`` for each WR; a
-        policy chain sees ``qp`` (None for an SRQ)."""
+        policy chain sees ``qp`` (None for an SRQ).  Each WR's
+        ``post_recv`` span ends once the device has accepted it."""
         if not wrs:
             return
-        if self.sim.telemetry.enabled:
-            self._count_ops("post_recv", wrs)
+        spans = None
+        if self.sim.trace.enabled:
+            spans = self._open_spans("post_recv",
+                                     -1 if qp is None else qp.qpn, wrs)
         yield from self._charge(driver.post_recv_cpu_ns(self.system) * len(wrs),
                                 "post_recv", qp, wrs)
         for wr in wrs:
             hw_post(target, wr)
         self.ops_posted += len(wrs)
+        if spans is not None:
+            self._end_spans(spans)
 
     def post_send_many(
-        self, qp: QueuePair, wrs: list[SendWR]
+        self, qp: QueuePair, wrs: Sequence[SendWR]
     ) -> Generator["Event", object, None]:
         """Post a chain of send WRs in one call (``ibv_post_send`` takes a
         linked list; perftest's postlist mode).  For CoRD this is the
@@ -176,10 +158,8 @@ class Dataplane:
         if not wrs:
             return
         if self.sim.trace.enabled:
-            for wr in wrs:
-                wr.span = self._begin_span("post_send", qp.qpn, wr.wr_id, wr.length)
-        if self.sim.telemetry.enabled:
-            self._count_ops("post_send", wrs)
+            for wr, span in zip(wrs, self._open_spans("post_send", qp.qpn, wrs)):
+                wr.span = span
         fast = 0.0
         for wr in wrs:
             wr.inline = driver.should_inline(self.system, qp, wr, self.cord)
@@ -199,7 +179,7 @@ class Dataplane:
                                 "poll_cq", cq=cq)
         self.polls += 1
         if self.sim.trace.enabled and cqes:
-            self._finish_spans(cqes)
+            self._end_spans([cqe.span for cqe in cqes])
         return cqes
 
     def _charge(

@@ -87,8 +87,8 @@ class PolicyChain:
         total = 0.0
         counter = None
         host = getattr(ctx, "host", None)  # storage contexts name no host
-        if host is not None and host.sim.telemetry.enabled:
-            counter = host.sim.telemetry.scope(host.name).counter("policy.eval_ns")
+        if host is not None and host.sim.trace.enabled:
+            counter = host.sim.trace.scope(host.name).counter("policy.eval_ns")
         for policy in self.policies:
             cost = policy.evaluate(ctx)
             if counter is not None:

@@ -209,7 +209,7 @@ class FaultInjector:
         self.drops_by_link[key] = self.drops_by_link.get(key, 0) + 1
         trace = self.sim.trace
         if trace.enabled:
-            trace.emit(self.sim.now, "span", "note", span=None,
+            trace.emit(self.sim.now, "note", span=None,
                        name="drop", host=src, kind=kind, cause=cause,
                        size=nbytes)
         return None

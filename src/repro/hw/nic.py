@@ -131,7 +131,7 @@ class Nic:
         #: emission time (at most one CNP per ``cnp_interval_ns`` each).
         self._last_cnp_ns: dict[tuple[int, int], float] = {}
         self.mr_table: Optional["MrTable"] = None  # set by attach()
-        #: Telemetry scope (matches Host.name).
+        #: Metrics scope on the trace (matches Host.name).
         self._scope = f"host{host_id}"
         self._mem_watchers: list[tuple[int, int, object]] = []
         #: Set by the IPoIB device: receives kind == "ip" wire messages.
@@ -204,12 +204,11 @@ class Nic:
     def deliver(self, msg: WireMessage) -> None:
         """Fabric drops an arriving message into the receive pipeline."""
         trace = self.sim.trace
-        if trace.enabled and msg.span is not None:
-            trace.emit(self.sim.now, "span", "mark", span=msg.span,
-                       stage="rx_arrive", host=self.host_id, comp="nic.rx")
-        tele = self.sim.telemetry
-        if tele.enabled:
-            reg = tele.scope(self._scope)
+        if trace.enabled:
+            if msg.span is not None:
+                trace.emit(self.sim.now, "mark", span=msg.span,
+                           stage="rx_arrive", host=self.host_id, comp="nic.rx")
+            reg = trace.scope(self._scope)
             reg.histogram("nic.rxq.occupancy").observe(len(self._rx_backlog))
             reg.counter("nic.rx.delivered").inc(msg.wire_bytes, key=msg.kind)
         if self._rx_busy:
@@ -253,12 +252,11 @@ class Nic:
         qp.sq_outstanding += 1
         qp.sends_posted += 1
         trace = self.sim.trace
-        if trace.enabled and wr.span is not None:
-            trace.emit(self.sim.now, "span", "mark", span=wr.span,
-                       stage="doorbell", host=self.host_id, comp="nic.tx")
-        tele = self.sim.telemetry
-        if tele.enabled:
-            reg = tele.scope(self._scope)
+        if trace.enabled:
+            if wr.span is not None:
+                trace.emit(self.sim.now, "mark", span=wr.span,
+                           stage="doorbell", host=self.host_id, comp="nic.tx")
+            reg = trace.scope(self._scope)
             reg.counter("nic.tx.posted").inc(wr.length, key=wr.opcode.value)
             reg.histogram("nic.txq.occupancy").observe(len(self._tx_backlog))
         mon = self.sim._monitor
@@ -319,7 +317,7 @@ class Nic:
             if delay > 0.0:
                 trace = self.sim.trace
                 if trace.enabled and wr.span is not None:
-                    trace.emit(self.sim.now, "span", "mark", span=wr.span,
+                    trace.emit(self.sim.now, "mark", span=wr.span,
                                stage="cc_pace", host=self.host_id, comp="nic.tx")
                 self.sim.call_later(delay, self._tx_paced, item)
                 return
@@ -398,7 +396,7 @@ class Nic:
                 self._limiter(qp).on_timeout(self.sim.now)
         trace = self.sim.trace
         if trace.enabled and wr.span is not None:
-            trace.emit(self.sim.now, "span", "mark", span=wr.span,
+            trace.emit(self.sim.now, "mark", span=wr.span,
                        stage="wqe_fetch", host=self.host_id, comp="nic.tx")
         # Pipeline-fill: WQE fetch unless the CPU wrote it inline with
         # the doorbell (BlueFlame-style), then payload first-burst fetch.
@@ -430,7 +428,7 @@ class Nic:
             self.counters.retransmits += 1
             trace = self.sim.trace
             if trace.enabled:
-                trace.emit(self.sim.now, "span", "note", span=wr.span,
+                trace.emit(self.sim.now, "note", span=wr.span,
                            name="retransmit", host=self.host_id, qpn=qp.qpn,
                            psn=psn, retries=retries)
 
@@ -466,7 +464,7 @@ class Nic:
         wire_payload = header if kind == "read_req" else wr.length + header
         trace = self.sim.trace
         if trace.enabled and wr.span is not None:
-            trace.emit(self.sim.now, "span", "mark", span=wr.span,
+            trace.emit(self.sim.now, "mark", span=wr.span,
                        stage="tx_wire", host=self.host_id, comp="wire")
         assert self._fabric is not None
         self._fabric.send(self.host_id, dst_host, wire_payload, msg,
@@ -478,7 +476,7 @@ class Nic:
         qp, wr, psn, retries, wire_payload = ctx
         trace = self.sim.trace
         if trace.enabled and wr.span is not None:
-            trace.emit(self.sim.now, "span", "mark", span=wr.span,
+            trace.emit(self.sim.now, "mark", span=wr.span,
                        stage="tx_done", host=self.host_id, comp="wire")
         self.counters.tx_msgs += 1
         self.counters.tx_bytes += wire_payload
@@ -695,7 +693,7 @@ class Nic:
         _qp, msg, rwr = ctx
         trace = self.sim.trace
         if trace.enabled and msg.span is not None:
-            trace.emit(self.sim.now, "span", "mark", span=msg.span,
+            trace.emit(self.sim.now, "mark", span=msg.span,
                        stage="rx_exec", host=self.host_id, comp="nic.rx")
         if 0 < msg.length <= rwr.length:
             # Payload DMA pipeline-fill; bandwidth already paid on the wire.
@@ -731,7 +729,7 @@ class Nic:
         msg = ctx[1]
         trace = self.sim.trace
         if trace.enabled and msg.span is not None:
-            trace.emit(self.sim.now, "span", "mark", span=msg.span,
+            trace.emit(self.sim.now, "mark", span=msg.span,
                        stage="rx_exec", host=self.host_id, comp="nic.rx")
         if msg.length > 0:
             self.sim.call_later(self.profile.dma_write_lat_ns,
@@ -763,7 +761,7 @@ class Nic:
         qp, msg = ctx
         trace = self.sim.trace
         if trace.enabled and msg.span is not None:
-            trace.emit(self.sim.now, "span", "mark", span=msg.span,
+            trace.emit(self.sim.now, "mark", span=msg.span,
                        stage="rx_exec", host=self.host_id, comp="nic.rx")
         assert self.mr_table is not None
         mr = self.mr_table.check_remote(msg.rkey, msg.remote_addr, msg.length,
@@ -944,7 +942,7 @@ class Nic:
         self.counters.ack_timeouts += 1
         trace = self.sim.trace
         if trace.enabled:
-            trace.emit(self.sim.now, "span", "note", span=wr.span,
+            trace.emit(self.sim.now, "note", span=wr.span,
                        name="ack_timeout", host=self.host_id, qpn=qp.qpn,
                        psn=psn)
         retries = qp.retx_retries.get(psn, 0)
@@ -1017,7 +1015,7 @@ class Nic:
             mon.on_ack_sent(qp, ack)
         trace = self.sim.trace
         if trace.enabled and request.span is not None:
-            trace.emit(self.sim.now, "span", "mark", span=request.span,
+            trace.emit(self.sim.now, "mark", span=request.span,
                        stage="ack", host=self.host_id, comp="nic.tx")
         assert self._fabric is not None
         self._fabric.send(self.host_id, request.src_host, ack.wire_bytes, ack,
@@ -1053,7 +1051,7 @@ class Nic:
         self.counters.cnps_sent += 1
         trace = self.sim.trace
         if trace.enabled:
-            trace.emit(self.sim.now, "span", "note", span=msg.span,
+            trace.emit(self.sim.now, "note", span=msg.span,
                        name="cnp_send", host=self.host_id,
                        dst_host=msg.src_host, qpn=msg.src_qpn, psn=msg.psn)
         self.sim.call_soon(self._send_cnp, msg)
@@ -1088,7 +1086,7 @@ class Nic:
         lim.on_cnp(self.sim.now)
         trace = self.sim.trace
         if trace.enabled:
-            trace.emit(self.sim.now, "span", "note", span=None,
+            trace.emit(self.sim.now, "note", span=None,
                        name="cnp_recv", host=self.host_id, qpn=qp.qpn,
                        psn=msg.psn, rate=lim.rate)
 
@@ -1105,12 +1103,11 @@ class Nic:
         cq, cqe, then, arg = ctx
         trace = self.sim.trace
         if trace.enabled and cqe.span is not None:
-            trace.emit(self.sim.now, "span", "mark", span=cqe.span,
+            trace.emit(self.sim.now, "mark", span=cqe.span,
                        stage="cqe", host=self.host_id, comp="cq")
         cq.push(cqe)
-        tele = self.sim.telemetry
-        if tele.enabled:
-            tele.scope(self._scope).histogram("cq.depth").observe(len(cq.entries))
+        if trace.enabled:
+            trace.scope(self._scope).histogram("cq.depth").observe(len(cq.entries))
         if then is not None:
             then(arg)
 

@@ -219,9 +219,9 @@ class VerbsRankEngine(RankEngine):
             raise MPIError("self-sends are not supported (use sendrecv patterns)")
         req = Request("send", tag=tag)
         qp = self._qp(dest)
-        tele = self.sim.telemetry
-        if tele.enabled:
-            tele.scope(self.host.name).counter("mpi.protocol").inc(
+        trace = self.sim.trace
+        if trace.enabled:
+            trace.scope(self.host.name).counter("mpi.protocol").inc(
                 nbytes, key="eager" if nbytes <= self.eager_threshold else "rndv")
         if nbytes <= self.eager_threshold:
             # Copy into the bounce buffer (the eager protocol's cost).

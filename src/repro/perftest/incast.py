@@ -267,7 +267,6 @@ def run_incast_attributed(
     from repro.sim.trace import Trace
 
     sim = Simulator(seed=config.seed, trace=Trace(enabled=True))
-    sim.telemetry.enabled = True
     fabric, hosts, pairs = build_incast(sim, config)
     sim.trace.clear()
     result = _drive(sim, config, fabric, hosts, pairs)

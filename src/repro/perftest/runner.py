@@ -27,9 +27,10 @@ OPS = ("send", "read", "write")
 TRANSPORTS = ("RC", "UD")
 
 #: Opt-in benchmark telemetry: set REPRO_TELEMETRY=1 to run every
-#: measurement with tracing + metrics on and export Chrome-trace/metrics
-#: JSON into REPRO_TELEMETRY_DIR (default results/telemetry).  Telemetry
-#: never changes measured results (see tests/test_golden_determinism.py).
+#: measurement traced (span records + push metrics) and export
+#: Chrome-trace/metrics JSON into REPRO_TELEMETRY_DIR (default
+#: results/telemetry).  Telemetry never changes measured results (see
+#: tests/test_golden_determinism.py).
 TELEMETRY_ENV = "REPRO_TELEMETRY"
 TELEMETRY_DIR_ENV = "REPRO_TELEMETRY_DIR"
 #: Trace ring-buffer cap while telemetry is on (bounds benchmark memory).
@@ -174,14 +175,12 @@ def _build(
 ) -> tuple[Simulator, Endpoint, Endpoint]:
     if trace is not None:
         sim = Simulator(seed=config.seed, trace=trace)
-        sim.telemetry.enabled = True
     elif _telemetry_on():
         from repro.sim.trace import Trace
 
         sim = Simulator(seed=config.seed,
                         trace=Trace(enabled=True,
                                     max_records=TELEMETRY_MAX_RECORDS))
-        sim.telemetry.enabled = True
     else:
         sim = Simulator(seed=config.seed)
     fabric, host_a, host_b = build_pair(sim, config.profile)

@@ -21,7 +21,7 @@ RULES: dict[str, tuple[str, str]] = {
     "SIM002": ("allow-wallclock", "wall-clock read inside src/repro"),
     "SIM003": ("allow-set-iter", "iteration order taken from an unordered set"),
     "SIM004": ("allow-float-eq", "float ==/!= on simulated-time expressions"),
-    "SIM005": ("allow-unguarded-hook", "telemetry/trace/fault hook not behind an enabled-guard"),
+    "SIM005": ("allow-unguarded-hook", "trace/fault hook not behind an enabled-guard"),
     "SIM006": ("allow-no-slots", "hot-path sim class missing __slots__"),
     "SIM101": ("", "same-timestamp outcome depends on heap-insertion seq"),
     "SIM102": ("", "rng stream-discipline violation"),

@@ -16,8 +16,9 @@ contract & sanitizers"):
 - **SIM004** — float ``==``/``!=`` where a side looks like simulated time
   (``now``/``_now``/``*deadline*``): exact comparison of accumulated floats
   is fragile; compare ordering or use an explicit same-instant pragma.
-- **SIM005** — a telemetry/trace/fault hook call site inside ``src/repro``
-  not dominated by its one enabled-guard branch (``if x.enabled:`` /
+- **SIM005** — a trace hook (a record, a span id or a push metric reached
+  through ``trace.scope``) or a fault hook call site inside ``src/repro``
+  not dominated by its one enabled-guard branch (``if trace.enabled:`` /
   ``if faults is not None:``).  The hooks-off hot path must cost exactly
   one branch per site.
 - **SIM006** — a class in ``repro/sim`` holding per-event state without
@@ -104,8 +105,8 @@ _PRAGMA_RE = re.compile(r"#\s*sim:\s*([a-zA-Z][a-zA-Z0-9_-]*)\(([^)]*)\)")
 def _dotted(node: ast.AST) -> list[str]:
     """Flatten an attribute/call chain into its name parts, bottom-up.
 
-    ``self.sim.telemetry.scope("h").counter("x").inc()`` yields
-    ``["self", "sim", "telemetry", "scope", "counter", "inc"]``.
+    ``self.sim.trace.scope("h").counter("x").inc()`` yields
+    ``["self", "sim", "trace", "scope", "counter", "inc"]``.
     """
     parts: list[str] = []
 
@@ -435,15 +436,16 @@ class _Visitor(ast.NodeVisitor):
             return
         method = parts[-1]
         receiver = parts[:-1]
-        is_tele = "telemetry" in receiver or receiver[0] == "tele"
-        is_trace = method in ("emit", "new_span") and "trace" in receiver
+        # A push metric is reached through ``trace.scope(...)``.
+        is_trace = "trace" in receiver and (
+            method in ("emit", "new_span", "scope") or "scope" in receiver)
         is_fault = method.startswith("on_") and (
             "faults" in receiver or "injector" in receiver
         )
         is_monitor = (method.startswith("on_") or method == "register_qp") and (
             "_monitor" in receiver or receiver[-1] in ("mon", "monitor")
         )
-        if not (is_tele or is_trace or is_fault or is_monitor):
+        if not (is_trace or is_fault or is_monitor):
             return
         if is_monitor:
             if self._notnone_depth == 0 and node.lineno not in self._hook_lines:
@@ -459,7 +461,7 @@ class _Visitor(ast.NodeVisitor):
         guarded = self._notnone_depth if is_fault else self._enabled_depth
         if guarded == 0 and node.lineno not in self._hook_lines:
             self._hook_lines.add(node.lineno)
-            kind = "telemetry" if is_tele else ("trace" if is_trace else "fault")
+            kind = "trace" if is_trace else "fault"
             want = "is not None" if is_fault else ".enabled"
             self.report(
                 "SIM005", node,

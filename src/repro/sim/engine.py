@@ -53,7 +53,6 @@ from repro.sim.events import NORMAL, URGENT, AllOf, Event, Timeout, _fire
 from repro.sim.process import Process, ProcessGenerator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace
-from repro.telemetry.metrics import Telemetry
 
 
 def _env_monitors() -> bool:
@@ -73,12 +72,11 @@ class Simulator:
         stream is derived from it, so one integer pins the entire run.
     trace:
         Optional pre-built :class:`~repro.sim.trace.Trace`; a disabled one is
-        created by default (zero overhead when off).
-    telemetry:
-        Optional pre-built :class:`~repro.telemetry.metrics.Telemetry`
-        registry; a disabled one is created by default.  Like the trace,
-        instrumented sites pay one branch when it is off, and enabling it
-        never alters simulation results (it only mutates Python counters).
+        created by default.  ``trace.enabled`` is the one observation
+        switch: it turns on span records and the per-host push metrics
+        (``trace.scope``) together.  Instrumented sites pay one branch when
+        it is off, and turning it on never alters simulation results (it
+        only appends records and mutates Python counters).
     sanitize:
         Attach the :mod:`repro.sanitize` runtime checkers (same-timestamp
         race detector, RNG stream discipline, no-time-travel); ``None``
@@ -99,14 +97,13 @@ class Simulator:
     __slots__ = (
         "_now", "_queue", "_seq",
         "_sanitize", "_time_hooks", "_state_providers",
-        "_monitor", "_chooser", "rng", "trace", "telemetry",
+        "_monitor", "_chooser", "rng", "trace",
     )
 
     def __init__(
         self,
         seed: int = 0,
         trace: Optional[Trace] = None,
-        telemetry: Optional[Telemetry] = None,
         sanitize: Optional[bool] = None,
         monitors: Optional[bool] = None,
     ):
@@ -117,7 +114,6 @@ class Simulator:
         self._state_providers: list[Callable[[], tuple]] = []
         self.rng = RngRegistry(seed)
         self.trace = trace if trace is not None else Trace(enabled=False)
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
         self._sanitize = None
         if env_sanitize() if sanitize is None else sanitize:
             from repro.sanitize.runtime import RuntimeSanitizer

@@ -1,6 +1,7 @@
 """End-to-end telemetry for the converged dataplane simulation.
 
-Three pieces, all disabled by default and free when off:
+Three pieces, all off by default and free when off; one switch,
+``Trace.enabled``, turns on the records and the push metrics together:
 
 - :mod:`~repro.telemetry.spans` — causal op spans: one id allocated at
   ``post_send``/``post_recv`` entry, threaded driver → doorbell → WQE
@@ -8,14 +9,14 @@ Three pieces, all disabled by default and free when off:
   reconstructable with per-stage durations.
 - :mod:`~repro.telemetry.metrics` — per-host registry of counters and
   log2 histograms (dataplane ops, NIC posts/deliveries, NIC/switch queue
-  occupancy, CQ depth, per-policy cost, MPI protocol mix).
+  occupancy, CQ depth, per-policy cost, MPI protocol mix), kept on the
+  trace (``trace.scope("host0")``).
 - :mod:`~repro.telemetry.export` — Chrome trace-event JSON (Perfetto),
   JSONL record dumps, metrics snapshot JSON.
 
 Enable with::
 
     sim = Simulator(seed=7, trace=Trace(enabled=True))
-    sim.telemetry.enabled = True
 
 or set ``REPRO_TELEMETRY=1`` for the perftest runner / figure benchmarks
 (exports land under ``REPRO_TELEMETRY_DIR``, default ``results/telemetry``).
@@ -39,16 +40,10 @@ from repro.telemetry.export import (
     metrics_snapshot,
     records_from_jsonl,
 )
-from repro.telemetry.metrics import (
-    Log2Histogram,
-    MetricCounter,
-    MetricsRegistry,
-    Telemetry,
-)
-from repro.telemetry.spans import SPAN_CATEGORY, OpSpan, SpanMark, SpanStage, build_spans
+from repro.telemetry.metrics import Log2Histogram, MetricCounter, MetricsRegistry
+from repro.telemetry.spans import OpSpan, SpanMark, SpanStage, build_spans
 
 __all__ = [
-    "SPAN_CATEGORY",
     "ATTRIBUTION_PROBES",
     "AttributionTable",
     "OpBlame",
@@ -70,5 +65,4 @@ __all__ = [
     "Log2Histogram",
     "MetricCounter",
     "MetricsRegistry",
-    "Telemetry",
 ]

@@ -16,7 +16,7 @@ import json
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from repro.sim.trace import Trace, TraceRecord
-from repro.telemetry.spans import SPAN_CATEGORY, OpSpan, build_spans
+from repro.telemetry.spans import OpSpan, build_spans
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.host import Host
@@ -75,7 +75,7 @@ def chrome_trace(
             })
 
     for rec in trace:
-        if rec.category != SPAN_CATEGORY or rec.event != "note":
+        if rec.event != "note":
             continue
         fields = dict(rec.fields)
         host = fields.pop("host", "?")
@@ -163,9 +163,8 @@ def records_from_jsonl(lines: Iterable[str]) -> list[TraceRecord]:
             continue
         obj = json.loads(line)
         time = obj.pop("time")
-        category = obj.pop("category")
         event = obj.pop("event")
-        out.append(TraceRecord(time, category, event, tuple(sorted(obj.items()))))
+        out.append(TraceRecord(time, event, tuple(sorted(obj.items()))))
     return out
 
 
@@ -190,24 +189,23 @@ def metrics_snapshot(
 ) -> dict[str, object]:
     """JSON-ready metrics dump: live registry scopes + pulled device state.
 
-    The registry half holds what instrumented sites pushed while
-    ``sim.telemetry`` was enabled; the pulled half reads each host's
+    The registry half (``scopes``) holds what instrumented sites pushed
+    while ``sim.trace`` was enabled; the pulled half reads each host's
     always-on counters (NIC, cores, IRQs, and per-QP DCQCN limiters when
     congestion control is on) and each distinct fabric's
     :meth:`~repro.cluster.fabric.Fabric.snapshot`, so every count has one
-    source and the snapshot is complete for runs that never enabled push
-    telemetry.
+    source and the snapshot is complete for untraced runs.
     """
     out: dict[str, object] = {
         "time_ns": sim.now,
-        "telemetry_enabled": sim.telemetry.enabled,
         "trace": {
             "enabled": sim.trace.enabled,
             "records": len(sim.trace),
             "dropped": sim.trace.dropped,
             "max_records": sim.trace.max_records,
         },
-        "scopes": sim.telemetry.snapshot(),
+        "scopes": {name: sim.trace.scopes[name].snapshot()
+                   for name in sorted(sim.trace.scopes)},
     }
     host_state: dict[str, object] = {}
     fabrics: dict[str, object] = {}

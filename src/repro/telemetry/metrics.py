@@ -4,15 +4,22 @@ Push metrics cover what no component counts on its own: per-op and
 per-policy tallies and occupancy distributions.  Counts a component
 already keeps (NIC, core, fabric and limiter counters) are read at
 snapshot time by :func:`repro.telemetry.export.metrics_snapshot` instead
-of being counted twice.  A :class:`Telemetry` instance hangs off the
-:class:`~repro.sim.engine.Simulator` (disabled by default): instrumented
-sites pay exactly one branch when it is off, and when it is on they only
-mutate plain Python numbers — telemetry never creates events, consumes
-simulated time, or touches an RNG stream, so enabling it cannot change
-simulation results (see ``tests/test_golden_determinism.py``).
+of being counted twice.  The registries hang off the simulator's
+:class:`~repro.sim.trace.Trace` (``trace.scope("host0")``), so they ride
+the one observation switch, ``trace.enabled``::
+
+    trace = self.sim.trace
+    if trace.enabled:
+        trace.scope("host0").counter("dataplane.ops").inc()
+
+Sites pay exactly one branch when the trace is off, and when it is on
+they only mutate plain Python numbers — metrics never create events,
+consume simulated time, or touch an RNG stream, so enabling them cannot
+change simulation results (see ``tests/test_golden_determinism.py``).
 
 Scopes group metrics per host (``"host0"``, ``"host1"``...); a scope is a
-:class:`MetricsRegistry` created lazily on first use.
+:class:`MetricsRegistry` created lazily on first use and dropped by
+``Trace.clear()``.
 """
 
 from __future__ import annotations
@@ -142,32 +149,3 @@ class MetricsRegistry:
             },
         }
 
-
-class Telemetry:
-    """The per-simulator metric store.  Off by default; one branch when off.
-
-    Sites do::
-
-        tele = self.sim.telemetry
-        if tele.enabled:
-            tele.scope("host0").counter("dataplane.ops").inc()
-    """
-
-    __slots__ = ("enabled", "_scopes")
-
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
-        self._scopes: dict[str, MetricsRegistry] = {}
-
-    def scope(self, name: str) -> MetricsRegistry:
-        reg = self._scopes.get(name)
-        if reg is None:
-            reg = self._scopes[name] = MetricsRegistry(name)
-        return reg
-
-    def scopes(self) -> list[str]:
-        return sorted(self._scopes)
-
-    def snapshot(self) -> dict[str, object]:
-        """All scopes' metrics as one JSON-ready dict."""
-        return {name: self._scopes[name].snapshot() for name in sorted(self._scopes)}

@@ -1,7 +1,6 @@
 """Causal op spans reconstructed from trace records.
 
-``"span"`` is the only trace category the simulator emits.  Instrumented
-layers write four record shapes into the simulator's
+Instrumented layers write four record shapes into the simulator's
 :class:`~repro.sim.trace.Trace`:
 
 - ``op_begin`` — a dataplane entry point (``post_send``/``post_recv``)
@@ -30,9 +29,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from repro.sim.trace import Trace, TraceRecord
-
-#: Trace category all span records use.
-SPAN_CATEGORY = "span"
 
 
 @dataclass(frozen=True)
@@ -117,10 +113,8 @@ def build_spans(
     is append-only) order.  Spans whose ``op_begin`` was evicted from a
     ring-buffered trace are skipped, as are notes with no span.
     """
-    records = source.select(category=SPAN_CATEGORY) if isinstance(source, Trace) \
-        else [r for r in source if r.category == SPAN_CATEGORY]
     spans: dict[int, OpSpan] = {}
-    for rec in records:
+    for rec in source:
         span_id = rec.get("span")
         if span_id is None:
             continue

@@ -4,7 +4,7 @@ A :class:`ProtocolMonitor` attaches to a :class:`~repro.sim.engine.Simulator`
 (``Simulator(monitors=True)``, ``REPRO_VERIFY_MONITORS=1``, or
 ``sim.attach_monitor``) and observes the verbs/NIC layers through a fixed
 set of hook sites, each costing one ``is None`` branch when no monitor is
-attached (the same discipline as telemetry/trace/fault hooks — PROTO004
+attached (the same discipline as trace/fault hooks — PROTO004
 lints the sites).  Monitors only *observe*: attaching one never changes
 simulation timing or results.
 

@@ -28,8 +28,8 @@ def completed_exactly_at(sim, deadline_ns):
     return sim.now == deadline_ns  # SIM004: float == on simulated time
 
 
-def count_op(tele):
-    tele.counter("dataplane.ops").inc()  # SIM005: no enabled-guard branch
+def count_op(trace):
+    trace.scope("host0").counter("dataplane.ops").inc()  # SIM005: no enabled-guard branch
 
 
 class HotPathRecord:  # SIM006: per-event class without __slots__

@@ -309,6 +309,14 @@ def test_telemetry_env_with_fastforward_exports_complete_spans(
                 if e.get("cat") == "span.post_send"}
     # Ping-pong: each of warmup+iters rounds posts one send per side.
     assert len(span_ids) == 2 * (40 + 5)
+    # The exported push metrics count exactly those posts, and every
+    # counted post (sends and receives) has its span in the export.
+    (metrics,) = tmp_path.glob("*.metrics.json")
+    ops = [scope["counters"]["dataplane.ops"]
+           for scope in json.loads(metrics.read_text())["scopes"].values()]
+    assert sum(o["by_key"]["BP.post_send"] for o in ops) == len(span_ids)
+    assert sum(o["count"] for o in ops) == len(
+        {e["args"]["span"] for e in doc["traceEvents"] if e["ph"] == "X"})
 
     # And the measurement itself matches a telemetry-off, ff-off run.
     monkeypatch.delenv("REPRO_TELEMETRY")

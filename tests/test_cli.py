@@ -125,7 +125,7 @@ def test_trace_jsonl_format(capsys):
     assert lines
     for line in lines:
         rec = json.loads(line)
-        assert {"time", "category", "event"} <= rec.keys()
+        assert {"time", "event"} <= rec.keys() and "category" not in rec
 
 
 def test_trace_output_file(tmp_path):
@@ -142,7 +142,7 @@ def test_metrics_command(capsys):
 
     assert main(["metrics", "--iters", "4"]) == 0
     snap = json.loads(capsys.readouterr().out)
-    assert snap["telemetry_enabled"] is True
+    assert snap["trace"]["enabled"] is True and "telemetry_enabled" not in snap
     assert "host0" in snap["scopes"] and "host1" in snap["scopes"]
     ops = snap["scopes"]["host0"]["counters"]["dataplane.ops"]
     assert ops["by_key"]["BP.post_send"] == 4
@@ -210,7 +210,7 @@ def test_warn_dropped_prints_to_stderr(capsys):
 
     trace = Trace(enabled=True, max_records=2)
     for i in range(5):
-        trace.emit(float(i), "x", "e")
+        trace.emit(float(i), "e")
     assert trace.dropped == 3
     _warn_dropped(trace)
     err = capsys.readouterr().err

@@ -280,7 +280,6 @@ def test_auto_congestion_is_off_on_shipped_profiles():
 def test_cc_telemetry_and_cc_pace_attribution():
     cfg = _cfg(senders=8, msgs_per_sender=8, congestion="dcqcn")
     sim = Simulator(seed=cfg.seed, trace=Trace(enabled=True))
-    sim.telemetry.enabled = True
     fabric, hosts, pairs = build_incast(sim, cfg)
     sim.trace.clear()
     r = _drive(sim, cfg, fabric, hosts, pairs)

@@ -60,7 +60,7 @@ def _send_wr(a, wr_id, nbytes=1024):
 
 def _notes(trace, name):
     """The trace's ``note`` records called ``name``, in emission order."""
-    return [r for r in trace.select(category="span", event="note")
+    return [r for r in trace.select(event="note")
             if r.get("name") == name]
 
 

@@ -205,7 +205,7 @@ def test_retransmit_notes_match_the_counter():
     cfg = _cfg(dataplane="cord", msgs_per_sender=8, window=16,
                buffer_bytes=256 * 1024, congestion="dcqcn")
     result, sim = run_incast_attributed(cfg)
-    notes = sim.trace.select(category="span", event="note")
+    notes = sim.trace.select(event="note")
     names = {r.get("name") for r in notes}
     assert names >= {"retransmit", "ack_timeout", "rx_drop", "ecn_mark",
                      "cnp_send", "cnp_recv"}

@@ -84,13 +84,13 @@ def test_sim004_inf_sentinel_compare_is_clean():
 def test_sim005_guarded_site_is_clean():
     guarded = (
         "def f(self):\n"
-        "    tele = self.sim.telemetry\n"
-        "    if tele.enabled:\n"
-        "        tele.scope('h').counter('x').inc()\n"
+        "    trace = self.sim.trace\n"
+        "    if trace.enabled:\n"
+        "        trace.scope('h').counter('x').inc()\n"
     )
     unguarded = (
         "def f(self):\n"
-        "    self.sim.telemetry.scope('h').counter('x').inc()\n"
+        "    self.sim.trace.scope('h').counter('x').inc()\n"
     )
     assert lint_source(guarded, path="src/repro/hw/nic.py") == []
     assert [f.rule for f in lint_source(unguarded, path="src/repro/hw/nic.py")] \

@@ -6,31 +6,31 @@ from repro.sim.trace import TraceRecord
 
 def test_disabled_trace_records_nothing():
     trace = Trace(enabled=False)
-    trace.emit(1.0, "nic", "tx", size=64)
+    trace.emit(1.0, "tx", size=64)
     assert len(trace) == 0
 
 
 def test_emit_and_select():
     trace = Trace()
-    trace.emit(1.0, "nic", "tx", size=64)
-    trace.emit(2.0, "nic", "rx", size=64)
-    trace.emit(3.0, "cpu", "syscall")
-    assert len(trace.select(category="nic")) == 2
-    assert len(trace.select(category="nic", event="tx")) == 1
+    trace.emit(1.0, "tx", size=64)
+    trace.emit(2.0, "rx", size=64)
+    trace.emit(3.0, "syscall")
+    assert len(trace.select()) == 3
+    assert len(trace.select(event="tx")) == 1
     assert trace.select(event="syscall")[0].time == 3.0
 
 
 def test_record_field_access():
-    rec = TraceRecord(1.0, "nic", "tx", (("size", 64), ("qp", 7)))
+    rec = TraceRecord(1.0, "tx", (("size", 64), ("qp", 7)))
     assert rec.get("size") == 64
     assert rec.get("missing", "dflt") == "dflt"
     d = rec.asdict()
-    assert d["qp"] == 7 and d["event"] == "tx"
+    assert d == {"time": 1.0, "event": "tx", "size": 64, "qp": 7}
 
 
 def test_trace_clear():
     trace = Trace()
-    trace.emit(1.0, "a", "b")
+    trace.emit(1.0, "b")
     trace.clear()
     assert len(trace) == 0
 
@@ -38,3 +38,4 @@ def test_trace_clear():
 def test_simulator_owns_a_disabled_trace_by_default():
     sim = Simulator()
     assert sim.trace.enabled is False
+    assert sim.trace.scopes == {}

@@ -17,7 +17,6 @@ from repro.sim.trace import Trace
 from repro.telemetry import (
     Log2Histogram,
     MetricCounter,
-    Telemetry,
     build_spans,
     chrome_trace,
     jsonl_lines,
@@ -30,10 +29,11 @@ SIZE = 4096
 
 
 def run_traced(iters=1, client="bypass", server="bypass", system="L",
-               telemetry=True, max_records=None):
-    """Run ``iters`` fully-traced RC sends; returns (sim, host_a, host_b)."""
-    sim = Simulator(seed=7, trace=Trace(enabled=True, max_records=max_records))
-    sim.telemetry.enabled = telemetry
+               traced=True, max_records=None):
+    """Run ``iters`` RC sends, fully traced unless ``traced`` is False;
+    returns (sim, host_a, host_b)."""
+    sim = Simulator(seed=7,
+                    trace=Trace(enabled=traced, max_records=max_records))
     _fabric, host_a, host_b = build_pair(sim, get_profile(system))
 
     def main():
@@ -114,9 +114,9 @@ def test_cord_span_includes_syscall_entry():
 def test_spans_without_end_are_incomplete():
     trace = Trace(enabled=True)
     span = trace.new_span()
-    trace.emit(0.0, "span", "op_begin", span=span, host=0, op="post_send",
+    trace.emit(0.0, "op_begin", span=span, host=0, op="post_send",
                dataplane="BP", qpn=1, wr_id=1, size=64)
-    trace.emit(5.0, "span", "mark", span=span, stage="doorbell", host=0,
+    trace.emit(5.0, "mark", span=span, stage="doorbell", host=0,
                comp="nic.tx")
     (built,) = build_spans(trace)
     assert not built.complete
@@ -165,7 +165,7 @@ def test_metrics_snapshot_shape():
     sim, host_a, host_b = run_traced(iters=4, client="cord", server="cord")
     snap = metrics_snapshot(sim, hosts=[host_a, host_b])
     snap = json.loads(json.dumps(snap, default=str))
-    assert snap["telemetry_enabled"] is True
+    assert snap["trace"]["enabled"] is True
     host0 = snap["scopes"]["host0"]
     ops = host0["counters"]["dataplane.ops"]
     assert ops["by_key"]["CD.post_send"] == 4
@@ -184,22 +184,28 @@ def test_metrics_snapshot_shape():
 @pytest.mark.parametrize("kind", ["bypass", "cord"])
 def test_chained_recv_posts_count_every_wr(kind):
     """send_bw replenishes its RQ with chained posts; ``dataplane.ops``
-    must count each WR, with its bytes, as single posts do."""
-    sim = Simulator(seed=7)
-    sim.telemetry.enabled = True
+    must count each WR, with its bytes, as single posts do, and each WR
+    must open one complete ``post_recv`` span."""
+    sim = Simulator(seed=7, trace=Trace(enabled=True))
     _fabric, host_a, host_b = build_pair(sim, get_profile("L"))
 
     def main():
         a, b = yield from make_rc_pair(host_a, host_b, kind, kind)
-        yield from send_bw(sim, a, b, 1024, iters=40, window=16, warmup=8)
+        # window=8 pre-posts 2 * 8 + 16 = 32 WRs one by one; the other 16
+        # of the 48 arrive in chained reposts.
+        yield from send_bw(sim, a, b, 1024, iters=40, window=8, warmup=8)
         return b
 
     b = sim.run(sim.process(main()))
-    ops = sim.telemetry.scope(host_b.name).counter("dataplane.ops")
+    ops = sim.trace.scope(host_b.name).counter("dataplane.ops")
     posted = b.qp.recvs_posted
     assert posted == 48
     assert ops.by_key == {f"{b.dataplane.tag}.post_recv": posted}
     assert ops.total == posted * b.buf.length
+    recv_spans = [s for s in build_spans(sim.trace, op="post_recv")
+                  if s.host == host_b.host_id]
+    assert len(recv_spans) == posted
+    assert all(s.complete and s.qpn == b.qp.qpn for s in recv_spans)
 
 
 def test_metrics_snapshot_includes_flow_report():
@@ -296,17 +302,19 @@ def test_metrics_snapshot_trace_unbounded_reports_no_drops():
 
 
 def test_telemetry_scopes_lazy_and_stable():
-    tele = Telemetry(enabled=True)
-    reg = tele.scope("host0")
-    assert tele.scope("host0") is reg
+    trace = Trace(enabled=True)
+    reg = trace.scope("host0")
+    assert trace.scope("host0") is reg
     assert reg.counter("c") is reg.counter("c")
     assert reg.histogram("h") is reg.histogram("h")
-    assert tele.scopes() == ["host0"]
+    assert list(trace.scopes) == ["host0"]
 
 
 def test_telemetry_disabled_records_nothing():
-    sim, _a, _b = run_traced(telemetry=False)
-    assert sim.telemetry.snapshot() == {}
+    """Trace off means no push metrics either: one observation switch."""
+    sim, host_a, host_b = run_traced(traced=False)
+    assert sim.trace.scopes == {} and len(sim.trace) == 0
+    assert metrics_snapshot(sim, hosts=[host_a, host_b])["scopes"] == {}
 
 
 # -- trace retention (ring buffer) --------------------------------------------
@@ -315,7 +323,7 @@ def test_telemetry_disabled_records_nothing():
 def test_trace_ring_buffer_keeps_newest():
     trace = Trace(enabled=True, max_records=5)
     for i in range(10):
-        trace.emit(float(i), "t", "e", i=i)
+        trace.emit(float(i), "e", i=i)
     assert len(trace) == 5
     assert trace.dropped == 5
     assert [r.get("i") for r in trace] == [5, 6, 7, 8, 9]
@@ -323,20 +331,22 @@ def test_trace_ring_buffer_keeps_newest():
 
 def test_trace_clear_resets_dropped():
     trace = Trace(enabled=True, max_records=1)
-    trace.emit(0.0, "t", "e")
-    trace.emit(1.0, "t", "e")
+    trace.emit(0.0, "e")
+    trace.emit(1.0, "e")
+    trace.scope("host0").counter("c").inc()
     assert trace.dropped == 1
     trace.clear()
     assert trace.dropped == 0 and len(trace) == 0
+    assert trace.scopes == {}
 
 
 def test_build_spans_skips_evicted_begins():
     """A span whose op_begin fell off the ring buffer is dropped whole."""
     trace = Trace(enabled=True, max_records=2)
     s1, s2 = trace.new_span(), trace.new_span()
-    trace.emit(0.0, "span", "op_begin", span=s1, host=0, op="post_send")
-    trace.emit(1.0, "span", "op_begin", span=s2, host=0, op="post_send")
-    trace.emit(2.0, "span", "op_end", span=s2, host=0)  # evicts s1's begin
+    trace.emit(0.0, "op_begin", span=s1, host=0, op="post_send")
+    trace.emit(1.0, "op_begin", span=s2, host=0, op="post_send")
+    trace.emit(2.0, "op_end", span=s2, host=0)  # evicts s1's begin
     spans = build_spans(trace)
     assert [s.span_id for s in spans] == [s2]
 
@@ -363,10 +373,10 @@ def test_flow_report_rates_for_real_flows():
     assert flow["msg_rate_per_s"] == pytest.approx(1e6)
 
 
-# -- pulled counts: one count source, push telemetry on or off --------------------
+# -- pulled counts: one count source, trace on or off ---------------------------
 
 
-def _pulled(telemetry, faults=None):
+def _pulled(traced, faults=None):
     """Run an incast and return the snapshot's pulled sections as JSON."""
     if faults is None:
         cfg = IncastConfig(senders=8, msgs_per_sender=8,
@@ -374,8 +384,7 @@ def _pulled(telemetry, faults=None):
     else:
         cfg = IncastConfig(senders=4, msgs_per_sender=6,
                            buffer_bytes=256 * 1024)
-    sim = Simulator(seed=cfg.seed)
-    sim.telemetry.enabled = telemetry
+    sim = Simulator(seed=cfg.seed, trace=Trace(enabled=traced))
     fabric, hosts, pairs = build_incast(sim, cfg)
     if faults is not None:
         fabric.inject_faults(faults)
@@ -386,11 +395,11 @@ def _pulled(telemetry, faults=None):
     return result, pulled
 
 
-@pytest.mark.parametrize("telemetry", [False, True])
-def test_pulled_snapshot_carries_incast_counts(telemetry):
+@pytest.mark.parametrize("traced", [False, True])
+def test_pulled_snapshot_carries_incast_counts(traced):
     """Marks, drops, CNPs and the deepest cut are read from the component
-    counters, so they are the same with push telemetry on or off."""
-    r, pulled = _pulled(telemetry)
+    counters, so they are the same with the trace on or off."""
+    r, pulled = _pulled(traced)
     (fabric,) = pulled["fabrics"].values()
     hosts = pulled["hosts"].values()
     assert fabric["ports"]["host0"]["messages_marked"] == r.ecn_marked > 0
@@ -399,14 +408,14 @@ def test_pulled_snapshot_carries_incast_counts(telemetry):
     cut = [lim["lowest_rate"] for h in hosts
            for lim in h["limiters"].values() if lim["rate_cuts"]]
     assert min(cut) == r.min_rate
-    assert pulled == _pulled(not telemetry)[1]
+    assert pulled == _pulled(not traced)[1]
 
 
-@pytest.mark.parametrize("telemetry", [False, True])
-def test_pulled_snapshot_carries_fault_drops(telemetry):
+@pytest.mark.parametrize("traced", [False, True])
+def test_pulled_snapshot_carries_fault_drops(traced):
     plan = FaultPlan(loss=0.05, drop_control=False)
-    _r, pulled = _pulled(telemetry, faults=plan)
+    _r, pulled = _pulled(traced, faults=plan)
     (fabric,) = pulled["fabrics"].values()
     assert fabric["faults"]["drops"] == (
         fabric["drops_hairpin"] + fabric["drops_wire"]) > 0
-    assert pulled == _pulled(not telemetry, faults=plan)[1]
+    assert pulled == _pulled(not traced, faults=plan)[1]
