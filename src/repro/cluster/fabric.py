@@ -324,8 +324,8 @@ class Fabric:
     # One message is a chain of callback stages: a held port's
     # serialization delay (``call_later``), the grant of a contended port
     # (a callback on its ``Request``), and the switch-side delivery, which
-    # starts at once (``call_soon``).  ``transmit`` adapts the chain for
-    # generator callers.
+    # starts at once, inline at the tail of the record the wire finishes
+    # in.  ``transmit`` adapts the chain for generator callers.
 
     def send(
         self, src_host: int, dst_host: int, nbytes: int, payload: object,
@@ -452,16 +452,17 @@ class Fabric:
                 done(arg)  # dropped on the wire: never delivered
                 return
             extra = verdict
-        if self.rx_contention is not None:
-            self.sim.call_soon(
-                self._rx_deliver,
-                (dst, nbytes, payload, self.propagation_ns + extra))
-        else:
+        if self.rx_contention is None:
             self.bytes_carried += nbytes
             self.messages_carried += 1
             self.sim.call_later(self.propagation_ns + extra, dst.deliver,
                                 payload)
-        done(arg)
+            done(arg)
+        else:
+            # The switch side starts once the sender has carried on, as it
+            # would from a record of its own at this instant.
+            done(arg)
+            self._rx_deliver((dst, nbytes, payload, self.propagation_ns + extra))
 
     def _rx_deliver(self, ctx: tuple) -> None:
         """Receiver side of one message: propagation, switch output-queue

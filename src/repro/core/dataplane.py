@@ -212,11 +212,12 @@ class Dataplane:
         """
         if mode is WaitMode.EVENT:
             return (yield from self._wait_event(cq, max_entries))
-        ready = cq.wait_nonempty()
-        if not ready.processed:
+        if not cq.entries:
             # busy_poll measures the spin itself (via a shift-aware start
-            # mark), so the duration excludes any fast-forwarded jump.
-            waited = yield from self.core.busy_poll(ready, 0.0)
+            # mark), so the duration excludes any fast-forwarded jump.  A
+            # CQ that already holds a CQE needs no wait: the spin would
+            # take zero time.
+            waited = yield from self.core.busy_poll(cq.wait_nonempty(), 0.0)
             self._waited(waited)
         # One unsuccessful probe (the loop iteration that raced the CQE)
         # plus the successful reap.

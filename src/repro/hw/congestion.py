@@ -21,8 +21,7 @@ The control loop:
   PFC-lossless fabric; a bounded tail-dropping buffer does not have that
   luxury.
 - **alpha timer**: while elevated, ``alpha`` decays by ``1 - g`` every
-  ``alpha_update_ns``; the timer disarms itself once alpha is negligible
-  so an idle simulator drains.
+  ``alpha_update_ns``; the timer disarms itself once alpha is negligible.
 - **rate-increase timer**: every ``rate_increase_ns`` the rate moves
   halfway to ``target`` (fast recovery); after ``fast_recovery_rounds``
   the target itself grows additively (``rai_bytes_per_ns``), then
@@ -33,10 +32,22 @@ The control loop:
   ``burst_bytes`` refilled at the current rate.  A fully recovered, idle
   limiter paces nothing.
 
-Everything is driven by simulated time only: timers via ``sim.call_later``,
-no wall clock, no RNG (the WRED marking randomness lives in the fabric's
-dedicated streams).  Absolute timestamps register an ``on_time_shift``
-hook so steady-state fast-forward clock jumps keep ``now - t`` math valid.
+Everything is driven by simulated time only: no wall clock, no RNG (the
+WRED marking randomness lives in the fabric's dedicated streams).
+
+**Lazy timers.**  The two timers push no heap records.  Each keeps its
+next tick time (``_alpha_next``, ``_inc_next``; ``inf`` when disarmed),
+and every reader — :meth:`pace`, :meth:`on_cnp`, :meth:`on_timeout`,
+:meth:`state`, :meth:`snapshot` — first applies, in order, every tick due
+at or before ``sim.now``.  Next-tick times accumulate as ``next +
+period``, the same float a self-rescheduling record chain computes, so
+the catch-up replays the record-driven recurrences bit for bit.  Tie
+rule: a tick due exactly at the reader's instant applies first.  Its
+record would always have run first, because it was pushed a whole period
+(20 µs or 100 µs) earlier, far longer than any NIC stage lead.  The tick
+times and the other absolute timestamps shift with the clock through an
+``on_time_shift`` hook, so steady-state fast-forward jumps keep every
+``now - t`` valid.
 """
 
 from __future__ import annotations
@@ -56,13 +67,15 @@ _ALPHA_FLOOR = 1e-3
 #: ending recovery (avoids an asymptotic tail of timer events).
 _LINE_SNAP = 0.999
 
+_INF = float("inf")
+
 
 class DcqcnLimiter:
     """DCQCN rate state machine + token-bucket pacer for one QP."""
 
     __slots__ = ("sim", "cc", "line_rate", "min_rate", "rate", "target",
                  "alpha", "tokens", "_last_ns", "_last_cut_ns",
-                 "_alpha_armed", "_inc_armed", "_inc_rounds", "cnps",
+                 "_alpha_next", "_inc_next", "_inc_rounds", "cnps",
                  "rate_cuts", "timeout_cuts", "lowest_rate", "paced_ns")
 
     def __init__(self, sim: "Simulator", cc: CcProfile, line_rate: float):
@@ -86,8 +99,9 @@ class DcqcnLimiter:
         #: When the last rate cut landed (CNP or timeout); cuts within
         #: ``cut_interval_ns`` of it are one congestion event.
         self._last_cut_ns = float("-inf")
-        self._alpha_armed = False
-        self._inc_armed = False
+        #: Next alpha-decay / rate-increase tick (``inf``: disarmed).
+        self._alpha_next = _INF
+        self._inc_next = _INF
         #: Rate-increase rounds since the last cut (selects the stage).
         self._inc_rounds = 0
         self.cnps = 0
@@ -102,12 +116,13 @@ class DcqcnLimiter:
             # Skip fast recovery for the startup ramp (there was no cut
             # to recover from): go straight to additive increase.
             self._inc_rounds = cc.fast_recovery_rounds
-            self._inc_armed = True
-            sim.call_later(cc.rate_increase_ns, self._inc_fired, None)
+            self._inc_next = sim.now + cc.rate_increase_ns
 
     def _shift_time(self, shift: float) -> None:
         self._last_ns += shift
         self._last_cut_ns += shift  # -inf + shift stays -inf
+        self._alpha_next += shift  # inf + shift stays inf
+        self._inc_next += shift
 
     # -- pacing -------------------------------------------------------------
 
@@ -118,7 +133,8 @@ class DcqcnLimiter:
         short-circuits with the bucket pinned full, so steady state costs
         two compares per message.
         """
-        if self.rate >= self.line_rate and not self._inc_armed:
+        self._catch_up()
+        if self.rate >= self.line_rate and self._inc_next == _INF:
             self.tokens = float(self.cc.burst_bytes)
             self._last_ns = now
             return 0.0
@@ -146,11 +162,11 @@ class DcqcnLimiter:
         queue excursion is a single multiplicative decrease.
         """
         cc = self.cc
+        t = self._catch_up()
         self.cnps += 1
         self.alpha = (1.0 - cc.g) * self.alpha + cc.g
-        if not self._alpha_armed:
-            self._alpha_armed = True
-            self.sim.call_later(cc.alpha_update_ns, self._alpha_fired, None)
+        if self._alpha_next == _INF:
+            self._alpha_next = t + cc.alpha_update_ns
         if now - self._last_cut_ns < cc.cut_interval_ns:
             return
         self.target = self.rate
@@ -167,12 +183,12 @@ class DcqcnLimiter:
         Throttled like CNP cuts: the near-simultaneous timers of one loss
         burst count once.
         """
+        t = self._catch_up()
         if now - self._last_cut_ns < self.cc.cut_interval_ns:
             return
         self.alpha = 1.0
-        if not self._alpha_armed:
-            self._alpha_armed = True
-            self.sim.call_later(self.cc.alpha_update_ns, self._alpha_fired, None)
+        if self._alpha_next == _INF:
+            self._alpha_next = t + self.cc.alpha_update_ns
         self.timeout_cuts += 1
         self.target = self.min_rate
         self._apply_cut(now, self.min_rate)
@@ -190,39 +206,52 @@ class DcqcnLimiter:
         if self.rate < self.lowest_rate:
             self.lowest_rate = self.rate
         self._inc_rounds = 0
-        if not self._inc_armed:
-            self._inc_armed = True
-            self.sim.call_later(self.cc.rate_increase_ns, self._inc_fired, None)
+        if self._inc_next == _INF:
+            self._inc_next = self.sim._now + self.cc.rate_increase_ns
 
     # -- timers -------------------------------------------------------------
 
-    def _alpha_fired(self, _arg: object) -> None:
-        self.alpha *= 1.0 - self.cc.g
-        if self.alpha <= _ALPHA_FLOOR:
-            self.alpha = 0.0
-            self._alpha_armed = False
-            return
-        self.sim.call_later(self.cc.alpha_update_ns, self._alpha_fired, None)
-
-    def _inc_fired(self, _arg: object) -> None:
+    def _catch_up(self) -> float:
+        """Apply every alpha and rate-increase tick due at or before
+        ``sim.now``, and return ``sim.now``.  The two timers touch disjoint
+        state (``alpha`` against rate, target and rounds), so running one's
+        ticks before the other's matches any interleaving of their
+        records."""
+        now = self.sim._now
         cc = self.cc
-        self._inc_rounds += 1
-        stage = self._inc_rounds - cc.fast_recovery_rounds
-        if stage > 0:
-            step = (cc.hai_bytes_per_ns if stage > cc.hyper_after_rounds
-                    else cc.rai_bytes_per_ns)
-            target = self.target + step
-            self.target = target if target < self.line_rate else self.line_rate
-        self.rate = 0.5 * (self.rate + self.target)
-        if self.rate >= self.line_rate * _LINE_SNAP:
-            # Recovered: pin at line rate and go quiescent.  The target
-            # grows by at least ``rai_bytes_per_ns`` per round once past
-            # fast recovery, so this terminates in bounded rounds.
-            self.rate = self.line_rate
-            self.target = self.line_rate
-            self._inc_armed = False
-        else:
-            self.sim.call_later(cc.rate_increase_ns, self._inc_fired, None)
+        t = self._alpha_next
+        if t <= now:
+            alpha = self.alpha
+            while t <= now:
+                alpha *= 1.0 - cc.g
+                if alpha <= _ALPHA_FLOOR:
+                    alpha = 0.0
+                    t = _INF
+                    break
+                t = t + cc.alpha_update_ns
+            self.alpha = alpha
+            self._alpha_next = t
+        t = self._inc_next
+        while t <= now:
+            self._inc_rounds += 1
+            stage = self._inc_rounds - cc.fast_recovery_rounds
+            if stage > 0:
+                step = (cc.hai_bytes_per_ns if stage > cc.hyper_after_rounds
+                        else cc.rai_bytes_per_ns)
+                target = self.target + step
+                self.target = target if target < self.line_rate else self.line_rate
+            self.rate = 0.5 * (self.rate + self.target)
+            if self.rate >= self.line_rate * _LINE_SNAP:
+                # Recovered: pin at line rate and go quiescent.  The target
+                # grows by at least ``rai_bytes_per_ns`` per round once past
+                # fast recovery, so this terminates in bounded rounds.
+                self.rate = self.line_rate
+                self.target = self.line_rate
+                t = _INF
+            else:
+                t = t + cc.rate_increase_ns
+        self._inc_next = t
+        return now
 
     # -- observability ------------------------------------------------------
 
@@ -234,19 +263,23 @@ class DcqcnLimiter:
         could never recur).  The last-cut age is clamped to the throttle
         interval: beyond it the throttle is inert, so all older ages are
         behaviorally identical (and an unclamped age grows forever,
-        defeating cycle detection).
+        defeating cycle detection).  Each timer appears as the time left
+        to its next tick (``inf`` when disarmed), as a pending record's
+        offset would.
         """
-        now = self.sim.now
+        now = self._catch_up()
         tokens = self.tokens + (now - self._last_ns) * self.rate
         burst = float(self.cc.burst_bytes)
         if tokens > burst:
             tokens = burst
         cut_age = min(now - self._last_cut_ns, self.cc.cut_interval_ns)
         return (self.rate, self.target, self.alpha, tokens, cut_age,
-                self._alpha_armed, self._inc_armed, self._inc_rounds)
+                self._alpha_next - now, self._inc_next - now,
+                self._inc_rounds)
 
     def snapshot(self) -> dict[str, float]:
         """Rate state and cut totals for the metrics snapshot."""
+        self._catch_up()
         return {
             "rate": self.rate,
             "lowest_rate": self.lowest_rate,

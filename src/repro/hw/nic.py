@@ -15,17 +15,19 @@ Timing model (cut-through):
   then wire serialization on the fabric (bandwidth cap).
 - receive engine: ``rx_process_ns`` occupancy per message, payload DMA
   pipeline-fill latency, CQE DMA write, optional interrupt.
-- both engines are FIFO servers driven by ``call_later`` records.
+- both engines are FIFO servers with one ``call_later`` record per
+  service time.
 - RC: responder ACKs each message; the initiator completes on ACK.
   Out-of-PSN-order arrivals are held in the QP reorder buffer.
 
 Per-message work after each engine (initiate, dispatch, execute, ACK,
 CQE write) runs as chains of callback stages, not processes: a stage
-schedules its successor with ``call_later`` for a delay or with
-``call_soon`` for a stage that starts at once (at URGENT priority, ahead
-of this instant's NORMAL records), hands wire messages to
-``Fabric.send`` with a continuation, and posts completions with
-``_post_cqe(cq, cqe, then, arg)`` (DESIGN.md "NIC engines").
+schedules its successor with ``call_later`` for a delay, hands wire
+messages to ``Fabric.send`` with a continuation, and posts completions
+with ``_post_cqe(cq, cqe, then, arg)``.  A successor that starts at once
+runs inline, at its stage's tail: a heap record is pushed only where
+simulated time passes.  The rare error, replay and atomic paths keep a
+``call_soon`` record (DESIGN.md "NIC engines").
 """
 
 from __future__ import annotations
@@ -215,7 +217,7 @@ class Nic:
             self._rx_backlog.append(msg)
         else:
             self._rx_busy = True
-            self.sim.call_later(0.0, self._rx_fetch, msg)
+            self._rx_fetch(msg)
 
     def next_qpn(self) -> int:
         self._qpn_seq += 1
@@ -287,9 +289,9 @@ class Nic:
         if mon is not None:
             mon.on_post_srq_recv(srq, wr)
 
-    # -- engines: one call_later record per stage; an idle engine wakes on a
-    # 0 ns record, a finishing one hands its message to a call_soon stage,
-    # then takes the next.
+    # -- engines: one call_later record per service time.  An idle engine
+    # starts its item inline; a finishing one takes its backlog head first,
+    # then runs the finished item's next stage inline.
 
     def _tx_submit(self, item: tuple) -> None:
         """Queue one ``(qp, wr, psn, retries)`` WQE."""
@@ -297,7 +299,7 @@ class Nic:
             self._tx_backlog.append(item)
         else:
             self._tx_busy = True
-            self.sim.call_later(0.0, self._tx_fetch, item)
+            self._tx_fetch(item)
 
     def _tx_fetch(self, item: tuple) -> None:
         """Serial WQE scheduling: caps the message rate.
@@ -328,11 +330,13 @@ class Nic:
 
     def _tx_done(self, item: tuple) -> None:
         # Pipelined: the next WQE is scheduled while this one is in flight.
-        self.sim.call_soon(self._initiate, item)
+        # It is taken first, so its ``pace()`` precedes a retry's
+        # ``on_timeout`` cut in ``_initiate``.
         if self._tx_backlog:
             self._tx_fetch(self._tx_backlog.popleft())
         else:
             self._tx_busy = False
+        self._initiate(item)
 
     def _rx_fetch(self, msg: WireMessage) -> None:
         occupancy = self.profile.rx_process_ns
@@ -341,19 +345,19 @@ class Nic:
         self.sim.call_later(occupancy, self._rx_done, msg)
 
     def _rx_done(self, msg: WireMessage) -> None:
-        self.sim.call_soon(self._dispatch, msg)
         if self._rx_backlog:
             self._rx_fetch(self._rx_backlog.popleft())
         else:
             self._rx_busy = False
+        self._dispatch(msg)
 
     # -- send path ---------------------------------------------------------------
     #
     # Per-message work is a chain of callback stages (DESIGN.md "NIC
-    # engines").  A stage ends by scheduling the next one (``call_later``
-    # for a delay, ``call_soon`` for a stage that starts at once), by
-    # handing a message to ``fabric.send`` with its continuation, or by
-    # posting a CQE with ``_post_cqe(cq, cqe, then, arg)``.
+    # engines").  A stage ends by scheduling the next one after a delay
+    # (``call_later``) or calling it at once, by handing a message to
+    # ``fabric.send`` with its continuation, or by posting a CQE with
+    # ``_post_cqe(cq, cqe, then, arg)``.
 
     def _initiate(self, item: tuple) -> None:
         """Start moving one ``(qp, wr, psn, retries)`` message from local
@@ -601,8 +605,9 @@ class Nic:
         """Synchronous in-order acceptance of a request at the responder:
         claims queue entries and validates keys, then starts the timed
         execution (DMA + CQE + ACK) as its own stage chain so back-to-back
-        messages pipeline as on real hardware.  Returns False when
-        RNR-NAKed."""
+        messages pipeline as on real hardware.  The chain starts inline;
+        error and atomic answers keep a ``call_soon`` record.  Returns
+        False when RNR-NAKed."""
         kind = msg.kind
         if kind == "send":
             rwr = self._claim_recv_wqe(qp)
@@ -615,7 +620,7 @@ class Nic:
                 else:
                     self.counters.ud_drops += 1
                 return False
-            self.sim.call_soon(self._exec_send, (qp, msg, rwr))
+            self._exec_send((qp, msg, rwr))
             return True
 
         if kind == "write":
@@ -638,11 +643,11 @@ class Nic:
                     self.sim.call_soon(self._send_ack,
                                        (qp, msg, "nak_rnr", _SUCCESS))
                     return False
-            self.sim.call_soon(self._exec_write, (qp, msg, mr, rwr))
+            self._exec_write((qp, msg, mr, rwr))
             return True
 
         if kind == "read_req":
-            self.sim.call_soon(self._exec_read_req, (qp, msg))
+            self._exec_read_req((qp, msg))
             return True
 
         if kind == "atomic":
@@ -1054,7 +1059,7 @@ class Nic:
             trace.emit(self.sim.now, "note", span=msg.span,
                        name="cnp_send", host=self.host_id,
                        dst_host=msg.src_host, qpn=msg.src_qpn, psn=msg.psn)
-        self.sim.call_soon(self._send_cnp, msg)
+        self._send_cnp(msg)
 
     def _send_cnp(self, request: WireMessage) -> None:
         """Build and transmit one CNP (same turnaround cost as an ACK).

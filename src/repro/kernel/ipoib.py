@@ -308,11 +308,9 @@ class IPoIBSocket:
         # Enter the kernel and block until a message is assembled.
         yield from core.syscall(prof.per_message_ns)
         ready: "Event" = self._rx_msgs.get()
-        if ready.callbacks is None:
-            # A message that was already queued still reaches the reader
-            # through one record at this instant, as a parked reader's does.
-            ready = self.sim.event(ready.name).succeed(ready.value)
-        item = yield ready
+        # A message that was already queued is taken at once; only an
+        # empty queue parks the reader.
+        item = ready.value if ready.callbacks is None else (yield ready)
         src_host, nbytes, data, meta = item  # type: ignore[misc]
         # Wakeup + kernel->user copy.
         yield from core.run(host.system.cpu.context_switch_ns)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Generator, Optional
 
-from repro.cluster import Fabric, build_cluster
+from repro.cluster import Fabric, Host, build_cluster
 from repro.core.endpoint import Endpoint, connect, make_endpoint
 from repro.errors import ConfigError
 from repro.hw.nic import HEADER_BYTES
@@ -256,13 +256,15 @@ def run_incast(config: IncastConfig) -> IncastResult:
     return _drive(sim, config, fabric, hosts, pairs)
 
 
-def run_incast_attributed(
+def trace_incast(
     config: IncastConfig,
-) -> tuple[IncastResult, Simulator]:
+) -> tuple[IncastResult, Simulator, list[Host]]:
     """One incast run with a full trace kept for span attribution.
 
-    Connection-setup records are cleared so spans cover measured writes
-    only; callers should check ``sim.trace.dropped == 0`` before blaming.
+    Returns the hosts too, so a caller can snapshot the run it traced
+    (``metrics_snapshot(sim, hosts=hosts)``).  Connection-setup records
+    are cleared so spans cover measured writes only; callers should check
+    ``sim.trace.dropped == 0`` before blaming.
     """
     from repro.sim.trace import Trace
 
@@ -270,4 +272,13 @@ def run_incast_attributed(
     fabric, hosts, pairs = build_incast(sim, config)
     sim.trace.clear()
     result = _drive(sim, config, fabric, hosts, pairs)
+    return result, sim, hosts
+
+
+def run_incast_attributed(
+    config: IncastConfig,
+) -> tuple[IncastResult, Simulator]:
+    """:func:`trace_incast` without the hosts (perfbench's traced pass
+    unpacks this pair)."""
+    result, sim, _hosts = trace_incast(config)
     return result, sim

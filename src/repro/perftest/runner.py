@@ -7,8 +7,10 @@ perftest binary.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Callable, Generator, Optional
 
@@ -110,18 +112,35 @@ def _note_run(sim: Simulator, probe: Optional[FastForward]) -> None:
 
 def _export_telemetry(sim: Simulator, config: "PerftestConfig", size: int,
                       kind: str, hosts) -> None:
-    """Dump this measurement's trace + metrics (REPRO_TELEMETRY=1 only)."""
+    """Dump this measurement's trace + metrics (REPRO_TELEMETRY=1 only).
+
+    Files are named by kind, size, seed and a short digest of the whole
+    config (faults included), so sweep points never share a file, and each
+    is written whole through a temporary file and ``os.replace``.
+    """
     from repro.telemetry import chrome_trace, metrics_snapshot
 
     outdir = os.environ.get(TELEMETRY_DIR_ENV, os.path.join("results", "telemetry"))
     os.makedirs(outdir, exist_ok=True)
-    stem = (f"{kind}_{config.system}_{config.transport}_{config.op}_"
-            f"{config.client}-{config.server}_{size}")
-    with open(os.path.join(outdir, stem + ".trace.json"), "w") as fh:
-        json.dump(chrome_trace(sim.trace), fh)
-    with open(os.path.join(outdir, stem + ".metrics.json"), "w") as fh:
-        json.dump(metrics_snapshot(sim, hosts=hosts), fh,
-                  indent=2, sort_keys=True, default=str)
+    digest = hashlib.sha256(repr(config).encode()).hexdigest()[:12]
+    stem = os.path.join(outdir, (
+        f"{kind}_{config.system}_{config.transport}_{config.op}_"
+        f"{config.client}-{config.server}_{size}_seed{config.seed}_{digest}"))
+    _write_json(stem + ".trace.json", chrome_trace(sim.trace))
+    _write_json(stem + ".metrics.json", metrics_snapshot(sim, hosts=hosts),
+                indent=2, sort_keys=True, default=str)
+
+
+def _write_json(path: str, doc: object, **dump_kwargs) -> None:
+    """Write ``doc`` to ``path`` atomically: readers see all of it or none."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(doc, fh, **dump_kwargs)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True)

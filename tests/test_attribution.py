@@ -289,6 +289,25 @@ def test_fastforward_disarms_under_attribution_trace():
         [s.stage_durations() for s in spans_base]
 
 
+def test_telemetry_exports_of_sweep_points_do_not_collide(
+        tmp_path, monkeypatch):
+    """Configs that differ only in their fault plan's loss rate export to
+    distinct files, each a whole JSON document (no temp file left)."""
+    monkeypatch.setenv("REPRO_TELEMETRY", "1")
+    monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(tmp_path))
+    for loss in (0.01, 0.02):
+        run_lat(PerftestConfig(iters=20, warmup=2, seed=7,
+                               faults=FaultPlan(loss=loss)), 4096)
+    traces = sorted(tmp_path.glob("*.trace.json"))
+    metrics = sorted(tmp_path.glob("*.metrics.json"))
+    assert len(traces) == len(metrics) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        p.name for p in traces + metrics)
+    docs = [json.loads(p.read_text()) for p in traces]
+    assert all(doc["traceEvents"] for doc in docs)
+    assert all(json.loads(p.read_text())["hosts"] for p in metrics)
+
+
 def test_telemetry_env_with_fastforward_exports_complete_spans(
         tmp_path, monkeypatch):
     """REPRO_TELEMETRY=1 + fast-forward on: the probe auto-disarms and the

@@ -19,11 +19,10 @@ from repro.perftest.incast import (
     IncastConfig,
     build_incast,
     run_incast,
-    run_incast_attributed,
+    trace_incast,
     _drive,
 )
 from repro.sim import Simulator
-from repro.sim.trace import Trace
 from repro.telemetry import attribute_spans, build_spans, metrics_snapshot
 from repro.verbs.qp import QueuePair, Transport
 from repro.verbs.wr import WireMessage
@@ -126,17 +125,26 @@ def test_timeout_cut_floors_the_rate():
     assert lim.rate == lim.min_rate and lim.rate_cuts == 1
 
 
+#: Far past any recovery: an advanced clock lets the lazy timers catch up.
+_LONG_AFTER_NS = 1e9
+_INF = float("inf")
+
+
 def test_rate_recovers_to_line_and_goes_quiescent():
     """After a cut the increase timers rebuild to line rate exactly, then
-    disarm — an idle recovered limiter must let the simulator drain."""
+    disarm — a recovered limiter pushes no heap record and keeps none."""
     sim = Simulator(seed=1)
     lim = _limiter(sim)
     lim.on_cnp(0.0)
     assert lim.rate < LINE_BW
-    sim.run()  # drain the alpha + rate-increase timers
-    assert lim.rate == LINE_BW and lim.target == LINE_BW
-    assert not lim._inc_armed and not lim._alpha_armed
-    assert lim.lowest_rate == pytest.approx(0.5 * LINE_BW)
+    assert not sim._queue  # the timers are lazy: nothing on the heap
+    sim.run(until=_LONG_AFTER_NS)
+    snap = lim.snapshot()
+    rate, target, _alpha, _tokens, _age, alpha_left, inc_left, _rounds = \
+        lim.state()
+    assert snap["rate"] == LINE_BW and rate == LINE_BW and target == LINE_BW
+    assert alpha_left == inc_left == _INF  # both timers disarmed
+    assert snap["lowest_rate"] == pytest.approx(0.5 * LINE_BW)
 
 
 def test_conservative_start_ramps_to_line_rate():
@@ -146,8 +154,9 @@ def test_conservative_start_ramps_to_line_rate():
     lim = DcqcnLimiter(sim, CcProfile(), LINE_BW)
     assert lim.rate == pytest.approx(
         CcProfile().initial_rate_fraction * LINE_BW)
-    sim.run()
-    assert lim.rate == LINE_BW and not lim._inc_armed
+    sim.run(until=_LONG_AFTER_NS)
+    assert lim.snapshot()["rate"] == LINE_BW
+    assert lim.state()[6] == _INF  # increase timer disarmed
 
 
 def test_pace_token_bucket_math():
@@ -179,6 +188,150 @@ def test_state_clamps_ages_for_cycle_detection():
     sim.run(sim.process(advance()))
     cut_age = lim.state()[4]
     assert cut_age == lim.cc.cut_interval_ns
+
+
+# -- lazy timers against the record-driven recurrences ----------------------------
+
+
+class _RecordDrivenDcqcn:
+    """Reference: the DCQCN recurrences with each timer tick a heap record
+    of its own (``call_later`` chains), the way the limiter ran before its
+    timers became lazy.  Same cut, pacing and tick arithmetic."""
+
+    def __init__(self, sim, cc, line_rate):
+        self.sim, self.cc, self.line_rate = sim, cc, line_rate
+        self.min_rate = max(cc.min_rate_fraction * line_rate, 1e-6)
+        self.rate = max(cc.initial_rate_fraction * line_rate, self.min_rate)
+        self.target, self.alpha = self.rate, 1.0
+        self.tokens, self._last_ns = float(cc.burst_bytes), 0.0
+        self._last_cut_ns = float("-inf")
+        self.alpha_armed = self.inc_armed = False
+        self.inc_rounds = self.cnps = self.rate_cuts = self.timeout_cuts = 0
+        self.lowest_rate, self.paced_ns = line_rate, 0.0
+        if self.rate < line_rate:
+            self.inc_rounds = cc.fast_recovery_rounds
+            self.inc_armed = True
+            sim.call_later(cc.rate_increase_ns, self._inc_fired)
+
+    def pace(self, now, nbytes):
+        burst = float(self.cc.burst_bytes)
+        if self.rate >= self.line_rate and not self.inc_armed:
+            self.tokens, self._last_ns = burst, now
+            return 0.0
+        tokens = min(self.tokens + (now - self._last_ns) * self.rate, burst)
+        if tokens >= nbytes:
+            self.tokens, self._last_ns = tokens - nbytes, now
+            return 0.0
+        delay = (nbytes - tokens) / self.rate
+        self.tokens, self._last_ns = 0.0, now + delay
+        self.paced_ns += delay
+        return delay
+
+    def on_cnp(self, now):
+        cc = self.cc
+        self.cnps += 1
+        self.alpha = (1.0 - cc.g) * self.alpha + cc.g
+        if not self.alpha_armed:
+            self.alpha_armed = True
+            self.sim.call_later(cc.alpha_update_ns, self._alpha_fired)
+        if now - self._last_cut_ns < cc.cut_interval_ns:
+            return
+        self.target = self.rate
+        self._cut(now, max(self.rate * (1.0 - 0.5 * self.alpha), self.min_rate))
+
+    def on_timeout(self, now):
+        if now - self._last_cut_ns < self.cc.cut_interval_ns:
+            return
+        self.alpha = 1.0
+        if not self.alpha_armed:
+            self.alpha_armed = True
+            self.sim.call_later(self.cc.alpha_update_ns, self._alpha_fired)
+        self.timeout_cuts += 1
+        self.target = self.min_rate
+        self._cut(now, self.min_rate)
+
+    def _cut(self, now, new_rate):
+        self.tokens = min(self.tokens + (now - self._last_ns) * self.rate,
+                          float(self.cc.burst_bytes))
+        self._last_ns = self._last_cut_ns = now
+        self.rate = new_rate
+        self.rate_cuts += 1
+        self.lowest_rate = min(self.lowest_rate, new_rate)
+        self.inc_rounds = 0
+        if not self.inc_armed:
+            self.inc_armed = True
+            self.sim.call_later(self.cc.rate_increase_ns, self._inc_fired)
+
+    def _alpha_fired(self, _arg):
+        self.alpha *= 1.0 - self.cc.g
+        if self.alpha <= 1e-3:
+            self.alpha, self.alpha_armed = 0.0, False
+            return
+        self.sim.call_later(self.cc.alpha_update_ns, self._alpha_fired)
+
+    def _inc_fired(self, _arg):
+        cc = self.cc
+        self.inc_rounds += 1
+        stage = self.inc_rounds - cc.fast_recovery_rounds
+        if stage > 0:
+            step = (cc.hai_bytes_per_ns if stage > cc.hyper_after_rounds
+                    else cc.rai_bytes_per_ns)
+            self.target = min(self.target + step, self.line_rate)
+        self.rate = 0.5 * (self.rate + self.target)
+        if self.rate >= self.line_rate * 0.999:
+            self.rate = self.target = self.line_rate
+            self.inc_armed = False
+        else:
+            self.sim.call_later(cc.rate_increase_ns, self._inc_fired)
+
+    def levels(self):
+        return (self.rate, self.target, self.alpha, self.tokens, self._last_ns,
+                self.inc_rounds, self.cnps, self.rate_cuts,
+                self.timeout_cuts, self.lowest_rate, self.paced_ns)
+
+
+def _lazy_levels(lim):
+    snap = lim.snapshot()  # a reader: catches the timers up first
+    return (snap["rate"], lim.target, lim.alpha, lim.tokens, lim._last_ns,
+            lim._inc_rounds, snap["cnps"], snap["rate_cuts"],
+            snap["timeout_cuts"], snap["lowest_rate"], snap["paced_ns"])
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("initial", [1.0, 0.5])
+def test_lazy_timers_match_record_driven_recurrences(seed, initial):
+    """Reads at random instants, a third of them exactly on a pending
+    tick, see the record-driven reference's levels bit for bit."""
+    rnd = Simulator(seed=seed).rng.stream("lazy-timer-schedule")
+    cc = CcProfile(initial_rate_fraction=initial)
+    ref_sim, lazy_sim = Simulator(seed=1), Simulator(seed=1)
+    ref = _RecordDrivenDcqcn(ref_sim, cc, LINE_BW)
+    lim = DcqcnLimiter(lazy_sim, cc, LINE_BW)
+    assert not lazy_sim._queue
+    on_tick = 0
+    for _ in range(400):
+        if ref_sim._queue and rnd.random() < 1 / 3:
+            t = ref_sim.peek()  # exactly a tick instant: tie rule
+            on_tick += 1
+        else:
+            t = ref_sim.now + (0.0, rnd.uniform(0.0, 4 * cc.alpha_update_ns),
+                               rnd.uniform(0.0, 2 * cc.rate_increase_ns)
+                               )[int(rnd.integers(3))]
+        ref_sim.run(until=t)
+        lazy_sim.run(until=t)
+        action = rnd.random()
+        if action < 0.2:
+            ref.on_cnp(t)
+            lim.on_cnp(t)
+        elif action < 0.25:
+            ref.on_timeout(t)
+            lim.on_timeout(t)
+        elif action < 0.7:
+            nbytes = (64, 4096, 65536 + 48)[int(rnd.integers(3))]
+            assert repr(lim.pace(t, nbytes)) == repr(ref.pace(t, nbytes))
+        assert repr(_lazy_levels(lim)) == repr(ref.levels())
+        assert not lazy_sim._queue
+    assert on_tick > 50 and ref.rate_cuts > 0
 
 
 # -- ECN marking at the switch output queue ---------------------------------------
@@ -279,14 +432,11 @@ def test_auto_congestion_is_off_on_shipped_profiles():
 
 def test_cc_telemetry_and_cc_pace_attribution():
     cfg = _cfg(senders=8, msgs_per_sender=8, congestion="dcqcn")
-    sim = Simulator(seed=cfg.seed, trace=Trace(enabled=True))
-    fabric, hosts, pairs = build_incast(sim, cfg)
-    sim.trace.clear()
-    r = _drive(sim, cfg, fabric, hosts, pairs)
+    r, sim, hosts = trace_incast(cfg)
     assert r.ecn_marked > 0 and r.cnps > 0
     snap = metrics_snapshot(sim, hosts=hosts)
     # Marks land at the receiver's switch port; CNPs leave its NIC.
-    assert snap["fabrics"][fabric.name]["ports"]["host0"]["messages_marked"] > 0
+    assert snap["fabrics"][hosts[0].fabric.name]["ports"]["host0"]["messages_marked"] > 0
     assert snap["hosts"]["host0"]["nic"]["cnps_sent"] > 0
     # At least one sender's limiter took a CNP and cut its rate.
     limiters = [lim for i in range(1, cfg.senders + 1)
@@ -302,7 +452,7 @@ def test_cc_telemetry_and_cc_pace_attribution():
 
 def test_cc_off_has_no_cc_pace_stage():
     cfg = _cfg(senders=4, msgs_per_sender=6, congestion="off")
-    _r, sim = run_incast_attributed(cfg)
+    _r, sim, _hosts = trace_incast(cfg)
     blames = attribute_spans(build_spans(sim.trace, op="post_send"))
     assert blames
     assert not any(s.name.split("#")[0] == "cc_pace"

@@ -215,32 +215,27 @@ def test_chunked_fabric_interleaves_flows():
 # each, plus any congestion-control pacing) and hands every served WQE to
 # the per-message ``_initiate`` stage; the RX engine serves arrivals one at
 # a time (``rx_process_ns``, a quarter of it for ACK/NAK/CNP) and hands
-# each to ``_dispatch``.  A hand-off is the ``call_soon`` that schedules
-# the stage.  These tests pin when each hand-off happens and what the
-# fast-forward queue-depth fingerprint sees meanwhile.
+# each to ``_dispatch``.  A hand-off is the inline call of the stage, made
+# after the engine has taken its next item.  These tests pin when each
+# hand-off happens and what the fast-forward queue-depth fingerprint sees
+# meanwhile.
 
 
 def _record_handoffs(monkeypatch, nic, method, log, extra, forward=True):
     """Log ``(now, *extra(arg))`` whenever ``nic`` hands ``arg`` to its
     ``<method>`` stage.
 
-    With ``forward=False`` the stage is swallowed (its record runs a no-op
-    instead), for fake arrivals that target no QP.
+    With ``forward=False`` the stage is swallowed, for fake arrivals that
+    target no QP.
     """
-    call_soon = Simulator.call_soon
+    stage = getattr(nic, method)
 
-    def wrapped(sim, fn, arg=None):
-        if getattr(fn, "__self__", None) is nic and fn.__name__ == method:
-            log.append((sim.now, *extra(arg)))
-            if not forward:
-                fn = _swallow
-        call_soon(sim, fn, arg)
+    def wrapped(arg):
+        log.append((nic.sim.now, *extra(arg)))
+        if forward:
+            stage(arg)
 
-    monkeypatch.setattr(Simulator, "call_soon", wrapped)
-
-
-def _swallow(_arg):
-    pass
+    monkeypatch.setattr(nic, method, wrapped)
 
 
 def _arrival(kind):
@@ -300,9 +295,9 @@ def test_tx_burst_is_spaced_by_wqe_process_ns_in_fifo_order_across_qps(
         expected.append(t)
     assert [t for t, *_ in log] == expected
     # The WQE in service is never counted as queued: N-1 wait right after
-    # the burst, and each hand-off happens before the next WQE is taken.
+    # the burst, and each hand-off happens after the next WQE is taken.
     assert depth_after_burst == [n - 1]
-    assert [d for *_, d in log] == list(range(n - 1, -1, -1))
+    assert [d for *_, d in log] == list(range(n - 2, -1, -1)) + [0]
     assert nic._queue_depth_state()[:2] == (0, 0)
 
 
@@ -358,7 +353,8 @@ def test_rx_burst_depth_counts_only_waiting_messages(monkeypatch):
 
     assert sim.run(sim.process(feed())) == 3
     sim.run()
-    assert [d for _t, d in depths] == [3, 2, 1, 0]
+    # Each hand-off follows the engine taking the next arrival.
+    assert [d for _t, d in depths] == [2, 1, 0, 0]
 
 
 def test_cc_paced_qp_holds_the_tx_engine_for_other_qps(monkeypatch):

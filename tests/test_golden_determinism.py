@@ -13,10 +13,12 @@ Three properties the perf work must never break:
    change that shifts these numbers changed simulation semantics, not
    just speed.
 3. **Heap-record counts.**  The same workloads must schedule exactly as
-   many heap records as before.  A speed-up that keeps every value but
-   adds or drops records (running a stage inline instead of in its own
-   record, say) moved work between dispatches: it changes ``sim.events``
-   and the runtime sanitizer's per-dispatch buckets.
+   many heap records as before, and only where simulated time passes: a
+   zero-delay NIC/fabric hand-off runs inline at its stage's tail, and a
+   CQ wait that finds a CQE takes no record.  A change that keeps every
+   value but adds or drops records moved work between dispatches: it
+   changes ``sim.events`` and the runtime sanitizer's per-dispatch
+   buckets, and must re-pin these counts with the cause of each delta.
 4. **Worker-count invariance.**  ``parallel_sweep`` must return the same
    bits serially and fanned over processes, in point order.
 """
@@ -71,10 +73,10 @@ GOLDEN_A = {
 #: Heap records one ``_measure`` schedules, per (system, dataplane)
 #: (see property 3).
 GOLDEN_EVENTS = {
-    ("L", "bypass"): 5149,
-    ("L", "cord"): 4987,
-    ("A", "bypass"): 5299,
-    ("A", "cord"): 5151,
+    ("L", "bypass"): 3679,
+    ("L", "cord"): 3487,
+    ("A", "bypass"): 3834,
+    ("A", "cord"): 3656,
 }
 
 
@@ -122,6 +124,61 @@ def test_heap_record_counts(system, dataplane, monkeypatch):
     _measure(dataplane, system)
     scheduled = run_stats_snapshot()["events_scheduled"] - before
     assert scheduled == GOLDEN_EVENTS[system, dataplane]
+
+
+#: Stages that run inline at their predecessor's tail: a heap record of
+#: any of them carries no simulated time.
+ELIDED_STAGES = frozenset({
+    "Nic._rx_fetch", "Nic._tx_fetch", "Nic._dispatch", "Nic._initiate",
+    "Nic._exec_send", "Nic._exec_write", "Nic._exec_read_req",
+    "Nic._send_cnp", "Fabric._rx_deliver",
+})
+
+#: (heap records, NIC messages delivered) of one golden measurement on
+#: system L.  A NIC message costs one record per simulated delay on its
+#: path: TX engine done, WQE fetched, wire done, delivery, RX engine
+#: done, then a payload landing or an ACK turnaround, and a CQE write.
+RECORD_BUDGET = {
+    ("bypass", "bw"): (1278, 139),
+    ("bypass", "lat"): (2401, 279),
+    ("cord", "bw"): (1082, 140),
+    ("cord", "lat"): (2405, 280),
+}
+
+
+@pytest.mark.parametrize("dataplane,kind", sorted(RECORD_BUDGET))
+def test_record_budget_per_nic_message(dataplane, kind, monkeypatch):
+    """Records are pushed only where simulated time passes: no elided
+    stage appears, no CQ wait schedules a wake-up nobody waits for, and
+    the record count per NIC message is pinned."""
+    import heapq
+
+    import repro.sim.engine as engine
+    import repro.sim.events as events
+    import repro.sim.process as process
+
+    monkeypatch.delenv("REPRO_FASTFORWARD", raising=False)
+    tally: dict[str, int] = {}
+    ready_cq_fires = []
+    push = heapq.heappush
+
+    def counting(queue, record):
+        fn, arg = record[3], record[4]
+        name = fn.__qualname__
+        if name == "_fire" and arg.name.endswith(".nonempty") \
+                and not arg.callbacks:
+            ready_cq_fires.append(record)
+        tally[name] = tally.get(name, 0) + 1
+        push(queue, record)
+
+    for module in (engine, events, process):
+        monkeypatch.setattr(module, "heappush", counting)
+    run = run_bw if kind == "bw" else run_lat
+    run(_cfg(dataplane), SIZE)
+    assert not ELIDED_STAGES & set(tally), tally
+    assert not ready_cq_fires
+    records, messages = RECORD_BUDGET[dataplane, kind]
+    assert (sum(tally.values()), tally["Nic.deliver"]) == (records, messages)
 
 
 @pytest.mark.parametrize("dataplane", ["bypass", "cord"])

@@ -15,7 +15,7 @@ from repro.errors import ConfigError, HardwareError
 from repro.faults import FaultInjector, FaultPlan
 from repro.hw.nic import HEADER_BYTES
 from repro.hw.profiles import SYSTEM_L, RxContentionProfile, get_profile
-from repro.perftest.incast import IncastConfig, run_incast, run_incast_attributed
+from repro.perftest.incast import IncastConfig, run_incast, trace_incast
 from repro.perftest.runner import PerftestConfig, run_attributed
 from repro.sim import Simulator
 from repro.telemetry import attribute_spans, build_spans, chrome_trace
@@ -80,7 +80,7 @@ def test_incast_same_seed_is_bit_identical():
 def test_rx_port_stage_explains_added_incast_latency():
     """Every ``rx_port`` stage is one message's drain through the switch
     port (its serialization time) plus the fan-in queue ahead of it."""
-    _r, sim = run_incast_attributed(_cfg(senders=4, msgs_per_sender=8))
+    _r, sim, _hosts = trace_incast(_cfg(senders=4, msgs_per_sender=8))
     assert sim.trace.dropped == 0
     blames = attribute_spans(build_spans(sim.trace, op="post_send"))
     stages = [s for b in blames for s in b.stages
@@ -204,7 +204,7 @@ def test_retransmit_notes_match_the_counter():
     so a note at queue time would overcount (56 notes for 50 sends here)."""
     cfg = _cfg(dataplane="cord", msgs_per_sender=8, window=16,
                buffer_bytes=256 * 1024, congestion="dcqcn")
-    result, sim = run_incast_attributed(cfg)
+    result, sim, _hosts = trace_incast(cfg)
     notes = sim.trace.select(event="note")
     names = {r.get("name") for r in notes}
     assert names >= {"retransmit", "ack_timeout", "rx_drop", "ecn_mark",

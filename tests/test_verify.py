@@ -126,10 +126,10 @@ def test_scripted_chooser_rejects_out_of_range_prefix():
 #: Any change to which records tie, or to how the state fingerprint sees
 #: the heap, moves these.
 EXPLORE_COUNTS = {
-    "two_sends": (3, 2, 2),
+    "two_sends": (3, 1, 2),
     "pipelined_sends": (1, 0, 0),
-    "retry_exhaustion": (82, 26, 14),
-    "atomic_replay": (21, 6, 8),
+    "retry_exhaustion": (64, 17, 12),
+    "atomic_replay": (14, 4, 6),
     "rnr_retry": (1, 0, 0),
     "flush_order": (1, 0, 0),
     "read_drop": (3, 0, 2),
