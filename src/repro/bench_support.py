@@ -183,7 +183,8 @@ def figure_bench(name: str):
     never an input to it — results stay bit-identical with or without the
     wrapper.
     """
-    from repro.perftest.runner import run_stats_snapshot
+    from repro.perftest.runner import FASTFORWARD_ENV, run_stats_snapshot
+    from repro.sim.engine import env_flag
 
     before = run_stats_snapshot()
     t0 = time.perf_counter()  # sim: allow-wallclock(benchmark harness timing, not simulation input)
@@ -194,18 +195,12 @@ def figure_bench(name: str):
         "wall_s": round(wall, 4),
         "scale": bench_scale(),
         "workers": bench_workers(),
-        "fastforward": _fastforward_on(),
+        "fastforward": env_flag(FASTFORWARD_ENV),
     }
     for key, value in after.items():
         delta = value - before.get(key, 0)
         entry[key] = round(delta, 3) if isinstance(delta, float) else delta
     record_figure_bench(name, entry)
-
-
-def _fastforward_on() -> bool:
-    from repro.perftest.runner import _fastforward_on as ff_on
-
-    return ff_on()
 
 
 def _instrumented_point(task):

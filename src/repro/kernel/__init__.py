@@ -13,10 +13,20 @@ Syscall entry/exit costs themselves live in :meth:`repro.hw.cpu.Core.syscall`
 because they are a property of the CPU + mitigation configuration.
 """
 
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
 from repro.kernel.kernel import Kernel
 from repro.kernel.interrupts import CompletionChannel
-from repro.kernel.ipoib import IPoIBDevice, IPoIBSocket
-from repro.kernel.sockets import StreamSocket
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.kernel.ipoib import IPoIBDevice, IPoIBSocket
+    from repro.kernel.sockets import StreamSocket
+
+# The socket stack loads on first use (see Kernel.ensure_ipoib).
+__getattr__ = lazy_exports(__name__, {"IPoIBDevice": "ipoib",
+                                      "IPoIBSocket": "ipoib",
+                                      "StreamSocket": "sockets"})
 
 __all__ = ["Kernel", "CompletionChannel", "IPoIBDevice", "IPoIBSocket",
            "StreamSocket"]

@@ -17,9 +17,8 @@ keep collective traffic from matching stray application tags.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, Generator, Optional, Sequence
-
-import numpy as np
 
 from repro.errors import MPIError
 
@@ -44,16 +43,28 @@ def SUM(a, b):
     return a + b if a is not None and b is not None else None
 
 
+def _numpy_of(a):
+    """numpy if ``a`` is an ndarray, else None.
+
+    An ndarray exists only once numpy is loaded, so scalar reductions
+    never import it.
+    """
+    np = sys.modules.get("numpy")
+    return np if np is not None and isinstance(a, np.ndarray) else None
+
+
 def MAX(a, b):
     if a is None or b is None:
         return None
-    return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
+    np = _numpy_of(a)
+    return max(a, b) if np is None else np.maximum(a, b)
 
 
 def MIN(a, b):
     if a is None or b is None:
         return None
-    return np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b)
+    np = _numpy_of(a)
+    return min(a, b) if np is None else np.minimum(a, b)
 
 
 def _is_pow2(n: int) -> bool:

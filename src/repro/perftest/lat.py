@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.perftest.techniques import Techniques
 from repro.verbs.wr import Opcode, RecvWR, SendWR
@@ -45,20 +43,31 @@ class LatencyResult:
     iters: int
     samples: list[float] = field(default_factory=list, repr=False)
 
+    # Each statistic imports numpy itself: a run that reads none of them
+    # (a benchmark pass before its summary) never loads it.
+
     @property
     def avg_ns(self) -> float:
+        import numpy as np
+
         return float(np.mean(self.samples))
 
     @property
     def p50_ns(self) -> float:
+        import numpy as np
+
         return float(np.percentile(self.samples, 50))
 
     @property
     def p99_ns(self) -> float:
+        import numpy as np
+
         return float(np.percentile(self.samples, 99))
 
     @property
     def min_ns(self) -> float:
+        import numpy as np
+
         return float(np.min(self.samples))
 
     @property

@@ -12,18 +12,21 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
-from typing import Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.cluster import build_pair
 from repro.core.endpoint import Endpoint, make_rc_pair, make_ud_pair
 from repro.core.policy import PolicyChain
 from repro.errors import ConfigError
-from repro.faults import FaultPlan
 from repro.hw.profiles import SystemProfile, get_profile
 from repro.perftest.bw import BwResult, read_bw, send_bw, write_bw
 from repro.perftest.lat import LatencyResult, read_lat, send_lat, write_lat
 from repro.perftest.techniques import Techniques
 from repro.sim import FastForward, Simulator
+from repro.sim.engine import env_flag
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults import FaultPlan
 
 OPS = ("send", "read", "write")
 TRANSPORTS = ("RC", "UD")
@@ -45,14 +48,6 @@ TELEMETRY_MAX_RECORDS = 200_000
 #: whenever exactness cannot be proven (faults, trace export, RNG draws
 #: inside the loop — e.g. system A's syscall jitter).
 FASTFORWARD_ENV = "REPRO_FASTFORWARD"
-
-
-def _telemetry_on() -> bool:
-    return os.environ.get(TELEMETRY_ENV, "").lower() in ("1", "true", "yes", "on")
-
-
-def _fastforward_on() -> bool:
-    return os.environ.get(FASTFORWARD_ENV, "").lower() in ("1", "true", "yes", "on")
 
 
 #: Per-process accounting across measurements (benchmark instrumentation;
@@ -92,7 +87,7 @@ def merge_run_stats(delta: dict) -> None:
 def _make_probe(sim: Simulator, config: "PerftestConfig",
                 label: str) -> Optional[FastForward]:
     enabled = config.fastforward if config.fastforward is not None \
-        else _fastforward_on()
+        else env_flag(FASTFORWARD_ENV)
     if not enabled:
         return None
     return FastForward(sim, faults=config.faults, label=label)
@@ -194,7 +189,7 @@ def _build(
 ) -> tuple[Simulator, Endpoint, Endpoint]:
     if trace is not None:
         sim = Simulator(seed=config.seed, trace=trace)
-    elif _telemetry_on():
+    elif env_flag(TELEMETRY_ENV):
         from repro.sim.trace import Trace
 
         sim = Simulator(seed=config.seed,
@@ -247,7 +242,7 @@ def run_lat(config: PerftestConfig, size: int) -> LatencyResult:
 
     result = sim.run(sim.process(main()))
     _note_run(sim, probe)
-    if _telemetry_on():
+    if env_flag(TELEMETRY_ENV):
         _export_telemetry(sim, config, size, "lat", [client.host, server.host])
     return result
 
@@ -271,7 +266,7 @@ def run_bw(config: PerftestConfig, size: int) -> BwResult:
     nic_c, nic_s = client.host.nic.counters, server.host.nic.counters
     result.retransmits = nic_c.retransmits + nic_s.retransmits
     result.ack_timeouts = nic_c.ack_timeouts + nic_s.ack_timeouts
-    if _telemetry_on():
+    if env_flag(TELEMETRY_ENV):
         _export_telemetry(sim, config, size, "bw", [client.host, server.host])
     return result
 

@@ -9,20 +9,33 @@ sanitizers"):
 - :mod:`repro.sanitize.runtime` — the SIM101–SIM103 runtime checkers
   (same-timestamp races, RNG stream discipline, time travel), enabled by
   ``REPRO_SANITIZE=1`` or ``Simulator(sanitize=True)``.
+
+Each half loads on first access: a sanitized run never imports the
+lint rulepack, and an unsanitized one imports neither.
 """
 
-from repro.sanitize.findings import (
-    RULES,
-    Finding,
-    format_json,
-    format_text,
-)
-from repro.sanitize.lint import lint_source, run_lint
-from repro.sanitize.runtime import (
-    RuntimeSanitizer,
-    drain_global_findings,
-    env_sanitize,
-)
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sanitize.findings import RULES, Finding, format_json, format_text
+    from repro.sanitize.lint import lint_source, run_lint
+    from repro.sanitize.runtime import (
+        RuntimeSanitizer,
+        drain_global_findings,
+        env_sanitize,
+    )
+
+__getattr__ = lazy_exports(__name__, {
+    **dict.fromkeys(("RULES", "Finding", "format_json", "format_text"),
+                    "findings"),
+    **dict.fromkeys(("lint_source", "run_lint"), "lint"),
+    **dict.fromkeys(("RuntimeSanitizer", "drain_global_findings",
+                     "env_sanitize"), "runtime"),
+})
 
 __all__ = [
     "RULES",

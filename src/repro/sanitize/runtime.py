@@ -41,6 +41,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from repro.sanitize.findings import Finding
+from repro.sim.engine import env_flag
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     import numpy as np
@@ -55,7 +56,7 @@ GLOBAL_FINDINGS: list[Finding] = []
 
 def env_sanitize() -> bool:
     """Is ``REPRO_SANITIZE`` switched on in the environment?"""
-    return os.environ.get("REPRO_SANITIZE", "").lower() in ("1", "true", "yes", "on")
+    return env_flag("REPRO_SANITIZE")
 
 
 def drain_global_findings() -> list[Finding]:

@@ -45,21 +45,23 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.errors import SimulationError
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.verify.choice import Chooser
-    from repro.verify.monitors import ProtocolMonitor
-from repro.sanitize.runtime import env_sanitize
 from repro.sim.events import NORMAL, URGENT, AllOf, Event, Timeout, _fire
 from repro.sim.process import Process, ProcessGenerator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.verify.choice import Chooser
+    from repro.verify.monitors import ProtocolMonitor
 
-def _env_monitors() -> bool:
-    """Is ``REPRO_VERIFY_MONITORS`` switched on in the environment?"""
-    return os.environ.get("REPRO_VERIFY_MONITORS", "").lower() in (
-        "1", "true", "yes", "on"
-    )
+
+def env_flag(name: str) -> bool:
+    """Is the on/off switch ``name`` on in the environment?
+
+    The one parser for every ``REPRO_*`` switch: ``1``, ``true``, ``yes``
+    or ``on`` (any case) is on; anything else, or unset, is off.
+    """
+    return os.environ.get(name, "").lower() in ("1", "true", "yes", "on")
 
 
 class Simulator:
@@ -115,7 +117,7 @@ class Simulator:
         self.rng = RngRegistry(seed)
         self.trace = trace if trace is not None else Trace(enabled=False)
         self._sanitize = None
-        if env_sanitize() if sanitize is None else sanitize:
+        if env_flag("REPRO_SANITIZE") if sanitize is None else sanitize:
             from repro.sanitize.runtime import RuntimeSanitizer
 
             self._sanitize = RuntimeSanitizer(self)
@@ -123,7 +125,7 @@ class Simulator:
         #: Protocol invariant monitor (repro.verify.monitors); component
         #: hook sites check ``sim._monitor is not None`` — one branch off.
         self._monitor: Optional["ProtocolMonitor"] = None
-        if monitors if monitors is not None else _env_monitors():
+        if monitors if monitors is not None else env_flag("REPRO_VERIFY_MONITORS"):
             from repro.verify.monitors import ProtocolMonitor
 
             self._monitor = ProtocolMonitor(self, strict=True)

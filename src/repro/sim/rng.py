@@ -4,14 +4,21 @@ Components draw jitter from their *own* stream (``sim.rng.stream("nic0")``)
 derived deterministically from the master seed and the stream name.  Adding
 a new randomized component therefore never perturbs the draws — and thus the
 results — of existing components, which keeps calibrated benchmarks stable.
+
+numpy is imported at the first draw, not with this module: a run that never
+draws randomness (system L is jitter-free and lossless) never loads it.
+Every stream is the same ``numpy.random.Generator`` from the same seed
+whenever it is built, so loading late changes no drawn value.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class RngRegistry:
@@ -31,6 +38,8 @@ class RngRegistry:
         """Return (creating on first use) the stream for ``name``."""
         gen = self._streams.get(name)
         if gen is None:
+            import numpy as np
+
             digest = hashlib.sha256(
                 f"{self.master_seed}:{name}".encode("utf-8")
             ).digest()
@@ -42,32 +51,30 @@ class RngRegistry:
             self._streams[name] = gen
         return gen
 
-    def jitter_stream(self, name: str) -> "JitterStream":
+    def jitter_stream(self, name: str) -> JitterStream:
         """A batched lognormal-jitter source over the named stream.
 
         The stream must be consumed *exclusively* through the returned
         source: it prefetches standard normals in blocks (the per-draw
         numpy scalar call is the costliest step of every jittered syscall),
         so a direct draw on the same generator would interleave with the
-        prefetched block and change the sequence.
+        prefetched block and change the sequence.  The stream itself is
+        built at the source's first refill.
         """
         js = self._jitter.get(name)
         if js is None:
-            js = self._jitter[name] = JitterStream(self.stream(name))
+            js = self._jitter[name] = JitterStream(self, name)
         return js
 
-    def reset(self) -> None:
-        """Drop all streams; they re-derive from the master seed on next use."""
-        self._streams.clear()
-        self._jitter.clear()
-
     def stream_states(self) -> tuple:
-        """Bit-exact positions of every named stream, without drawing.
+        """Bit-exact positions of every built stream, without drawing.
 
         Reading ``bit_generator.state`` is a pure observation (the sanitize
         proxies forward non-callable attributes untouched), so this is safe
         to call from invariant checks — the steady-state fast-forward probe
-        uses it to prove no stream advanced inside a measurement loop.
+        uses it to prove no stream advanced inside a measurement loop.  A
+        stream is listed once it is built, which a jitter source does at
+        its first draw, so the tuple changes exactly when a stream moves.
         """
         out = []
         jitter = self._jitter
@@ -86,46 +93,14 @@ class RngRegistry:
                         len(js._buf) if js is not None else -1))
         return tuple(out)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RngRegistry seed={self.master_seed} streams={sorted(self._streams)}>"
 
 
-#: Cache of (mean, cv) -> (mu, sigma) for :func:`lognormal_jitter`.  The
+#: Cache of (mean, cv) -> (mu, sigma) for :meth:`JitterStream.draw`.  The
 #: derived parameters are pure functions of the inputs, so caching cannot
 #: change any drawn value; it only skips the per-call numpy scalar math.
 _JITTER_PARAMS: dict = {}
-
-
-def lognormal_jitter(
-    rng: np.random.Generator, mean: float, cv: float
-) -> float:
-    """Draw a lognormal value with the given mean and coefficient of variation.
-
-    Used for virtualized-system cost models (system *A*) where syscall and
-    interrupt costs are noisy with a heavy right tail.  ``cv == 0`` returns
-    ``mean`` exactly (and draws nothing), so profiles with no jitter stay
-    deterministic even if a stream exists.
-    """
-    if mean < 0:
-        raise ValueError(f"mean must be non-negative, got {mean}")
-    if cv < 0:
-        raise ValueError(f"cv must be non-negative, got {cv}")
-    if mean == 0 or cv == 0:
-        return mean
-    params = _JITTER_PARAMS.get((mean, cv))
-    if params is None:
-        # Derived once per (mean, cv) — the numpy scalar ops here cost
-        # microseconds, and jitter draws sit on the per-op syscall path.
-        sigma2 = np.log(1.0 + cv * cv)
-        mu = np.log(mean) - sigma2 / 2.0
-        if len(_JITTER_PARAMS) >= 4096:
-            _JITTER_PARAMS.clear()
-        params = _JITTER_PARAMS[(mean, cv)] = (float(mu), float(np.sqrt(sigma2)))
-    return float(rng.lognormal(mean=params[0], sigma=params[1]))
-
 
 #: Prefetch block for :class:`JitterStream` (draws, not bytes).
 _JITTER_BLOCK = 256
@@ -134,27 +109,37 @@ _JITTER_BLOCK = 256
 class JitterStream:
     """Batched lognormal jitter over one dedicated rng stream.
 
-    Bit-identical to per-call :func:`lognormal_jitter` on the same stream:
-    ``Generator.lognormal(mu, sigma)`` consumes the bit stream exactly as
+    Bit-identical to a per-call ``Generator.lognormal(mu, sigma)`` on the
+    same stream: ``lognormal`` consumes the bit stream exactly as
     ``standard_normal()`` does and then computes ``exp(mu + sigma * z)`` in
     C doubles — the same IEEE operations this class applies in Python to a
     prefetched block of standard normals.  Only the per-draw numpy scalar
     call overhead is amortized; every drawn value and the stream's position
-    after each block are unchanged.
+    after each block are unchanged.  The generator is built from the
+    registry at the first refill, so a source that only ever sees
+    ``cv == 0`` never builds one.
     """
 
-    __slots__ = ("_gen", "_buf")
+    __slots__ = ("_registry", "_name", "_gen", "_buf")
 
-    def __init__(self, gen: np.random.Generator):
-        self._gen = gen
+    def __init__(self, registry: RngRegistry, name: str):
+        self._registry = registry
+        self._name = name
+        self._gen: Optional[np.random.Generator] = None
         self._buf: list[float] = []
 
     def draw(self, mean: float, cv: float) -> float:
-        """Lognormal with the given mean and coefficient of variation."""
+        """Lognormal with the given mean and coefficient of variation.
+
+        ``mean == 0`` or ``cv == 0`` returns ``mean`` exactly and draws
+        nothing, so profiles without jitter stay deterministic.
+        """
         if mean == 0 or cv == 0:
             return mean
         params = _JITTER_PARAMS.get((mean, cv))
         if params is None:
+            import numpy as np
+
             sigma2 = np.log(1.0 + cv * cv)
             mu = np.log(mean) - sigma2 / 2.0
             if len(_JITTER_PARAMS) >= 4096:
@@ -162,6 +147,9 @@ class JitterStream:
             params = _JITTER_PARAMS[(mean, cv)] = (float(mu), float(np.sqrt(sigma2)))
         buf = self._buf
         if not buf:
+            gen = self._gen
+            if gen is None:
+                gen = self._gen = self._registry.stream(self._name)
             # Reversed so list.pop() hands the normals out in draw order.
-            buf.extend(self._gen.standard_normal(_JITTER_BLOCK)[::-1].tolist())
+            buf.extend(gen.standard_normal(_JITTER_BLOCK)[::-1].tolist())
         return math.exp(params[0] + params[1] * buf.pop())

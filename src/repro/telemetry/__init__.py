@@ -20,28 +20,47 @@ Enable with::
 
 or set ``REPRO_TELEMETRY=1`` for the perftest runner / figure benchmarks
 (exports land under ``REPRO_TELEMETRY_DIR``, default ``results/telemetry``).
+
+Every public name loads its submodule on first access: a traced run that
+only keeps push metrics imports :mod:`~repro.telemetry.metrics` alone.
 """
 
-from repro.telemetry.attribution import (
-    ATTRIBUTION_PROBES,
-    AttributionTable,
-    OpBlame,
-    ProbeSpec,
-    StageBlame,
-    aggregate,
-    attribute_spans,
-    run_figure_probes,
-    run_probe,
-)
-from repro.telemetry.export import (
-    chrome_trace,
-    folded_stacks,
-    jsonl_lines,
-    metrics_snapshot,
-    records_from_jsonl,
-)
-from repro.telemetry.metrics import Log2Histogram, MetricCounter, MetricsRegistry
-from repro.telemetry.spans import OpSpan, SpanMark, SpanStage, build_spans
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.telemetry.attribution import (
+        ATTRIBUTION_PROBES,
+        AttributionTable,
+        OpBlame,
+        ProbeSpec,
+        StageBlame,
+        aggregate,
+        attribute_spans,
+        run_figure_probes,
+        run_probe,
+    )
+    from repro.telemetry.export import (
+        chrome_trace,
+        folded_stacks,
+        jsonl_lines,
+        metrics_snapshot,
+        records_from_jsonl,
+    )
+    from repro.telemetry.metrics import Log2Histogram, MetricCounter, MetricsRegistry
+    from repro.telemetry.spans import OpSpan, SpanMark, SpanStage, build_spans
+
+__getattr__ = lazy_exports(__name__, {
+    **dict.fromkeys(("ATTRIBUTION_PROBES", "AttributionTable", "OpBlame",
+                     "ProbeSpec", "StageBlame", "aggregate", "attribute_spans",
+                     "run_figure_probes", "run_probe"), "attribution"),
+    **dict.fromkeys(("chrome_trace", "folded_stacks", "jsonl_lines",
+                     "metrics_snapshot", "records_from_jsonl"), "export"),
+    **dict.fromkeys(("Log2Histogram", "MetricCounter", "MetricsRegistry"),
+                    "metrics"),
+    **dict.fromkeys(("OpSpan", "SpanMark", "SpanStage", "build_spans"), "spans"),
+})
 
 __all__ = [
     "ATTRIBUTION_PROBES",

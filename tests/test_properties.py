@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Resource, Simulator, Store
-from repro.sim.rng import lognormal_jitter
+from repro.sim.rng import RngRegistry
 from repro.core.policies import TokenBucketQos
 from repro.core.policy import OpContext
 from repro.errors import PolicyViolation
@@ -128,22 +128,19 @@ def test_resource_serves_waiters_in_arrival_order(arrivals):
 
 @given(st.floats(min_value=1.0, max_value=1e6), st.floats(min_value=0.0, max_value=1.0))
 def test_lognormal_jitter_positive_and_exact_when_cv_zero(mean, cv):
-    import numpy as np
-
-    # sim: allow-random(seeded local generator feeding a pure-function property test)
-    rng = np.random.default_rng(0)
-    value = lognormal_jitter(rng, mean, cv)
+    rng = RngRegistry(0)
+    value = rng.jitter_stream("w").draw(mean, cv)
     assert value > 0
     if cv == 0:
         assert value == mean
+        assert rng.stream_states() == ()  # nothing drawn, no stream built
 
 
 def test_lognormal_jitter_mean_converges():
     import numpy as np
 
-    # sim: allow-random(seeded local generator feeding a pure-function property test)
-    rng = np.random.default_rng(1)
-    draws = [lognormal_jitter(rng, 500.0, 0.35) for _ in range(4000)]
+    jitter = RngRegistry(1).jitter_stream("w")
+    draws = [jitter.draw(500.0, 0.35) for _ in range(4000)]
     assert abs(np.mean(draws) / 500.0 - 1.0) < 0.05
 
 
