@@ -15,8 +15,17 @@ BT and SP (face exchanges on a square process grid; SP iterates more with
 less compute per step, making it message-intensive).
 """
 
-from repro.npb.base import NpbConfig, NpbResult, BENCHMARKS, get_benchmark
+from repro.npb.base import NpbConfig, NpbResult, get_benchmark, load_benchmarks
 from repro.npb.runner import run_npb, run_suite
+
+
+def __getattr__(name: str) -> object:
+    # The registry fills as the kernel modules load, which they do on
+    # first use.
+    if name == "BENCHMARKS":
+        return load_benchmarks()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "NpbConfig",

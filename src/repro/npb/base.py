@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -92,6 +93,17 @@ def grid_2d(ranks: int) -> tuple[int, int]:
 # Registry filled by the benchmark modules at import time.
 BENCHMARKS: dict[str, Callable[[NpbConfig], tuple[Callable, int]]] = {}
 
+#: The kernel modules; each registers its benchmarks when imported.
+_KERNELS = ("bt_sp", "cg", "ep", "ft", "is_", "lu", "mg")
+
+
+def load_benchmarks() -> dict[str, Callable[[NpbConfig], tuple[Callable, int]]]:
+    """The registry, with every kernel module imported (on first use, so a
+    run that builds no NPB program never loads them)."""
+    for module in _KERNELS:
+        importlib.import_module(f"repro.npb.{module}")
+    return BENCHMARKS
+
 
 def register(name: str):
     """Decorator: register ``make(cfg) -> (program, iterations)``."""
@@ -105,7 +117,7 @@ def register(name: str):
 
 def get_benchmark(name: str):
     try:
-        return BENCHMARKS[name]
+        return load_benchmarks()[name]
     except KeyError:
         raise ConfigError(
             f"unknown NPB benchmark {name!r}; available: {sorted(BENCHMARKS)}"

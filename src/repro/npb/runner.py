@@ -6,11 +6,7 @@ from typing import Optional
 
 from repro.cluster import build_cluster
 from repro.hw.profiles import SystemProfile, get_profile
-from repro.mpi import MpiWorld
 from repro.npb.base import NpbConfig, NpbResult, get_benchmark
-
-# Ensure all benchmark modules register themselves.
-from repro.npb import bt_sp, cg, ep, ft, is_, lu, mg  # noqa: F401
 
 DEFAULT_SUITE = ("IS", "EP", "CG", "MG", "FT", "LU", "BT", "SP")
 
@@ -40,6 +36,8 @@ def run_on_hosts(
     config: NpbConfig, hosts: list, transport: str = "bypass"
 ) -> NpbResult:
     """Run one benchmark over already-built hosts of one cluster."""
+    from repro.mpi import MpiWorld
+
     world = MpiWorld(hosts[0].sim, hosts, config.ranks, transport=transport)
     program, iters = get_benchmark(config.name)(config)
     results = world.run(program)

@@ -72,6 +72,7 @@ RUN_STATS.update(_zero_stats())
 
 
 def reset_run_stats() -> None:
+    RUN_STATS.clear()
     RUN_STATS.update(_zero_stats())
 
 
@@ -84,13 +85,13 @@ def merge_run_stats(delta: dict) -> None:
         RUN_STATS[key] = RUN_STATS.get(key, 0) + value
 
 
-def _make_probe(sim: Simulator, config: "PerftestConfig",
-                label: str) -> Optional[FastForward]:
+def _make_probe(sim: Simulator,
+                config: "PerftestConfig") -> Optional[FastForward]:
     enabled = config.fastforward if config.fastforward is not None \
         else env_flag(FASTFORWARD_ENV)
     if not enabled:
         return None
-    return FastForward(sim, faults=config.faults, label=label)
+    return FastForward(sim, faults=config.faults)
 
 
 def _note_run(sim: Simulator, probe: Optional[FastForward]) -> None:
@@ -103,6 +104,8 @@ def _note_run(sim: Simulator, probe: Optional[FastForward]) -> None:
         RUN_STATS["ff_units_skipped"] += stats.units_skipped
         RUN_STATS["ff_events_skipped"] += stats.events_skipped
         RUN_STATS["ff_time_skipped_ns"] += stats.time_skipped_ns
+        key = f"ff_disarm_{probe.reason}"
+        RUN_STATS[key] = RUN_STATS.get(key, 0) + 1
 
 
 def _export_telemetry(sim: Simulator, config: "PerftestConfig", size: int,
@@ -230,7 +233,7 @@ def run_lat(config: PerftestConfig, size: int) -> LatencyResult:
     """One latency measurement at one message size."""
     sim, client, server = _build(config)
     func = _LAT_FUNCS[config.op]
-    probe = _make_probe(sim, config, f"lat:{config.op}:{size}")
+    probe = _make_probe(sim, config)
 
     def main() -> Generator:
         result = yield from func(
@@ -251,7 +254,7 @@ def run_bw(config: PerftestConfig, size: int) -> BwResult:
     """One bandwidth measurement at one message size."""
     sim, client, server = _build(config)
     func = _BW_FUNCS[config.op]
-    probe = _make_probe(sim, config, f"bw:{config.op}:{size}")
+    probe = _make_probe(sim, config)
 
     def main() -> Generator:
         result = yield from func(
@@ -291,7 +294,7 @@ def run_attributed(
 
     sim, client, server = _build(config, trace=Trace(enabled=True))
     sim.trace.clear()  # drop connection-setup records; keep measured ops
-    probe = _make_probe(sim, config, f"attr:{kind}:{config.op}:{size}")
+    probe = _make_probe(sim, config)
     func = (_LAT_FUNCS if kind == "lat" else _BW_FUNCS)[config.op]
     kwargs = dict(iters=config.iters, warmup=config.warmup,
                   techniques=config.techniques, fastforward=probe)

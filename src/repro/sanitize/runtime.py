@@ -41,7 +41,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from repro.sanitize.findings import Finding
-from repro.sim.engine import env_flag
+from repro.sim.engine import _describe_event, env_flag
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     import numpy as np
@@ -64,31 +64,6 @@ def drain_global_findings() -> list[Finding]:
     out = list(GLOBAL_FINDINGS)
     GLOBAL_FINDINGS.clear()
     return out
-
-
-def _describe_event(fn: object, arg: object) -> str:
-    """A stable human-readable tag for a heap record (no addresses)."""
-    # Imported here: the engine imports this module while repro.sim loads.
-    from repro.sim.events import _fire
-    from repro.sim.process import _wake
-
-    if fn is _wake:
-        return f"resume:{getattr(arg, 'name', '?')}"
-    if fn is not _fire:
-        return f"call_later:{getattr(fn, '__qualname__', repr(fn))}"
-    event = arg
-    cls = event.__class__.__name__
-    name = getattr(event, "name", "")
-    tag = f"{cls}:{name}" if name else cls
-    # A generic event that wakes a process carries its bound ``_resume``
-    # (or an ``AllOf``'s ``_check``) in the callback list;
-    # naming the woken process beats a bare class name in race reports.
-    for cb in getattr(event, "callbacks", None) or ():
-        target = getattr(cb, "__self__", None)
-        woken = getattr(target, "name", None)
-        if woken and getattr(cb, "__name__", "") in ("_resume", "_check"):
-            return f"{tag}->resume:{woken}"
-    return tag
 
 
 class _Touch:

@@ -46,13 +46,34 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 from repro.errors import SimulationError
 
 from repro.sim.events import NORMAL, URGENT, AllOf, Event, Timeout, _fire
-from repro.sim.process import Process, ProcessGenerator
+from repro.sim.process import Process, ProcessGenerator, _wake
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.verify.choice import Chooser
     from repro.verify.monitors import ProtocolMonitor
+
+
+def _describe_event(fn: object, arg: object) -> str:
+    """A stable human-readable tag for a heap record (no addresses)."""
+    if fn is _wake:
+        return f"resume:{getattr(arg, 'name', '?')}"
+    if fn is not _fire:
+        return f"call_later:{getattr(fn, '__qualname__', repr(fn))}"
+    event = arg
+    cls = event.__class__.__name__
+    name = getattr(event, "name", "")
+    tag = f"{cls}:{name}" if name else cls
+    # A generic event that wakes a process carries its bound ``_resume``
+    # (or an ``AllOf``'s ``_check``) in the callback list;
+    # naming the woken process beats a bare class name in race reports.
+    for cb in getattr(event, "callbacks", None) or ():
+        target = getattr(cb, "__self__", None)
+        woken = getattr(target, "name", None)
+        if woken and getattr(cb, "__name__", "") in ("_resume", "_check"):
+            return f"{tag}->resume:{woken}"
+    return tag
 
 
 def env_flag(name: str) -> bool:
@@ -260,6 +281,20 @@ class Simulator:
     def component_state(self) -> tuple:
         """All registered providers' fingerprints, in registration order."""
         return tuple(p() for p in self._state_providers)
+
+    def heap_signature(self, tag: Callable[[object, object], object]) -> tuple:
+        """The pending heap in relative time: one ``(t - now, priority,
+        tag(fn, arg))`` per record.
+
+        Sorting by the full ``(t, priority, seq)`` key then *dropping*
+        ``seq`` keeps the FIFO order of ties as positional order while
+        erasing the monotone sequence numbers that would keep any state
+        from recurring.  Fast-forward tags records by kind, the explorer
+        by :func:`_describe_event`.
+        """
+        now = self._now
+        return tuple((t - now, prio, tag(fn, arg))
+                     for t, prio, _seq, fn, arg in sorted(self._queue))
 
     def advance_clock(self, until: float) -> int:
         """Jump the clock to ``until``, translating every pending event.

@@ -18,25 +18,24 @@ Detection is two-phase, so un-skippable runs pay almost nothing:
    scheduled-record delta, counter deltas, loop state, secondary-process
    activity, component timing state) goes into a hash map keyed by value;
    a signature recurring at distance ``p <= max_period`` nominates ``p``,
-   which is accepted once the last ``confirm_periods`` periods of cheap
-   steps are ``p``-periodic.
+   which is accepted once the last ``CONFIRM_PERIODS`` periods of cheap
+   steps are ``p``-periodic (one period, for a period that already jumped).
 2. **Verify (expensive, ~p boundaries)** — for a nominated period the
-   probe additionally snapshots the pending-event queue signature (every
-   ``(t_event - now, priority, record type)`` offset) and the bit-exact
-   position of every RNG stream, over a window of ``p + 2`` boundaries.
-   The queue signature must repeat with period ``p`` and the RNG
-   fingerprints must be *constant* across the window (a stream only ever
-   moves forward, so constancy over a full period proves zero draws per
-   cycle).  Any mismatch falls back to scanning, with escalating backoff
-   per rejected period and direct escalation to ``2p`` when the cheap
-   steps repeat at ``p`` but the queue does not (a sub-harmonic).
+   probe additionally snapshots the pending heap
+   (:meth:`~repro.sim.engine.Simulator.heap_signature`, tagged by record
+   kind) and the bit-exact position of every RNG stream, over a window of
+   ``p + 2`` boundaries.  The heap signature must repeat with period ``p``
+   and the RNG fingerprints must be *constant* across the window (a stream
+   only ever moves forward, so constancy over a full period proves zero
+   draws per cycle).  Any mismatch, or a declined jump, falls back to
+   scanning.
 
 Exactness argument
 ------------------
 
 If the verified signature captured the complete timing-relevant state,
 two matching boundaries one period apart would make the evolution provably
-periodic (the simulator is deterministic); the cheap ``confirm_periods``
+periodic (the simulator is deterministic); the cheap ``CONFIRM_PERIODS``
 history plus the two-period verify window guard the residual state the
 signature cannot see (store contents, blocked peers' positions).
 
@@ -59,22 +58,12 @@ Settling vs. never-periodic
 
 System A's DVFS duty EMA makes runs *settle* rather than start periodic:
 step signatures converge toward a fixed point over hundreds of boundaries.
-Two mechanisms tell "still converging, keep scanning" apart from "jittered,
-never periodic":
-
-- A **quantized soft signature** (step floats rounded to 0.1 ns, component
-  state dropped).  Settling runs revisit the same soft bucket while their
-  exact bits still drift; jittered runs (lognormal draws move boundaries by
-  tens of ns) do not.  A run whose soft signatures stop recurring is
-  declared aperiodic quickly.
-- **Drift projection** over soft-bucket revisits: the relative dt drift per
-  revisit contracts geometrically while settling, so the probe fits the
-  contraction factor and projects when the bits will pin.  If the
-  projection says periodicity cannot arrive in time to pay for itself
-  (or the drift is not contracting at all), the probe disarms early.
-  The projection is advisory only — *arming* still requires a bit-exact
-  recurrence plus the full verify window, so a wrong projection can only
-  cost time, never exactness.
+A **quantized soft signature** (step floats rounded to 0.1 ns, component
+state dropped) tells "still converging, keep scanning" apart from
+"jittered, never periodic": settling runs revisit the same soft bucket
+while their exact bits still drift; jittered runs (lognormal draws move
+boundaries by tens of ns) do not, and a run whose soft signatures stop
+recurring is declared aperiodic quickly.
 
 Long-idle cores make the settled state *reachable*: the duty governor
 flushes EMAs below ``e**-48`` to an exact 0.0 and reports one canonical
@@ -89,9 +78,9 @@ be proven: a :class:`~repro.faults.FaultPlan` attached to the fabric
 (``faults``), full trace export in flight (``trace``), RNG draws inside
 the verify window (``rng`` — e.g. system A's lognormal syscall jitter),
 or no exact period emerging at all (``no-period``): soft signatures stop
-recurring, the drift projection rules out timely pinning, or the overall
-scan budget runs dry.  Disarmed probes cost one attribute check per
-boundary.
+recurring or the overall scan budget runs dry.  A probe that ran its
+loop past the last milestone disarms as ``complete``.  Disarmed probes
+cost one attribute check per boundary.
 """
 
 from __future__ import annotations
@@ -105,8 +94,20 @@ from repro.sim.process import _wake
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
 
-#: Relative drift below which a dt is considered pinned (~4 ulps).
-_PIN_TOL = math.ldexp(1.0, -50)
+#: Cheap-step periods a fresh nomination must repeat before verifying.
+CONFIRM_PERIODS = 3
+#: Longest period the scan nominates, unless ``begin`` widens it.
+MAX_PERIOD = 8
+
+
+def _record_kind(fn: object, arg: object) -> str:
+    """Coarse heap-record tag: the event class, ``_Resume`` for a sleep
+    or a first step, one ``_Callback`` for every callback stage.  A wake
+    record's argument is a ``Process``, so it takes its own tag: the class
+    name would collide with a joinable process's end record."""
+    if fn is _fire:
+        return type(arg).__name__
+    return "_Resume" if fn is _wake else "_Callback"
 
 
 class Skip:
@@ -139,9 +140,6 @@ class FastForwardStats:
         self.events_skipped = 0
         self.time_skipped_ns = 0.0
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
 
 class FastForward:
     """Cycle probe + analytic extrapolator for one measurement loop.
@@ -154,29 +152,19 @@ class FastForward:
     :meth:`take_aux` on the secondary side.
     """
 
-    __slots__ = ("_sim", "label", "confirm_periods", "max_period", "stats",
-                 "reason", "_enabled", "_primary", "_pidx", "_milestones",
-                 "_keys", "_records", "_steps", "_nsteps", "_seen",
-                 "_vperiod", "_vfull", "_vfp", "_vfail", "_vbad", "_fruitless",
-                 "_soft_seen", "_last_soft", "_last_hard", "_drift",
+    __slots__ = ("_sim", "stats", "reason", "_enabled", "_max_period",
+                 "_primary", "_pidx", "_milestones", "_keys", "_records",
+                 "_steps", "_nsteps", "_seen", "_vperiod", "_vfull", "_vfp",
+                 "_vfail", "_fruitless", "_soft_seen", "_last_soft",
                  "_last_bound", "_jumped_periods", "_aux_raw", "_aux_last",
                  "_aux_pending", "_since_aux")
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        faults: object = None,
-        confirm_periods: int = 3,
-        max_period: int = 8,
-        label: str = "",
-    ):
+    def __init__(self, sim: "Simulator", faults: object = None):
         self._sim = sim
-        self.label = label
-        self.confirm_periods = max(2, int(confirm_periods))
-        self.max_period = max(1, int(max_period))
         self.stats = FastForwardStats()
         self.reason: Optional[str] = None
         self._enabled = True
+        self._max_period = MAX_PERIOD
         self._primary: Optional[str] = None
         self._pidx: int = 0
         self._milestones: tuple = ()
@@ -193,7 +181,7 @@ class FastForward:
         self._seen: dict = {}
         #: Candidate period under verification (0 = scanning).
         self._vperiod: int = 0
-        #: Pending-event queue signatures, one per verify boundary.
+        #: Heap signatures, one per verify boundary.
         self._vfull: list[tuple] = []
         #: RNG fingerprint captured when the verify window opened.  Streams
         #: only move forward, so one comparison against a fresh fingerprint
@@ -203,15 +191,6 @@ class FastForward:
         self._vfp: tuple = ()
         #: Most informative verify-failure reason seen so far.
         self._vfail: Optional[str] = None
-        #: Verify-rejected periods, with escalating backoff: period ->
-        #: (step index at failure, block length in steps).  Without this, a
-        #: run of identical single-completion boundaries between two tx
-        #: bursts nominates period 1 forever and the true period — the
-        #: burst spacing — is never tried.  The block doubles on every
-        #: repeat failure, so a *transient* rejection (the schedule still
-        #: settling) retries within a few boundaries while a structurally
-        #: wrong period stops wasting verify windows.
-        self._vbad: dict = {}
         #: Boundaries since the last jump / milestone crossing.
         self._fruitless: int = 0
         #: Soft step signatures (the step minus component timing state) ever
@@ -220,29 +199,15 @@ class FastForward:
         #: governor state is still converging bit by bit — soft-hits within
         #: a couple of periods; a jittered loop (fresh RNG floats in every
         #: time delta) essentially never does, and is disarmed quickly.
-        #: Structured loops stay armed: a drifting DVFS duty EMA pins to a
-        #: float fixed point after enough contractions, and full hits (and
-        #: skipping) begin the moment it does.
-        self._soft_seen: dict = {}
+        self._soft_seen: set = set()
         self._last_soft: int = 0
-        #: Index of the last *bit-exact* step recurrence.  A soft-recurring
-        #: loop whose bits never settle (the EMA contraction per period is
-        #: too weak to pin within the run) would otherwise keep the probe
-        #: scanning forever; hard recurrences going stale bound that cost.
-        self._last_hard: int = 0
-        #: Relative dt drift per soft recurrence: (step index, |dt - prev
-        #: dt| / |dt|) samples, subsampled.  The decay rate of these is the
-        #: governor's contraction factor, which projects when (whether) the
-        #: schedule pins bit-exactly — see :meth:`_drift_verdict`.
-        self._drift: list = []
         self._last_bound: Optional[int] = None
-        #: Periods that already produced a successful jump.  After a
+        #: Periods that already passed a verify window.  After a
         #: binade-capped jump the next boundaries re-round in the new
         #: binade, miss the translated hash, and would pay a full
-        #: ``confirm_periods`` rescan — but a proven period's renomination
+        #: ``CONFIRM_PERIODS`` rescan — but a proven period's renomination
         #: skips straight to the verify window (which remains the
-        #: exactness proof).  A set, because the same loop can jump both
-        #: at its base period and at a sub-harmonic escalation of it.
+        #: exactness proof).
         self._jumped_periods: set = set()
         self._aux_raw: list[tuple] = []
         self._aux_last: dict[str, dict] = {}
@@ -280,7 +245,6 @@ class FastForward:
         self._steps.clear()
         self._seen.clear()
         self._soft_seen.clear()
-        self._drift.clear()
         self._vperiod = 0
         self._vfull.clear()
         self._aux_raw.clear()
@@ -300,12 +264,12 @@ class FastForward:
 
         ``max_period`` lets the loop widen the period search when it knows
         its own super-period (e.g. ``send_bw``'s tx bursts recur every
-        ``sig`` receive boundaries, well past the default of 8).
+        ``sig`` receive boundaries, well past ``MAX_PERIOD``).
         """
         self._primary = primary
         self._milestones = tuple(sorted(milestones))
         if max_period is not None:
-            self.max_period = max(self.max_period, int(max_period))
+            self._max_period = max(self._max_period, int(max_period))
 
     def observe(self, counters: dict, state: tuple = ()) -> Optional[Skip]:
         """Record one boundary; jump if the steady state is proven.
@@ -339,34 +303,19 @@ class FastForward:
             step = self._step_between(recs[-1], rec)
             self._steps.append(step)
             self._nsteps += 1
+            # Soft structure: a *settling* schedule (DVFS duty EMA still
+            # contracting toward its float fixed point) revisits its soft
+            # buckets long before the bits pin; a *jittered* one (fresh
+            # lognormal draws, tens of ns spread) essentially never does.
+            soft = self._soft_of(step)
+            if soft in self._soft_seen:
+                self._last_soft = self._nsteps
+            else:
+                self._soft_seen.add(soft)
         recs.append(rec)
-        limit = (self.confirm_periods + 1) * self.max_period + 2
-        if len(recs) > limit:
+        if len(recs) > (CONFIRM_PERIODS + 1) * self._max_period + 2:
             del recs[0]
             del self._steps[0]
-
-        if step is not None:
-            # Soft structure: the step with its floats quantized to 0.1 ns
-            # and the component timing state masked out.  A *settling*
-            # schedule (DVFS duty EMA still contracting toward its float
-            # fixed point) drifts by ever-smaller fractions of a ns per
-            # boundary, so its soft signature recurs long before the bits
-            # pin; a *jittered* schedule (fresh lognormal draws, tens of ns
-            # spread) essentially never recurs.  Soft recurrence is what
-            # separates "worth waiting for exactness" from "hopeless".
-            soft = self._soft_of(step)
-            prev_soft = self._soft_seen.get(soft)
-            self._soft_seen[soft] = (self._nsteps, step[0])
-            if prev_soft is not None:
-                self._last_soft = self._nsteps
-                # Drift sample: how far the raw dt moved between two
-                # occurrences of the same quantized step.  Subsampled so a
-                # long scan keeps a bounded, well-spaced series.
-                drift = self._drift
-                if not drift or self._nsteps - drift[-1][0] >= 8:
-                    scale = abs(step[0]) or 1.0
-                    drift.append(
-                        (self._nsteps, abs(step[0] - prev_soft[1]) / scale))
 
         skip = None
         if self._vperiod:
@@ -375,17 +324,11 @@ class FastForward:
             prev = self._seen.get(step)
             self._seen[step] = self._nsteps
             if prev is not None:
-                self._last_hard = self._nsteps
                 period = self._nsteps - prev
-                blocked = self._vbad.get(period)
-                if blocked is not None and \
-                        self._nsteps - blocked[0] >= blocked[1]:
-                    blocked = None  # expired; entry kept for escalation
-                if 1 <= period <= self.max_period and blocked is None \
-                        and self._scan_ready(period):
+                if period <= self._max_period and self._scan_ready(period):
                     self._vperiod = period
-                    self._vfp = self._sim.rng.stream_states()
-                    self._vfull.append(self._queue_sig())
+                    self._vfp = sim.rng.stream_states()
+                    self._vfull.append(sim.heap_signature(_record_kind))
 
         # Progress bookkeeping, reset by jumps and by milestone crossings
         # (each phase gets its own chance): a tight budget on *soft* hits
@@ -398,20 +341,13 @@ class FastForward:
             return skip
         if skip is not None or bound != self._last_bound:
             self._fruitless = 0
-            self._last_soft = self._last_hard = self._nsteps
-            self._vbad.clear()
+            self._last_soft = self._nsteps
         else:
             self._fruitless += 1
         self._last_bound = bound
         if self._nsteps - self._last_soft > self._soft_budget():
             self.disarm("no-period")
-        elif self._nsteps - self._last_hard > 3 * self.max_period + 32 \
-                and self._drift_verdict(counts[self._pidx]):
-            # Soft structure without bit-exact recurrence: the schedule is
-            # periodic in shape but its float state hasn't pinned yet, and
-            # the drift projection says it never will (in reach).
-            self.disarm("no-period")
-        elif self._fruitless > 16 * self.max_period + 256:
+        elif self._fruitless > 16 * self._max_period + 256:
             self.disarm(self._vfail or "no-period")
         return skip
 
@@ -455,57 +391,8 @@ class FastForward:
         provably hopeless (e.g. lognormal-jittered) runs quickly.
         """
         if self._milestones and self._last_bound == self._milestones[0]:
-            return 6 * self.max_period + 64
-        return 2 * self.max_period + 16
-
-    def _drift_verdict(self, prim: int) -> bool:
-        """Should a long hard-hit drought disarm the probe?
-
-        The per-recurrence dt drift decays with the DVFS governor's
-        contraction factor ``c`` (the duty EMA converges geometrically to
-        its float fixed point).  Fitting ``c`` to the sampled drift series
-        projects the boundary where the schedule pins bit-exactly.  Returns
-        True — disarm — when the series shows no convergence, or the
-        projected pin lands too late to skip anything before the *final*
-        milestone (pinning mid-run still pays: every remaining phase
-        benefits, so the horizon is the whole run, not the next mark);
-        returns False — keep scanning — while an in-reach pin is still
-        plausible.  The projection is advisory only: arming still
-        requires real bit-exact recurrences plus the full verify pass, so
-        a wrong guess costs time, never exactness.
-        """
-        drift = self._drift
-        if len(drift) < 5:
-            # Too few samples to fit anything: keep scanning — the hard
-            # drought re-evaluates every boundary and the fruitless
-            # backstop bounds the total cost of never deciding.
-            return False
-        (n2, d2) = drift[-1]
-        (n1, d1) = drift[len(drift) // 2]
-        if n2 - n1 < 32:
-            return False
-        if d2 == 0.0:
-            # dt already pinned; residual state (core duty bits) lags it by
-            # a small factor — allow a proportional grace window.
-            return self._nsteps > 2.5 * n2 + 128
-        if d1 <= d2:
-            return True
-        c = (d2 / d1) ** (1.0 / (n2 - n1))
-        if c >= 0.9995:
-            return True
-        # Project to drift below ~an ulp of the dt (2**-50 relative).
-        steps_left = math.log(_PIN_TOL / d2) / math.log(c)
-        projected = n2 + steps_left
-        # Boundaries left before the *final* milestone, via the recent
-        # primary rate — a pin landing anywhere inside the run pays off.
-        recs = self._records
-        span = len(recs) - 1
-        rate = (recs[-1][1][self._pidx] - recs[0][1][self._pidx]) / span \
-            if span > 0 else 1.0
-        remaining = (self._milestones[-1] - prim) / max(rate, 1e-9)
-        if projected - self._nsteps > 0.7 * remaining:
-            return True
-        return self._nsteps > 2.5 * projected + 128
+            return 6 * self._max_period + 64
+        return 2 * self._max_period + 16
 
     @staticmethod
     def _soft_of(step: tuple) -> tuple:
@@ -541,136 +428,56 @@ class FastForward:
         )
 
     def _scan_ready(self, period: int) -> bool:
-        """Cheap steps p-periodic over the confirm window, and a jump at
-        the end of a verify pass would still have room to skip?
+        """Cheap steps p-periodic over the confirm window?
 
-        A period that already produced a successful jump needs no fresh
+        A period that already passed a verify window needs no fresh
         confirm window: it is a proven property of this schedule, and the
         verify pass (the exactness proof proper) re-checks it anyway.
         That matters after every binade-capped jump — the new binade
         re-rounds the step deltas, so the translated history misses and a
-        full confirm would cost ``confirm_periods`` extra periods per
+        full confirm would cost ``CONFIRM_PERIODS`` extra periods per
         crossing."""
         steps = self._steps
         n = len(steps)
-        confirm = 1 if period in self._jumped_periods else self.confirm_periods
+        confirm = 1 if period in self._jumped_periods else CONFIRM_PERIODS
         if n < confirm * period:
             return False
-        if any(steps[n - k] != steps[n - k - period]
-               for k in range(1, (confirm - 1) * period + 1)):
-            return False
-        return self._worth_it(period)
-
-    def _worth_it(self, period: int) -> bool:
-        """Project the primary to the end of the verify window (~2 more
-        periods): would at least one whole cycle still be skippable?"""
-        recs = self._records
-        if len(recs) < period + 1:
-            return False
-        prim = recs[-1][1][self._pidx]
-        units = prim - recs[-1 - period][1][self._pidx]
-        if units <= 0:
-            return False
-        bound = self._next_bound(prim)
-        if bound is None:
-            return False
-        return (bound - (prim + 2 * units) - units) // units >= 1
+        return all(steps[n - k] == steps[n - k - period]
+                   for k in range(1, (confirm - 1) * period + 1))
 
     # -- verify phase ----------------------------------------------------------
-
-    def _queue_sig(self) -> tuple:
-        """Pending records in relative time, tagged by kind: the event
-        class, ``_Resume`` for a sleep or a first step, one ``_Callback``
-        for every callback stage.  A wake record's argument is a
-        ``Process``, so it takes its own tag: the class name would collide
-        with a joinable process's end record."""
-        sim = self._sim
-        now = sim._now
-        return tuple(sorted(
-            (t - now, prio, type(arg).__name__ if fn is _fire
-             else "_Resume" if fn is _wake else "_Callback")
-            for (t, prio, _seq, fn, arg) in sim._queue
-        ))
 
     def _verify_boundary(self, step: Optional[tuple]) -> Optional[Skip]:
         period = self._vperiod
         n = len(self._steps)
         if step is None or n < period + 1 or \
                 step != self._steps[n - 1 - period]:
-            # A mismatch only in low-order float bits (soft signatures
-            # equal) is the settling schedule still converging — renominate
-            # quickly instead of escalating the backoff.
-            settling = (step is not None and n >= period + 1 and
-                        self._soft_of(step) ==
-                        self._soft_of(self._steps[n - 1 - period]))
-            self._abort_verify("drift", settling=settling)
+            self._end_verify()
             return None
-        self._last_hard = self._nsteps
-        self._vfull.append(self._queue_sig())
-        if len(self._vfull) < period + 2:
-            return None
+        sim = self._sim
         full = self._vfull
-        if self._sim.rng.stream_states() != self._vfp:
+        full.append(sim.heap_signature(_record_kind))
+        if len(full) < period + 2:
+            return None
+        if sim.rng.stream_states() != self._vfp:
             # Some stream advanced since the window opened: monotone
             # forward movement means a single start-vs-now comparison
-            # covers every boundary in between (and, on a rolled window,
-            # every boundary since the original proof attempt).
-            self._abort_verify("rng")
+            # covers every boundary in between.
+            self._end_verify("rng")
             return None
-        if any(full[j] != full[j - period]
-               for j in range(period, period + 2)):
-            self._abort_verify("queue")
+        if full[period] != full[0] or full[period + 1] != full[1]:
+            self._end_verify("queue")
             return None
         # The proof succeeded: the period is an established property of
-        # this schedule (recorded even if the jump below declines — future
-        # renominations of it skip the confirm window and shrug off
-        # binade-crossing aborts with a minimal penalty).
+        # this schedule, even if the jump below declines (binade cap or
+        # milestone straddle) and scanning resumes.
         self._jumped_periods.add(period)
-        skip = self._jump(period)
-        if skip is None:
-            # Declined — binade cap or milestone straddle, not a failed
-            # proof.  Roll the window one boundary and retry: the decline
-            # clears within about a period (the clock crosses the binade
-            # end / the primary clears the straddle), far cheaper than a
-            # fresh verify pass from scratch.
-            del self._vfull[0]
-            return None
         self._end_verify()
-        return skip
+        return self._jump(period)
 
-    def _abort_verify(self, why: str, settling: bool = False) -> None:
-        period = self._vperiod
-        if why != "drift":
-            self._vfail = why
-        if period in self._jumped_periods:
-            # A proven period aborting is a transition artifact (binade
-            # crossing re-rounding the deltas, a milestone phase change),
-            # not evidence against the period — retry almost immediately.
-            penalty = 2
-        elif settling:
-            penalty = period + 2
-        else:
-            prev = self._vbad.get(period)
-            penalty = 2 * period + 6 if prev is None \
-                else min(prev[1] * 2, 16 * self.max_period)
-        self._vbad[period] = (self._nsteps, penalty)
-        self._end_verify()
-        if why == "queue" and 2 * period <= self.max_period \
-                and 2 * period not in self._vbad \
-                and len(self._steps) > 2 * period \
-                and self._worth_it(2 * period):
-            # Cheap steps repeating at p with the full state rejecting p is
-            # the sub-harmonic signature: the queue's true period is a
-            # multiple of p (e.g. tx signals once per 2 rx periods).  The
-            # hash only ever nominates the *smallest* recurrence distance,
-            # so escalate to 2p directly.  p-periodic cheap steps are
-            # already 2p-periodic, so no fresh confirm window is needed —
-            # the 2p verify window re-checks continuity every boundary.
-            self._vperiod = 2 * period
-            self._vfp = self._sim.rng.stream_states()
-            self._vfull.append(self._queue_sig())
-
-    def _end_verify(self) -> None:
+    def _end_verify(self, failure: Optional[str] = None) -> None:
+        if failure is not None:
+            self._vfail = failure
         self._vperiod = 0
         self._vfull.clear()
         self._vfp = ()
@@ -752,7 +559,6 @@ class FastForward:
         events_per_period = last[4] - base[4]
         skipped_ns = target - now
         self._sim.advance_clock(target)
-        self._jumped_periods.add(p)
 
         stats = self.stats
         stats.jumps += 1

@@ -9,10 +9,9 @@ them can be pruned.  A fingerprint folds together:
   replay-cache windows, occupancy, retry counts — epochs and other
   monotone allocators are deliberately excluded, they never recur);
 - CQ contents and arming;
-- the pending event heap in *relative* time (``t - now``), tagged by the
-  stable :func:`~repro.sanitize.runtime._describe_event` labels — the
-  positional order of equal-key records preserves the FIFO tie order that
-  decides default dispatch;
+- the pending event heap (:meth:`~repro.sim.engine.Simulator.heap_signature`,
+  the one fast-forward verifies) tagged by the stable
+  :func:`~repro.sim.engine._describe_event` labels;
 - every registered component state provider (NIC queue depths, switch
   ports), the RNG stream positions, fabric port occupancy and the
   remaining fault budget.
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.sanitize.runtime import _describe_event
+from repro.sim.engine import _describe_event
 from repro.verbs.qp import QueuePair
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,18 +62,6 @@ def cq_signature(cq: "CompletionQueue") -> tuple:
     )
 
 
-def queue_signature(sim: "Simulator") -> tuple:
-    """Pending heap in relative time with stable event tags.
-
-    Sorting by the full ``(t, prio, seq)`` key then *dropping* ``seq``
-    keeps the FIFO order of ties as positional order while erasing the
-    monotone sequence numbers that would keep any state from recurring.
-    """
-    now = sim.now
-    return tuple((when - now, prio, _describe_event(fn, arg))
-                 for when, prio, _seq, fn, arg in sorted(sim._queue))
-
-
 def fabric_signature(fabric: Optional["Fabric"]) -> tuple:
     if fabric is None:
         return ()
@@ -101,7 +88,7 @@ def fingerprint(
     return (
         tuple(qp_signature(qp) for qp in qps),
         tuple(cq_signature(cq) for cq in cqs),
-        queue_signature(sim),
+        sim.heap_signature(_describe_event),
         sim.component_state(),
         sim.rng.stream_states(),
         fabric_signature(fabric),

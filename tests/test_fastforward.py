@@ -8,7 +8,9 @@ be proven: fault plans, trace export, RNG draws in the loop (system A's
 syscall jitter), or no exact period at all.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +165,54 @@ def test_probe_observe_after_disarm_is_cheap_noop():
     probe.begin("i", (10, 100))
     assert probe.observe({"i": 1}) is None
     assert probe.stats.jumps == 0
+
+
+# -- the skip ledger of the golden gate's matrix ------------------------------
+
+_spec = importlib.util.spec_from_file_location(
+    "check_fastforward_golden",
+    Path(__file__).resolve().parent.parent / "tools" / "check_fastforward_golden.py")
+GATE = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(GATE)
+
+#: (iteration scale, system, dataplane, op, kind) -> (jumps, cycles, units,
+#: events skipped, events scheduled, disarm reason) of the fast-forwarded
+#: 4 KiB run.  Any change to what the probe skips moves a figure here, even
+#: when results stay bit-identical.  Scale 1 is the gate's own; at scale 2
+#: the proven-period memo shows (without it, bypass write_bw skips one
+#: cycle fewer).
+SKIP_LEDGER = {
+    (1.0, "L", "bypass", "send", "lat"): (3, 94, 152, 5168, 633, "complete"),
+    (1.0, "L", "cord", "write", "lat"): (3, 92, 150, 5100, 697, "complete"),
+    (1.0, "L", "bypass", "write", "bw"): (1, 17, 544, 7140, 7316, "complete"),
+    (1.0, "L", "cord", "send", "bw"): (1, 3, 192, 2796, 13270, "complete"),
+    (1.0, "A", "cord", "send", "lat"): (0, 0, 0, 0, 5902, "no-period"),
+    (1.0, "A", "cord", "write", "bw"): (0, 0, 0, 0, 13423, "complete"),
+    (2.0, "L", "bypass", "send", "lat"): (3, 144, 302, 10268, 633, "complete"),
+    (2.0, "L", "cord", "write", "lat"): (3, 142, 300, 10200, 697, "complete"),
+    (2.0, "L", "bypass", "write", "bw"): (2, 42, 1344, 17640, 8628, "complete"),
+    (2.0, "L", "cord", "send", "bw"): (1, 17, 1088, 15844, 13330, "complete"),
+    (2.0, "A", "cord", "send", "lat"): (0, 0, 0, 0, 11002, "no-period"),
+    (2.0, "A", "cord", "write", "bw"): (0, 0, 0, 0, 24307, "no-period"),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+@pytest.mark.parametrize("row", GATE.MATRIX,
+                         ids=lambda row: "-".join(row[:4]))
+def test_skip_ledger_is_pinned(row, scale):
+    cfg, run = GATE.config_for(*row[:4], iters_scale=scale)
+    reset_run_stats()
+    run(cfg.with_(fastforward=True), 4096)
+    assert GATE.ledger(run_stats_snapshot()) == SKIP_LEDGER[(scale, *row[:4])]
+
+
+def test_reset_run_stats_clears_disarm_tallies():
+    cfg = PerftestConfig(system="L", iters=40, warmup=4, fastforward=True)
+    run_lat(cfg, 64)
+    assert any(k.startswith("ff_disarm_") for k in run_stats_snapshot())
+    reset_run_stats()
+    assert not any(k.startswith("ff_disarm_") for k in run_stats_snapshot())
 
 
 # -- advance_clock (the engine primitive) -------------------------------------

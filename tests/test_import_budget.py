@@ -15,11 +15,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+#: The NPB kernel modules: each registers its benchmarks on import.
+NPB_KERNELS = tuple(f"repro.npb.{k}" for k in
+                    ("bt_sp", "cg", "ep", "ft", "is_", "lu", "mg"))
+
 #: Modules a fast-forwarded system L run must not load.
 FORBIDDEN = ("numpy", "repro.sanitize.lint", "repro.sanitize.findings",
              "repro.telemetry", "repro.analysis.critpath",
              "repro.analysis.timeline", "repro.verify", "repro.cli",
-             "repro.faults", "repro.kernel.ipoib")
+             "repro.faults", "repro.kernel.ipoib", "repro.mpi") + NPB_KERNELS
 
 #: The imports of the benchmark's workload list (perfbench/workloads.py),
 #: then a system L pair and one tiny fast-forwarded latency and
@@ -76,6 +80,12 @@ out["faults"].append(loaded("repro.faults"))
 out["ipoib"] = [loaded("repro.kernel.ipoib")]
 host.kernel.ensure_ipoib()
 out["ipoib"].append(loaded("repro.kernel.ipoib"))
+from repro.npb import NpbConfig
+from repro.npb.runner import run_npb
+npb = ("repro.mpi",) + %r
+out["npb"] = [any(map(loaded, npb))]
+run_npb(NpbConfig(name="CG", klass="S", ranks=2, iterations=1), system="L")
+out["npb"].append(all(map(loaded, npb)))
 
 # Every public façade name resolves to its submodule's object.
 import importlib
@@ -116,13 +126,14 @@ def test_budget_catches_a_top_level_numpy_import(tmp_path):
 
 
 def test_opt_in_paths_load_their_modules_on_demand():
-    out = _run(ON_DEMAND)
+    out = _run(ON_DEMAND % (NPB_KERNELS,))
     assert out["plain"] == [False, False]
     assert out["sanitize_arg"] == [True, True, False]
     assert out["sanitize_env"] == [True]
     assert out["monitors_env"] == [True, True]
     assert out["faults"] == [False, True]
     assert out["ipoib"] == [False, True]
+    assert out["npb"] == [False, True]
     for pkg in ("repro.analysis", "repro.kernel", "repro.sanitize", "repro.telemetry"):
         assert out[pkg] == [], pkg
     assert out["same"] == [True, True]

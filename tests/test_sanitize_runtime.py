@@ -8,10 +8,10 @@ from repro.errors import SimulationError
 from repro.sanitize import drain_global_findings, findings_of
 from repro.sanitize.runtime import GLOBAL_FINDINGS, env_sanitize
 from repro.sim import Resource, Simulator, Store
-from repro.sim.fastforward import FastForward
+from repro.sim.engine import _describe_event
+from repro.sim.fastforward import _record_kind
 from repro.verbs.cq import CompletionQueue
 from repro.verify import Chooser
-from repro.verify.hashing import queue_signature
 
 
 @pytest.fixture(autouse=True)
@@ -245,14 +245,15 @@ TAGS = ["call_later:_stage", "Event:cq0.nonempty->resume:waiter",
 
 def test_record_tags_are_stable():
     """Race reports, explore fingerprints and fast-forward signatures all
-    name heap records; these names are part of their contracts."""
+    name heap records through one heap signature; these names are part of
+    their contracts."""
     sim = _tagged_schedule(sanitize=False)
-    assert [sig[:3] for sig in queue_signature(sim)] == [
+    assert sim.heap_signature(_describe_event) == (
         (0.0, 0, TAGS[0]), (0.0, 1, TAGS[1]),
-        (30.0, 1, TAGS[2]), (39.0, 1, TAGS[3])]
+        (30.0, 1, TAGS[2]), (39.0, 1, TAGS[3]))
     # Fast-forward keeps one coarse tag per callback: a finer one would
     # change which boundaries match.
-    assert FastForward(sim)._queue_sig() == (
+    assert sim.heap_signature(_record_kind) == (
         (0.0, 0, "_Callback"), (0.0, 1, "Event"),
         (30.0, 1, "_Callback"), (39.0, 1, "_Resume"))
 

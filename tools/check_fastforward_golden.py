@@ -51,18 +51,34 @@ def _fields(result) -> tuple:
     ))
 
 
+def config_for(system: str, dataplane: str, op: str, kind: str,
+               iters_scale: float = 1.0) -> tuple:
+    """One MATRIX row's ``(PerftestConfig, run function)``."""
+    if kind == "lat":
+        extra = dict(iters=max(1, int(150 * iters_scale)), warmup=20)
+        run = run_lat
+    else:
+        extra = dict(iters=max(1, int(900 * iters_scale)), warmup=200,
+                     window=64)
+        run = run_bw
+    return PerftestConfig(system=system, op=op, client=dataplane,
+                          server=dataplane, **extra), run
+
+
+def ledger(stats: dict) -> tuple:
+    """One fast-forwarded run's skip ledger from its run stats: jumps,
+    cycles, units, events skipped, events scheduled, disarm reason."""
+    reason = next((k[len("ff_disarm_"):] for k in stats
+                   if k.startswith("ff_disarm_")), None)
+    return (stats["ff_jumps"], stats["ff_cycles_skipped"],
+            stats["ff_units_skipped"], stats["ff_events_skipped"],
+            stats["events_scheduled"], reason)
+
+
 def run_gate(iters_scale: float = 1.0, size: int = 4096) -> int:
     failures = 0
     for system, dataplane, op, kind, expect_skip in MATRIX:
-        if kind == "lat":
-            extra = dict(iters=max(1, int(150 * iters_scale)), warmup=20)
-            run = run_lat
-        else:
-            extra = dict(iters=max(1, int(900 * iters_scale)), warmup=200,
-                         window=64)
-            run = run_bw
-        cfg = PerftestConfig(system=system, op=op, client=dataplane,
-                             server=dataplane, **extra)
+        cfg, run = config_for(system, dataplane, op, kind, iters_scale)
         t0 = time.perf_counter()
         base = run(cfg.with_(fastforward=False), size)
         reset_run_stats()
@@ -86,7 +102,7 @@ def run_gate(iters_scale: float = 1.0, size: int = 4096) -> int:
         tag = "FAIL" if problems else "ok"
         print(f"{tag:4s} {system}/{dataplane:6s} {op}_{kind:3s} "
               f"jumps={stats['ff_jumps']} units={stats['ff_units_skipped']} "
-              f"wall={wall:.2f}s"
+              f"reason={ledger(stats)[-1]} wall={wall:.2f}s"
               + ("" if not problems else "  <- " + "; ".join(problems)))
         failures += bool(problems)
     return failures
