@@ -26,7 +26,6 @@ from repro.bench_support import (
     emit,
     figure_bench,
     parallel_sweep,
-    record_attribution_probes,
     report_checks,
     scaled,
 )
@@ -142,9 +141,6 @@ def main():
     with figure_bench("fig1"):
         _report_fig1a(_lat_sweep())
         _report_fig1b(_bw_sweep())
-    # Pinned-iteration stage attribution for the four technique variants
-    # (exact per-stage blame baselines; gated by tools/check_attribution.py).
-    record_attribution_probes("fig1")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from repro.bench_support import (
     emit,
     figure_bench,
     parallel_sweep,
-    record_attribution_probes,
     report_checks,
     scaled,
 )
@@ -112,8 +111,6 @@ def test_fig3_latency_overhead(benchmark):
 def main():
     with figure_bench("fig3"):
         _report(*_sweep())
-    # Pinned-iteration stage attribution (BP vs CoRD blame baselines).
-    record_attribution_probes("fig3")
 
 
 if __name__ == "__main__":

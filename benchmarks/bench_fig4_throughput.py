@@ -22,7 +22,6 @@ from repro.bench_support import (
     emit,
     figure_bench,
     parallel_sweep,
-    record_attribution_probes,
     report_checks,
     scaled,
 )
@@ -104,8 +103,6 @@ def test_fig4_relative_throughput(benchmark):
 def main():
     with figure_bench("fig4"):
         _report(*_sweep())
-    # Pinned-iteration stage attribution of the windowed bw transmitter.
-    record_attribution_probes("fig4")
 
 
 if __name__ == "__main__":

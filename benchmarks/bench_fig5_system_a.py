@@ -30,7 +30,6 @@ from repro.bench_support import (
     emit,
     figure_bench,
     parallel_sweep,
-    record_attribution_probes,
     report_checks,
     scaled,
 )
@@ -138,9 +137,6 @@ def main():
     with figure_bench("fig5"):
         _report_fig5a(_lat_sweep())
         _report_fig5b(_bw_sweep())
-    # Pinned-iteration stage attribution; system A draws lognormal syscall
-    # jitter through libm, so these entries gate with a tolerance band.
-    record_attribution_probes("fig5")
 
 
 if __name__ == "__main__":

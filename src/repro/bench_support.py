@@ -20,6 +20,10 @@ of runs yields a recorded speedup (see ``tools/check_bench_budget.py``).
 Only same-scale, same-worker-count pairs enter the summary speedup, and
 smoke-scale runs (``REPRO_BENCH_SCALE`` < 1) are never merged into the
 default committed record — set ``REPRO_BENCH_JSON`` to record them.
+
+The per-stage blame baselines in ``results/BENCH_attribution.json`` are
+not written here: ``tools/check_attribution.py --update`` is their one
+writer, so a benchmark run can never refresh what that gate compares to.
 """
 
 from __future__ import annotations
@@ -44,14 +48,6 @@ def results_dir() -> Path:
     """Output directory for tables, read from ``REPRO_RESULTS_DIR`` at
     *call* time — setting the variable after import works."""
     return Path(os.environ.get("REPRO_RESULTS_DIR", "results"))
-
-
-def __getattr__(name: str):
-    # Back-compat: RESULTS_DIR used to be a module constant frozen at
-    # import time; resolve it lazily so late env changes are honoured.
-    if name == "RESULTS_DIR":
-        return results_dir()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def bench_scale() -> float:
@@ -265,43 +261,6 @@ def parallel_sweep(
     for _result, snap in out:
         merge_run_stats(snap)
     return [result for result, _snap in out]
-
-
-ATTRIBUTION_JSON_ENV = "REPRO_ATTRIBUTION_JSON"
-
-
-def attribution_json_path() -> Path:
-    """Where :func:`record_attribution_probes` writes its baselines."""
-    raw = os.environ.get(ATTRIBUTION_JSON_ENV, "").strip()
-    return Path(raw) if raw else results_dir() / "BENCH_attribution.json"
-
-
-def record_attribution_probes(figure: str) -> Path:
-    """Run one figure's pinned attribution probes and merge the per-stage
-    blame baselines into ``BENCH_attribution.json``.
-
-    Probe iteration counts are pinned in
-    :data:`repro.telemetry.attribution.ATTRIBUTION_PROBES` — deliberately
-    *not* scaled by ``REPRO_BENCH_SCALE`` — so the recorded stage totals
-    are identical at any scale and ``tools/check_attribution.py`` can
-    recompute them exactly in CI.
-    """
-    from repro.telemetry.attribution import run_figure_probes
-
-    entries = run_figure_probes(figure)
-    path = attribution_json_path()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError):
-        data = {}
-    if not isinstance(data, dict):
-        data = {}
-    data.setdefault("probes", {}).update(entries)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(f"[bench] recorded {len(entries)} attribution probe(s) for "
-          f"{figure!r} -> {path}")
-    return path
 
 
 def emit(name: str, text: str) -> None:

@@ -157,7 +157,7 @@ class FastForward:
                  "_steps", "_nsteps", "_seen", "_vperiod", "_vfull", "_vfp",
                  "_vfail", "_fruitless", "_soft_seen", "_last_soft",
                  "_last_bound", "_jumped_periods", "_aux_raw", "_aux_last",
-                 "_aux_pending", "_since_aux")
+                 "_aux_pending")
 
     def __init__(self, sim: "Simulator", faults: object = None):
         self._sim = sim
@@ -212,18 +212,6 @@ class FastForward:
         self._aux_raw: list[tuple] = []
         self._aux_last: dict[str, dict] = {}
         self._aux_pending: dict[str, dict] = {}
-        #: Boundaries since a secondary process last reported.  Folded
-        #: into the loop-state part of every signature once any aux
-        #: activity has been seen: between two aux reports the primary
-        #: loop's visible state can be boundary-for-boundary identical
-        #: (the burst phase lives in the *secondary's* loop variables,
-        #: which only surface at its reap points), so without this
-        #: counter the probe can prove a period-1 schedule inside the
-        #: quiet stretch and jump over secondary bursts whose cycles are
-        #: longer.  The counter gives every boundary of the true
-        #: super-period a distinct signature, so only the aux spacing
-        #: itself (or a multiple) can recur.
-        self._since_aux: int = 0
         if faults is not None and not getattr(faults, "fastforward_safe", False):
             self.disarm("faults")
         elif sim.trace.enabled:
@@ -289,12 +277,6 @@ class FastForward:
         counts = tuple(counters[k] for k in self._keys)
         now = sim._now
         aux_sig, aux_counts = self._fold_aux(now)
-        if aux_sig:
-            self._since_aux = 0
-        elif self._aux_last:
-            self._since_aux += 1
-        if self._aux_last:
-            state = (*state, self._since_aux)
         rec = (now, counts, state, sim.component_state(), sim._seq,
                aux_sig, aux_counts)
         recs = self._records

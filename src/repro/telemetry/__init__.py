@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover
         StageBlame,
         aggregate,
         attribute_spans,
-        run_figure_probes,
         run_probe,
     )
     from repro.telemetry.export import (
@@ -54,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __getattr__ = lazy_exports(__name__, {
     **dict.fromkeys(("ATTRIBUTION_PROBES", "AttributionTable", "OpBlame",
                      "ProbeSpec", "StageBlame", "aggregate", "attribute_spans",
-                     "run_figure_probes", "run_probe"), "attribution"),
+                     "run_probe"), "attribution"),
     **dict.fromkeys(("chrome_trace", "folded_stacks", "jsonl_lines",
                      "metrics_snapshot", "records_from_jsonl"), "export"),
     **dict.fromkeys(("Log2Histogram", "MetricCounter", "MetricsRegistry"),
@@ -79,7 +78,6 @@ __all__ = [
     "jsonl_lines",
     "metrics_snapshot",
     "records_from_jsonl",
-    "run_figure_probes",
     "run_probe",
     "Log2Histogram",
     "MetricCounter",

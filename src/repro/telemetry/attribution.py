@@ -334,15 +334,15 @@ def aggregate(blames: Iterable[OpBlame], incomplete: int = 0) -> list[Attributio
 
 # -- figure attribution probes -------------------------------------------------
 #
-# Each figure benchmark re-runs a small pinned-iteration slice of its sweep
-# with full tracing and records the per-stage attribution into
-# ``results/BENCH_attribution.json``.  Iteration counts are pinned (never
-# scaled by REPRO_BENCH_SCALE) so the committed baselines are reproducible
-# from any checkout at any scale: ``tools/check_attribution.py`` recomputes
-# every entry and compares stage totals exactly for deterministic systems,
-# within a tolerance band for the jittered system A (whose lognormal
-# syscall jitter goes through libm and may differ in the last bits across
-# platforms).
+# Each figure has a small pinned-iteration slice of its sweep, run with full
+# tracing.  ``tools/check_attribution.py --update`` alone records their
+# per-stage attribution in ``results/BENCH_attribution.json``.  Iteration
+# counts are pinned (never scaled by REPRO_BENCH_SCALE) so the committed
+# baselines are reproducible from any checkout: the same tool without
+# ``--update`` recomputes every entry and compares stage totals exactly for
+# deterministic systems, within a tolerance band for the jittered system A
+# (whose lognormal syscall jitter goes through libm and may differ in the
+# last bits across platforms).
 
 
 @dataclass(frozen=True)
@@ -474,8 +474,3 @@ def run_probe(spec: ProbeSpec) -> dict[str, object]:
                                 "dropped": sim.trace.dropped}
     entry.update(tables[0].snapshot())
     return entry
-
-
-def run_figure_probes(figure: str) -> dict[str, dict[str, object]]:
-    """All of one figure's probe entries, keyed by probe key."""
-    return {spec.key: run_probe(spec) for spec in ATTRIBUTION_PROBES[figure]}

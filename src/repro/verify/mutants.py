@@ -2,11 +2,13 @@
 
 Each mutant is a small, realistic protocol bug — the kind a refactor of
 the RC machinery could plausibly introduce — applied as a reversible
-monkeypatch under a context manager.  ``tools/check_verify.py`` runs the
-explorer over each mutant's target scenarios and fails the build unless
-**every** mutant produces a counterexample (and the unmutated tree
-explores clean): a verifier that cannot catch these is decoration, not
-verification.
+monkeypatch under a context manager.
+``tests/test_verify.py::test_every_mutant_is_caught_with_a_counterexample``
+runs the explorer over each mutant's target scenarios and fails the build
+unless **every** mutant produces a counterexample flagged with its
+expected rule (and ``test_exploration_is_clean_on_the_real_tree`` keeps
+the unmutated tree clean): a verifier that cannot catch these is
+decoration, not verification.
 
 The patches target *simulation* classes only and always restore the
 original attributes on exit, so mutants compose with pytest and never

@@ -2,9 +2,10 @@
 
 Two bugs fixed here and pinned down:
 
-1. ``RESULTS_DIR`` was frozen at import time, so setting
+1. The results directory was frozen at import time, so setting
    ``REPRO_RESULTS_DIR`` after importing the module (the natural order in
-   a test or CI harness) was silently ignored.
+   a test or CI harness) was silently ignored; ``results_dir()`` reads it
+   at call time.
 2. ``bench_scale()`` let ``float()`` errors escape raw and accepted
    negative scales; both now raise a friendly :class:`ConfigError`.
 """
@@ -18,8 +19,6 @@ from repro.errors import ConfigError
 def test_results_dir_reads_env_at_call_time(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "late"))
     assert bs.results_dir() == tmp_path / "late"
-    # The legacy module attribute follows along lazily.
-    assert bs.RESULTS_DIR == tmp_path / "late"
 
 
 def test_results_dir_default(monkeypatch):

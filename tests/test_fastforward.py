@@ -8,9 +8,7 @@ be proven: fault plans, trace export, RNG draws in the loop (system A's
 syscall jitter), or no exact period at all.
 """
 
-import importlib.util
 import math
-from pathlib import Path
 
 import pytest
 
@@ -96,17 +94,16 @@ def test_send_bw_small_messages_bit_identical(size, zero_copy):
     At small sizes the tx and rx loops run in CPU-paced lockstep and
     every queue level is constant between tx reap points, so the only
     per-boundary state distinguishing positions inside the tx burst
-    super-period is the sender's signaling phase.  Without the
-    boundaries-since-aux counter (and per-post tx aux reports) in the
-    signature the probe proves a period-1 schedule inside the quiet
-    stretch and jumps over signaled cycles that are longer (the ack's
-    CQE DMA), shaving a fixed deficit per skipped burst off the measured
-    duration.  ``zero_copy=False`` covers the send-side-bottleneck
-    regime where the tx window never fills during the ramp, so reap
-    points — the only aux reports before per-post reporting existed —
-    never happen at all.  Size 4096 (covered above) never tripped
-    either: the wire paces that run and the queue levels differ
-    boundary to boundary.
+    super-period is the sender's signaling phase.  Without the per-post
+    tx aux reports (which carry ``posted % sig``) in the signature the
+    probe proves a period-1 schedule inside the quiet stretch and jumps
+    over signaled cycles that are longer (the ack's CQE DMA), shaving a
+    fixed deficit per skipped burst off the measured duration.
+    ``zero_copy=False`` covers the send-side-bottleneck regime where the
+    tx window never fills during the ramp, so reap points — the only aux
+    reports before per-post reporting existed — never happen at all.
+    Size 4096 (covered above) never tripped either: the wire paces that
+    run and the queue levels differ boundary to boundary.
     """
     cfg = PerftestConfig(system="L", op="send", client="bypass",
                          server="bypass", iters=1200, warmup=200, window=64,
@@ -167,20 +164,33 @@ def test_probe_observe_after_disarm_is_cheap_noop():
     assert probe.stats.jumps == 0
 
 
-# -- the skip ledger of the golden gate's matrix ------------------------------
+# -- the skip ledger of a representative matrix --------------------------------
 
-_spec = importlib.util.spec_from_file_location(
-    "check_fastforward_golden",
-    Path(__file__).resolve().parent.parent / "tools" / "check_fastforward_golden.py")
-GATE = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(GATE)
+def config_for(system: str, dataplane: str, op: str, kind: str,
+               iters_scale: float = 1.0) -> tuple:
+    """One skip-ledger row's ``(PerftestConfig, run function)``."""
+    base, run = (LAT_CFG, run_lat) if kind == "lat" else (BW_CFG, run_bw)
+    extra = dict(base, iters=max(1, int(base["iters"] * iters_scale)))
+    return PerftestConfig(system=system, op=op, client=dataplane,
+                          server=dataplane, **extra), run
+
+
+def ledger(stats: dict) -> tuple:
+    """One fast-forwarded run's skip ledger from its run stats: jumps,
+    cycles, units, events skipped, events scheduled, disarm reason."""
+    reason = next((k[len("ff_disarm_"):] for k in stats
+                   if k.startswith("ff_disarm_")), None)
+    return (stats["ff_jumps"], stats["ff_cycles_skipped"],
+            stats["ff_units_skipped"], stats["ff_events_skipped"],
+            stats["events_scheduled"], reason)
 
 #: (iteration scale, system, dataplane, op, kind) -> (jumps, cycles, units,
 #: events skipped, events scheduled, disarm reason) of the fast-forwarded
-#: 4 KiB run.  Any change to what the probe skips moves a figure here, even
-#: when results stay bit-identical.  Scale 1 is the gate's own; at scale 2
-#: the proven-period memo shows (without it, bypass write_bw skips one
-#: cycle fewer).
+#: 4 KiB run, for one bypass and one CoRD loop per op kind on system L and
+#: the two jittered system A CoRD loops.  Any change to what the probe
+#: skips moves a figure here, even when results stay bit-identical.  Scale
+#: 1 uses LAT_CFG/BW_CFG as they are; at scale 2 the proven-period memo
+#: shows (without it, bypass write_bw skips one cycle fewer).
 SKIP_LEDGER = {
     (1.0, "L", "bypass", "send", "lat"): (3, 94, 152, 5168, 633, "complete"),
     (1.0, "L", "cord", "write", "lat"): (3, 92, 150, 5100, 697, "complete"),
@@ -197,14 +207,14 @@ SKIP_LEDGER = {
 }
 
 
-@pytest.mark.parametrize("scale", [1.0, 2.0])
-@pytest.mark.parametrize("row", GATE.MATRIX,
-                         ids=lambda row: "-".join(row[:4]))
-def test_skip_ledger_is_pinned(row, scale):
-    cfg, run = GATE.config_for(*row[:4], iters_scale=scale)
+@pytest.mark.parametrize("key", SKIP_LEDGER,
+                         ids=lambda key: "-".join((*key[1:], str(key[0]))))
+def test_skip_ledger_is_pinned(key):
+    scale, *row = key
+    cfg, run = config_for(*row, iters_scale=scale)
     reset_run_stats()
     run(cfg.with_(fastforward=True), 4096)
-    assert GATE.ledger(run_stats_snapshot()) == SKIP_LEDGER[(scale, *row[:4])]
+    assert ledger(run_stats_snapshot()) == SKIP_LEDGER[key]
 
 
 def test_reset_run_stats_clears_disarm_tallies():

@@ -2,11 +2,11 @@
 """CI gate: recorded stage-attribution baselines must reproduce exactly.
 
 ``results/BENCH_attribution.json`` holds per-stage blame tables (queueing
-vs service nanoseconds) for a pinned slice of every figure's sweep,
-written by the figure benchmarks via
-``repro.bench_support.record_attribution_probes``.  Each entry embeds the
-full probe spec, so this gate re-runs every measurement from scratch and
-fails unless:
+vs service nanoseconds) for a pinned slice of every figure's sweep.
+This tool is its only writer (``--update``); nothing else a CI job runs
+touches it, so the gate always compares against the committed record.
+Each entry embeds the full probe spec, so this gate re-runs every
+measurement from scratch and fails unless:
 
 - stage totals (``total_ns``/``queue_ns``/``service_ns`` per stage) match
   the recorded baseline — bit-exact for deterministic configs
@@ -105,8 +105,7 @@ def run_gate(path: Path, figures: list[str], rel_tol: float,
             baseline = probes.get(spec.key)
             if not update:
                 if baseline is None:
-                    problems.append("no recorded baseline (run the figure "
-                                    "benchmark or --update)")
+                    problems.append("no recorded baseline (run --update)")
                 else:
                     recorded = ProbeSpec.fromdict(baseline["spec"])
                     if recorded != spec:
