@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Generator
 
+from repro import stats
 from repro.errors import ConfigError
 from repro.perftest.techniques import Techniques
 from repro.verbs.wr import Opcode, RecvWR, SendWR
@@ -43,32 +44,24 @@ class LatencyResult:
     iters: int
     samples: list[float] = field(default_factory=list, repr=False)
 
-    # Each statistic imports numpy itself: a run that reads none of them
-    # (a benchmark pass before its summary) never loads it.
+    # Pure-Python statistics, bit-identical to numpy's: reading them never
+    # loads numpy, whose only user is the RNG.
 
     @property
     def avg_ns(self) -> float:
-        import numpy as np
-
-        return float(np.mean(self.samples))
+        return stats.mean(self.samples)
 
     @property
     def p50_ns(self) -> float:
-        import numpy as np
-
-        return float(np.percentile(self.samples, 50))
+        return stats.percentile(self.samples, 50)
 
     @property
     def p99_ns(self) -> float:
-        import numpy as np
-
-        return float(np.percentile(self.samples, 99))
+        return stats.percentile(self.samples, 99)
 
     @property
     def min_ns(self) -> float:
-        import numpy as np
-
-        return float(np.min(self.samples))
+        return min(self.samples)
 
     @property
     def avg_us(self) -> float:

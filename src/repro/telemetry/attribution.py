@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro import stats
 from repro.telemetry.spans import OpSpan
 
 #: Stages whose opening component is a serial FIFO server: the interval is
@@ -232,15 +233,11 @@ class StageStats:
 
     @property
     def p50_ns(self) -> float:
-        import numpy as np
-
-        return float(np.percentile(self.durations, 50)) if self.durations else 0.0
+        return stats.percentile(self.durations, 50) if self.durations else 0.0
 
     @property
     def p99_ns(self) -> float:
-        import numpy as np
-
-        return float(np.percentile(self.durations, 99)) if self.durations else 0.0
+        return stats.percentile(self.durations, 99) if self.durations else 0.0
 
     def snapshot(self) -> dict[str, object]:
         return {

@@ -26,11 +26,6 @@ def test_results_dir_default(monkeypatch):
     assert str(bs.results_dir()) == "results"
 
 
-def test_unknown_module_attr_still_raises():
-    with pytest.raises(AttributeError):
-        bs.NO_SUCH_ATTRIBUTE
-
-
 def test_emit_writes_into_late_results_dir(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "out"))
     bs.emit("sample", "hello table")

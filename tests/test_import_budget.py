@@ -1,8 +1,9 @@
 """Import budget: a simulation run loads only the modules it executes.
 
-numpy loads at the first rng draw or statistic; tooling (lint, telemetry,
-critical path, verifier, CLI) and optional subsystems (faults, IPoIB) load
-on first use.  Each check runs in a fresh interpreter, since the test
+numpy loads at the first RNG draw only: the latency and stage statistics
+are pure Python (``repro.stats``).  Tooling (lint, telemetry, critical
+path, verifier, CLI) and optional subsystems (faults, IPoIB) load on
+first use.  Each check runs in a fresh interpreter, since the test
 process itself has loaded most of the package.
 """
 
@@ -27,7 +28,7 @@ FORBIDDEN = ("numpy", "repro.sanitize.lint", "repro.sanitize.findings",
 
 #: The imports of the benchmark's workload list (perfbench/workloads.py),
 #: then a system L pair and one tiny fast-forwarded latency and
-#: bandwidth run each.
+#: bandwidth run each, reading the latency statistics.
 SYSTEM_L_RUN = """
 import json, sys
 from repro.analysis import check_between
@@ -42,11 +43,21 @@ from repro.sim import Simulator
 
 build_pair(Simulator(seed=2), get_profile("L"))
 cfg = PerftestConfig(system="L", iters=40, warmup=4, window=8, fastforward=True)
-run_lat(cfg, 4096)
+lat = run_lat(cfg, 4096)
+assert lat.min_ns <= lat.p50_ns <= lat.p99_ns and lat.avg_ns > 0
 run_bw(cfg, 4096)
 forbidden = %r
 print(json.dumps(sorted(m for m in sys.modules
                         if any(m == f or m.startswith(f + ".") for f in forbidden))))
+"""
+
+#: Stage statistics of a hand-built stage, read in a fresh interpreter.
+STAGE_STATS = """
+import json, sys
+from repro.telemetry.attribution import StageStats
+
+st = StageStats("post", durations=[float(d) for d in range(1, 200)])
+print(json.dumps([st.p50_ns, st.p99_ns, "numpy" in sys.modules]))
 """
 
 #: Each opt-in path loads its module on demand, and only then.
@@ -112,6 +123,10 @@ def _run(script: str, src: Path = SRC) -> object:
 
 def test_system_l_fastforward_run_loads_no_tooling_and_no_numpy():
     assert _run(SYSTEM_L_RUN % (FORBIDDEN,)) == []
+
+
+def test_stage_statistics_load_no_numpy():
+    assert _run(STAGE_STATS) == [100.0, 197.02, False]
 
 
 def test_budget_catches_a_top_level_numpy_import(tmp_path):
