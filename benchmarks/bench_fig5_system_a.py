@@ -22,9 +22,9 @@ this figure cannot be fast-forwarded (the probe proves that and disarms);
 it is the suite's irreducible full-fidelity core.
 """
 
-import numpy as np
 import pytest
 
+from repro import stats
 from repro.analysis import SweepTable, check_between, format_table
 from repro.bench_support import (
     emit,
@@ -98,8 +98,8 @@ def _report_fig5a(table):
     header, rows = table.rows()
     text = format_table(header, rows, table.title)
     over = table.get("RC-send overhead")
-    small_mode = float(np.mean([over.y_at(pretty_size(s)) for s in (64, 256, 512, 1024)]))
-    large_mode = float(np.mean([over.y_at(pretty_size(s)) for s in (2048, 4096, 16384)]))
+    small_mode = stats.mean([over.y_at(pretty_size(s)) for s in (64, 256, 512, 1024)])
+    large_mode = stats.mean([over.y_at(pretty_size(s)) for s in (2048, 4096, 16384)])
     checks = [
         check_between("small-message mode (<=1 KiB) larger than large mode",
                       small_mode / large_mode, 1.15, 3.0),

@@ -44,8 +44,8 @@ class LatencyResult:
     iters: int
     samples: list[float] = field(default_factory=list, repr=False)
 
-    # Pure-Python statistics, bit-identical to numpy's: reading them never
-    # loads numpy, whose only user is the RNG.
+    # Pure-Python statistics, bit-identical to numpy's: the simulator
+    # never loads numpy.
 
     @property
     def avg_ns(self) -> float:

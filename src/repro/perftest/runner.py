@@ -60,6 +60,7 @@ def _zero_stats() -> dict[str, float]:
     return {
         "measurements": 0,
         "events_scheduled": 0,
+        "ff_boundaries": 0,
         "ff_jumps": 0,
         "ff_cycles_skipped": 0,
         "ff_units_skipped": 0,
@@ -99,6 +100,7 @@ def _note_run(sim: Simulator, probe: Optional[FastForward]) -> None:
     RUN_STATS["events_scheduled"] += sim.events_scheduled
     if probe is not None:
         stats = probe.stats
+        RUN_STATS["ff_boundaries"] += stats.boundaries
         RUN_STATS["ff_jumps"] += stats.jumps
         RUN_STATS["ff_cycles_skipped"] += stats.cycles_skipped
         RUN_STATS["ff_units_skipped"] += stats.units_skipped

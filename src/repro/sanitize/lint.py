@@ -69,7 +69,7 @@ DEFAULT_ROOTS = ("src", "benchmarks", "tests", "tools")
 #: deliberate violations).
 DEFAULT_EXCLUDES = ("fixtures", ".git", "__pycache__", "egg-info")
 
-#: The one module allowed to touch numpy's RNG constructors.
+#: The one module that implements the RNG streams.
 _RNG_MODULE = os.path.join("repro", "sim", "rng.py")
 
 #: Modules that *implement* tracing/telemetry/faults: their internals are

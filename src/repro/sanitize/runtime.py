@@ -44,9 +44,8 @@ from repro.sanitize.findings import Finding
 from repro.sim.engine import _describe_event, env_flag
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    import numpy as np
-
     from repro.sim.engine import Simulator
+    from repro.sim.rng import Stream
 
 #: Findings from every sanitized simulator in the process, in creation
 #: order.  Lets tests and benchmarks assert cleanliness of runs whose
@@ -77,15 +76,17 @@ class _Touch:
 
 
 class _StreamProxy:
-    """Forwarding wrapper around one ``np.random.Generator`` stream.
+    """Forwarding wrapper around one :class:`~repro.sim.rng.Stream`.
 
-    Attribute access returns a thin closure that notifies the sanitizer
-    and then calls the real method, so draw *values* are untouched.
+    A draw method (``random``, ``normals``) comes back as a thin closure
+    that notifies the sanitizer and then calls the real method, so draw
+    *values* are untouched.  Plain attributes (the ``state``/``inc`` that
+    ``stream_states`` reads) are forwarded as they are and record nothing.
     """
 
     __slots__ = ("_gen", "_name", "_san")
 
-    def __init__(self, gen: "np.random.Generator", name: str,
+    def __init__(self, gen: "Stream", name: str,
                  san: "RuntimeSanitizer"):
         self._gen = gen
         self._name = name
@@ -214,7 +215,7 @@ class RuntimeSanitizer:
 
     # -- rng hooks -------------------------------------------------------------
 
-    def wrap_stream(self, name: str, gen: "np.random.Generator") -> _StreamProxy:
+    def wrap_stream(self, name: str, gen: "Stream") -> _StreamProxy:
         return _StreamProxy(gen, name, self)
 
     def note_draw(self, name: str) -> None:

@@ -75,8 +75,9 @@ Auto-disarm
 
 The probe refuses to arm (``reason`` says why) whenever exactness cannot
 be proven: a :class:`~repro.faults.FaultPlan` attached to the fabric
-(``faults``), full trace export in flight (``trace``), RNG draws inside
-the verify window (``rng`` — e.g. system A's lognormal syscall jitter),
+(``faults``), full trace export in flight (``trace``), an RNG draw
+between two boundaries (``rng`` — e.g. system A's lognormal syscall
+jitter; a period that draws can never be skipped bit-identically),
 or no exact period emerging at all (``no-period``): soft signatures stop
 recurring or the overall scan budget runs dry.  A probe that ran its
 loop past the last milestone disarms as ``complete``.  Disarmed probes
@@ -130,10 +131,12 @@ class Skip:
 class FastForwardStats:
     """Skipped-work accounting for one probe (and the run-stats rollup)."""
 
-    __slots__ = ("jumps", "cycles_skipped", "units_skipped",
+    __slots__ = ("boundaries", "jumps", "cycles_skipped", "units_skipped",
                  "events_skipped", "time_skipped_ns")
 
     def __init__(self) -> None:
+        #: Boundaries observed while armed (the probe's own cost grows with it).
+        self.boundaries = 0
         self.jumps = 0
         self.cycles_skipped = 0
         self.units_skipped = 0
@@ -154,7 +157,7 @@ class FastForward:
 
     __slots__ = ("_sim", "stats", "reason", "_enabled", "_max_period",
                  "_primary", "_pidx", "_milestones", "_keys", "_records",
-                 "_steps", "_nsteps", "_seen", "_vperiod", "_vfull", "_vfp",
+                 "_steps", "_nsteps", "_seen", "_vperiod", "_vfull", "_fp",
                  "_vfail", "_fruitless", "_soft_seen", "_last_soft",
                  "_last_bound", "_jumped_periods", "_aux_raw", "_aux_last",
                  "_aux_pending")
@@ -183,12 +186,11 @@ class FastForward:
         self._vperiod: int = 0
         #: Heap signatures, one per verify boundary.
         self._vfull: list[tuple] = []
-        #: RNG fingerprint captured when the verify window opened.  Streams
-        #: only move forward, so one comparison against a fresh fingerprint
-        #: at window completion proves zero draws across the whole window —
-        #: no need to snapshot every boundary (``stream_states`` walks
-        #: numpy bit-generator state and is the probe's costliest call).
-        self._vfp: tuple = ()
+        #: RNG fingerprint at the first boundary, compared at every later
+        #: one (``stream_states`` reads two ints per stream).  Streams only
+        #: move forward, so an unchanged fingerprint proves that no step
+        #: so far drew.
+        self._fp: Optional[tuple] = None
         #: Most informative verify-failure reason seen so far.
         self._vfail: Optional[str] = None
         #: Boundaries since the last jump / milestone crossing.
@@ -270,10 +272,20 @@ class FastForward:
         """
         if not self._enabled:
             return None
+        self.stats.boundaries += 1
         sim = self._sim
         if self._keys is None:
             self._keys = tuple(sorted(counters))
             self._pidx = self._keys.index(self._primary)
+        fp = sim.rng.stream_states()
+        if self._fp is None:
+            self._fp = fp
+        elif fp != self._fp:
+            # A stream advanced inside the loop (system A's syscall
+            # jitter): a period that draws can never be jumped
+            # bit-identically, so stop probing at the first such step.
+            self.disarm("rng")
+            return None
         counts = tuple(counters[k] for k in self._keys)
         now = sim._now
         aux_sig, aux_counts = self._fold_aux(now)
@@ -309,7 +321,6 @@ class FastForward:
                 period = self._nsteps - prev
                 if period <= self._max_period and self._scan_ready(period):
                     self._vperiod = period
-                    self._vfp = sim.rng.stream_states()
                     self._vfull.append(sim.heap_signature(_record_kind))
 
         # Progress bookkeeping, reset by jumps and by milestone crossings
@@ -441,12 +452,6 @@ class FastForward:
         full.append(sim.heap_signature(_record_kind))
         if len(full) < period + 2:
             return None
-        if sim.rng.stream_states() != self._vfp:
-            # Some stream advanced since the window opened: monotone
-            # forward movement means a single start-vs-now comparison
-            # covers every boundary in between.
-            self._end_verify("rng")
-            return None
         if full[period] != full[0] or full[period + 1] != full[1]:
             self._end_verify("queue")
             return None
@@ -462,7 +467,6 @@ class FastForward:
             self._vfail = failure
         self._vperiod = 0
         self._vfull.clear()
-        self._vfp = ()
 
     # -- extrapolation ---------------------------------------------------------
 

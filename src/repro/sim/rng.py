@@ -5,46 +5,199 @@ derived deterministically from the master seed and the stream name.  Adding
 a new randomized component therefore never perturbs the draws — and thus the
 results — of existing components, which keeps calibrated benchmarks stable.
 
-numpy is imported at the first draw, not with this module: a run that never
-draws randomness (system L is jitter-free and lossless) never loads it.
-Every stream is the same ``numpy.random.Generator`` from the same seed
-whenever it is built, so loading late changes no drawn value.
+Each stream is a pure-Python PCG64 that reproduces
+``numpy.random.default_rng(seed)`` bit for bit: numpy's ``SeedSequence``
+hashing seeds the 128-bit LCG, ``random()`` is its uniform double, and
+:meth:`Stream.normals` is its 256-level ziggurat ``standard_normal``.
+``tests/test_rng.py`` checks every draw kind against numpy when it is
+installed; the simulator itself never imports numpy, so the drawn bits do
+not depend on its version (NEP 19 does not freeze ``Generator``'s
+algorithms) or on its CPU dispatch.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
+from repro.sim._ziggurat import FI, KI, WI
+
+_MASK32 = 0xFFFFFFFF
+_MASK52 = (1 << 52) - 1
+_MASK53 = (1 << 53) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+#: numpy's ``SeedSequence`` hash constants (32-bit arithmetic throughout).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+#: PCG64's 128-bit LCG multiplier (``PCG_DEFAULT_MULTIPLIER_128``).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+#: The ziggurat's rightmost level edge and its inverse (numpy's
+#: ``ziggurat_nor_r`` / ``ziggurat_nor_inv_r``).
+_ZIG_R = 3.6541528853610088
+_ZIG_INV_R = 0.27366123732975828
+
+_TWO_M53 = 1.0 / 9007199254740992.0
+
+
+def _hashmix(value: int, hash_const: list[int]) -> int:
+    value ^= hash_const[0]
+    hash_const[0] = (hash_const[0] * _MULT_A) & _MASK32
+    value = (value * hash_const[0]) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def stream_seed(master_seed: int, name: str) -> int:
+    """The 64-bit seed of stream ``name`` under ``master_seed``."""
+    digest = hashlib.sha256(f"{master_seed}:{name}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
+def seed_words(seed: int) -> tuple[int, int, int, int]:
+    """``SeedSequence(seed).generate_state(4, numpy.uint64)``, for a
+    non-negative integer ``seed``."""
+    entropy = []
+    while True:
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    hash_const = [_INIT_A]
+    pool = [_hashmix(entropy[i] if i < len(entropy) else 0, hash_const)
+            for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], _hashmix(pool[i_src], hash_const))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], _hashmix(word, hash_const))
+    hash_const[0] = _INIT_B
+    halves = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const[0]
+        hash_const[0] = (hash_const[0] * _MULT_B) & _MASK32
+        value = (value * hash_const[0]) & _MASK32
+        halves.append(value ^ (value >> 16))
+    lo, hi = halves[0::2], halves[1::2]
+    return tuple(l | (h << 32) for l, h in zip(lo, hi))  # type: ignore[return-value]
+
+
+class Stream:
+    """One PCG64 stream, as ``numpy.random.default_rng(seed)`` draws it.
+
+    ``state`` and ``inc`` are the 128-bit LCG's state and increment (the
+    values numpy reports in ``bit_generator.state``).
+    """
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, seed: int):
+        w = seed_words(seed)
+        # numpy's pcg64_set_seed, setseq-128 from (initstate, initseq):
+        # step from state 0 (giving inc), add initstate, step again.
+        inc = (((w[2] << 64) | w[3]) << 1 | 1) & _MASK128
+        state = (inc + ((w[0] << 64) | w[1])) & _MASK128
+        self.state = (state * _PCG_MULT + inc) & _MASK128
+        self.inc = inc
+
+    def random(self) -> float:
+        """Uniform double in [0, 1): ``Generator.random()``."""
+        s = self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        # XSL-RR output: the xor-folded halves rotated right by the top 6
+        # state bits; the double takes the output's top 53 bits.
+        x = (s >> 64) ^ (s & _MASK64)
+        return (((x << 64 | x) >> ((s >> 122) + 11)) & _MASK53) * _TWO_M53
+
+    def normals(self, n: int) -> list[float]:
+        """``n`` standard normals: ``Generator.standard_normal(n)``.
+
+        numpy's ziggurat: the low byte of each 64-bit draw picks a level,
+        the next bit the sign and the following 52 bits the abscissa.
+        About 99% of draws fall inside their level's rectangle and return
+        at once; the rest take the wedge test (:meth:`_wedge`) or, at
+        level 0, sample the tail (:meth:`_tail`), both with further
+        uniform draws.
+        """
+        out: list[float] = []
+        append = out.append
+        s, inc, mult = self.state, self.inc, _PCG_MULT
+        m128, m64, m52 = _MASK128, _MASK64, _MASK52
+        ki, wi = KI, WI
+        for _ in range(n):
+            while True:
+                s = (s * mult + inc) & m128
+                x = (s >> 64) ^ (s & m64)
+                r = (x << 64 | x) >> (s >> 122)
+                idx = r & 0xFF
+                rabs = (r >> 9) & m52
+                z = rabs * wi[idx]
+                if r & 0x100:
+                    z = -z
+                if rabs < ki[idx]:
+                    append(z)
+                    break
+                self.state = s
+                if idx == 0:
+                    append(self._tail((rabs >> 8) & 1))
+                elif self._wedge(idx, z):
+                    append(z)
+                else:
+                    s = self.state
+                    continue
+                s = self.state
+                break
+        self.state = s
+        return out
+
+    def _tail(self, negative: int) -> float:
+        """A normal beyond the last level's edge ``_ZIG_R`` (Marsaglia's
+        exponential rejection), with the sign numpy takes from bit 8 of
+        the abscissa."""
+        while True:
+            xx = -_ZIG_INV_R * math.log1p(-self.random())
+            yy = -math.log1p(-self.random())
+            if yy + yy > xx * xx:
+                return -(_ZIG_R + xx) if negative else _ZIG_R + xx
+
+    def _wedge(self, idx: int, z: float) -> bool:
+        """Does ``z`` lie under the density within level ``idx``'s wedge?"""
+        return (FI[idx - 1] - FI[idx]) * self.random() + FI[idx] \
+            < math.exp(-0.5 * z * z)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<Stream state={self.state:#x} inc={self.inc:#x}>"
 
 
 class RngRegistry:
-    """Registry of independent ``numpy.random.Generator`` streams."""
+    """Registry of independent named :class:`Stream` objects."""
 
     __slots__ = ("master_seed", "_streams", "_jitter", "_sanitize")
 
     def __init__(self, master_seed: int = 0):
         self.master_seed = int(master_seed)
-        self._streams: dict[str, np.random.Generator] = {}
+        self._streams: dict[str, Stream] = {}
         self._jitter: dict[str, JitterStream] = {}
         #: Set by the owning Simulator when REPRO_SANITIZE is on; streams
         #: are then wrapped in draw-recording proxies (values unchanged).
         self._sanitize = None
 
-    def stream(self, name: str) -> np.random.Generator:
+    def stream(self, name: str) -> Stream:
         """Return (creating on first use) the stream for ``name``."""
         gen = self._streams.get(name)
         if gen is None:
-            import numpy as np
-
-            digest = hashlib.sha256(
-                f"{self.master_seed}:{name}".encode("utf-8")
-            ).digest()
-            seed = int.from_bytes(digest[:8], "little")
-            gen = np.random.default_rng(seed)
+            gen = Stream(stream_seed(self.master_seed, name))
             if self._sanitize is not None:
                 # Duck-typed stand-in: forwards every draw to `gen`.
                 gen = self._sanitize.wrap_stream(name, gen)  # type: ignore[assignment]
@@ -55,11 +208,10 @@ class RngRegistry:
         """A batched lognormal-jitter source over the named stream.
 
         The stream must be consumed *exclusively* through the returned
-        source: it prefetches standard normals in blocks (the per-draw
-        numpy scalar call is the costliest step of every jittered syscall),
-        so a direct draw on the same generator would interleave with the
-        prefetched block and change the sequence.  The stream itself is
-        built at the source's first refill.
+        source: it prefetches standard normals in blocks, so a direct draw
+        on the same stream would interleave with the prefetched block and
+        change the sequence.  The stream itself is built at the source's
+        first refill.
         """
         js = self._jitter.get(name)
         if js is None:
@@ -69,29 +221,24 @@ class RngRegistry:
     def stream_states(self) -> tuple:
         """Bit-exact positions of every built stream, without drawing.
 
-        Reading ``bit_generator.state`` is a pure observation (the sanitize
-        proxies forward non-callable attributes untouched), so this is safe
-        to call from invariant checks — the steady-state fast-forward probe
-        uses it to prove no stream advanced inside a measurement loop.  A
-        stream is listed once it is built, which a jitter source does at
-        its first draw, so the tuple changes exactly when a stream moves.
+        Each entry is ``(name, (state, inc), buffer depth)``; the depth is
+        -1 for a stream no jitter source reads.  Reading ``state`` and
+        ``inc`` is a pure observation (the sanitize proxies forward plain
+        attributes untouched), so this is safe to call from invariant
+        checks — the steady-state fast-forward probe uses it to prove no
+        stream advanced inside a measurement loop.  A stream is listed once
+        it is built, which a jitter source does at its first draw, so the
+        tuple changes exactly when a stream moves.
         """
-        out = []
         jitter = self._jitter
-        for name in sorted(self._streams):
-            state = self._streams[name].bit_generator.state
-            inner = state.get("state")
-            if isinstance(inner, dict):
-                inner = tuple(sorted(inner.items()))
-            js = jitter.get(name)
-            # A jitter source prefetches normals in blocks: its generator
-            # state only moves at refills, so the remaining buffer depth
-            # must join the fingerprint — together they change on every
-            # draw, exactly like an unbuffered stream's state would.
-            out.append((name, state.get("bit_generator"), inner,
-                        state.get("has_uint32"), state.get("uinteger"),
-                        len(js._buf) if js is not None else -1))
-        return tuple(out)
+        # A jitter source prefetches normals in blocks: its stream state
+        # only moves at refills, so the remaining buffer depth joins the
+        # fingerprint — together they change on every draw, exactly like
+        # an unbuffered stream's state would.
+        return tuple(
+            (name, (gen.state, gen.inc),
+             len(jitter[name]._buf) if name in jitter else -1)
+            for name, gen in sorted(self._streams.items()))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RngRegistry seed={self.master_seed} streams={sorted(self._streams)}>"
@@ -99,7 +246,7 @@ class RngRegistry:
 
 #: Cache of (mean, cv) -> (mu, sigma) for :meth:`JitterStream.draw`.  The
 #: derived parameters are pure functions of the inputs, so caching cannot
-#: change any drawn value; it only skips the per-call numpy scalar math.
+#: change any drawn value; it only skips the per-call scalar math.
 _JITTER_PARAMS: dict = {}
 
 #: Prefetch block for :class:`JitterStream` (draws, not bytes).
@@ -109,14 +256,12 @@ _JITTER_BLOCK = 256
 class JitterStream:
     """Batched lognormal jitter over one dedicated rng stream.
 
-    Bit-identical to a per-call ``Generator.lognormal(mu, sigma)`` on the
-    same stream: ``lognormal`` consumes the bit stream exactly as
+    Bit-identical to numpy's per-call ``Generator.lognormal(mu, sigma)`` on
+    the same seed: ``lognormal`` consumes the bit stream exactly as
     ``standard_normal()`` does and then computes ``exp(mu + sigma * z)`` in
-    C doubles — the same IEEE operations this class applies in Python to a
-    prefetched block of standard normals.  Only the per-draw numpy scalar
-    call overhead is amortized; every drawn value and the stream's position
-    after each block are unchanged.  The generator is built from the
-    registry at the first refill, so a source that only ever sees
+    C doubles — the same IEEE operations this class applies to a
+    prefetched block of :meth:`Stream.normals`.  The stream is built from
+    the registry at the first refill, so a source that only ever sees
     ``cv == 0`` never builds one.
     """
 
@@ -125,7 +270,7 @@ class JitterStream:
     def __init__(self, registry: RngRegistry, name: str):
         self._registry = registry
         self._name = name
-        self._gen: Optional[np.random.Generator] = None
+        self._gen: Optional[Stream] = None
         self._buf: list[float] = []
 
     def draw(self, mean: float, cv: float) -> float:
@@ -138,18 +283,17 @@ class JitterStream:
             return mean
         params = _JITTER_PARAMS.get((mean, cv))
         if params is None:
-            import numpy as np
-
-            sigma2 = np.log(1.0 + cv * cv)
-            mu = np.log(mean) - sigma2 / 2.0
+            sigma2 = math.log(1.0 + cv * cv)
+            mu = math.log(mean) - sigma2 / 2.0
             if len(_JITTER_PARAMS) >= 4096:
                 _JITTER_PARAMS.clear()
-            params = _JITTER_PARAMS[(mean, cv)] = (float(mu), float(np.sqrt(sigma2)))
+            params = _JITTER_PARAMS[(mean, cv)] = (mu, math.sqrt(sigma2))
         buf = self._buf
         if not buf:
             gen = self._gen
             if gen is None:
                 gen = self._gen = self._registry.stream(self._name)
+            buf.extend(gen.normals(_JITTER_BLOCK))
             # Reversed so list.pop() hands the normals out in draw order.
-            buf.extend(gen.standard_normal(_JITTER_BLOCK)[::-1].tolist())
+            buf.reverse()
         return math.exp(params[0] + params[1] * buf.pop())

@@ -314,9 +314,9 @@ def test_lazy_timers_match_record_driven_recurrences(seed, initial):
             t = ref_sim.peek()  # exactly a tick instant: tie rule
             on_tick += 1
         else:
-            t = ref_sim.now + (0.0, rnd.uniform(0.0, 4 * cc.alpha_update_ns),
-                               rnd.uniform(0.0, 2 * cc.rate_increase_ns)
-                               )[int(rnd.integers(3))]
+            t = ref_sim.now + (0.0, 4 * cc.alpha_update_ns * rnd.random(),
+                               2 * cc.rate_increase_ns * rnd.random()
+                               )[int(3 * rnd.random())]
         ref_sim.run(until=t)
         lazy_sim.run(until=t)
         action = rnd.random()
@@ -327,7 +327,7 @@ def test_lazy_timers_match_record_driven_recurrences(seed, initial):
             ref.on_timeout(t)
             lim.on_timeout(t)
         elif action < 0.7:
-            nbytes = (64, 4096, 65536 + 48)[int(rnd.integers(3))]
+            nbytes = (64, 4096, 65536 + 48)[int(3 * rnd.random())]
             assert repr(lim.pace(t, nbytes)) == repr(ref.pace(t, nbytes))
         assert repr(_lazy_levels(lim)) == repr(ref.levels())
         assert not lazy_sim._queue

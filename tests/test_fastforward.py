@@ -177,33 +177,37 @@ def config_for(system: str, dataplane: str, op: str, kind: str,
 
 def ledger(stats: dict) -> tuple:
     """One fast-forwarded run's skip ledger from its run stats: jumps,
-    cycles, units, events skipped, events scheduled, disarm reason."""
+    cycles, units, events skipped, events scheduled, boundaries observed
+    while armed, disarm reason."""
     reason = next((k[len("ff_disarm_"):] for k in stats
                    if k.startswith("ff_disarm_")), None)
     return (stats["ff_jumps"], stats["ff_cycles_skipped"],
             stats["ff_units_skipped"], stats["ff_events_skipped"],
-            stats["events_scheduled"], reason)
+            stats["events_scheduled"], stats["ff_boundaries"], reason)
 
 #: (iteration scale, system, dataplane, op, kind) -> (jumps, cycles, units,
-#: events skipped, events scheduled, disarm reason) of the fast-forwarded
-#: 4 KiB run, for one bypass and one CoRD loop per op kind on system L and
-#: the two jittered system A CoRD loops.  Any change to what the probe
-#: skips moves a figure here, even when results stay bit-identical.  Scale
-#: 1 uses LAT_CFG/BW_CFG as they are; at scale 2 the proven-period memo
-#: shows (without it, bypass write_bw skips one cycle fewer).
+#: events skipped, events scheduled, boundaries observed while armed,
+#: disarm reason) of the fast-forwarded 4 KiB run, for one bypass and one
+#: CoRD loop per op kind on system L and the two jittered system A CoRD
+#: loops.  Any change to what the probe skips or scans moves a figure
+#: here, even when results stay bit-identical.  Scale 1 uses
+#: LAT_CFG/BW_CFG as they are; at scale 2 the proven-period memo shows
+#: (without it, bypass write_bw skips one cycle fewer).  The system A
+#: loops draw syscall jitter in their first step, so the probe disarms as
+#: ``rng`` at its second boundary.
 SKIP_LEDGER = {
-    (1.0, "L", "bypass", "send", "lat"): (3, 94, 152, 5168, 633, "complete"),
-    (1.0, "L", "cord", "write", "lat"): (3, 92, 150, 5100, 697, "complete"),
-    (1.0, "L", "bypass", "write", "bw"): (1, 17, 544, 7140, 7316, "complete"),
-    (1.0, "L", "cord", "send", "bw"): (1, 3, 192, 2796, 13270, "complete"),
-    (1.0, "A", "cord", "send", "lat"): (0, 0, 0, 0, 5902, "no-period"),
-    (1.0, "A", "cord", "write", "bw"): (0, 0, 0, 0, 13423, "complete"),
-    (2.0, "L", "bypass", "send", "lat"): (3, 144, 302, 10268, 633, "complete"),
-    (2.0, "L", "cord", "write", "lat"): (3, 142, 300, 10200, 697, "complete"),
-    (2.0, "L", "bypass", "write", "bw"): (2, 42, 1344, 17640, 8628, "complete"),
-    (2.0, "L", "cord", "send", "bw"): (1, 17, 1088, 15844, 13330, "complete"),
-    (2.0, "A", "cord", "send", "lat"): (0, 0, 0, 0, 11002, "no-period"),
-    (2.0, "A", "cord", "write", "bw"): (0, 0, 0, 0, 24307, "no-period"),
+    (1.0, "L", "bypass", "send", "lat"): (3, 94, 152, 5168, 633, 18, "complete"),
+    (1.0, "L", "cord", "write", "lat"): (3, 92, 150, 5100, 697, 20, "complete"),
+    (1.0, "L", "bypass", "write", "bw"): (1, 17, 544, 7140, 7316, 15, "complete"),
+    (1.0, "L", "cord", "send", "bw"): (1, 3, 192, 2796, 13270, 278, "complete"),
+    (1.0, "A", "cord", "send", "lat"): (0, 0, 0, 0, 5902, 2, "rng"),
+    (1.0, "A", "cord", "write", "bw"): (0, 0, 0, 0, 13423, 2, "rng"),
+    (2.0, "L", "bypass", "send", "lat"): (3, 144, 302, 10268, 633, 18, "complete"),
+    (2.0, "L", "cord", "write", "lat"): (3, 142, 300, 10200, 697, 20, "complete"),
+    (2.0, "L", "bypass", "write", "bw"): (2, 42, 1344, 17640, 8628, 18, "complete"),
+    (2.0, "L", "cord", "send", "bw"): (1, 17, 1088, 15844, 13330, 280, "complete"),
+    (2.0, "A", "cord", "send", "lat"): (0, 0, 0, 0, 11002, 2, "rng"),
+    (2.0, "A", "cord", "write", "bw"): (0, 0, 0, 0, 24307, 2, "rng"),
 }
 
 

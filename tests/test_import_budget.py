@@ -1,10 +1,10 @@
 """Import budget: a simulation run loads only the modules it executes.
 
-numpy loads at the first RNG draw only: the latency and stage statistics
-are pure Python (``repro.stats``).  Tooling (lint, telemetry, critical
-path, verifier, CLI) and optional subsystems (faults, IPoIB) load on
-first use.  Each check runs in a fresh interpreter, since the test
-process itself has loaded most of the package.
+No run loads numpy: the RNG (``repro.sim.rng``) and the latency and stage
+statistics (``repro.stats``) are pure Python.  Tooling (lint, telemetry,
+critical path, verifier, CLI) and optional subsystems (faults, IPoIB)
+load on first use.  Each check runs in a fresh interpreter, since the
+test process itself has loaded most of the package.
 """
 
 import json
@@ -112,13 +112,86 @@ print(json.dumps(out))
 """
 
 
-def _run(script: str, src: Path = SRC) -> object:
+#: The other workload paths, each drawing from the RNG: a jittered system
+#: A latency and bandwidth run (fig5's path, lognormal syscall jitter), a
+#: DCQCN incast on a bounded buffer (uniform ECN-marking draws) and an NPB
+#: run on system A.  Per path: the numpy modules loaded so far, and
+#: whether normals and uniforms were drawn.
+DRAWING_RUNS = """
+import json, sys
+from repro.npb.base import NpbConfig
+from repro.npb.runner import run_npb
+from repro.perftest.incast import IncastConfig, run_incast
+from repro.perftest.runner import PerftestConfig, run_bw, run_lat
+from repro.sim.rng import Stream
+
+draws = {"random": 0, "normals": 0}
+
+def counting(kind, method):
+    def counted(self, *args):
+        draws[kind] += 1
+        return method(self, *args)
+    return counted
+
+Stream.random = counting("random", Stream.random)
+Stream.normals = counting("normals", Stream.normals)
+
+def budget():
+    drawn = [draws["normals"] > 0, draws["random"] > 0]
+    draws.update(random=0, normals=0)
+    return [sorted(m for m in sys.modules if m.split(".")[0] == "numpy"), drawn]
+
+out = {}
+cfg = PerftestConfig(system="A", client="cord", server="cord", iters=40,
+                     warmup=4, window=8)
+run_lat(cfg, 4096)
+run_bw(cfg, 4096)
+out["fig5"] = budget()
+res = run_incast(IncastConfig(system="L", senders=8, size=64 * 1024,
+                              msgs_per_sender=8, buffer_bytes=1 << 20,
+                              congestion="dcqcn"))
+assert res.ecn_marked > 0
+out["incast"] = budget()
+run_npb(NpbConfig(name="IS", klass="S", ranks=4, iterations=1),
+        transport="cord", system="A", hosts_n=2)
+out["npb"] = budget()
+print(json.dumps(out))
+"""
+
+#: One short jittered system A latency run with numpy unimportable.
+LAT_A = dict(system="A", client="cord", server="cord", iters=60, warmup=5)
+BLOCKED_RUN = """
+import json, sys
+sys.modules["numpy"] = None
+from repro.perftest.runner import PerftestConfig, run_lat
+
+res = run_lat(PerftestConfig(**%r), 4096)
+print(json.dumps([repr(x) for x in res.samples]))
+"""
+
+
+def _proc(script: str, src: Path = SRC) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = str(src)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    return subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _run(script: str, src: Path = SRC) -> object:
+    proc = _proc(script, src)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _seeded_numpy_import(tmp_path) -> Path:
+    """A copy of the package whose sim/rng.py imports numpy eagerly."""
+    src = tmp_path / "src"
+    shutil.copytree(SRC / "repro", src / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    rng = src / "repro" / "sim" / "rng.py"
+    rng.write_text(rng.read_text().replace(
+        "import hashlib\n", "import hashlib\n\nimport numpy\n", 1))
+    return src
 
 
 def test_system_l_fastforward_run_loads_no_tooling_and_no_numpy():
@@ -129,15 +202,29 @@ def test_stage_statistics_load_no_numpy():
     assert _run(STAGE_STATS) == [100.0, 197.02, False]
 
 
+def test_drawing_runs_load_no_numpy():
+    """System A, incast and NPB draw from the RNG without numpy.  The
+    jittered paths draw uniforms too: the ziggurat's wedge and tail."""
+    out = _run(DRAWING_RUNS)
+    assert out == {"fig5": [[], [True, True]],
+                   "incast": [[], [False, True]],
+                   "npb": [[], [True, True]]}
+
+
+def test_system_a_run_with_numpy_blocked_matches_this_process():
+    from repro.perftest.runner import PerftestConfig, run_lat
+
+    here = run_lat(PerftestConfig(**LAT_A), 4096)
+    assert _run(BLOCKED_RUN % (LAT_A,)) == [repr(x) for x in here.samples]
+
+
 def test_budget_catches_a_top_level_numpy_import(tmp_path):
     """The budget has teeth: a seeded eager import in sim/rng.py fails it."""
-    src = tmp_path / "src"
-    shutil.copytree(SRC / "repro", src / "repro",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    rng = src / "repro" / "sim" / "rng.py"
-    rng.write_text(rng.read_text().replace(
-        "import hashlib\n", "import hashlib\n\nimport numpy\n", 1))
+    src = _seeded_numpy_import(tmp_path)
     assert "numpy" in _run(SYSTEM_L_RUN % (FORBIDDEN,), src)
+    assert all(path[0] for path in _run(DRAWING_RUNS, src).values())
+    blocked = _proc(BLOCKED_RUN % (LAT_A,), src)
+    assert blocked.returncode != 0 and "import of numpy halted" in blocked.stderr
 
 
 def test_opt_in_paths_load_their_modules_on_demand():

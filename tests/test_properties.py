@@ -36,7 +36,7 @@ def test_simulation_deterministic_replay(n, seed):
         def worker(tag):
             rng = sim.rng.stream(f"w{tag}")
             for _ in range(3):
-                yield sim.timeout(float(rng.integers(1, 100)))
+                yield sim.timeout(float(1 + int(99 * rng.random())))
                 log.append((tag, sim.now))
 
         for tag in range(n):

@@ -139,10 +139,10 @@ def test_stream_shared_by_two_components_flagged():
     sim = Simulator(seed=1, sanitize=True)
 
     def comp_a(_):
-        sim.rng.stream("shared").integers(0, 10)
+        sim.rng.stream("shared").random()
 
     def comp_b(_):
-        sim.rng.stream("shared").integers(0, 10)
+        sim.rng.stream("shared").random()
 
     sim.call_later(1.0, comp_a)
     sim.call_later(2.0, comp_b)
@@ -157,7 +157,7 @@ def test_one_stream_per_component_is_clean():
     sim = Simulator(seed=1, sanitize=True)
 
     def comp(_):
-        sim.rng.stream("mine").integers(0, 10)
+        sim.rng.stream("mine").random()
 
     sim.call_later(1.0, comp)
     sim.call_later(2.0, comp)
@@ -167,10 +167,10 @@ def test_one_stream_per_component_is_clean():
 
 def test_draw_outside_dispatch_flagged():
     sim = Simulator(seed=1, sanitize=True)
-    sim.rng.stream("setup").integers(0, 10)  # setup draws are legal
+    sim.rng.stream("setup").random()  # setup draws are legal
     sim.call_later(1.0, lambda _: None)
     sim.run()
-    sim.rng.stream("setup").integers(0, 10)  # ...post-run draws are not
+    sim.rng.stream("setup").normals(1)  # ...post-run draws are not
     findings = findings_of(sim)
     assert _rules(findings) == ["SIM102"]
     assert "outside engine execution" in findings[0].message
@@ -179,7 +179,7 @@ def test_draw_outside_dispatch_flagged():
 def test_step_dispatch_is_inside_the_sanitizer_window():
     sim = Simulator(seed=1, sanitize=True)
     sim.call_later(1.0, lambda _: None)
-    sim.call_later(2.0, lambda _: sim.rng.stream("late").integers(0, 10))
+    sim.call_later(2.0, lambda _: sim.rng.stream("late").random())
     sim.run(until=1.5)
     sim.step()  # the draw happens inside this dispatch, so it is legal
     assert findings_of(sim) == []
@@ -188,8 +188,8 @@ def test_step_dispatch_is_inside_the_sanitizer_window():
 def test_sanitized_draws_match_unsanitized_draws():
     plain = Simulator(seed=42).rng.stream("flow")
     wrapped = Simulator(seed=42, sanitize=True).rng.stream("flow")
-    assert list(plain.integers(0, 1 << 30, size=8)) \
-        == list(wrapped.integers(0, 1 << 30, size=8))
+    assert [plain.random() for _ in range(8)] + plain.normals(8) \
+        == [wrapped.random() for _ in range(8)] + wrapped.normals(8)
 
 
 # -- SIM103: time travel ----------------------------------------------------------
@@ -278,7 +278,7 @@ def test_sanitized_run_is_bit_identical_to_unsanitized():
         def producer():
             rng = sim.rng.stream("producer")
             for i in range(50):
-                yield sim.timeout(float(rng.integers(1, 9)))
+                yield sim.timeout(float(1 + int(8 * rng.random())))
                 yield queue.put(i)
 
         def consumer():
@@ -287,7 +287,7 @@ def test_sanitized_run_is_bit_identical_to_unsanitized():
                 item = yield queue.get()
                 req = core.request()
                 yield req
-                yield sim.timeout(float(rng.integers(1, 5)))
+                yield sim.timeout(float(1 + int(4 * rng.random())))
                 core.release(req)
                 done.append((sim.now, item))
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro import stats
 from repro.perftest.lat import LatencyResult
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import stream_seed
 
 #: Both sides of each pairwise-sum boundary (8 accumulators, 128 block,
 #: recursive halving) and a few multi-level lengths.
@@ -25,7 +25,8 @@ QS = (0, 50, 99, 100)
 
 
 def _samples(kind: str, n: int, seed: int) -> list[float]:
-    rng = RngRegistry(seed).stream(kind)
+    # sim: allow-random(test samples from numpy, seeded as the registry seeds stream `kind`)
+    rng = np.random.default_rng(stream_seed(seed, kind))
     if kind == "ties":
         return rng.choice([250.0, 615.5, 1023.25], size=n).tolist()
     if kind == "integral":
