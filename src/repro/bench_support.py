@@ -13,13 +13,13 @@ processes :func:`parallel_sweep` fans sweep points over.  ``1`` forces
 serial execution in-process.
 
 :func:`figure_bench` wraps one figure's sweep in wall-clock + simulation
-accounting and appends the measurement to ``results/BENCH_figures.json``
-(override the path with ``REPRO_BENCH_JSON``), keyed by figure name and
-by whether steady-state fast-forward was on — so a base/fast-forward pair
-of runs yields a recorded speedup (see ``tools/check_bench_budget.py``).
-Only same-scale, same-worker-count pairs enter the summary speedup, and
-smoke-scale runs (``REPRO_BENCH_SCALE`` < 1) are never merged into the
-default committed record — set ``REPRO_BENCH_JSON`` to record them.
+accounting and, when ``REPRO_BENCH_JSON`` names a path, merges the
+measurement into that JSON file, keyed by figure name and by whether
+steady-state fast-forward was on — so a base/fast-forward pair of runs
+yields a recorded speedup (see ``tools/check_bench_budget.py``).  Only
+same-scale, same-worker-count pairs enter the summary speedup.  Without
+``REPRO_BENCH_JSON`` nothing is recorded: wall time belongs to the host
+that measured it, so no such record is committed.
 
 The per-stage blame baselines in ``results/BENCH_attribution.json`` are
 not written here: ``tools/check_attribution.py --update`` is their one
@@ -89,10 +89,11 @@ def bench_workers() -> int:
 BENCH_JSON_ENV = "REPRO_BENCH_JSON"
 
 
-def bench_json_path() -> Path:
-    """Where :func:`figure_bench` records its measurements."""
+def bench_json_path() -> Optional[Path]:
+    """Where :func:`figure_bench` records its measurements: the path
+    ``REPRO_BENCH_JSON`` names, or None (record nothing)."""
     raw = os.environ.get(BENCH_JSON_ENV, "").strip()
-    return Path(raw) if raw else results_dir() / "BENCH_figures.json"
+    return Path(raw) if raw else None
 
 
 def _load_bench_json(path: Path) -> dict:
@@ -147,19 +148,12 @@ def _summarize(benchmarks: dict) -> dict:
 
 def record_figure_bench(name: str, entry: dict) -> Optional[Path]:
     """Merge one figure measurement into the benchmark JSON (see module
-    docstring) and refresh the cross-figure summary.
-
-    The default path is the *committed* full-scale record, so scaled-down
-    smoke runs (``REPRO_BENCH_SCALE`` < 1) are not merged into it — point
-    ``REPRO_BENCH_JSON`` somewhere explicitly to record them.  Returns the
-    path written, or ``None`` when the entry was refused.
+    docstring) and refresh the cross-figure summary.  Returns the path
+    written, or ``None`` when ``REPRO_BENCH_JSON`` is unset.
     """
-    if entry.get("scale", 1.0) < 1.0 and not os.environ.get(BENCH_JSON_ENV, "").strip():
-        print(f"[bench] not recording {name!r} at scale {entry.get('scale')} "
-              f"into the committed {bench_json_path()} (set {BENCH_JSON_ENV} "
-              "to record smoke runs)")
-        return None
     path = bench_json_path()
+    if path is None:
+        return None
     path.parent.mkdir(parents=True, exist_ok=True)
     data = _load_bench_json(path)
     mode = "ff" if entry.get("fastforward") else "base"
@@ -172,8 +166,8 @@ def record_figure_bench(name: str, entry: dict) -> Optional[Path]:
 @contextmanager
 def figure_bench(name: str):
     """Account one figure's sweep: wall-clock seconds plus simulation-side
-    run stats (events simulated, fast-forward skips), recorded into
-    ``BENCH_figures.json``.
+    run stats (events simulated, fast-forward skips), recorded into the
+    JSON file ``REPRO_BENCH_JSON`` names, if any.
 
     Wall-clock here is benchmark instrumentation *about* the simulator,
     never an input to it — results stay bit-identical with or without the

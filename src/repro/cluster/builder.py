@@ -36,7 +36,6 @@ def build_cluster(
     sim: Simulator,
     system: SystemProfile,
     num_hosts: int,
-    chunk_bytes: Optional[int] = None,
     rx_contention: Optional[RxContentionProfile] = None,
     congestion: CongestionSpec = "auto",
 ) -> tuple[Fabric, list[Host]]:
@@ -67,7 +66,6 @@ def build_cluster(
         sim,
         system.nic,
         propagation_ns=system.propagation_ns,
-        chunk_bytes=chunk_bytes,
         rx_contention=rx,
         cc=cc,
         name=f"fabric:{system.name}",
@@ -81,8 +79,8 @@ def build_cluster(
 
 
 def build_pair(
-    sim: Simulator, system: SystemProfile, chunk_bytes: Optional[int] = None
+    sim: Simulator, system: SystemProfile
 ) -> tuple[Fabric, Host, Host]:
     """The paper's two-node testbed (back-to-back or one switch hop)."""
-    fabric, hosts = build_cluster(sim, system, 2, chunk_bytes=chunk_bytes)
+    fabric, hosts = build_cluster(sim, system, 2)
     return fabric, hosts[0], hosts[1]

@@ -110,7 +110,6 @@ class Fabric:
         profile: NicProfile,
         propagation_ns: float,
         loopback_latency_ns: float = 350.0,
-        chunk_bytes: Optional[int] = None,
         rx_contention: Optional[RxContentionProfile] = None,
         cc: Optional[CcProfile] = None,
         name: str = "fabric",
@@ -119,9 +118,6 @@ class Fabric:
         self.profile = profile
         self.propagation_ns = propagation_ns
         self.loopback_latency_ns = loopback_latency_ns
-        #: Optional transmission granularity for fairness experiments: large
-        #: messages are chopped into chunks so flows interleave on the port.
-        self.chunk_bytes = chunk_bytes
         #: Switch output-queue model (see module docstring); ``None`` is a
         #: back-to-back pair with no switch port.
         if rx_contention is not None and not isinstance(
@@ -136,11 +132,6 @@ class Fabric:
         #: rate-limiter loop).  Requires ``rx_contention`` — marking keys
         #: off switch queue occupancy.
         self.cc = cc
-        if chunk_bytes is not None and chunk_bytes < 1:
-            raise HardwareError(
-                f"chunk_bytes must be >= 1 (got {chunk_bytes}): a chunked "
-                "send would never make progress"
-            )
         buffer_bytes = rx_contention.buffer_bytes if rx_contention else None
         if buffer_bytes is not None and buffer_bytes < 1:
             raise HardwareError(
@@ -352,12 +343,8 @@ class Fabric:
                                 (dst, nbytes, payload, done, arg))
             return
         port = self._tx_ports[src_host]
-        if self.chunk_bytes is None or nbytes <= self.chunk_bytes:
-            _hold(port, self._serialize,
-                  (src_host, port, dst, nbytes, payload, done, arg))
-        else:
-            self._next_chunk(
-                [src_host, port, dst, nbytes, payload, done, arg, 0, 0])
+        _hold(port, self._serialize,
+              (src_host, port, dst, nbytes, payload, done, arg))
 
     def transmit(
         self, src_host: int, dst_host: int, nbytes: int, payload: object
@@ -404,40 +391,9 @@ class Fabric:
         ctx[1].release(tok)
         self._leave_port(ctx)
 
-    def _next_chunk(self, ctx: list) -> None:
-        """Chunked: the port is re-acquired per chunk so concurrent flows
-        interleave instead of suffering whole-message head-of-line.
-
-        ``ctx`` is ``[src_host, port, dst, nbytes, payload, done, arg,
-        sent, packets_charged]``.  Packet charges follow *cumulative* byte
-        boundaries — a chunk pays for the packets its bytes complete — so
-        the total packet count equals the unchunked ceil(nbytes/mtu)
-        bit-exactly even when chunk_bytes is not an MTU multiple.
-        """
-        if ctx[7] >= ctx[3]:
-            self._leave_port(ctx)
-        else:
-            _hold(ctx[1], self._send_chunk, ctx)
-
-    def _send_chunk(self, tok: Request, ctx: list) -> None:
-        nbytes, sent = ctx[3], ctx[7]
-        chunk = min(nbytes - sent, self.chunk_bytes)  # type: ignore[type-var]
-        sent += chunk
-        packets = max(1, math.ceil(sent / self.profile.mtu)) - ctx[8]
-        ctx[7] = sent
-        ctx[8] += packets
-        self.sim.call_later(
-            packets * self.profile.per_packet_ns + chunk / self.profile.link_bw,
-            self._chunk_done, (tok, ctx))
-
-    def _chunk_done(self, held: tuple) -> None:
-        tok, ctx = held
-        ctx[1].release(tok)
-        self._next_chunk(ctx)
-
-    def _leave_port(self, ctx) -> None:
+    def _leave_port(self, ctx: tuple) -> None:
         """The last bit left the source port: lose it, or send it on."""
-        src_host, _port, dst, nbytes, payload, done, arg = ctx[:7]
+        src_host, _port, dst, nbytes, payload, done, arg = ctx
         extra = 0.0
         faults = self.faults
         if faults is not None:

@@ -30,7 +30,7 @@ doorbell is identical in both — by construction, as in the paper.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Generator, Iterable, Optional, Sequence
 
 from repro.core import driver
 from repro.core.policy import OpContext, PolicyChain
@@ -112,37 +112,25 @@ class Dataplane:
         return self.post_send_many(qp, (wr,))
 
     def post_recv(self, qp: QueuePair, wr: RecvWR) -> Generator["Event", object, None]:
-        return self._post_recvs((wr,), self.host.nic.hw_post_recv, qp, qp)
+        return self.post_recv_many(qp, (wr,))
 
     def post_recv_many(
-        self, qp: QueuePair, wrs: list[RecvWR]
+        self, qp: QueuePair, wrs: Sequence[RecvWR]
     ) -> Generator["Event", object, None]:
         """Post a chain of recv WRs in one call (``ibv_post_recv`` takes a
         linked list) — in CoRD this is one syscall for the whole chain,
-        which is how real consumers amortize the kernel crossing."""
-        return self._post_recvs(wrs, self.host.nic.hw_post_recv, qp, qp)
-
-    def post_srq_recv_many(self, srq, wrs: list[RecvWR]) -> Generator["Event", object, None]:
-        """Post a chain of recv WRs to a shared receive queue."""
-        return self._post_recvs(wrs, self.host.nic.hw_post_srq_recv, srq, None)
-
-    def _post_recvs(
-        self, wrs: Sequence[RecvWR], hw_post: Callable, target: object,
-        qp: Optional[QueuePair],
-    ) -> Generator["Event", object, None]:
-        """One chained recv post: ``hw_post(target, wr)`` for each WR; a
-        policy chain sees ``qp`` (None for an SRQ).  Each WR's
-        ``post_recv`` span ends once the device has accepted it."""
+        which is how real consumers amortize the kernel crossing.  Each
+        WR's ``post_recv`` span ends once the device has accepted it."""
         if not wrs:
             return
         spans = None
         if self.sim.trace.enabled:
-            spans = self._open_spans("post_recv",
-                                     -1 if qp is None else qp.qpn, wrs)
+            spans = self._open_spans("post_recv", qp.qpn, wrs)
         yield from self._charge(driver.post_recv_cpu_ns(self.system) * len(wrs),
                                 "post_recv", qp, wrs)
+        hw_post = self.host.nic.hw_post_recv
         for wr in wrs:
-            hw_post(target, wr)
+            hw_post(qp, wr)
         self.ops_posted += len(wrs)
         if spans is not None:
             self._end_spans(spans)

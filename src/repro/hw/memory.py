@@ -68,7 +68,6 @@ class AddressSpace:
     def __init__(self, name: str = "as"):
         self.name = name
         self._next = self._BASE
-        self._buffers: list[Buffer] = []
 
     def alloc(self, length: int, align: int = 4096) -> Buffer:
         """Allocate a buffer of ``length`` bytes."""
@@ -76,21 +75,7 @@ class AddressSpace:
             raise MemoryAccessError(f"allocation size must be positive: {length}")
         addr = (self._next + align - 1) // align * align
         self._next = addr + length
-        buf = Buffer(self, addr, length)
-        self._buffers.append(buf)
-        return buf
-
-    def find(self, addr: int, length: int) -> Buffer:
-        """The buffer containing [addr, addr+length), or raise."""
-        for buf in self._buffers:
-            if buf.addr <= addr and addr + length <= buf.addr + buf.length:
-                return buf
-        raise MemoryAccessError(
-            f"[{addr:#x}, {addr + length:#x}) not mapped in {self.name}"
-        )
-
-    def __contains__(self, addr: int) -> bool:
-        return any(b.addr <= addr < b.addr + b.length for b in self._buffers)
+        return Buffer(self, addr, length)
 
 
 class MemoryModel:

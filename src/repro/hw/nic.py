@@ -278,17 +278,6 @@ class Nic:
         if mon is not None:
             mon.on_post_recv(qp, wr)
 
-    def hw_post_srq_recv(self, srq, wr: RecvWR) -> None:
-        """Accept a recv WQE into a shared receive queue."""
-        srq.check_post(wr)
-        if wr.length > 0:
-            assert self.mr_table is not None
-            self.mr_table.check_local(wr.lkey, wr.addr, wr.length, write=True, pd=srq.pd)
-        srq.push(wr)
-        mon = self.sim._monitor
-        if mon is not None:
-            mon.on_post_srq_recv(srq, wr)
-
     # -- engines: one call_later record per service time.  An idle engine
     # starts its item inline; a finishing one takes its backlog head first,
     # then runs the finished item's next stage inline.
@@ -683,14 +672,12 @@ class Nic:
         raise HardwareError(f"unknown message kind {kind!r}")  # pragma: no cover
 
     def _claim_recv_wqe(self, qp: QueuePair):
-        """Take the next recv WQE: from the QP's SRQ if it has one."""
+        """Take the next recv WQE from the QP's receive queue."""
         faults = getattr(self._fabric, "faults", None)
         if faults is not None and faults.recv_paused(self.host_id, self.sim.now):
             # Receiver-pause fault: pretend the RQ is empty so RC senders
             # hit the RNR path (and UD traffic is dropped).
             return None
-        if qp.srq is not None:
-            return qp.srq.pop() if len(qp.srq) else None
         return qp.rq.popleft() if qp.rq else None
 
     def _exec_send(self, ctx: tuple) -> None:
@@ -715,8 +702,7 @@ class Nic:
             status = _SUCCESS
             if msg.length > 0 and msg.data is not None:
                 assert self.mr_table is not None
-                pd = qp.srq.pd if qp.srq is not None else qp.pd
-                mr = self.mr_table.check_local(rwr.lkey, rwr.addr, msg.length, write=True, pd=pd)
+                mr = self.mr_table.check_local(rwr.lkey, rwr.addr, msg.length, write=True, pd=qp.pd)
                 mr.buffer.write(rwr.addr - mr.buffer.addr, msg.data)
                 self._notify_memory_watchers(rwr.addr, msg.length)
         self.counters.rx_msgs += 1

@@ -6,7 +6,7 @@
 - :mod:`~repro.kernel.interrupts` — IRQ cost model + completion channels.
 - :mod:`~repro.kernel.netstack` — kernel socket path: copies, per-packet
   processing, softirq serialization.
-- :mod:`~repro.kernel.ipoib` — IP-over-InfiniBand netdevice and stream
+- :mod:`~repro.kernel.ipoib` — IP-over-InfiniBand netdevice and datagram
   sockets used as the functionally-equivalent competitor to CoRD (paper §5).
 
 Syscall entry/exit costs themselves live in :meth:`repro.hw.cpu.Core.syscall`
@@ -21,12 +21,9 @@ from repro.kernel.interrupts import CompletionChannel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.ipoib import IPoIBDevice, IPoIBSocket
-    from repro.kernel.sockets import StreamSocket
 
 # The socket stack loads on first use (see Kernel.ensure_ipoib).
 __getattr__ = lazy_exports(__name__, {"IPoIBDevice": "ipoib",
-                                      "IPoIBSocket": "ipoib",
-                                      "StreamSocket": "sockets"})
+                                      "IPoIBSocket": "ipoib"})
 
-__all__ = ["Kernel", "CompletionChannel", "IPoIBDevice", "IPoIBSocket",
-           "StreamSocket"]
+__all__ = ["Kernel", "CompletionChannel", "IPoIBDevice", "IPoIBSocket"]

@@ -6,24 +6,23 @@ the OS keeps full dataplane control — the *functionality* CoRD wants — at
 the cost of copies, per-packet processing and interrupts.
 
 The model: a per-host :class:`IPoIBDevice` registered with the NIC for
-``"ip"`` wire messages, and SOCK_SEQPACKET-style :class:`IPoIBSocket`
-endpoints (message-preserving reliable delivery, which is what the MPI
-layer needs; TCP stream dynamics would add nothing to the reproduced
-figures).  Flow control is credit-based on the receiver's socket buffer.
+``"ip"`` wire messages, and datagram-style :class:`IPoIBSocket`
+endpoints (``sendto``/``recvfrom`` with message-preserving reliable
+delivery, which is what the MPI layer needs; TCP stream dynamics would add
+nothing to the reproduced figures).  Upper layers pace themselves.
 
 Timing per message of S bytes (n = ceil(S / 2044) IPoIB packets):
 
 - sender:   syscall + copy(S) + n * tx_per_packet        (on the app core)
 - wire:     bursts of <= 64 KiB through the shared NIC port
 - receiver: IRQ (moderated) + serialized softirq n * rx_per_packet,
-            then on ``recv``: syscall + copy(S) + wakeup context switch
+            then on ``recvfrom``: syscall + copy(S) + wakeup context switch
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.errors import KernelError
@@ -49,8 +48,8 @@ class IPoIBDevice:
         self.profile = profile or NetstackProfile()
         self.softirq = Softirq(self.sim, host.host_id,
                                rx_queues=self.profile.rx_queues)
-        #: (host_id, port) -> listening/connected socket registry is shared
-        #: cluster-wide; the builder injects it.
+        #: (host_id, port) -> bound socket registry is shared cluster-wide;
+        #: the builder injects it.
         self.registry: dict[tuple[int, int], "IPoIBSocket"] = {}
         self._sockets: dict[int, "IPoIBSocket"] = {}
         host.nic.ip_handler = self._on_wire_message
@@ -79,15 +78,8 @@ class IPoIBDevice:
         self.sim.spawn(self._rx_path(msg), name=self._rx_name)
 
     def _rx_path(self, msg: WireMessage) -> Generator["Event", object, None]:
-        kind, payload = msg.token  # type: ignore[misc]
-        if kind == "credit":
-            sock_id, nbytes = payload
-            sock = self._sockets.get(sock_id)
-            if sock is not None:
-                sock._return_credit(nbytes)
-            return
-        # Data segment: IRQ delivery + handler, then serialized softirq work.
-        sock_id, seq, seg_idx, nsegs, msg_bytes, data, meta = payload
+        # IRQ delivery + handler, then serialized softirq work.
+        sock_id, seq, seg_idx, nsegs, msg_bytes, data, meta = msg.token  # type: ignore[misc]
         yield (self.host.kernel.irq.delivery_delay_ns()
                + self.host.system.cpu.irq_handler_ns)
         work = self.profile.rx_softirq_ns(msg.length)
@@ -107,59 +99,15 @@ class IPoIBSocket:
         self.sim = device.sim
         self.sock_id = next(_socket_ids)
         self.local: Optional[tuple[int, int]] = None
-        self.peer: Optional["IPoIBSocket"] = None
-        self._accept_q: Store = Store(self.sim, name=f"sock{self.sock_id}.accept")
         #: Fully reassembled inbound messages: (src_host, nbytes, data).
         self._rx_msgs: Store = Store(self.sim, name=f"sock{self.sock_id}.rx")
         self._partial: dict[int, dict] = {}
         self._seq = itertools.count()
-        # Credit-based flow control against the peer's receive buffer.
-        self._credits = device.profile.sndbuf_bytes
         self._tx_name = f"sock{self.sock_id}.tx"
-        self._credit_name = f"sock{self.sock_id}.credit"
-        self._credit_waiters: deque = deque()
         self.bytes_sent = 0
         self.bytes_received = 0
 
-    # -- connection setup (control plane; costs are negligible and one-off) ---------
-
-    def listen(self, port: int) -> None:
-        self.device.bind(self, port)
-
-    def accept(self) -> Generator["Event", object, "IPoIBSocket"]:
-        """Wait for a peer; returns the connected (server-side) socket."""
-        item = yield self._accept_q.get()
-        peer, established = item  # type: ignore[misc]
-        conn = self.device.socket()
-        conn.peer = peer  # type: ignore[assignment]
-        peer.peer = conn  # type: ignore[union-attr]
-        established.succeed(None)
-        return conn
-
-    def connect(
-        self, dst_host: int, port: int
-    ) -> Generator["Event", object, None]:
-        """Blocks until the listener accepted (handshake complete)."""
-        registry = self.device.registry
-        listener = registry.get((dst_host, port))
-        if listener is None:
-            raise KernelError(f"connection refused: host {dst_host} port {port}")
-        # One RTT of handshake, coarsely.
-        yield 2 * self.device.host.fabric.propagation_ns
-        established = self.sim.event(name=f"sock{self.sock_id}.established")
-        yield listener._accept_q.put((self, established))
-        yield established
-
     # -- data path ---------------------------------------------------------------------
-
-    def send(
-        self, core: Core, nbytes: int, data: Optional[bytes] = None
-    ) -> Generator["Event", object, None]:
-        """Send one message on the connected peer (blocking until the
-        kernel accepted it, i.e. copied + credited)."""
-        if self.peer is None:
-            raise KernelError("send on unconnected socket")
-        yield from self._send_impl(core, self.peer, nbytes, data, None, use_credits=True)
 
     def sendto(
         self,
@@ -170,22 +118,11 @@ class IPoIBSocket:
         meta: object = None,
         data: Optional[bytes] = None,
     ) -> Generator["Event", object, None]:
-        """Datagram-style send to a bound socket (no connection, no
-        credit flow control — upper layers pace themselves)."""
+        """Send one message to a bound socket (blocking until the kernel
+        accepted it, i.e. copied)."""
         target = self.device.registry.get((dst_host, dst_port))
         if target is None:
             raise KernelError(f"no socket bound at host {dst_host} port {dst_port}")
-        yield from self._send_impl(core, target, nbytes, data, meta, use_credits=False)
-
-    def _send_impl(
-        self,
-        core: Core,
-        target: "IPoIBSocket",
-        nbytes: int,
-        data: Optional[bytes],
-        meta: object,
-        use_credits: bool,
-    ) -> Generator["Event", object, None]:
         if nbytes < 0:
             raise KernelError(f"negative send size: {nbytes}")
         if data is not None and len(data) != nbytes:
@@ -195,16 +132,6 @@ class IPoIBSocket:
         # Syscall + protocol work + user->kernel copy, all on the app core.
         kernel_work = prof.tx_kernel_ns(nbytes) + host.mem_model.copy_ns(nbytes)
         yield from core.syscall(kernel_work)
-        if use_credits:
-            # Flow control: wait for peer-buffer credits.  Oversized messages
-            # (> sndbuf) wait for a full buffer and drive credits negative,
-            # so they make progress instead of deadlocking.
-            need = min(nbytes, prof.sndbuf_bytes)
-            while self._credits < need:
-                gate = self.sim.event(name=f"sock{self.sock_id}.credit")
-                self._credit_waiters.append((need, gate))
-                yield gate
-            self._credits -= nbytes
         seq = next(self._seq)
         nsegs = max(1, math.ceil(nbytes / prof.burst_bytes)) if nbytes else 1
         self.sim.spawn(
@@ -242,7 +169,7 @@ class IPoIBSocket:
                 transport="UD",
                 psn=0,
                 length=seg,
-                token=("data", (target.sock_id, (self.sock_id, seq), idx, nsegs, nbytes, seg_data, meta)),
+                token=(target.sock_id, (self.sock_id, seq), idx, nsegs, nbytes, seg_data, meta),
                 # IPoIB per-packet header tax: 44 B per 2044 B packet.
                 header_bytes=prof.packets(seg) * 44,
             )
@@ -274,31 +201,6 @@ class IPoIBSocket:
                 payload = b"".join(state["segs"])  # type: ignore[arg-type]
             self._rx_msgs.put((src_host, msg_bytes, payload, state["meta"]))
 
-    def recv(
-        self, core: Core
-    ) -> Generator["Event", object, tuple[int, int, Optional[bytes]]]:
-        """Receive one message on a connected socket: (src_host, nbytes, data)."""
-        src_host, nbytes, data, _meta = yield from self.recvfrom(core)
-        # Return credits to the connected sender.
-        if self.peer is not None:
-            host = self.device.host
-            credit = WireMessage(
-                kind="ip",
-                src_host=host.host_id,
-                dst_host=self.peer.device.host.host_id,
-                src_qpn=0,
-                dst_qpn=0,
-                transport="UD",
-                psn=0,
-                length=0,
-                token=("credit", (self.peer.sock_id, nbytes)),
-                header_bytes=44,
-            )
-            self.sim.spawn(
-                self._send_credit(credit), name=self._credit_name
-            )
-        return src_host, nbytes, data
-
     def recvfrom(
         self, core: Core
     ) -> Generator["Event", object, tuple[int, int, Optional[bytes], object]]:
@@ -317,15 +219,3 @@ class IPoIBSocket:
         yield from core.run(host.mem_model.copy_ns(nbytes))
         self.bytes_received += nbytes
         return src_host, nbytes, data, meta
-
-    def _send_credit(self, wire: WireMessage) -> Generator["Event", object, None]:
-        host = self.device.host
-        yield from host.fabric.transmit(
-            host.host_id, wire.dst_host, wire.wire_bytes, wire
-        )
-
-    def _return_credit(self, nbytes: int) -> None:
-        self._credits += nbytes
-        while self._credit_waiters and self._credits >= self._credit_waiters[0][0]:
-            _need, gate = self._credit_waiters.popleft()
-            gate.succeed(None)

@@ -39,8 +39,6 @@ class NetstackProfile:
     #: Fixed per-message kernel work on top of packet costs (socket lookup,
     #: scheduling the wakeup).
     per_message_ns: float = 900.0
-    #: Socket send buffer: sender blocks when this many bytes are in flight.
-    sndbuf_bytes: int = 1 << 20
     #: RSS receive queues: softirq processing parallelism per host.  The
     #: default (1) matches the paper-era IPoIB datagram path, whose RX is
     #: effectively serialized; raise it to model RSS/multi-queue setups.

@@ -7,8 +7,8 @@ IPoIB): a real message-passing library with
   RDMA-write-with-immediate, the classic zero-copy scheme),
 - tag matching with wildcard source/tag and an unexpected-message queue,
 - nonblocking requests (``isend``/``irecv``/``wait``/``waitall``),
-- tree/ring/pairwise collectives (barrier, bcast, reduce, allreduce,
-  allgather, alltoall/v, scatter, gather),
+- the collectives the NPB skeletons call (barrier, allreduce,
+  alltoall/v),
 - a rank runtime that pins each rank to a simulated core and runs ranks
   across the cluster's hosts; shared-memory bypass is deliberately absent
   (the paper disables it to amplify network effects).

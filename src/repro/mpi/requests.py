@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 _req_ids = itertools.count(1)
 
@@ -11,7 +10,7 @@ _req_ids = itertools.count(1)
 class Request:
     """An in-flight send or receive."""
 
-    __slots__ = ("req_id", "kind", "done", "source", "tag", "nbytes", "data", "_on_done", "_localized")
+    __slots__ = ("req_id", "kind", "done", "source", "tag", "nbytes", "data")
 
     def __init__(self, kind: str, source: int = -1, tag: int = -1):
         self.req_id = next(_req_ids)
@@ -22,9 +21,6 @@ class Request:
         self.tag = tag
         self.nbytes: int = 0
         self.data: object = None
-        self._on_done: Optional[callable] = None
-        #: Sub-communicator envelope translation marker.
-        self._localized = False
 
     def complete(
         self, source: int = -1, tag: int = -1, nbytes: int = 0, data: object = None
@@ -37,8 +33,6 @@ class Request:
             self.tag = tag
         self.nbytes = nbytes
         self.data = data
-        if self._on_done is not None:
-            self._on_done(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.done else "pending"

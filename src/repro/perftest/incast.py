@@ -46,7 +46,6 @@ class IncastConfig:
     seed: int = 7
     #: Switch output-port buffer in bytes; ``None`` = unbounded (no drops).
     buffer_bytes: Optional[int] = None
-    chunk_bytes: Optional[int] = None
     #: End-to-end congestion control: "off" (default; bit-identical to the
     #: pre-CC model) or "dcqcn" (ECN marking + per-QP rate limiting — the
     #: fix for bounded-buffer congestion collapse).
@@ -186,7 +185,7 @@ def build_incast(
     """
     profile = get_profile(config.system)
     fabric, hosts = build_cluster(
-        sim, profile, config.senders + 1, chunk_bytes=config.chunk_bytes,
+        sim, profile, config.senders + 1,
         rx_contention=RxContentionProfile(buffer_bytes=config.buffer_bytes),
         congestion=config.congestion,
     )

@@ -183,12 +183,11 @@ class Stream:
 class RngRegistry:
     """Registry of independent named :class:`Stream` objects."""
 
-    __slots__ = ("master_seed", "_streams", "_jitter", "_sanitize")
+    __slots__ = ("master_seed", "_streams", "_sanitize")
 
     def __init__(self, master_seed: int = 0):
         self.master_seed = int(master_seed)
         self._streams: dict[str, Stream] = {}
-        self._jitter: dict[str, JitterStream] = {}
         #: Set by the owning Simulator when REPRO_SANITIZE is on; streams
         #: are then wrapped in draw-recording proxies (values unchanged).
         self._sanitize = None
@@ -205,24 +204,18 @@ class RngRegistry:
         return gen
 
     def jitter_stream(self, name: str) -> JitterStream:
-        """A batched lognormal-jitter source over the named stream.
+        """A lognormal-jitter source over the named stream.
 
-        The stream must be consumed *exclusively* through the returned
-        source: it prefetches standard normals in blocks, so a direct draw
-        on the same stream would interleave with the prefetched block and
-        change the sequence.  The stream itself is built at the source's
-        first refill.
+        The source draws one normal per jittered value, so it shares the
+        stream's sequence with any other reader of the same name.  The
+        stream itself is built at the source's first draw.
         """
-        js = self._jitter.get(name)
-        if js is None:
-            js = self._jitter[name] = JitterStream(self, name)
-        return js
+        return JitterStream(self, name)
 
     def stream_states(self) -> tuple:
         """Bit-exact positions of every built stream, without drawing.
 
-        Each entry is ``(name, (state, inc), buffer depth)``; the depth is
-        -1 for a stream no jitter source reads.  Reading ``state`` and
+        Each entry is ``(name, (state, inc))``.  Reading ``state`` and
         ``inc`` is a pure observation (the sanitize proxies forward plain
         attributes untouched), so this is safe to call from invariant
         checks — the steady-state fast-forward probe uses it to prove no
@@ -230,15 +223,8 @@ class RngRegistry:
         it is built, which a jitter source does at its first draw, so the
         tuple changes exactly when a stream moves.
         """
-        jitter = self._jitter
-        # A jitter source prefetches normals in blocks: its stream state
-        # only moves at refills, so the remaining buffer depth joins the
-        # fingerprint — together they change on every draw, exactly like
-        # an unbuffered stream's state would.
-        return tuple(
-            (name, (gen.state, gen.inc),
-             len(jitter[name]._buf) if name in jitter else -1)
-            for name, gen in sorted(self._streams.items()))
+        return tuple((name, (gen.state, gen.inc))
+                     for name, gen in sorted(self._streams.items()))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RngRegistry seed={self.master_seed} streams={sorted(self._streams)}>"
@@ -249,29 +235,24 @@ class RngRegistry:
 #: change any drawn value; it only skips the per-call scalar math.
 _JITTER_PARAMS: dict = {}
 
-#: Prefetch block for :class:`JitterStream` (draws, not bytes).
-_JITTER_BLOCK = 256
-
-
 class JitterStream:
-    """Batched lognormal jitter over one dedicated rng stream.
+    """Lognormal jitter over one named rng stream.
 
     Bit-identical to numpy's per-call ``Generator.lognormal(mu, sigma)`` on
     the same seed: ``lognormal`` consumes the bit stream exactly as
     ``standard_normal()`` does and then computes ``exp(mu + sigma * z)`` in
-    C doubles — the same IEEE operations this class applies to a
-    prefetched block of :meth:`Stream.normals`.  The stream is built from
-    the registry at the first refill, so a source that only ever sees
-    ``cv == 0`` never builds one.
+    C doubles — the same IEEE operations this class applies to one
+    :meth:`Stream.normals` draw.  The stream is built from the registry at
+    the first draw, so a source that only ever sees ``cv == 0`` never
+    builds one.
     """
 
-    __slots__ = ("_registry", "_name", "_gen", "_buf")
+    __slots__ = ("_registry", "_name", "_gen")
 
     def __init__(self, registry: RngRegistry, name: str):
         self._registry = registry
         self._name = name
         self._gen: Optional[Stream] = None
-        self._buf: list[float] = []
 
     def draw(self, mean: float, cv: float) -> float:
         """Lognormal with the given mean and coefficient of variation.
@@ -288,12 +269,7 @@ class JitterStream:
             if len(_JITTER_PARAMS) >= 4096:
                 _JITTER_PARAMS.clear()
             params = _JITTER_PARAMS[(mean, cv)] = (mu, math.sqrt(sigma2))
-        buf = self._buf
-        if not buf:
-            gen = self._gen
-            if gen is None:
-                gen = self._gen = self._registry.stream(self._name)
-            buf.extend(gen.normals(_JITTER_BLOCK))
-            # Reversed so list.pop() hands the normals out in draw order.
-            buf.reverse()
-        return math.exp(params[0] + params[1] * buf.pop())
+        gen = self._gen
+        if gen is None:
+            gen = self._gen = self._registry.stream(self._name)
+        return math.exp(params[0] + params[1] * gen.normals(1)[0])

@@ -11,15 +11,8 @@ from __future__ import annotations
 
 # --- time ------------------------------------------------------------------
 
-NS: float = 1.0
 US: float = 1_000.0
 MS: float = 1_000_000.0
-SEC: float = 1_000_000_000.0
-
-
-def ns(value: float) -> float:
-    """Nanoseconds (identity, for symmetry/readability)."""
-    return value * NS
 
 
 def us(value: float) -> float:
@@ -32,24 +25,9 @@ def ms(value: float) -> float:
     return value * MS
 
 
-def seconds(value: float) -> float:
-    """Seconds to simulation time."""
-    return value * SEC
-
-
-def to_us(t: float) -> float:
-    """Simulation time to microseconds."""
-    return t / US
-
-
 def to_ms(t: float) -> float:
     """Simulation time to milliseconds."""
     return t / MS
-
-
-def to_seconds(t: float) -> float:
-    """Simulation time to seconds."""
-    return t / SEC
 
 
 # --- sizes -----------------------------------------------------------------
@@ -57,11 +35,6 @@ def to_seconds(t: float) -> float:
 KiB: int = 1024
 MiB: int = 1024 * 1024
 GiB: int = 1024 * 1024 * 1024
-
-
-def kib(value: float) -> int:
-    """KiB to bytes."""
-    return int(value * KiB)
 
 
 def mib(value: float) -> int:
@@ -90,30 +63,6 @@ def to_gbit_per_s(bytes_per_ns: float) -> float:
     return bytes_per_ns * 8.0
 
 
-def transfer_time(nbytes: float, bandwidth: float) -> float:
-    """Time (ns) to move ``nbytes`` at ``bandwidth`` bytes/ns."""
-    if nbytes <= 0:
-        return 0.0
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    return nbytes / bandwidth
-
-
-# --- rates -----------------------------------------------------------------
-
-
-def per_second(rate_hz: float) -> float:
-    """Events/second to events per nanosecond."""
-    return rate_hz / 1e9
-
-
-def msgs_per_sec(interval_ns: float) -> float:
-    """Inter-message interval (ns) to messages/second."""
-    if interval_ns <= 0:
-        raise ValueError(f"interval must be positive, got {interval_ns}")
-    return 1e9 / interval_ns
-
-
 def pretty_size(nbytes: int) -> str:
     """Human-readable size: 2 B, 4 KiB, 1 MiB."""
     if nbytes >= GiB and nbytes % GiB == 0:
@@ -123,14 +72,3 @@ def pretty_size(nbytes: int) -> str:
     if nbytes >= KiB and nbytes % KiB == 0:
         return f"{nbytes // KiB} KiB"
     return f"{nbytes} B"
-
-
-def pretty_time(t_ns: float) -> str:
-    """Human-readable time with an adaptive unit."""
-    if t_ns >= SEC:
-        return f"{t_ns / SEC:.3f} s"
-    if t_ns >= MS:
-        return f"{t_ns / MS:.3f} ms"
-    if t_ns >= US:
-        return f"{t_ns / US:.3f} us"
-    return f"{t_ns:.1f} ns"

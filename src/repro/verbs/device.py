@@ -12,7 +12,6 @@ The interesting divergence — the data plane — lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.errors import VerbsError
@@ -27,7 +26,6 @@ from repro.verbs.wr import AccessFlags
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.host import Host
     from repro.sim.events import Event
-    from repro.verbs.srq import SharedReceiveQueue
 
 #: Serialization/deserialization of ioctl argument structures (paper §4:
 #: "arguments to ibverbs calls are complex data structures that must be
@@ -50,30 +48,6 @@ class Device:
         return Context(self, core)
 
 
-@dataclass(frozen=True)
-class DeviceAttr:
-    """``ibv_device_attr`` analogue (the queryable capability subset)."""
-
-    fw_ver: str
-    max_qp: int
-    max_cqe: int
-    max_mr_size: int
-    max_inline_data: int
-    max_srq: int
-    atomic_cap: bool
-    phys_port_cnt: int = 1
-
-
-@dataclass(frozen=True)
-class PortAttr:
-    """``ibv_port_attr`` analogue."""
-
-    state: str  # "ACTIVE"
-    active_mtu: int
-    link_speed_gbps: float
-    lid: int
-
-
 class Context:
     """``ibv_context`` analogue, bound to the opening thread's core."""
 
@@ -85,33 +59,6 @@ class Context:
         self._cq_seq = 0
 
     # -- control-plane verbs ------------------------------------------------------
-
-    def query_device(self) -> Generator["Event", object, DeviceAttr]:
-        """``ibv_query_device``: the NIC's capability envelope."""
-        yield from self.core.syscall(IOCTL_SERIALIZE_NS)
-        nicp = self.host.nic.profile
-        return DeviceAttr(
-            fw_ver="sim-1.0",
-            max_qp=1 << 18,
-            max_cqe=1 << 22,
-            max_mr_size=1 << 40,
-            max_inline_data=nicp.inline_threshold,
-            max_srq=1 << 16,
-            atomic_cap=True,
-        )
-
-    def query_port(self, port: int = 1) -> Generator["Event", object, PortAttr]:
-        """``ibv_query_port``."""
-        if port != 1:
-            raise VerbsError(f"device {self.device.name} has one port, not {port}")
-        yield from self.core.syscall(IOCTL_SERIALIZE_NS)
-        nicp = self.host.nic.profile
-        return PortAttr(
-            state="ACTIVE",
-            active_mtu=nicp.mtu,
-            link_speed_gbps=nicp.link_bw * 8,
-            lid=self.host.host_id + 1,
-        )
 
     def alloc_pd(self) -> Generator["Event", object, ProtectionDomain]:
         yield from self.core.syscall(IOCTL_SERIALIZE_NS + CTRL_KERNEL_NS)
@@ -153,15 +100,6 @@ class Context:
         self.host.kernel.attach_cq(cq)
         return cq
 
-    def create_srq(
-        self, pd: ProtectionDomain, depth: int = 4096, limit: int = 0
-    ) -> Generator["Event", object, "SharedReceiveQueue"]:
-        """``ibv_create_srq``: a shared receive pool for many QPs."""
-        from repro.verbs.srq import SharedReceiveQueue
-
-        yield from self.core.syscall(IOCTL_SERIALIZE_NS + CTRL_KERNEL_NS)
-        return SharedReceiveQueue(pd, depth=depth, limit=limit)
-
     def create_qp(
         self,
         pd: ProtectionDomain,
@@ -171,7 +109,6 @@ class Context:
         sq_depth: Optional[int] = None,
         rq_depth: Optional[int] = None,
         max_inline: Optional[int] = None,
-        srq: "SharedReceiveQueue | None" = None,
     ) -> Generator["Event", object, QueuePair]:
         nicp = self.host.nic.profile
         yield from self.core.syscall(IOCTL_SERIALIZE_NS + CTRL_KERNEL_NS)
@@ -184,7 +121,6 @@ class Context:
             sq_depth=sq_depth if sq_depth is not None else nicp.sq_depth,
             rq_depth=rq_depth if rq_depth is not None else nicp.rq_depth,
             max_inline=max_inline if max_inline is not None else nicp.inline_threshold,
-            srq=srq,
         )
         pd.qps.append(qp)
         self.host.nic.register_qp(qp)

@@ -1,6 +1,6 @@
 """Protection domains.
 
-A PD groups MRs, QPs and SRQs; a work request may only use MRs from the
+A PD groups MRs and QPs; a work request may only use MRs from the
 PD of the queue it is posted to.  The NIC enforces it as hardware does,
 through :meth:`~repro.verbs.mr.MrTable.check_local` and
 :meth:`~repro.verbs.mr.MrTable.check_remote`.  A local key from another

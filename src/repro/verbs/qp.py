@@ -19,9 +19,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import QPStateError, VerbsError
 from repro.verbs.wr import Psn, RecvWR, SendWR, WireMessage
 
-if False:  # pragma: no cover - typing only
-    from repro.verbs.srq import SharedReceiveQueue
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.verbs.cq import CompletionQueue
     from repro.verbs.pd import ProtectionDomain
@@ -72,7 +69,6 @@ class QueuePair:
         sq_depth: int,
         rq_depth: int,
         max_inline: int,
-        srq: "SharedReceiveQueue | None" = None,
     ) -> None:
         self.pd = pd
         self.transport = transport
@@ -82,9 +78,6 @@ class QueuePair:
         self.sq_depth = sq_depth
         self.rq_depth = rq_depth
         self.max_inline = max_inline
-        #: Optional shared receive queue; when set, the NIC consumes recv
-        #: WQEs from it and post_recv on this QP is invalid.
-        self.srq = srq
         #: Backing field for :attr:`state`; written only by :meth:`modify`
         #: (PROTO001 lints direct writes, PROTO103 monitors them at runtime).
         self._state = QPState.RESET
@@ -244,10 +237,6 @@ class QueuePair:
                 raise QPStateError(f"RC QP {self.qpn} is not connected")
 
     def check_post_recv(self, wr: RecvWR) -> None:
-        if self.srq is not None:
-            raise VerbsError(
-                f"QP {self.qpn} uses SRQ {self.srq.srqn}; post to the SRQ"
-            )
         if self.state in (_RESET, _ERROR):
             raise QPStateError(f"post_recv on QP {self.qpn} in state {self.state}")
         if len(self.rq) >= self.rq_depth:

@@ -50,7 +50,6 @@ from repro.verbs.wr import CQE, Psn, RecvWR, SendWR, WCStatus, WireMessage
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.verbs.cq import CompletionQueue
-    from repro.verbs.srq import SharedReceiveQueue
 
 #: Key identifying one QP across the cluster.
 QpKey = tuple[int, int]  # (host_id, qpn)
@@ -70,7 +69,6 @@ class ProtocolMonitor:
         #: wr_id -> FIFO of ``signaled`` flags for not-yet-completed sends.
         self._send_live: dict[QpKey, dict[int, list[bool]]] = {}
         self._recv_live: dict[QpKey, dict[int, int]] = {}
-        self._srq_live: dict[int, dict[int, int]] = {}  # id(srq) -> wr_id -> n
         self._expected: dict[QpKey, int] = {}
         #: Snapshot of the SQ flush order taken at the ERROR transition.
         self._flush_due: dict[QpKey, list[int]] = {}
@@ -124,8 +122,6 @@ class ProtocolMonitor:
         self._expected[key] = qp.expected_psn
         self._send_live[key] = {}
         self._recv_live[key] = {}
-        if qp.srq is not None:
-            self._srq_live.setdefault(id(qp.srq), {})
 
     # -- posting hooks -----------------------------------------------------------
 
@@ -142,10 +138,6 @@ class ProtocolMonitor:
         if key is not None:
             live = self._recv_live[key]
             live[wr.wr_id] = live.get(wr.wr_id, 0) + 1
-
-    def on_post_srq_recv(self, srq: "SharedReceiveQueue", wr: RecvWR) -> None:
-        live = self._srq_live.setdefault(id(srq), {})
-        live[wr.wr_id] = live.get(wr.wr_id, 0) + 1
 
     # -- state machine -----------------------------------------------------------
 
@@ -338,15 +330,6 @@ class ProtocolMonitor:
             else:
                 recvs[cqe.wr_id] = n - 1
             return
-        if qp.srq is not None:
-            pool = self._srq_live.get(id(qp.srq), {})
-            m = pool.get(cqe.wr_id, 0)
-            if m > 0:
-                if m == 1:
-                    del pool[cqe.wr_id]
-                else:
-                    pool[cqe.wr_id] = m - 1
-                return
         self._report(
             "PROTO101",
             f"QP {key} recv CQE for wr_id={cqe.wr_id} ({cqe.status.value}) "

@@ -153,6 +153,16 @@ def test_figure_bench_records_json(monkeypatch, tmp_path):
     assert data["summary"]["speedup"] > 0
 
 
+def test_figure_bench_records_nothing_without_json_path(monkeypatch, tmp_path):
+    monkeypatch.delenv("REPRO_BENCH_JSON", raising=False)
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+    assert bs.bench_json_path() is None
+    assert bs.record_figure_bench("figX", {"wall_s": 1.0}) is None
+    with bs.figure_bench("figX"):
+        bs.parallel_sweep(_lat_point, [7], workers=1)
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- tools/check_bench_budget.py (the CI gate over the recorded JSON) --------
 
 def _budget_tool():
@@ -181,33 +191,6 @@ def _entry(wall_s, ff, scale=1.0, workers=1):
             "fastforward": ff}
 
 
-def test_budget_subset_spec_parsing():
-    tool = _budget_tool()
-    assert tool.parse_subset_spec("fig1+fig3:4.0") == (["fig1", "fig3"], 4.0)
-    with pytest.raises(ValueError):
-        tool.parse_subset_spec("fig1+fig3")  # no floor
-    with pytest.raises(ValueError):
-        tool.parse_subset_spec(":2.0")  # no names
-
-
-def test_budget_subset_gate(tmp_path):
-    tool = _budget_tool()
-    path = _write_record(tmp_path, {
-        "fig1": {"base": _entry(40.0, False), "ff": _entry(4.0, True)},
-        "fig5": {"base": _entry(20.0, False), "ff": _entry(19.0, True)},
-    })
-    # Aggregate is capped by fig5 (60/23 ~ 2.6x) but the skippable subset
-    # holds 10x; the split gate passes where a flat 4x aggregate would not.
-    assert tool.check(path, 2.3, None, [], [(["fig1"], 4.0)]) == []
-    problems = tool.check(path, 4.0, None, [], [])
-    assert any("suite speedup" in p for p in problems)
-    problems = tool.check(path, 1.0, None, [], [(["fig1", "fig5"], 4.0)])
-    assert any("subset fig1+fig5 speedup" in p for p in problems)
-    # A subset naming an unpaired figure is a hard failure, not a skip.
-    problems = tool.check(path, 1.0, None, [], [(["fig9"], 1.0)])
-    assert any("lacks paired figures" in p for p in problems)
-
-
 def test_budget_flags_mismatched_scale_pair(tmp_path):
     tool = _budget_tool()
     path = _write_record(tmp_path, {
@@ -215,7 +198,7 @@ def test_budget_flags_mismatched_scale_pair(tmp_path):
         "fig3": {"base": _entry(10.0, False),
                  "ff": _entry(0.5, True, scale=0.05)},
     })
-    problems = tool.check(path, 1.0, None, ["fig1", "fig3"], [])
+    problems = tool.check(path, 1.0, None, ["fig1", "fig3"])
     assert any("mismatched" in p and "fig3" in p for p in problems)
     # The mismatched pair stays out of the aggregate speedup.
     assert not any("fig1" in p for p in problems)

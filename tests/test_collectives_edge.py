@@ -7,7 +7,6 @@ from repro.cluster import build_cluster
 from repro.errors import MPIError
 from repro.hw.profiles import SYSTEM_L
 from repro.mpi import MpiWorld
-from repro.mpi.collectives import MAX, MIN
 from repro.sim import Simulator
 
 
@@ -22,43 +21,42 @@ def test_single_rank_world_collectives_are_trivial():
     def program(comm):
         yield from comm.barrier()
         out = yield from comm.allreduce(data=np.array([3.0]))
-        blocks = yield from comm.allgather(data="me")
-        bc = yield from comm.bcast(0, data=b"x")
         a2a = yield from comm.alltoall(8, data_per_peer=["only"])
-        return (float(out[0]), blocks, bc, a2a)
+        a2av = yield from comm.alltoallv([8], data_per_peer=["mine"])
+        return (float(out[0]), a2a, a2av)
 
     results = run_world(program, size=1)
-    assert results[0] == (3.0, ["me"], b"x", ["only"])
+    assert results[0] == (3.0, ["only"], ["mine"])
 
 
-def test_reduce_min_operator():
+def test_allreduce_min_operator_non_power_of_two():
+    """Five ranks take the reduce-to-0 + broadcast fallback with ``op``."""
+
     def program(comm):
-        out = yield from comm.reduce(1, data=np.array([float(10 - comm.rank)]),
-                                     op=MIN)
-        return None if out is None else float(out[0])
+        out = yield from comm.allreduce(data=np.array([float(10 - comm.rank)]),
+                                        op=np.minimum)
+        return float(out[0])
 
-    results = run_world(program, size=5)
-    assert results[1] == 6.0  # min(10, 9, 8, 7, 6)
-    assert results[0] is None
+    assert run_world(program, size=5) == [6.0] * 5  # min(10, 9, 8, 7, 6)
 
 
-def test_reduce_max_scalar_payloads():
+def test_allreduce_max_scalar_payloads():
     def program(comm):
-        out = yield from comm.reduce(0, nbytes=8, data=comm.rank * 2, op=MAX)
+        out = yield from comm.allreduce(nbytes=8, data=comm.rank * 2, op=max)
         return out
 
-    results = run_world(program, size=4)
-    assert results[0] == 6
+    assert run_world(program, size=4) == [6] * 4
+    assert run_world(program, size=3) == [4] * 3
 
 
-def test_allgather_sizes_scale_messages():
-    """Ring allgather sends (P-1) blocks per rank."""
+def test_alltoall_sends_one_message_per_peer():
+    """Pairwise alltoall sends (P-1) blocks per rank."""
     sim = Simulator(seed=2)
     _f, hosts = build_cluster(sim, SYSTEM_L, 2)
     world = MpiWorld(sim, hosts, 4)
 
     def program(comm):
-        yield from comm.allgather(nbytes=1024)
+        yield from comm.alltoall(1024)
         return comm.engine.msgs_sent
 
     results = world.run(program)
@@ -83,21 +81,6 @@ def test_alltoallv_wrong_counts_rejected():
     assert run_world(program, size=4) == ["ok"] * 4
 
 
-def test_scatter_gather_none_payloads():
-    """Size-only scatter/gather works without data."""
-
-    def program(comm):
-        block = yield from comm.scatter(0, 512)
-        got = yield from comm.gather(0, nbytes=512)
-        if comm.rank == 0:
-            return len(got)
-        return got  # None off-root
-
-    results = run_world(program, size=4)
-    assert results[0] == 4
-    assert results[1:] == [None, None, None]
-
-
 def test_collective_payload_sizes_affect_runtime():
     def timed(nbytes):
         def program(comm):
@@ -111,20 +94,20 @@ def test_collective_payload_sizes_affect_runtime():
     assert timed(1 << 20) > 2 * timed(64)
 
 
-def test_bcast_large_payload_uses_rendezvous():
+def test_allreduce_large_payload_uses_rendezvous():
+    """Three ranks reduce a 1 MiB array to rank 0 and broadcast it back."""
     sim = Simulator(seed=2)
     _f, hosts = build_cluster(sim, SYSTEM_L, 2)
-    world = MpiWorld(sim, hosts, 4)
+    world = MpiWorld(sim, hosts, 3)
 
     def program(comm):
-        data = np.ones(1 << 17) if comm.rank == 0 else None  # 1 MiB
-        out = yield from comm.bcast(0, nbytes=1 << 20, data=data)
+        out = yield from comm.allreduce(nbytes=1 << 20, data=np.ones(1 << 17))
         return float(np.sum(out))
 
     results = world.run(program)
-    assert results == [float(1 << 17)] * 4
+    assert results == [float(3 << 17)] * 3
     # Rendezvous control traffic happened (RTS+CTS+DATA per tree edge).
-    assert sum(h.nic.counters.tx_msgs for h in hosts) >= 9
+    assert sum(h.nic.counters.tx_msgs for h in hosts) >= 12
 
 
 def test_concurrent_collectives_different_tags_dont_cross():

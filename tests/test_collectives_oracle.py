@@ -1,6 +1,6 @@
 """Non-power-of-two collectives vs a brute-force pairwise oracle.
 
-The alltoall/alltoallv/allgather algorithms take different code paths for
+The alltoall/alltoallv algorithms take different code paths for
 non-power-of-two worlds (ring shifts instead of XOR partners).  These
 tests run them on >2-host clusters — where every receiver has a switch
 output queue — at world sizes 3 and 6, and compare the data
@@ -98,24 +98,6 @@ def test_alltoallv_matches_pairwise_oracle(size):
         assert blocks == [payload(src, r) for src in range(size)]
         assert [len(b) for b in blocks] == [
             (src + 1) * (r + 1) for src in range(size)]
-
-
-@pytest.mark.parametrize("size", SIZES)
-def test_allgather_matches_pairwise_oracle(size):
-    def collective(comm):
-        out = yield from comm.allgather(data=f"rank{comm.rank}")
-        return out
-
-    def oracle(comm):
-        # Allgather == alltoall where every destination gets the same block.
-        out = yield from _oracle_exchange(
-            comm, lambda dst: f"rank{comm.rank}")
-        return out
-
-    got = run_world(collective, size)
-    want = run_world(oracle, size)
-    assert got == want
-    assert all(blocks == [f"rank{s}" for s in range(size)] for blocks in got)
 
 
 def test_six_ranks_on_three_hosts_uses_loopback_and_fabric():

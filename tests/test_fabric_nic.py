@@ -170,45 +170,6 @@ def test_memory_watch_fires_only_for_overlapping_range():
     assert sim.run(sim.process(main())) == (True, False)
 
 
-def test_chunked_fabric_interleaves_flows():
-    """With chunking, a small message is not stuck behind an 8 MiB one."""
-
-    def small_latency(chunk):
-        sim = Simulator(seed=4)
-        _fabric, hosts = build_cluster(sim, SYSTEM_L, 2, chunk_bytes=chunk)
-        src, dst = hosts
-        out = {}
-
-        def main():
-            big = yield from make_endpoint(src, "bypass")
-            big_peer = yield from make_endpoint(dst, "bypass")
-            yield from connect(big, big_peer)
-            small = yield from make_endpoint(src, "bypass")
-            small_peer = yield from make_endpoint(dst, "bypass")
-            yield from connect(small, small_peer)
-            # Launch the elephant first.
-            yield from big.post_send(SendWR(
-                wr_id=1, opcode=Opcode.RDMA_WRITE, addr=big.buf.addr,
-                length=8 << 20, lkey=big.mr.lkey,
-                remote_addr=big_peer.buf.addr, rkey=big_peer.mr.rkey))
-            yield sim.timeout(us(5))  # elephant is now on the wire
-            t0 = sim.now
-            yield from small.post_send(SendWR(
-                wr_id=2, opcode=Opcode.RDMA_WRITE, addr=small.buf.addr,
-                length=64, lkey=small.mr.lkey,
-                remote_addr=small_peer.buf.addr, rkey=small_peer.mr.rkey))
-            cqes = yield from small.wait_send()
-            assert cqes[0].ok
-            out["lat"] = sim.now - t0
-
-        sim.run(sim.process(main()))
-        return out["lat"]
-
-    blocked = small_latency(chunk=None)
-    interleaved = small_latency(chunk=64 * 1024)
-    assert interleaved < blocked / 5  # chunking rescues the mouse flow
-
-
 # -- NIC engine service order ------------------------------------------------------
 #
 # The TX engine serves doorbelled WQEs one at a time (``wqe_process_ns``

@@ -22,22 +22,6 @@ def test_alloc_zero_rejected():
         AddressSpace().alloc(0)
 
 
-def test_find_locates_containing_buffer():
-    space = AddressSpace()
-    buf = space.alloc(8192)
-    assert space.find(buf.addr + 100, 50) is buf
-    with pytest.raises(MemoryAccessError):
-        space.find(buf.addr + 8000, 500)  # crosses the end
-
-
-def test_contains():
-    space = AddressSpace()
-    buf = space.alloc(128)
-    assert buf.addr in space
-    assert (buf.addr + 127) in space
-    assert (buf.addr + 128) not in space
-
-
 def test_buffer_read_write_roundtrip():
     space = AddressSpace()
     buf = space.alloc(256)

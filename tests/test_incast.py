@@ -4,7 +4,7 @@ The regression suite for the switch output-queue model: an 8→1 incast's
 aggregate receive rate must cap at one link's bandwidth.  Also covers
 the bounded switch buffer (tail drops recovered by RC
 retransmission), the ``rx_port`` attribution stage, and the satellite
-fabric fixes (delivered-only counters, chunk packet accounting, loopback
+fabric fixes (delivered-only counters, loopback
 fault coverage).
 """
 
@@ -117,30 +117,6 @@ def test_rx_port_accessor_rejects_when_model_off():
         fabric.rx_port(0)
 
 
-def test_chunked_transmit_packet_count_matches_unchunked():
-    """Chunk boundaries must not mint extra packets: a chunk size that is
-    not a multiple of the MTU charges the same total serialization time
-    as the unchunked path, bit for bit."""
-
-    def elapsed(chunk_bytes):
-        sim = Simulator(seed=1)
-        fabric, _hosts = build_cluster(sim, SYSTEM_L, 2,
-                                       chunk_bytes=chunk_bytes)
-        fabric.nic(1).deliver = lambda payload: None
-
-        def proc():
-            t0 = sim.now
-            # 5000 B chunks vs 4096 B MTU: every chunk straddles a packet.
-            yield from fabric.transmit(0, 1, 123_456, None)
-            return sim.now - t0
-
-        out = sim.run(sim.process(proc()))
-        sim.run()
-        return out
-
-    assert repr(elapsed(5000)) == repr(elapsed(None))
-
-
 def test_fabric_counts_only_delivered_traffic():
     sim = Simulator(seed=1)
     fabric, _hosts = build_cluster(sim, SYSTEM_L, 2)
@@ -217,18 +193,6 @@ def test_retransmit_notes_match_the_counter():
                 if e["ph"] == "i"]
     assert len(instants) == len(notes)
     assert any(e["args"]["span"] is None for e in instants)
-
-
-@pytest.mark.parametrize("chunk_bytes", [0, -4096])
-def test_chunk_bytes_must_be_positive(chunk_bytes):
-    """A chunk of < 1 byte never advances a chunked send: rejected at
-    build time instead of spinning the simulator on zero-delay records."""
-    sim = Simulator(seed=1)
-    with pytest.raises(HardwareError, match="chunk_bytes"):
-        Fabric(sim, SYSTEM_L.nic, propagation_ns=100.0,
-               chunk_bytes=chunk_bytes)
-    assert Fabric(sim, SYSTEM_L.nic, propagation_ns=100.0,
-                  chunk_bytes=1).chunk_bytes == 1
 
 
 @pytest.mark.parametrize("buffer_bytes", [0, -4096])

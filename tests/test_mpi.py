@@ -165,37 +165,6 @@ def test_allreduce_non_power_of_two():
     assert results == [15.0] * 6
 
 
-def test_bcast_from_nonzero_root():
-    def program(comm):
-        data = np.arange(16) * 2 if comm.rank == 2 else None
-        out = yield from comm.bcast(2, nbytes=128, data=data)
-        return int(out[3])
-
-    results, _ = run_world(program, size=5)
-    assert results == [6] * 5
-
-
-def test_reduce_max_at_root():
-    def program(comm):
-        out = yield from comm.reduce(0, data=np.array([float(comm.rank)]),
-                                     op=__import__("repro.mpi.collectives", fromlist=["MAX"]).MAX)
-        return None if out is None else float(out[0])
-
-    results, _ = run_world(program, size=4)
-    assert results[0] == 3.0
-    assert all(r is None for r in results[1:])
-
-
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_allgather_collects_all(transport):
-    def program(comm):
-        out = yield from comm.allgather(data=np.array([comm.rank * 10]))
-        return [int(b[0]) for b in out]
-
-    results, _ = run_world(program, size=4, transport=transport)
-    assert all(r == [0, 10, 20, 30] for r in results)
-
-
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_alltoall_exchanges_blocks(transport):
     def program(comm):
@@ -216,20 +185,6 @@ def test_alltoallv_varying_sizes():
 
     results, _ = run_world(program, size=4)
     assert all(r > 0 for r in results)
-
-
-def test_gather_scatter_roundtrip():
-    def program(comm):
-        block = yield from comm.scatter(0, 16,
-                                        data_per_peer=[np.array([i]) for i in range(comm.size)]
-                                        if comm.rank == 0 else None)
-        got = yield from comm.gather(0, data=block * 2)
-        if comm.rank == 0:
-            return [int(b[0]) for b in got]
-        return None
-
-    results, _ = run_world(program, size=4)
-    assert results[0] == [0, 2, 4, 6]
 
 
 def test_cord_mpi_slower_than_bypass_small_messages():

@@ -243,6 +243,38 @@ def test_send_chain_denied_mid_chain_pays_one_syscall_posts_nothing():
     assert deny.evaluations == 3  # the chain stopped at the denied WR
 
 
+class _DenyRecvs(Policy):
+    name = "deny-recvs"
+
+    def _evaluate(self, ctx):
+        if ctx.op == "post_recv":
+            raise self.deny("no receives")
+        return 0.0
+
+
+def test_denied_recv_post_pays_one_syscall_posts_nothing():
+    """A CoRD recv post denied by policy still crosses the kernel once."""
+    sim = Simulator(seed=5)
+    _fabric, host_a, host_b = build_pair(sim, SYSTEM_L)
+
+    def main():
+        a, _b = yield from make_rc_pair(host_a, host_b, "cord", "bypass",
+                                        policies_a=PolicyChain([_DenyRecvs()]))
+        wrs = [RecvWR(wr_id=i, addr=a.buf.addr, length=64, lkey=a.mr.lkey)
+               for i in range(2)]
+        t0, calls, recvs = sim.now, a.core.syscalls, a.qp.recvs_posted
+        with pytest.raises(PolicyViolation, match="deny-recvs"):
+            yield from a.dataplane.post_recv_many(a.qp, wrs)
+        return (sim.now - t0, a.core.syscalls - calls,
+                a.qp.recvs_posted - recvs, a.dataplane)
+
+    elapsed, syscalls, recvs, dp = sim.run(sim.process(main()))
+    assert elapsed > 0.0
+    assert syscalls == 1
+    assert dp.denied_ops == 1
+    assert recvs == 0 and dp.ops_posted == 0  # no WR reached the NIC
+
+
 def test_policies_rejected_on_bypass():
     from repro.core.endpoint import make_dataplane
 

@@ -213,27 +213,6 @@ def test_allreduce_correct_for_any_world_and_size(size, nbytes):
     assert results == [expected] * size
 
 
-@settings(deadline=None, max_examples=10)
-@given(size=st.integers(min_value=2, max_value=6),
-       root=st.integers(min_value=0, max_value=5))
-def test_bcast_reaches_everyone_any_root(size, root):
-    from repro.cluster import build_cluster
-    from repro.hw.profiles import SYSTEM_L
-    from repro.mpi import MpiWorld
-
-    root = root % size
-    sim = Simulator(seed=1)
-    _f, hosts = build_cluster(sim, SYSTEM_L, 2)
-    world = MpiWorld(sim, hosts, size)
-
-    def program(comm):
-        data = b"payload" if comm.rank == root else None
-        out = yield from comm.bcast(root, nbytes=7, data=data)
-        return out
-
-    assert world.run(program) == [b"payload"] * size
-
-
 # -- NIC conservation -------------------------------------------------------------------
 
 

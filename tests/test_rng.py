@@ -1,4 +1,4 @@
-"""Named rng streams: lazy construction, the batched-jitter contract, and
+"""Named rng streams: lazy construction, the jitter source, and
 a differential check of the pure-Python PCG64 against numpy's.
 
 The simulator never imports numpy; the differential tests do (numpy is in
@@ -17,7 +17,7 @@ from repro.sim import Simulator, rng
 from repro.sim.rng import RngRegistry, Stream, seed_words, stream_seed
 
 MEAN, CV = 500.0, 0.35
-#: Crosses two 256-draw refills of the jitter source's prefetch block.
+#: Jittered draws compared one by one against numpy's per-call lognormal.
 DRAWS = 600
 
 #: Registry-derived seeds: one stream name of each kind the simulator
@@ -80,8 +80,20 @@ def test_testbed_build_leaves_stream_states_until_first_jittered_syscall():
     states = sim.rng.stream_states()
     assert states != before
     assert [s[0] for s in states] == [f"cpu:{core.name}"]
-    # One draw out of a fresh 256-normal block: 255 stay buffered.
-    assert states[0][-1] == 255
+    # The syscall drew exactly one normal from a fresh stream.
+    ref = Stream(stream_seed(3, f"cpu:{core.name}"))
+    ref.normals(1)
+    assert states[0][1] == (ref.state, ref.inc)
+
+
+def test_one_normal_at_a_time_equals_a_block():
+    """The jitter source draws ``normals(1)`` per value: the sequence is
+    the same as one long block, state included."""
+    for master in range(20):
+        seed = stream_seed(master, "cpu:core0")
+        block, single = Stream(seed), Stream(seed)
+        assert [single.normals(1)[0] for _ in range(1000)] == block.normals(1000)
+        assert (single.state, single.inc) == (block.state, block.inc)
 
 
 # -- differential: the same bits as numpy -------------------------------------
@@ -125,8 +137,8 @@ class _CountingStream(Stream):
 
 
 def test_normals_match_standard_normal_through_every_branch():
-    """768,000 normals over 300 seeds, drawn in jitter-sized blocks and
-    interleaved with uniforms, with both rare branches exercised."""
+    """768,000 normals over 300 seeds, drawn in blocks of 256, 1 and 2,303
+    and interleaved with uniforms, with both rare branches exercised."""
     tails = wedges = 0
     seeds = [stream_seed(master, "normals") for master in range(300)]
     for seed in seeds:
@@ -141,15 +153,15 @@ def test_normals_match_standard_normal_through_every_branch():
     assert tails > 0 and wedges > 0, (tails, wedges)
 
 
-def test_stream_states_report_the_pcg64_state_and_buffer_depth():
+def test_stream_states_report_the_pcg64_state():
     reg = RngRegistry(5)
     jitter = reg.jitter_stream("cpu:x")
     jitter.draw(MEAN, CV)
-    ((name, (state, inc), depth),) = reg.stream_states()
+    ((name, (state, inc)),) = reg.stream_states()
     gen = _default_rng(stream_seed(5, "cpu:x"))
-    gen.standard_normal(256)
+    gen.standard_normal(1)
     ref = gen.bit_generator.state["state"]
-    assert (name, state, inc, depth) == ("cpu:x", ref["state"], ref["inc"], 255)
+    assert (name, state, inc) == ("cpu:x", ref["state"], ref["inc"])
 
 
 def _profile_jitter_pairs():

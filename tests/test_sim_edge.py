@@ -1,11 +1,8 @@
-"""Discrete-event engine edge cases and device query verbs."""
+"""Discrete-event engine edge cases."""
 
 import pytest
 
-from repro.cluster import build_pair
-from repro.core.endpoint import make_endpoint
-from repro.errors import SimulationError, VerbsError
-from repro.hw.profiles import SYSTEM_L
+from repro.errors import SimulationError
 from repro.sim import Simulator
 
 
@@ -75,26 +72,3 @@ def test_yielding_foreign_simulator_event_fails():
     sim1.process(proc())
     with pytest.raises(SimulationError, match="another simulator"):
         sim1.run()
-
-
-# -- query verbs -----------------------------------------------------------------
-
-
-def test_query_device_and_port():
-    sim = Simulator(seed=1)
-    _f, host_a, _b = build_pair(sim, SYSTEM_L)
-
-    def main():
-        ep = yield from make_endpoint(host_a, "bypass")
-        dev = yield from ep.ctx.query_device()
-        port = yield from ep.ctx.query_port()
-        with pytest.raises(VerbsError):
-            yield from ep.ctx.query_port(2)
-        return dev, port
-
-    dev, port = sim.run(sim.process(main()))
-    assert dev.max_inline_data == SYSTEM_L.nic.inline_threshold
-    assert dev.atomic_cap
-    assert port.state == "ACTIVE"
-    assert port.active_mtu == 4096
-    assert port.link_speed_gbps == pytest.approx(100.0)

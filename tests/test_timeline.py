@@ -1,110 +1,15 @@
-"""Connection manager handshake + message timeline analysis."""
+"""Message timeline analysis: per-op milestones and their rendering."""
 
 import pytest
 
 from repro.analysis import format_timeline
 from repro.cluster import build_pair
-from repro.core.endpoint import make_endpoint, make_rc_pair
-from repro.errors import KernelError
+from repro.core.endpoint import make_rc_pair
 from repro.hw.profiles import SYSTEM_L
 from repro.sim import Simulator
 from repro.sim.trace import Trace
 from repro.telemetry import build_spans
-from repro.units import us
-from repro.verbs import cm
-from repro.verbs.qp import QPState
 from repro.verbs.wr import Opcode, RecvWR, SendWR
-
-
-@pytest.fixture(autouse=True)
-def clean_cm_registry():
-    cm.reset_registry()
-    yield
-    cm.reset_registry()
-
-
-def test_cm_connect_establishes_working_connection():
-    sim = Simulator(seed=9)
-    _fabric, host_a, host_b = build_pair(sim, SYSTEM_L)
-    out = {}
-
-    def server():
-        ep = yield from make_endpoint(host_b, "bypass")
-        listener = cm.CmListener(host_b, service_id=4791)
-        client_addr = yield from listener.accept(ep)
-        out["client_addr"] = client_addr
-        yield from ep.post_recv(RecvWR(wr_id=1, addr=ep.buf.addr,
-                                       length=ep.buf.length, lkey=ep.mr.lkey))
-        cqes = yield from ep.wait_recv()
-        out["got"] = cqes[0].byte_len
-
-    def client():
-        ep = yield from make_endpoint(host_a, "bypass")
-        yield sim.timeout(us(5))  # let the listener come up
-        server_addr = yield from cm.cm_connect(ep, host_b.host_id, 4791)
-        out["server_addr"] = server_addr
-        assert ep.qp.state is QPState.RTS
-        yield from ep.post_send(SendWR(wr_id=1, opcode=Opcode.SEND,
-                                       addr=ep.buf.addr, length=2048,
-                                       lkey=ep.mr.lkey))
-        yield from ep.wait_send()
-        out["client_qp"] = ep.qp
-
-    sim.process(server())
-    sim.process(client())
-    sim.run()
-    assert out["got"] == 2048
-    assert out["server_addr"][0] == host_b.host_id
-    assert out["client_addr"][0] == host_a.host_id
-    # The client's QP really is connected to what the REP advertised.
-    assert out["client_qp"].remote == out["server_addr"]
-
-
-def test_cm_connect_refused_without_listener():
-    sim = Simulator(seed=9)
-    _fabric, host_a, host_b = build_pair(sim, SYSTEM_L)
-
-    def client():
-        ep = yield from make_endpoint(host_a, "bypass")
-        yield from cm.cm_connect(ep, host_b.host_id, 9999)
-
-    with pytest.raises(KernelError, match="no listener"):
-        sim.run(sim.process(client()))
-
-
-def test_cm_double_listen_rejected():
-    sim = Simulator(seed=9)
-    _fabric, _a, host_b = build_pair(sim, SYSTEM_L)
-    cm.CmListener(host_b, service_id=1)
-    with pytest.raises(KernelError, match="already listening"):
-        cm.CmListener(host_b, service_id=1)
-
-
-def test_cm_handshake_takes_more_than_one_rtt():
-    sim = Simulator(seed=9)
-    _fabric, host_a, host_b = build_pair(sim, SYSTEM_L)
-    out = {}
-
-    def server():
-        ep = yield from make_endpoint(host_b, "bypass")
-        listener = cm.CmListener(host_b, service_id=7)
-        yield from listener.accept(ep)
-
-    def client():
-        ep = yield from make_endpoint(host_a, "bypass")
-        yield sim.timeout(us(50))
-        t0 = sim.now
-        yield from cm.cm_connect(ep, host_b.host_id, 7)
-        out["dt"] = sim.now - t0
-
-    sim.process(server())
-    sim.process(client())
-    sim.run()
-    rtt = 2 * SYSTEM_L.propagation_ns
-    assert out["dt"] > rtt + 2 * cm.CM_LEG_KERNEL_NS
-
-
-# -- timeline analysis -----------------------------------------------------------
 
 
 def _traced_send(size=4096, iters=1):

@@ -1,25 +1,19 @@
 #!/usr/bin/env python3
 """CI gate: the figure-suite wall-clock record must hold its budget.
 
-Reads a ``BENCH_figures.json`` written by ``repro.bench_support.figure_bench``
-(each figure keyed by ``base`` / ``ff`` mode, plus a cross-figure summary)
-and fails unless:
+Reads the JSON record ``repro.bench_support.figure_bench`` writes to
+``REPRO_BENCH_JSON`` (each figure keyed by ``base`` / ``ff`` mode, plus a
+cross-figure summary) and fails unless:
 
 - the recorded base-vs-fast-forward ``speedup`` is at least
   ``--min-speedup`` (when the file holds at least one paired figure);
-- every ``--subset-min-speedup NAME+NAME:X`` subset of figures reaches
-  its own aggregate speedup ``X`` (so the fully skippable figures can be
-  gated harder than a suite aggregate capped by runs that provably must
-  not skip, like fig5's jittered system-A core);
 - the paired fast-forward wall-clock total stays under ``--max-ff-wall``
   seconds, when given;
 - every figure named via ``--require-paired`` has both a base and a
   fast-forward measurement recorded.
 
-Two intended call sites: against the *committed* record (full-scale
-numbers; guards the headline suite speedup across PRs) and against a
-fresh CI-produced pair (smaller scale; guards against wall-clock
-regressions on the runner itself).
+CI runs it on a fresh base/fast-forward pair of one figure at reduced
+scale, which guards against wall-clock regressions on the runner itself.
 """
 
 from __future__ import annotations
@@ -30,21 +24,8 @@ import sys
 from pathlib import Path
 
 
-def parse_subset_spec(spec: str) -> tuple[list[str], float]:
-    """Parse ``fig1+fig3+fig4:4.0`` into (names, min speedup)."""
-    names_part, sep, floor_part = spec.rpartition(":")
-    if not sep or not names_part:
-        raise ValueError(
-            f"subset spec {spec!r} must look like NAME+NAME:MIN_SPEEDUP")
-    names = [n for n in names_part.split("+") if n]
-    if not names:
-        raise ValueError(f"subset spec {spec!r} names no figures")
-    return names, float(floor_part)
-
-
 def check(path: Path, min_speedup: float, max_ff_wall: float | None,
-          require_paired: list[str],
-          subset_specs: list[tuple[list[str], float]] = ()) -> list[str]:
+          require_paired: list[str]) -> list[str]:
     try:
         data = json.loads(path.read_text())
     except OSError as exc:
@@ -92,28 +73,13 @@ def check(path: Path, min_speedup: float, max_ff_wall: float | None,
     if max_ff_wall is not None and (ff_s is None or ff_s > max_ff_wall):
         problems.append(
             f"fast-forward suite wall {ff_s}s exceeds budget {max_ff_wall}s")
-    for names, floor in subset_specs:
-        missing = [n for n in names if n not in paired]
-        if missing:
-            problems.append(
-                f"subset {'+'.join(names)} lacks paired figures: {missing}")
-            continue
-        sub_base = sum(benchmarks[n]["base"]["wall_s"] for n in names)
-        sub_ff = sum(benchmarks[n]["ff"]["wall_s"] for n in names)
-        sub_speedup = round(sub_base / sub_ff, 3) if sub_ff > 0 else None
-        print(f"  subset {'+'.join(names)}: base={round(sub_base, 3)}s "
-              f"ff={round(sub_ff, 3)}s speedup={sub_speedup}x")
-        if sub_speedup is None or sub_speedup < floor:
-            problems.append(
-                f"subset {'+'.join(names)} speedup {sub_speedup} is below "
-                f"the required {floor}x")
     return problems
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("json_path", type=Path,
-                        help="BENCH_figures.json to validate")
+                        help="figure_bench JSON record to validate")
     parser.add_argument("--min-speedup", type=float, default=1.0,
                         help="minimum recorded base/ff speedup (default 1.0)")
     parser.add_argument("--max-ff-wall", type=float, default=None,
@@ -122,17 +88,9 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="FIG",
                         help="figure name that must have base+ff recorded "
                              "(repeatable)")
-    parser.add_argument("--subset-min-speedup", action="append", default=[],
-                        metavar="FIG+FIG:X",
-                        help="aggregate speedup floor for a subset of "
-                             "figures, e.g. fig1+fig3+fig4:4.0 (repeatable)")
     args = parser.parse_args(argv)
-    try:
-        subset_specs = [parse_subset_spec(s) for s in args.subset_min_speedup]
-    except ValueError as exc:
-        parser.error(str(exc))
     problems = check(args.json_path, args.min_speedup, args.max_ff_wall,
-                     args.require_paired, subset_specs)
+                     args.require_paired)
     for p in problems:
         print(f"BUDGET FAIL: {p}", file=sys.stderr)
     if not problems:
