@@ -117,6 +117,8 @@ class Nic:
         self.counters = NicCounters()
 
         self._qps: dict[int, QueuePair] = {}
+        #: ``_qps`` sorted by qpn, for :meth:`_queue_depth_state`.
+        self._qps_sorted: list[tuple[int, QueuePair]] = []
         self._qpn_seq = 0x40
         # Engine backlogs; the item in service is never in one.
         self._tx_backlog: deque[tuple] = deque()
@@ -164,11 +166,11 @@ class Nic:
         return (
             len(self._tx_backlog),
             len(self._rx_backlog),
-            tuple(
+            tuple([
                 (qpn, qp.sq_outstanding, len(qp.rq), len(qp.outstanding),
                  len(qp.reorder), len(qp.retx_retries))
-                for qpn, qp in sorted(self._qps.items())
-            ),
+                for qpn, qp in self._qps_sorted
+            ]),
         )
 
     # -- wiring -----------------------------------------------------------------
@@ -225,6 +227,7 @@ class Nic:
 
     def register_qp(self, qp: QueuePair) -> None:
         self._qps[qp.qpn] = qp
+        self._qps_sorted = sorted(self._qps.items())
         mon = self.sim._monitor
         if mon is not None:
             # Wire the QP's own hook (modify() has no sim reference) and

@@ -54,8 +54,6 @@ class IPoIBDevice:
         self._sockets: dict[int, "IPoIBSocket"] = {}
         host.nic.ip_handler = self._on_wire_message
         self._rx_name = f"ipoib:h{host.host_id}.rx"
-        self.rx_messages = 0
-        self.tx_messages = 0
 
     # -- socket management -------------------------------------------------------
 
@@ -69,7 +67,6 @@ class IPoIBDevice:
         if key in self.registry:
             raise KernelError(f"port {port} already bound on host {self.host.host_id}")
         self.registry[key] = sock
-        sock.local = key
 
     # -- wire handling ---------------------------------------------------------------
 
@@ -88,7 +85,6 @@ class IPoIBDevice:
         if sock is None:
             return  # socket closed; drop
         sock._segment_arrived(seq, seg_idx, nsegs, msg_bytes, msg.src_host, data, meta)
-        self.rx_messages += 1
 
 
 class IPoIBSocket:
@@ -98,14 +94,12 @@ class IPoIBSocket:
         self.device = device
         self.sim = device.sim
         self.sock_id = next(_socket_ids)
-        self.local: Optional[tuple[int, int]] = None
         #: Fully reassembled inbound messages: (src_host, nbytes, data).
         self._rx_msgs: Store = Store(self.sim, name=f"sock{self.sock_id}.rx")
         self._partial: dict[int, dict] = {}
         self._seq = itertools.count()
         self._tx_name = f"sock{self.sock_id}.tx"
         self.bytes_sent = 0
-        self.bytes_received = 0
 
     # -- data path ---------------------------------------------------------------------
 
@@ -174,7 +168,6 @@ class IPoIBSocket:
                 header_bytes=prof.packets(seg) * 44,
             )
             yield from host.fabric.transmit(host.host_id, dst_host, wire.wire_bytes, wire)
-        self.device.tx_messages += 1
 
     def _segment_arrived(
         self,
@@ -217,5 +210,4 @@ class IPoIBSocket:
         # Wakeup + kernel->user copy.
         yield from core.run(host.system.cpu.context_switch_ns)
         yield from core.run(host.mem_model.copy_ns(nbytes))
-        self.bytes_received += nbytes
         return src_host, nbytes, data, meta

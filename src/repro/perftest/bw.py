@@ -98,7 +98,8 @@ def send_bw(
         # fidelity.  The tx burst schedule recurs every `sig` receive
         # boundaries, so the period search must reach past it.
         tail = rq_target + window + 16
-        probe.begin("received", (warmup, max(warmup + 1, total - tail)),
+        probe.begin(("received", "measured", "posted"),
+                    (warmup, max(warmup + 1, total - tail)),
                     max_period=2 * _signal_every(window, techniques) + 4)
 
     def rx() -> Generator["Event", object, None]:
@@ -142,11 +143,8 @@ def send_bw(
             # Replenish the RQ with one chained call (as perftest does).
             yield from receiver.dataplane.post_recv_many(receiver.qp, reposts)
             if probe is not None and probe.enabled:
-                skip = probe.observe(
-                    {"received": received, "measured": measured,
-                     "posted": posted},
-                    (t_start is None, tx_done.processed),
-                )
+                skip = probe.observe((received, measured, posted),
+                                     (t_start is None, tx_done.processed))
                 if skip is not None:
                     received += skip.counters["received"]
                     measured += skip.counters["measured"]
@@ -171,7 +169,7 @@ def send_bw(
                 # Fold in iterations the receiver's probe skipped (the
                 # per-period delta is provably ≡ 0 mod `sig`, so the
                 # signaling phase below is undisturbed).
-                posted += probe.take_aux("tx").get("posted", 0)
+                posted += probe.take_aux()
             while posted < total and inflight < window:
                 yield from sender.core.run(loop_ns)
                 yield from techniques.charge_send_side(sender, size)
@@ -194,7 +192,7 @@ def send_bw(
                     # the signaling super-period.  Per-post state makes
                     # the ramp (inflight still growing) visibly aperiodic
                     # and gives each signaling phase a distinct signature.
-                    probe.observe_aux("tx", {"posted": posted},
+                    probe.observe_aux(posted,
                                       (inflight, unsignaled, posted % sig))
             cqes = yield from sender.dataplane.wait_cq(
                 sender.send_cq, max_entries=16, mode=techniques.wait_mode
@@ -207,7 +205,7 @@ def send_bw(
                 unsignaled -= retired - 1
                 inflight -= retired
             if probe is not None and probe.enabled:
-                probe.observe_aux("tx", {"posted": posted},
+                probe.observe_aux(posted,
                                   (inflight, unsignaled, posted % sig))
         tx_done.succeed(None)
 
@@ -239,7 +237,8 @@ def _one_sided_bw(
         # As in send_bw: the last milestone is a hard stop, the wind-down
         # (final signaled WR, inflight drain) always simulates.
         tail = window + 32
-        probe.begin("completed", (warmup, max(warmup + 1, total - tail)))
+        probe.begin(("completed", "posted"),
+                    (warmup, max(warmup + 1, total - tail)))
     posted = 0
     inflight = 0
     unsignaled = 0
@@ -278,7 +277,7 @@ def _one_sided_bw(
                 completed_at_mark = completed
         if probe is not None and probe.enabled:
             skip = probe.observe(
-                {"completed": completed, "posted": posted},
+                (completed, posted),
                 (inflight, unsignaled, posted % sig, t_start is None),
             )
             if skip is not None:

@@ -92,7 +92,7 @@ def send_lat(
     done = sim.event(name="send_lat.done")
     probe = fastforward
     if probe is not None:
-        probe.begin("i", (warmup, total))
+        probe.begin(("i",), (warmup, total))
 
     def responder() -> Generator["Event", object, None]:
         for _ in range(total):
@@ -136,7 +136,7 @@ def send_lat(
                 result.samples.append((sim.now - t0) / 2.0)
             i += 1
             if probe is not None and probe.enabled:
-                skip = probe.observe({"i": i})
+                skip = probe.observe((i,))
                 if skip is not None:
                     if sampled:
                         _replicate_samples(result.samples, skip)
@@ -165,7 +165,7 @@ def read_lat(
     total = warmup + iters
     probe = fastforward
     if probe is not None:
-        probe.begin("i", (warmup, total))
+        probe.begin(("i",), (warmup, total))
     i = 0
     while i < total:
         t0 = sim.now
@@ -183,7 +183,7 @@ def read_lat(
             result.samples.append(sim.now - t0)
         i += 1
         if probe is not None and probe.enabled:
-            skip = probe.observe({"i": i})
+            skip = probe.observe((i,))
             if skip is not None:
                 if sampled:
                     _replicate_samples(result.samples, skip)
@@ -212,7 +212,7 @@ def write_lat(
     done = sim.event(name="write_lat.done")
     probe = fastforward
     if probe is not None:
-        probe.begin("i", (warmup, total))
+        probe.begin(("i",), (warmup, total))
 
     def responder() -> Generator["Event", object, None]:
         # Arm the first watch before any ping can land; re-arm *before*
@@ -254,7 +254,7 @@ def write_lat(
                 result.samples.append((sim.now - t0) / 2.0)
             i += 1
             if probe is not None and probe.enabled:
-                skip = probe.observe({"i": i})
+                skip = probe.observe((i,))
                 if skip is not None:
                     if sampled:
                         _replicate_samples(result.samples, skip)

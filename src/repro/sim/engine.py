@@ -280,7 +280,7 @@ class Simulator:
 
     def component_state(self) -> tuple:
         """All registered providers' fingerprints, in registration order."""
-        return tuple(p() for p in self._state_providers)
+        return tuple([p() for p in self._state_providers])
 
     def heap_signature(self, tag: Callable[[object, object], object]) -> tuple:
         """The pending heap in relative time: one ``(t - now, priority,
@@ -293,8 +293,8 @@ class Simulator:
         by :func:`_describe_event`.
         """
         now = self._now
-        return tuple((t - now, prio, tag(fn, arg))
-                     for t, prio, _seq, fn, arg in sorted(self._queue))
+        return tuple([(t - now, prio, tag(fn, arg))
+                      for t, prio, _seq, fn, arg in sorted(self._queue)])
 
     def advance_clock(self, until: float) -> int:
         """Jump the clock to ``until``, translating every pending event.

@@ -16,10 +16,11 @@ Detection is two-phase, so un-skippable runs pay almost nothing:
 
 1. **Scan (cheap, every boundary)** — a per-step signature (time delta,
    scheduled-record delta, counter deltas, loop state, secondary-process
-   activity, component timing state) goes into a hash map keyed by value;
-   a signature recurring at distance ``p <= max_period`` nominates ``p``,
-   which is accepted once the last ``CONFIRM_PERIODS`` periods of cheap
-   steps are ``p``-periodic (one period, for a period that already jumped).
+   activity, component timing state) is interned to an integer id, hashed
+   once per boundary; a step id recurring at distance ``p <= max_period``
+   nominates ``p``, which is accepted once the last ``CONFIRM_PERIODS``
+   periods of step ids are ``p``-periodic (one period, for a period that
+   already jumped).
 2. **Verify (expensive, ~p boundaries)** — for a nominated period the
    probe additionally snapshots the pending heap
    (:meth:`~repro.sim.engine.Simulator.heap_signature`, tagged by record
@@ -82,11 +83,26 @@ or no exact period emerging at all (``no-period``): soft signatures stop
 recurring or the overall scan budget runs dry.  A probe that ran its
 loop past the last milestone disarms as ``complete``.  Disarmed probes
 cost one attribute check per boundary.
+
+Bookkeeping
+-----------
+
+An armed boundary costs a small constant.  The history is translation-free:
+it holds step ids, and the only absolute values kept are those of the last
+boundary (time, counters, record sequence) and the secondary process's
+last counter, which are all a jump has to shift.  A jump reads the
+period's time deltas, counter advances and record count from the interned
+signatures of its last ``p`` steps.  Only a step id never seen before is
+tested for soft recurrence (a known id's soft signature is already in the
+set), and an id is dropped when its last step leaves the window, so the id
+table and the scan map stay bounded by the window, not the run length.  A
+verify window snapshots the heap only at the four boundaries it compares.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add, sub
 from typing import TYPE_CHECKING, Optional
 
 from repro.sim.events import _fire
@@ -155,37 +171,50 @@ class FastForward:
     :meth:`take_aux` on the secondary side.
     """
 
-    __slots__ = ("_sim", "stats", "reason", "_enabled", "_max_period",
-                 "_primary", "_pidx", "_milestones", "_keys", "_records",
-                 "_steps", "_nsteps", "_seen", "_vperiod", "_vfull", "_fp",
-                 "_vfail", "_fruitless", "_soft_seen", "_last_soft",
-                 "_last_bound", "_jumped_periods", "_aux_raw", "_aux_last",
-                 "_aux_pending")
+    __slots__ = ("_sim", "stats", "reason", "enabled", "_max_period",
+                 "_names", "_milestones", "_cap", "_t", "_counts", "_seq",
+                 "_ids", "_sigs", "_latest", "_next_id", "_steps", "_nsteps",
+                 "_seen", "_vperiod", "_vfull", "_fp", "_vfail", "_fruitless",
+                 "_budget", "_soft_seen", "_last_soft", "_last_bound",
+                 "_jumped_periods", "_aux_raw", "_aux_last", "_aux_pending")
 
     def __init__(self, sim: "Simulator", faults: object = None):
         self._sim = sim
         self.stats = FastForwardStats()
         self.reason: Optional[str] = None
-        self._enabled = True
+        #: True while the probe may still arm.  A plain attribute so the
+        #: loops' per-post check stays cheap; only :meth:`disarm` writes
+        #: it, and disarming is permanent (the tables it clears cannot be
+        #: re-armed).
+        self.enabled = True
         self._max_period = MAX_PERIOD
-        self._primary: Optional[str] = None
-        self._pidx: int = 0
+        #: Counter names, primary first, in the order ``observe`` gets them.
+        self._names: tuple = ()
         self._milestones: tuple = ()
-        self._keys: Optional[tuple] = None
-        #: Boundary records: (t, counts, state, comp, seq, aux_sig,
-        #: aux_counts).
-        self._records: list[tuple] = []
-        #: Cheap step signatures between consecutive records (incremental;
-        #: _steps[i] covers the step ending at _records[i + 1]).
-        self._steps: list[tuple] = []
+        #: Step ids kept: the confirm window plus one verify period.
+        self._cap = (CONFIRM_PERIODS + 1) * MAX_PERIOD + 1
+        #: The last boundary: time, counters and records scheduled so far.
+        self._t = 0.0
+        self._counts: Optional[tuple] = None
+        self._seq = 0
+        #: Step signature -> id, id -> signature, and id -> global index of
+        #: its latest step, for the ids in the window.
+        self._ids: dict = {}
+        self._sigs: dict = {}
+        self._latest: dict = {}
+        self._next_id = 0
+        #: Ids of the latest steps, oldest first (_steps[-1] ends at the
+        #: last boundary).
+        self._steps: list[int] = []
         #: Total steps ever taken (global index of _steps[-1]).
         self._nsteps: int = 0
-        #: Step signature -> global index of its latest occurrence.
+        #: Step id -> global index of its latest scan-phase occurrence.
         self._seen: dict = {}
         #: Candidate period under verification (0 = scanning).
         self._vperiod: int = 0
-        #: Heap signatures, one per verify boundary.
-        self._vfull: list[tuple] = []
+        #: Heap signatures, one slot per verify boundary; only the
+        #: window's first two and last two are compared, and built.
+        self._vfull: list[Optional[tuple]] = []
         #: RNG fingerprint at the first boundary, compared at every later
         #: one (``stream_states`` reads two ints per stream).  Streams only
         #: move forward, so an unchanged fingerprint proves that no step
@@ -195,6 +224,8 @@ class FastForward:
         self._vfail: Optional[str] = None
         #: Boundaries since the last jump / milestone crossing.
         self._fruitless: int = 0
+        #: The soft budget of the current phase (see :meth:`_soft_budget`).
+        self._budget: int = 0
         #: Soft step signatures (the step minus component timing state) ever
         #: seen, and the index of the last boundary whose soft signature
         #: recurred.  A loop with *any* periodic structure — even one whose
@@ -206,14 +237,18 @@ class FastForward:
         self._last_bound: Optional[int] = None
         #: Periods that already passed a verify window.  After a
         #: binade-capped jump the next boundaries re-round in the new
-        #: binade, miss the translated hash, and would pay a full
+        #: binade, miss the step ids seen before it, and would pay a full
         #: ``CONFIRM_PERIODS`` rescan — but a proven period's renomination
         #: skips straight to the verify window (which remains the
         #: exactness proof).
         self._jumped_periods: set = set()
+        #: The secondary process's reports since the last boundary: (time,
+        #: counter delta, state).
         self._aux_raw: list[tuple] = []
-        self._aux_last: dict[str, dict] = {}
-        self._aux_pending: dict[str, dict] = {}
+        #: Its last reported counter, and the advance jumps added to it
+        #: that it has not taken yet.
+        self._aux_last = 0
+        self._aux_pending = 0
         if faults is not None and not getattr(faults, "fastforward_safe", False):
             self.disarm("faults")
         elif sim.trace.enabled:
@@ -221,19 +256,16 @@ class FastForward:
 
     # -- state -----------------------------------------------------------------
 
-    @property
-    def enabled(self) -> bool:
-        """True while the probe may still arm."""
-        return self._enabled
-
     def disarm(self, reason: str) -> None:
         """Permanently stop probing (exactness can no longer be proven)."""
-        self._enabled = False
+        self.enabled = False
         if self.reason is None:
             self.reason = reason
-        self._records.clear()
         self._steps.clear()
         self._seen.clear()
+        self._ids.clear()
+        self._sigs.clear()
+        self._latest.clear()
         self._soft_seen.clear()
         self._vperiod = 0
         self._vfull.clear()
@@ -241,10 +273,12 @@ class FastForward:
 
     # -- loop API --------------------------------------------------------------
 
-    def begin(self, primary: str, milestones: tuple,
+    def begin(self, names: tuple, milestones: tuple,
               max_period: Optional[int] = None) -> None:
-        """Declare the loop's primary counter and its do-not-cross marks.
+        """Declare the loop's counters and its do-not-cross marks.
 
+        ``names`` are the loop's monotone progress counters, in the order
+        :meth:`observe` gets their values; the first is the primary.
         ``milestones`` are primary-counter values whose crossings carry
         one-shot semantics (the warm-up mark, ``total - tail``): a jump
         always lands at least one full period short of the next one, so
@@ -256,27 +290,25 @@ class FastForward:
         its own super-period (e.g. ``send_bw``'s tx bursts recur every
         ``sig`` receive boundaries, well past ``MAX_PERIOD``).
         """
-        self._primary = primary
+        self._names = tuple(names)
         self._milestones = tuple(sorted(milestones))
         if max_period is not None:
             self._max_period = max(self._max_period, int(max_period))
+        self._cap = (CONFIRM_PERIODS + 1) * self._max_period + 1
 
-    def observe(self, counters: dict, state: tuple = ()) -> Optional[Skip]:
+    def observe(self, counts: tuple, state: tuple = ()) -> Optional[Skip]:
         """Record one boundary; jump if the steady state is proven.
 
-        ``counters`` are the loop's monotone progress counters (the
-        primary among them); ``state`` is the loop's residual scheduling
-        state (in-flight count, unsignaled backlog, signal phase...).
-        Returns a :class:`Skip` when the clock was advanced — the caller
-        must apply ``skip.counters`` — or ``None`` to keep simulating.
+        ``counts`` are the values of the counters :meth:`begin` named, in
+        that order; ``state`` is the loop's residual scheduling state
+        (in-flight count, unsignaled backlog, signal phase...).  Returns a
+        :class:`Skip` when the clock was advanced — the caller must apply
+        ``skip.counters`` — or ``None`` to keep simulating.
         """
-        if not self._enabled:
+        if not self.enabled:
             return None
         self.stats.boundaries += 1
         sim = self._sim
-        if self._keys is None:
-            self._keys = tuple(sorted(counters))
-            self._pidx = self._keys.index(self._primary)
         fp = sim.rng.stream_states()
         if self._fp is None:
             self._fp = fp
@@ -286,39 +318,55 @@ class FastForward:
             # bit-identically, so stop probing at the first such step.
             self.disarm("rng")
             return None
-        counts = tuple(counters[k] for k in self._keys)
         now = sim._now
-        aux_sig, aux_counts = self._fold_aux(now)
-        rec = (now, counts, state, sim.component_state(), sim._seq,
-               aux_sig, aux_counts)
-        recs = self._records
-        step = None
-        if recs:
-            step = self._step_between(recs[-1], rec)
-            self._steps.append(step)
-            self._nsteps += 1
-            # Soft structure: a *settling* schedule (DVFS duty EMA still
-            # contracting toward its float fixed point) revisits its soft
-            # buckets long before the bits pin; a *jittered* one (fresh
-            # lognormal draws, tens of ns spread) essentially never does.
-            soft = self._soft_of(step)
-            if soft in self._soft_seen:
-                self._last_soft = self._nsteps
+        seq = sim._seq
+        raw = self._aux_raw
+        if raw:
+            aux = tuple([(now - t, delta, st) for t, delta, st in raw])
+            raw.clear()
+        else:
+            aux = ()
+        comp = sim.component_state()
+        sid = None
+        last_counts = self._counts
+        if last_counts is not None:
+            # Fields ordered cheapest/most-discriminating first so hash
+            # collisions compare short.
+            step = (now - self._t,                            # time delta
+                    seq - self._seq,                          # records scheduled
+                    tuple(map(sub, counts, last_counts)),     # counter deltas
+                    state,                                    # loop state
+                    aux,                                      # aux signature
+                    comp)                                     # component state
+            n = self._nsteps = self._nsteps + 1
+            new_id = self._next_id
+            sid = self._ids.setdefault(step, new_id)
+            if sid == new_id:
+                self._intern(step)
             else:
-                self._soft_seen.add(soft)
-        recs.append(rec)
-        if len(recs) > (CONFIRM_PERIODS + 1) * self._max_period + 2:
-            del recs[0]
-            del self._steps[0]
+                # A known id's soft signature is already in the set.
+                self._last_soft = n
+            steps = self._steps
+            steps.append(sid)
+            latest = self._latest
+            latest[sid] = n
+            if len(steps) > self._cap:
+                old = steps.pop(0)
+                if latest[old] == n - self._cap:
+                    self._forget(old)
+        self._t = now
+        self._counts = counts
+        self._seq = seq
 
         skip = None
         if self._vperiod:
-            skip = self._verify_boundary(step)
-        elif step is not None:
-            prev = self._seen.get(step)
-            self._seen[step] = self._nsteps
+            skip = self._verify_boundary(sid)
+        elif sid is not None:
+            nsteps = self._nsteps
+            prev = self._seen.get(sid)
+            self._seen[sid] = nsteps
             if prev is not None:
-                period = self._nsteps - prev
+                period = nsteps - prev
                 if period <= self._max_period and self._scan_ready(period):
                     self._vperiod = period
                     self._vfull.append(sim.heap_signature(_record_kind))
@@ -328,50 +376,69 @@ class FastForward:
         # — a structured schedule recurs within a couple of periods, a
         # jittered one never — and a generous overall backstop for
         # structured schedules that never become provably exact.
-        bound = self._next_bound(counts[self._pidx])
-        if bound is None:
-            self.disarm("complete")
-            return skip
-        if skip is not None or bound != self._last_bound:
+        bound = self._last_bound
+        if skip is None and bound is not None and counts[0] < bound:
+            self._fruitless += 1
+        else:
+            bound = self._next_bound(counts[0])
+            if bound is None:
+                self.disarm("complete")
+                return skip
             self._fruitless = 0
             self._last_soft = self._nsteps
-        else:
-            self._fruitless += 1
-        self._last_bound = bound
-        if self._nsteps - self._last_soft > self._soft_budget():
+            self._last_bound = bound
+            self._budget = self._soft_budget()
+        if self._nsteps - self._last_soft > self._budget:
             self.disarm("no-period")
         elif self._fruitless > 16 * self._max_period + 256:
             self.disarm(self._vfail or "no-period")
         return skip
 
-    def observe_aux(self, name: str, counters: dict, state: tuple = ()) -> None:
-        """Record a secondary process's boundary (folded at the next
-        :meth:`observe` into the driver's signature)."""
-        if not self._enabled:
+    def observe_aux(self, count: int, state: tuple = ()) -> None:
+        """Record a boundary of the loop's secondary process: its one
+        monotone progress counter and its scheduling state (folded at the
+        next :meth:`observe` into the main loop's step signature)."""
+        if not self.enabled:
             return
-        self._aux_raw.append((name, self._sim._now, dict(counters), state))
+        self._aux_raw.append((self._sim._now, count - self._aux_last, state))
+        self._aux_last = count
 
-    def take_aux(self, name: str) -> dict:
-        """Counter advances accumulated for a secondary process by jumps
-        since its last call (empty when none)."""
-        return self._aux_pending.pop(name, None) or {}
+    def take_aux(self) -> int:
+        """The secondary counter's advance from jumps since the last call
+        (0 when none)."""
+        adv = self._aux_pending
+        self._aux_pending = 0
+        return adv
 
     # -- scan phase ------------------------------------------------------------
 
-    def _fold_aux(self, now: float) -> tuple:
-        if not self._aux_raw and not self._aux_last:
-            return (), {}
-        sig_items = []
-        for (name, t, counters, state) in self._aux_raw:
-            last = self._aux_last.get(name)
-            delta = tuple(sorted(
-                (k, v - (last[k] if last else 0)) for k, v in counters.items()
-            ))
-            self._aux_last[name] = counters
-            sig_items.append((name, now - t, delta, state))
-        self._aux_raw.clear()
-        aux_counts = {name: dict(c) for name, c in self._aux_last.items()}
-        return tuple(sig_items), aux_counts
+    def _intern(self, step: tuple) -> None:
+        """Register a step signature never seen before under the next id,
+        and test its soft signature for recurrence."""
+        sid = self._next_id
+        self._next_id = sid + 1
+        self._sigs[sid] = step
+        # Soft structure: a *settling* schedule (DVFS duty EMA still
+        # contracting toward its float fixed point) revisits its soft
+        # buckets long before the bits pin; a *jittered* one (fresh
+        # lognormal draws, tens of ns spread) essentially never does.
+        soft = self._soft_of(step)
+        if soft in self._soft_seen:
+            self._last_soft = self._nsteps
+        else:
+            self._soft_seen.add(soft)
+
+    def _forget(self, sid: int) -> None:
+        """Drop an id whose last step just left the window.
+
+        Nothing can reach it any more: a scan-map entry that old can only
+        nominate a period the scan rejects.  A signature that recurs later
+        interns afresh, and its soft signature is still in the soft set, so
+        the table stays as small as the window at no change in decisions.
+        """
+        del self._latest[sid]
+        del self._ids[self._sigs.pop(sid)]
+        self._seen.pop(sid, None)
 
     def _soft_budget(self) -> int:
         """Boundaries the probe tolerates without a *soft* recurrence.
@@ -400,34 +467,18 @@ class FastForward:
         """
         aux = step[4]
         if aux:
-            aux = tuple((name, round(off, 1), delta, state)
-                        for (name, off, delta, state) in aux)
+            aux = tuple([(round(off, 1), delta, state)
+                         for (off, delta, state) in aux])
         return (round(step[0], 1), step[1], step[2], step[3], aux)
 
-    @staticmethod
-    def _step_between(a: tuple, b: tuple) -> tuple:
-        """Cheap signature of the step from boundary record ``a`` to ``b``.
-
-        Fields ordered cheapest/most-discriminating first so mismatch
-        comparisons short-circuit early.
-        """
-        return (
-            b[0] - a[0],                                   # time delta
-            b[4] - a[4],                                   # records scheduled
-            tuple(x - y for x, y in zip(b[1], a[1])),      # counter deltas
-            b[2],                                          # loop state
-            b[5],                                          # aux signature
-            b[3],                                          # component state
-        )
-
     def _scan_ready(self, period: int) -> bool:
-        """Cheap steps p-periodic over the confirm window?
+        """Step ids p-periodic over the confirm window?
 
         A period that already passed a verify window needs no fresh
         confirm window: it is a proven property of this schedule, and the
         verify pass (the exactness proof proper) re-checks it anyway.
         That matters after every binade-capped jump — the new binade
-        re-rounds the step deltas, so the translated history misses and a
+        re-rounds the step deltas, so the steps before the jump miss and a
         full confirm would cost ``CONFIRM_PERIODS`` extra periods per
         crossing."""
         steps = self._steps
@@ -435,22 +486,25 @@ class FastForward:
         confirm = 1 if period in self._jumped_periods else CONFIRM_PERIODS
         if n < confirm * period:
             return False
-        return all(steps[n - k] == steps[n - k - period]
-                   for k in range(1, (confirm - 1) * period + 1))
+        span = (confirm - 1) * period
+        return steps[n - span:] == steps[n - span - period:n - period]
 
     # -- verify phase ----------------------------------------------------------
 
-    def _verify_boundary(self, step: Optional[tuple]) -> Optional[Skip]:
+    def _verify_boundary(self, sid: Optional[int]) -> Optional[Skip]:
         period = self._vperiod
-        n = len(self._steps)
-        if step is None or n < period + 1 or \
-                step != self._steps[n - 1 - period]:
+        steps = self._steps
+        n = len(steps)
+        if n < period + 1 or sid != steps[n - 1 - period]:
             self._end_verify()
             return None
-        sim = self._sim
+        # Only the window's first two and last two heap signatures are
+        # compared, so the ones between are never built.
         full = self._vfull
-        full.append(sim.heap_signature(_record_kind))
-        if len(full) < period + 2:
+        k = len(full)
+        full.append(self._sim.heap_signature(_record_kind)
+                    if k <= 1 or k >= period else None)
+        if k < period + 1:
             return None
         if full[period] != full[0] or full[period + 1] != full[1]:
             self._end_verify("queue")
@@ -477,11 +531,11 @@ class FastForward:
         return None
 
     def _jump(self, p: int) -> Optional[Skip]:
-        recs = self._records
-        last = recs[-1]
-        base = recs[-1 - p]
-        prim = last[1][self._pidx]
-        units = prim - base[1][self._pidx]
+        # The last full period, as the signatures of its p steps.
+        period = [self._sigs[sid] for sid in self._steps[-p:]]
+        per_period = [sum(col) for col in zip(*[sig[2] for sig in period])]
+        prim = self._counts[0]
+        units = per_period[0]
         if units <= 0:
             return None
         prev_mark = None
@@ -502,10 +556,7 @@ class FastForward:
         if cycles <= 0:
             return None
 
-        now = last[0]
-        # Period time deltas, in order, from the most recent full period.
-        start = len(recs) - 1 - p
-        deltas = [recs[start + i + 1][0] - recs[start + i][0] for i in range(p)]
+        now = self._t
         # Binade cap: stay where the ulp grid — and thus the observed
         # arithmetic — is unchanged, for the clock and every shifted offset.
         if now > 0:
@@ -513,7 +564,8 @@ class FastForward:
         else:
             binade_end = math.inf
         queue = self._sim._queue
-        max_off = max((rec[0] for rec in queue), default=now) - now
+        max_off = max([rec[0] for rec in queue], default=now) - now
+        deltas = [sig[0] for sig in period]
         target = now
         stepped = 0
         while stepped < cycles:
@@ -527,56 +579,32 @@ class FastForward:
         if stepped == 0:
             return None
 
-        counter_deltas = {
-            key: (last[1][i] - base[1][i]) * stepped
-            for i, key in enumerate(self._keys)
-        }
-        aux_shift: dict = {}
-        for name, now_counts in last[6].items():
-            then_counts = base[6].get(name)
-            if then_counts is None:
-                continue
-            pend = self._aux_pending.setdefault(name, {})
-            adv = aux_shift.setdefault(name, {})
-            for key, value in now_counts.items():
-                delta = (value - then_counts.get(key, 0)) * stepped
-                pend[key] = pend.get(key, 0) + delta
-                adv[key] = delta
-        events_per_period = last[4] - base[4]
+        counter_deltas = [d * stepped for d in per_period]
+        aux_per_period = sum([delta for sig in period
+                              for _off, delta, _state in sig[4]])
+        events_per_period = sum([sig[1] for sig in period])
         skipped_ns = target - now
         self._sim.advance_clock(target)
 
         stats = self.stats
         stats.jumps += 1
         stats.cycles_skipped += stepped
-        stats.units_skipped += counter_deltas[self._primary]
+        stats.units_skipped += counter_deltas[0]
         stats.events_skipped += events_per_period * stepped
         stats.time_skipped_ns += skipped_ns
-        # Translate the detector's history across the jump instead of
-        # discarding it: boundary times shift with the clock, counters by
-        # the skipped deltas; the step signatures — and the hash map over
-        # them — are delta-based and survive verbatim.  The verified period
-        # therefore stays hot: the very next boundary renominates it, and a
-        # fresh verify window (the exactness proof proper) is the only
-        # re-arm latency.  Any post-jump deviation (a milestone near, a
-        # binade crossing re-rounding the deltas) shows up as a step
+        # Shift the last boundary across the jump: the clock moved, the
+        # counters (the secondary's too) advanced by the skipped deltas.
+        # The step ids — and the scan map over them — are delta-based and
+        # stay valid, so the
+        # verified period stays hot: the very next boundary renominates
+        # it, and a fresh verify window (the exactness proof proper) is the
+        # only re-arm latency.  Any post-jump deviation (a milestone near,
+        # a binade crossing re-rounding the deltas) shows up as a step
         # mismatch and falls back to a full rescan, so the retained history
         # can delay re-arming but never corrupt a jump.
-        shift = skipped_ns
-        delta_tuple = tuple(counter_deltas[k] for k in self._keys)
-        self._records = [
-            (t + shift,
-             tuple(c + d for c, d in zip(counts, delta_tuple)),
-             state, comp, seq, aux_sig,
-             {name: {k: v + aux_shift.get(name, {}).get(k, 0)
-                     for k, v in c.items()}
-              for name, c in aux_counts.items()})
-            for (t, counts, state, comp, seq, aux_sig, aux_counts)
-            in self._records
-        ]
-        for name, adv in aux_shift.items():
-            lastc = self._aux_last.get(name)
-            if lastc is not None:
-                for key, delta in adv.items():
-                    lastc[key] = lastc.get(key, 0) + delta
-        return Skip(counter_deltas, stepped, units)
+        self._t = now + skipped_ns
+        self._counts = tuple(map(add, self._counts, counter_deltas))
+        aux_adv = aux_per_period * stepped
+        self._aux_pending += aux_adv
+        self._aux_last += aux_adv
+        return Skip(dict(zip(self._names, counter_deltas)), stepped, units)

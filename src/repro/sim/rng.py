@@ -223,8 +223,11 @@ class RngRegistry:
         it is built, which a jitter source does at its first draw, so the
         tuple changes exactly when a stream moves.
         """
-        return tuple((name, (gen.state, gen.inc))
-                     for name, gen in sorted(self._streams.items()))
+        streams = self._streams
+        if not streams:
+            return ()
+        return tuple([(name, (gen.state, gen.inc))
+                      for name, gen in sorted(streams.items())])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<RngRegistry seed={self.master_seed} streams={sorted(self._streams)}>"

@@ -159,20 +159,23 @@ def test_trace_export_refuses_to_arm():
 def test_probe_observe_after_disarm_is_cheap_noop():
     sim = Simulator(seed=7)
     probe = FastForward(sim, faults=FaultPlan(loss=0.5))
-    probe.begin("i", (10, 100))
-    assert probe.observe({"i": 1}) is None
+    probe.begin(("i",), (10, 100))
+    assert probe.observe((1,)) is None
     assert probe.stats.jumps == 0
 
 
 # -- the skip ledger of a representative matrix --------------------------------
 
 def config_for(system: str, dataplane: str, op: str, kind: str,
+               size: int = 4096, transport: str = "RC",
                iters_scale: float = 1.0) -> tuple:
-    """One skip-ledger row's ``(PerftestConfig, run function)``."""
+    """One skip-ledger row's ``(PerftestConfig, run)``, where ``run(cfg)``
+    measures one ``size``-byte point."""
     base, run = (LAT_CFG, run_lat) if kind == "lat" else (BW_CFG, run_bw)
     extra = dict(base, iters=max(1, int(base["iters"] * iters_scale)))
-    return PerftestConfig(system=system, op=op, client=dataplane,
-                          server=dataplane, **extra), run
+    cfg = PerftestConfig(system=system, transport=transport, op=op,
+                         client=dataplane, server=dataplane, **extra)
+    return cfg, lambda config: run(config, size)
 
 
 def ledger(stats: dict) -> tuple:
@@ -185,16 +188,19 @@ def ledger(stats: dict) -> tuple:
             stats["ff_units_skipped"], stats["ff_events_skipped"],
             stats["events_scheduled"], stats["ff_boundaries"], reason)
 
-#: (iteration scale, system, dataplane, op, kind) -> (jumps, cycles, units,
-#: events skipped, events scheduled, boundaries observed while armed,
-#: disarm reason) of the fast-forwarded 4 KiB run, for one bypass and one
-#: CoRD loop per op kind on system L and the two jittered system A CoRD
-#: loops.  Any change to what the probe skips or scans moves a figure
-#: here, even when results stay bit-identical.  Scale 1 uses
-#: LAT_CFG/BW_CFG as they are; at scale 2 the proven-period memo shows
-#: (without it, bypass write_bw skips one cycle fewer).  The system A
-#: loops draw syscall jitter in their first step, so the probe disarms as
-#: ``rng`` at its second boundary.
+#: (iteration scale, system, dataplane, op, kind[, size[, transport]]) ->
+#: (jumps, cycles, units, events skipped, events scheduled, boundaries
+#: observed while armed, disarm reason) of the fast-forwarded run (4 KiB
+#: and RC unless the key says otherwise), for one bypass and one CoRD loop
+#: per op kind on system L and the two jittered system A CoRD loops.  Any
+#: change to what the probe skips or scans moves a figure here, even when
+#: results stay bit-identical.  Scale 1 uses LAT_CFG/BW_CFG as they are; at
+#: scale 2 the proven-period memo shows (without it, bypass write_bw skips
+#: one cycle fewer).  The system A loops draw syscall jitter in their first
+#: step, so the probe disarms as ``rng`` at its second boundary.  The two
+#: scale-5 rows stress the bookkeeping hardest: bypass send_bw at 1 MiB
+#: takes six binade-capped jumps, and UD CoRD send_bw at 64 B verifies a
+#: long period whose steps fold many tx reports each.
 SKIP_LEDGER = {
     (1.0, "L", "bypass", "send", "lat"): (3, 94, 152, 5168, 633, 18, "complete"),
     (1.0, "L", "cord", "write", "lat"): (3, 92, 150, 5100, 697, 20, "complete"),
@@ -208,17 +214,63 @@ SKIP_LEDGER = {
     (2.0, "L", "cord", "send", "bw"): (1, 17, 1088, 15844, 13330, 280, "complete"),
     (2.0, "A", "cord", "send", "lat"): (0, 0, 0, 0, 11002, 2, "rng"),
     (2.0, "A", "cord", "write", "bw"): (0, 0, 0, 0, 24307, 2, "rng"),
+    (5.0, "L", "bypass", "send", "bw", 1 << 20):
+        (6, 119, 3808, 69020, 16186, 668, "complete"),
+    (5.0, "L", "cord", "send", "bw", 64, "UD"):
+        (2, 22, 2816, 26884, 18035, 763, "complete"),
 }
 
 
 @pytest.mark.parametrize("key", SKIP_LEDGER,
-                         ids=lambda key: "-".join((*key[1:], str(key[0]))))
+                         ids=lambda key: "-".join(map(str, (*key[1:], key[0]))))
 def test_skip_ledger_is_pinned(key):
     scale, *row = key
     cfg, run = config_for(*row, iters_scale=scale)
     reset_run_stats()
-    run(cfg.with_(fastforward=True), 4096)
+    run(cfg.with_(fastforward=True))
     assert ledger(run_stats_snapshot()) == SKIP_LEDGER[key]
+
+
+def _probe_peaks(monkeypatch, iters: int) -> tuple:
+    """Peak sizes of the probe's step history, step-id table and scan map
+    over one fast-forwarded 4 KiB send_bw run, and the probe itself."""
+    peaks = {"steps": 0, "ids": 0, "seen": 0}
+    probes = []
+    observe = FastForward.observe
+
+    def watched(self, counts, state=()):
+        skip = observe(self, counts, state)
+        if self not in probes:
+            probes.append(self)
+        for name, table in (("steps", self._steps), ("ids", self._ids),
+                            ("seen", self._seen)):
+            peaks[name] = max(peaks[name], len(table))
+        return skip
+
+    monkeypatch.setattr(FastForward, "observe", watched)
+    cfg = PerftestConfig(system="L", op="send", client="bypass",
+                         server="bypass", iters=iters, warmup=200, window=64,
+                         fastforward=True)
+    run_bw(cfg, 4096)
+    (probe,) = probes
+    return peaks, probe
+
+
+def test_probe_state_stays_bounded_and_disarm_releases_it(monkeypatch):
+    """Interning must not grow with the run: a step id leaves the table
+    when its last step leaves the confirm window, so a run four times as
+    long peaks at the same sizes, and disarming frees everything."""
+    short, _ = _probe_peaks(monkeypatch, 5000)
+    long, probe = _probe_peaks(monkeypatch, 20000)
+    assert probe.stats.jumps > 2  # the long run crosses more binades
+    assert short == long
+    assert long["ids"] <= long["steps"] == probe._cap
+    assert long["seen"] <= long["ids"]
+    assert probe.reason == "complete"
+    for table in (probe._steps, probe._ids, probe._sigs, probe._latest,
+                  probe._seen, probe._soft_seen, probe._vfull,
+                  probe._aux_raw):
+        assert not table
 
 
 def test_reset_run_stats_clears_disarm_tallies():
