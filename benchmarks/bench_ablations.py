@@ -24,7 +24,7 @@ from repro.perftest.techniques import Techniques
 from repro.cluster import build_pair
 from repro.core.endpoint import connect, make_endpoint, make_rc_pair
 from repro.sim import Simulator
-from repro.units import ms, us
+from repro.units import ms
 from repro.verbs.wr import Opcode, RecvWR, SendWR
 
 

@@ -20,7 +20,6 @@ from repro.cluster import build_pair
 from repro.hw.profiles import SYSTEM_L
 from repro.mpi import MpiWorld
 from repro.sim import Simulator
-from repro.units import us
 
 #: Compute between message exchanges (ns); smaller = more message-intensive.
 COMPUTE_STEPS = [1_000_000.0, 100_000.0, 10_000.0, 1_000.0, 0.0]

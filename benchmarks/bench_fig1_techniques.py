@@ -24,14 +24,13 @@ import pytest
 from repro.analysis import SweepTable, check_between, format_table
 from repro.bench_support import (
     emit,
-    figure_bench,
     parallel_sweep,
     report_checks,
     scaled,
 )
 from repro.perftest.runner import PerftestConfig, run_bw, run_lat
 from repro.perftest.techniques import FIG1_VARIANTS
-from repro.units import MiB, pretty_size
+from repro.units import pretty_size
 
 LAT_SIZES = [2, 64, 1024, 4096, 65536, 1 << 20, 4 << 20]
 BW_SIZES = [64, 256, 1024, 4096, 16384, 65536, 1 << 20]
@@ -138,9 +137,8 @@ def test_fig1b_throughput(benchmark):
 
 
 def main():
-    with figure_bench("fig1"):
-        _report_fig1a(_lat_sweep())
-        _report_fig1b(_bw_sweep())
+    _report_fig1a(_lat_sweep())
+    _report_fig1b(_bw_sweep())
 
 
 if __name__ == "__main__":

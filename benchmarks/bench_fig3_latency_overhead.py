@@ -20,7 +20,6 @@ import pytest
 from repro.analysis import SweepTable, check_between, format_table
 from repro.bench_support import (
     emit,
-    figure_bench,
     parallel_sweep,
     report_checks,
     scaled,
@@ -109,8 +108,7 @@ def test_fig3_latency_overhead(benchmark):
 
 
 def main():
-    with figure_bench("fig3"):
-        _report(*_sweep())
+    _report(*_sweep())
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ import pytest
 from repro.analysis import SweepTable, check_between, format_table
 from repro.bench_support import (
     emit,
-    figure_bench,
     parallel_sweep,
     report_checks,
     scaled,
@@ -101,8 +100,7 @@ def test_fig4_relative_throughput(benchmark):
 
 
 def main():
-    with figure_bench("fig4"):
-        _report(*_sweep())
+    _report(*_sweep())
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from repro import stats
 from repro.analysis import SweepTable, check_between, format_table
 from repro.bench_support import (
     emit,
-    figure_bench,
     parallel_sweep,
     report_checks,
     scaled,
@@ -134,9 +133,8 @@ def test_fig5b_throughput(benchmark):
 
 
 def main():
-    with figure_bench("fig5"):
-        _report_fig5a(_lat_sweep())
-        _report_fig5b(_bw_sweep())
+    _report_fig5a(_lat_sweep())
+    _report_fig5b(_bw_sweep())
 
 
 if __name__ == "__main__":

@@ -476,7 +476,6 @@ class Nic:
                        stage="tx_done", host=self.host_id, comp="wire")
         self.counters.tx_msgs += 1
         self.counters.tx_bytes += wire_payload
-        qp.bytes_sent += wr.length
 
         if qp.transport is _RC:
             if getattr(self._fabric, "lossy", False):

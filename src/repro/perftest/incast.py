@@ -5,9 +5,9 @@ flows share the receiver's switch output port, so the aggregate receive
 rate caps at one link's bandwidth — with a bounded buffer, tail drops
 feed the RC retransmit machinery.
 
-Used by ``benchmarks/bench_incast.py`` (N/dataplane sweep), the
-``repro incast`` CLI subcommand, ``tools/check_incast.py`` and the
-regression tests in ``tests/test_incast.py``.
+Used by ``benchmarks/bench_incast.py`` (N/dataplane sweep and its
+record), the ``repro incast`` CLI subcommand and the regression tests in
+``tests/test_incast.py``.
 """
 
 from __future__ import annotations

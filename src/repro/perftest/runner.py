@@ -50,9 +50,8 @@ TELEMETRY_MAX_RECORDS = 200_000
 FASTFORWARD_ENV = "REPRO_FASTFORWARD"
 
 
-#: Per-process accounting across measurements (benchmark instrumentation;
-#: ``bench_support.parallel_sweep`` merges workers' deltas back into the
-#: parent so `figure_bench` sees sweep-wide totals).
+#: Per-process accounting across measurements (benchmark instrumentation:
+#: perfbench and the fast-forward skip ledger read it).
 RUN_STATS: dict[str, float] = {}
 
 
@@ -79,11 +78,6 @@ def reset_run_stats() -> None:
 
 def run_stats_snapshot() -> dict[str, float]:
     return dict(RUN_STATS)
-
-
-def merge_run_stats(delta: dict) -> None:
-    for key, value in delta.items():
-        RUN_STATS[key] = RUN_STATS.get(key, 0) + value
 
 
 def _make_probe(sim: Simulator,

@@ -24,13 +24,13 @@ server was idle.  The previous interval is remembered as the stage's
 critical path across coupled ops (send_bw's windowed transmitter).
 
 Because the simulation is bit-deterministic, the resulting per-stage
-totals are exact and CI gates on them with zero tolerance for
-deterministic configs (``tools/check_attribution.py``).
+totals are exact: ``benchmarks/bench_attribution.py`` records them and
+``tools/check_results.py`` regenerates the record byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional
 
 from repro import stats
@@ -332,14 +332,10 @@ def aggregate(blames: Iterable[OpBlame], incomplete: int = 0) -> list[Attributio
 # -- figure attribution probes -------------------------------------------------
 #
 # Each figure has a small pinned-iteration slice of its sweep, run with full
-# tracing.  ``tools/check_attribution.py --update`` alone records their
-# per-stage attribution in ``results/BENCH_attribution.json``.  Iteration
-# counts are pinned (never scaled by REPRO_BENCH_SCALE) so the committed
-# baselines are reproducible from any checkout: the same tool without
-# ``--update`` recomputes every entry and compares stage totals exactly for
-# deterministic systems, within a tolerance band for the jittered system A
-# (whose lognormal syscall jitter goes through libm and may differ in the
-# last bits across platforms).
+# tracing.  ``benchmarks/bench_attribution.py`` records their per-stage
+# attribution in ``results/BENCH_attribution.json``.  Iteration counts are
+# pinned (never scaled by REPRO_BENCH_SCALE), so the whole record, the
+# jittered system-A probes included, regenerates byte for byte.
 
 
 @dataclass(frozen=True)
@@ -360,8 +356,6 @@ class ProbeSpec:
     window: int = 32
     seed: int = 7
     techniques: tuple[bool, bool, bool] = (True, True, True)
-    #: Exact systems gate with zero tolerance; jittered ones with a band.
-    exact: bool = True
 
     @property
     def key(self) -> str:
@@ -380,29 +374,6 @@ class ProbeSpec:
             techniques=Techniques(zero_copy=zero_copy,
                                   kernel_bypass=kernel_bypass,
                                   polling=polling),
-        )
-
-    def asdict(self) -> dict[str, object]:
-        return {
-            "figure": self.figure, "label": self.label, "kind": self.kind,
-            "size": self.size, "system": self.system,
-            "transport": self.transport, "op": self.op,
-            "client": self.client, "server": self.server,
-            "iters": self.iters, "warmup": self.warmup,
-            "window": self.window, "seed": self.seed,
-            "techniques": list(self.techniques), "exact": self.exact,
-        }
-
-    @classmethod
-    def fromdict(cls, d: dict) -> "ProbeSpec":
-        return cls(
-            figure=d["figure"], label=d["label"], kind=d["kind"],
-            size=int(d["size"]), system=d["system"],
-            transport=d["transport"], op=d["op"], client=d["client"],
-            server=d["server"], iters=int(d["iters"]),
-            warmup=int(d["warmup"]), window=int(d["window"]),
-            seed=int(d["seed"]), techniques=tuple(d["techniques"]),
-            exact=bool(d["exact"]),
         )
 
 
@@ -438,7 +409,7 @@ def _fig4_probes() -> list[ProbeSpec]:
 
 
 def _fig5_probes() -> list[ProbeSpec]:
-    a = dict(kind="lat", size=4096, system="A", exact=False)
+    a = dict(kind="lat", size=4096, system="A")
     return [
         ProbeSpec(figure="fig5", label="BP-BP", **a),
         ProbeSpec(figure="fig5", label="CD-CD", client="cord", server="cord", **a),
@@ -467,7 +438,7 @@ def run_probe(spec: ProbeSpec) -> dict[str, object]:
     if len(tables) != 1:  # pragma: no cover - probes are single-config
         raise RuntimeError(f"probe {spec.key}: expected one table, "
                            f"got {len(tables)}")
-    entry: dict[str, object] = {"spec": spec.asdict(),
+    entry: dict[str, object] = {"spec": asdict(spec),
                                 "dropped": sim.trace.dropped}
     entry.update(tables[0].snapshot())
     return entry

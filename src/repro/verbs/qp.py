@@ -126,7 +126,6 @@ class QueuePair:
         # Statistics.
         self.sends_posted = 0
         self.recvs_posted = 0
-        self.bytes_sent = 0
         self.rnr_naks = 0
 
     # -- state machine -------------------------------------------------------------

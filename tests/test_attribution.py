@@ -5,9 +5,11 @@ every op's end-to-end latency decomposes into named stage time (queueing
 + service) with zero residual, the queue/service split is consistent with
 serial-FIFO service at the contended components, and the pinned
 attribution probes reproduce bit-identically run over run (the basis of
-the ``tools/check_attribution.py`` CI gate).
+``results/BENCH_attribution.json``, which ``tools/check_results.py``
+regenerates byte for byte).
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -23,7 +25,6 @@ from repro.perftest.runner import (
 )
 from repro.telemetry import (
     ATTRIBUTION_PROBES,
-    ProbeSpec,
     aggregate,
     attribute_spans,
     build_spans,
@@ -351,12 +352,6 @@ def test_probe_table_covers_all_figures():
     keys = [spec.key for specs in ATTRIBUTION_PROBES.values()
             for spec in specs]
     assert len(keys) == len(set(keys))
-    for specs in ATTRIBUTION_PROBES.values():
-        for spec in specs:
-            assert ProbeSpec.fromdict(
-                json.loads(json.dumps(spec.asdict()))) == spec
-            # System A jitters; everything else must gate exactly.
-            assert spec.exact == (spec.system != "A")
 
 
 def test_run_probe_is_deterministic_and_fully_explained():
@@ -368,7 +363,7 @@ def test_run_probe_is_deterministic_and_fully_explained():
     assert first["ops"] > 0
     assert first["explained_min"] >= 0.95
     assert first["residual_ns"] == pytest.approx(0.0, abs=1e-6)
-    assert first["spec"] == spec.asdict()
+    assert first["spec"] == dataclasses.asdict(spec)
 
 
 def test_bw_probe_records_queueing():

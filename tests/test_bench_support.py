@@ -115,55 +115,7 @@ def test_parallel_sweep_bit_identical_across_worker_counts():
         assert bs.parallel_sweep(_lat_point, seeds, workers=workers) == serial
 
 
-def test_parallel_sweep_merges_worker_run_stats():
-    """Per-point run stats cross the process boundary and land in the
-    parent's RUN_STATS, identically to a serial run."""
-    from repro.perftest.runner import reset_run_stats, run_stats_snapshot
-
-    seeds = [7, 11, 13]
-    reset_run_stats()
-    bs.parallel_sweep(_lat_point, seeds, workers=1)
-    serial = run_stats_snapshot()
-    reset_run_stats()
-    bs.parallel_sweep(_lat_point, seeds, workers=2)
-    fanned = run_stats_snapshot()
-    assert serial["measurements"] == len(seeds)
-    assert fanned == serial
-
-
-def test_figure_bench_records_json(monkeypatch, tmp_path):
-    path = tmp_path / "bench.json"
-    monkeypatch.setenv("REPRO_BENCH_JSON", str(path))
-    monkeypatch.delenv("REPRO_FASTFORWARD", raising=False)
-    with bs.figure_bench("figX"):
-        bs.parallel_sweep(_lat_point, [7, 11], workers=1)
-    monkeypatch.setenv("REPRO_FASTFORWARD", "1")
-    with bs.figure_bench("figX"):
-        bs.parallel_sweep(_lat_point, [7, 11], workers=1)
-    import json
-
-    data = json.loads(path.read_text())
-    modes = data["benchmarks"]["figX"]
-    assert modes["base"]["measurements"] == 2
-    assert modes["ff"]["measurements"] == 2
-    assert modes["base"]["fastforward"] is False
-    assert modes["ff"]["fastforward"] is True
-    assert modes["ff"]["ff_jumps"] > 0
-    assert data["summary"]["paired_benchmarks"] == ["figX"]
-    assert data["summary"]["speedup"] > 0
-
-
-def test_figure_bench_records_nothing_without_json_path(monkeypatch, tmp_path):
-    monkeypatch.delenv("REPRO_BENCH_JSON", raising=False)
-    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-    assert bs.bench_json_path() is None
-    assert bs.record_figure_bench("figX", {"wall_s": 1.0}) is None
-    with bs.figure_bench("figX"):
-        bs.parallel_sweep(_lat_point, [7], workers=1)
-    assert list(tmp_path.iterdir()) == []
-
-
-# -- tools/check_bench_budget.py (the CI gate over the recorded JSON) --------
+# -- tools/check_bench_budget.py (times its own fig3 base/ff pair) -----------
 
 def _budget_tool():
     import importlib.util
@@ -177,28 +129,15 @@ def _budget_tool():
     return mod
 
 
-def _write_record(tmp_path, benchmarks):
-    import json
-
-    data = {"benchmarks": benchmarks, "summary": bs._summarize(benchmarks)}
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps(data))
-    return path
+def test_budget_passes_a_fast_pair():
+    assert _budget_tool().verdict(base_s=3.0, ff_s=1.0) == []
 
 
-def _entry(wall_s, ff, scale=1.0, workers=1):
-    return {"wall_s": wall_s, "scale": scale, "workers": workers,
-            "fastforward": ff}
+def test_budget_fails_a_small_speedup():
+    (problem,) = _budget_tool().verdict(base_s=1.4, ff_s=1.0)
+    assert "speedup 1.40x is below 1.5x" in problem
 
 
-def test_budget_flags_mismatched_scale_pair(tmp_path):
-    tool = _budget_tool()
-    path = _write_record(tmp_path, {
-        "fig1": {"base": _entry(40.0, False), "ff": _entry(4.0, True)},
-        "fig3": {"base": _entry(10.0, False),
-                 "ff": _entry(0.5, True, scale=0.05)},
-    })
-    problems = tool.check(path, 1.0, None, ["fig1", "fig3"])
-    assert any("mismatched" in p and "fig3" in p for p in problems)
-    # The mismatched pair stays out of the aggregate speedup.
-    assert not any("fig1" in p for p in problems)
+def test_budget_fails_a_slow_fast_forward_sweep():
+    (problem,) = _budget_tool().verdict(base_s=1000.0, ff_s=301.0)
+    assert "301.0 s, over the 300 s budget" in problem

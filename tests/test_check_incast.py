@@ -1,8 +1,9 @@
-"""Coverage for tools/check_incast.py (the CI incast gate).
+"""Coverage for the incast shape checks (``benchmarks/bench_incast.py``).
 
-The committed full-scale record must pass, and each invariant the gate
-keeps must catch its own seeded regression — exactly one problem per
-mutation, so no check hides behind another.
+The checks read the record the benchmark writes, so they run here on the
+committed full-scale ``results/BENCH_incast.json``: it must pass, and
+each invariant must catch its own seeded regression — exactly one failed
+check per mutation, so no check hides behind another.
 """
 
 import copy
@@ -12,19 +13,25 @@ import os
 
 import pytest
 
+from repro.bench_support import report_checks
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TOOL = os.path.join(ROOT, "tools", "check_incast.py")
+BENCH = os.path.join(ROOT, "benchmarks", "bench_incast.py")
 RECORD = os.path.join(ROOT, "results", "BENCH_incast.json")
 
-spec = importlib.util.spec_from_file_location("check_incast", TOOL)
-ci = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(ci)
+spec = importlib.util.spec_from_file_location("bench_incast", BENCH)
+bi = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bi)
 
 
 @pytest.fixture(scope="module")
 def record():
     with open(RECORD) as fh:
         return json.load(fh)
+
+
+def _failed(doc):
+    return [c.label for c in bi.checks(doc) if not c.passed]
 
 
 def _by_n(doc, label, senders):
@@ -76,52 +83,49 @@ def _inert_loop(doc):
 
 
 MUTATIONS = [
-    (_above_link, "exceeds the 100 Gbit/s link"),
-    (_rising_per_flow, "per-flow goodput rose"),
-    (_unbounded_drop, "unbounded buffer dropped"),
-    (_bounded_no_drops, "bounded-buffer control recorded zero drops"),
-    (_unrecovered_drops, "but only retransmitted"),
-    (_cc_off_no_drops, "CC-off control recorded zero drops"),
-    (_weak_recovery, "DCQCN recovered only"),
-    (_weak_drop_cut, "DCQCN cut drops only"),
-    (_failed_msgs, "DCQCN run failed 3 message(s)"),
-    (_inert_loop, "DCQCN loop inert"),
+    (_above_link, "BP: aggregate receive rate capped at one link"),
+    (_rising_per_flow, "CD: per-flow goodput non-increasing in N"),
+    (_unbounded_drop, "BP: unbounded buffers never drop"),
+    (_bounded_no_drops, "bounded buffer tail-drops (drops > 0)"),
+    (_unrecovered_drops, "bounded-buffer drops recover via retransmit"),
+    (_cc_off_no_drops, "DCQCN cuts tail drops >=10x vs CC-off at N=16"),
+    (_weak_recovery, "DCQCN recovers >=80% of unbounded goodput at N=16"),
+    (_weak_drop_cut, "DCQCN cuts tail drops >=10x vs CC-off at N=16"),
+    (_failed_msgs, "DCQCN run completes every message (no RETRY_EXC_ERR)"),
+    (_inert_loop, "DCQCN loop engaged (ECN marks and CNPs observed)"),
 ]
 
 
-def test_committed_record_passes(record, capsys):
-    assert ci.check(record) == []
-    assert ci.main([RECORD]) == 0
-    out = capsys.readouterr().out
-    # The sweep, the bounded control and the CC-off/DCQCN pair; the
-    # congestion reference re-reads the bypass N=16 sweep point.
-    runs = sum(len(v) for v in record["sweep"].values()) + 3
-    assert f"OK ({runs} points" in out
+def test_committed_record_passes(record):
+    assert record["scale"] == 1.0
+    assert _failed(record) == []
+    # The committed table prints exactly these checks, in this order.
+    with open(os.path.join(ROOT, "results", "incast_fan_in.txt")) as fh:
+        table = fh.read()
+    lines = [c.line() for c in bi.checks(record)]
+    assert table.endswith("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("mutate,problem", MUTATIONS,
+@pytest.mark.parametrize("mutate,check", MUTATIONS,
                          ids=[m.__name__.lstrip("_") for m, _ in MUTATIONS])
-def test_each_invariant_catches_its_regression(record, mutate, problem):
+def test_each_invariant_catches_its_regression(record, mutate, check):
     doc = copy.deepcopy(record)
     mutate(doc)
-    problems = ci.check(doc)
-    assert len(problems) == 1, problems
-    assert problem in problems[0]
+    assert _failed(doc) == [check]
 
 
-def test_main_fails_on_a_regressed_record(record, tmp_path, capsys):
+def test_full_scale_report_fails_on_a_regressed_record(record, monkeypatch):
+    monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
     doc = copy.deepcopy(record)
     _inert_loop(doc)
-    path = tmp_path / "regressed.json"
-    path.write_text(json.dumps(doc))
-    assert ci.main([str(path)]) == 1
-    assert "1 violation(s)" in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="1 shape check"):
+        report_checks("incast", bi.checks(doc))
 
 
 def test_smoke_records_get_the_relaxed_floors(record):
     doc = copy.deepcopy(record)
     cc = doc["congestion"]
     cc["dcqcn"]["aggregate_gbit"] = 0.77 * cc["reference"]["aggregate_gbit"]
-    assert len(ci.check(doc)) == 1
+    assert len(_failed(doc)) == 1
     doc["scale"] = 0.05
-    assert ci.check(doc) == []
+    assert _failed(doc) == []

@@ -1,98 +1,74 @@
 #!/usr/bin/env python3
-"""CI gate: the figure-suite wall-clock record must hold its budget.
+"""CI gate: steady-state fast-forward keeps its wall-clock budget.
 
-Reads the JSON record ``repro.bench_support.figure_bench`` writes to
-``REPRO_BENCH_JSON`` (each figure keyed by ``base`` / ``ff`` mode, plus a
-cross-figure summary) and fails unless:
+Times fig3's sweep (``benchmarks/bench_fig3_latency_overhead.py``) twice
+in this process, at ``REPRO_BENCH_SCALE=0.3`` with 2 workers: once with
+fast-forward off (base), once on.  Only the sweeps are timed, not the
+imports, and nothing is written.  Fails unless fast-forward is at least
+``MIN_SPEEDUP`` times faster than base and its sweep takes at most
+``MAX_FF_WALL_S`` seconds.  Wall time belongs to the machine that
+measures it, so this gate guards regressions on whichever machine runs it
+and records nothing.
 
-- the recorded base-vs-fast-forward ``speedup`` is at least
-  ``--min-speedup`` (when the file holds at least one paired figure);
-- the paired fast-forward wall-clock total stays under ``--max-ff-wall``
-  seconds, when given;
-- every figure named via ``--require-paired`` has both a base and a
-  fast-forward measurement recorded.
-
-CI runs it on a fresh base/fast-forward pair of one figure at reduced
-scale, which guards against wall-clock regressions on the runner itself.
+    python tools/check_bench_budget.py
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
+import os
 import sys
+import time
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 
-def check(path: Path, min_speedup: float, max_ff_wall: float | None,
-          require_paired: list[str]) -> list[str]:
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        return [f"cannot read {path}: {exc}"]
-    except ValueError as exc:
-        return [f"{path} is not valid JSON: {exc}"]
+MIN_SPEEDUP = 1.5
+MAX_FF_WALL_S = 300.0
+KNOBS = {"REPRO_BENCH_SCALE": "0.3", "REPRO_BENCH_WORKERS": "2"}
 
+
+def verdict(base_s: float, ff_s: float) -> list[str]:
+    """The budget's problems with one timed base/fast-forward pair."""
     problems = []
-    benchmarks = data.get("benchmarks", {})
-    summary = data.get("summary", {})
-    paired = summary.get("paired_benchmarks", [])
-    mismatched = summary.get("mismatched_benchmarks", [])
-
-    for name in require_paired:
-        if name in mismatched:
-            modes = benchmarks.get(name, {})
-            detail = {m: (e.get("scale"), e.get("workers"))
-                      for m, e in sorted(modes.items())}
-            problems.append(
-                f"figure {name!r} has a base/ff pair at mismatched "
-                f"scale/workers: {detail}")
-        elif name not in paired:
-            modes = sorted(benchmarks.get(name, {}))
-            problems.append(
-                f"figure {name!r} lacks a base/ff pair (recorded: {modes})")
-
-    if not paired:
-        problems.append("no figure has both a base and a fast-forward run")
-        return problems
-
-    speedup = summary.get("speedup")
-    base_s = summary.get("base_wall_s")
-    ff_s = summary.get("ff_wall_s")
-    print(f"{path}: {len(paired)} paired figure(s), "
-          f"base={base_s}s ff={ff_s}s speedup={speedup}x")
-    for name in paired:
-        modes = benchmarks[name]
-        print(f"  {name}: base={modes['base']['wall_s']}s "
-              f"ff={modes['ff']['wall_s']}s "
-              f"units_skipped={modes['ff'].get('ff_units_skipped', 0)}")
-
-    if speedup is None or speedup < min_speedup:
-        problems.append(
-            f"suite speedup {speedup} is below the required {min_speedup}x")
-    if max_ff_wall is not None and (ff_s is None or ff_s > max_ff_wall):
-        problems.append(
-            f"fast-forward suite wall {ff_s}s exceeds budget {max_ff_wall}s")
+    speedup = base_s / ff_s
+    if speedup < MIN_SPEEDUP:
+        problems.append(f"fast-forward speedup {speedup:.2f}x is below "
+                        f"{MIN_SPEEDUP}x")
+    if ff_s > MAX_FF_WALL_S:
+        problems.append(f"fast-forward sweep took {ff_s:.1f} s, over the "
+                        f"{MAX_FF_WALL_S:.0f} s budget")
     return problems
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("json_path", type=Path,
-                        help="figure_bench JSON record to validate")
-    parser.add_argument("--min-speedup", type=float, default=1.0,
-                        help="minimum recorded base/ff speedup (default 1.0)")
-    parser.add_argument("--max-ff-wall", type=float, default=None,
-                        help="maximum paired fast-forward wall seconds")
-    parser.add_argument("--require-paired", action="append", default=[],
-                        metavar="FIG",
-                        help="figure name that must have base+ff recorded "
-                             "(repeatable)")
-    args = parser.parse_args(argv)
-    problems = check(args.json_path, args.min_speedup, args.max_ff_wall,
-                     args.require_paired)
-    for p in problems:
-        print(f"BUDGET FAIL: {p}", file=sys.stderr)
+def time_fig3_pair() -> tuple[float, float]:
+    """Wall seconds of fig3's sweep with fast-forward off, then on."""
+    for name in [k for k in os.environ if k.startswith("REPRO_")]:
+        del os.environ[name]
+    os.environ.update(KNOBS)
+    # Imported by name, so the fork workers can unpickle its sweep point.
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    fig3 = importlib.import_module("bench_fig3_latency_overhead")
+    walls = []
+    for fastforward in ("0", "1"):
+        os.environ["REPRO_FASTFORWARD"] = fastforward
+        t0 = time.perf_counter()
+        fig3._sweep()
+        walls.append(time.perf_counter() - t0)
+    return walls[0], walls[1]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.parse_args(argv)
+    base_s, ff_s = time_fig3_pair()
+    print(f"fig3 at scale {KNOBS['REPRO_BENCH_SCALE']}, "
+          f"{KNOBS['REPRO_BENCH_WORKERS']} workers: base {base_s:.2f} s, "
+          f"fast-forward {ff_s:.2f} s ({base_s / ff_s:.2f}x)")
+    problems = verdict(base_s, ff_s)
+    for problem in problems:
+        print(f"BUDGET FAIL: {problem}", file=sys.stderr)
     if not problems:
         print("bench budget: ok")
     return 1 if problems else 0

@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""CI gate: the committed result tables regenerate exactly.
+"""CI gate: every committed result regenerates exactly.
 
-Every ``results/*.txt`` table is written by one of the figure scripts in
-``benchmarks/`` (through ``bench_support.emit``).  This gate re-runs each
-of those scripts at full scale, serially, into a temporary directory
-(``REPRO_RESULTS_DIR``) and fails when a regenerated table differs from
-its committed copy by one byte, a committed table is no longer produced,
-a script produces a table that is not committed, or a script fails.
+Every tracked file under ``results/`` (the ``*.txt`` tables and the
+``BENCH_*.json`` records) is written by one of the scripts in
+``benchmarks/`` through ``bench_support.emit`` or ``emit_record``.  This
+gate re-runs each of those scripts at full scale, serially, into a
+temporary directory (``REPRO_RESULTS_DIR``) and fails when a regenerated
+file differs from its tracked copy by one byte, a tracked file is no
+longer produced, a script produces a file that is not tracked, or a
+script fails (a full-scale run asserts its shape checks).
 
-A change that moves a table commits the regenerated tables and explains
+A change that moves a result commits the regenerated files and explains
 them.  The scripts run with every other ``REPRO_*`` knob cleared, so the
-tables are the defaults' (full scale, fast-forward off, no telemetry).
+results are the defaults' (full scale, fast-forward off, no telemetry).
 
     python tools/check_results.py
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -31,14 +34,22 @@ BENCH_DIR = ROOT / "benchmarks"
 RESULTS = ROOT / "results"
 
 
-def table_scripts() -> list[Path]:
-    """The figure scripts that write tables (the ones calling ``emit``)."""
+def result_scripts() -> list[Path]:
+    """The benchmark scripts that write committed results."""
     return [path for path in sorted(BENCH_DIR.glob("bench_*.py"))
-            if "emit(" in path.read_text()]
+            if re.search(r"\bemit(_record)?\(", path.read_text())]
+
+
+def tracked_results() -> list[str]:
+    """Names of the files git tracks under ``results/``."""
+    out = subprocess.run(["git", "ls-files", "-z", "--", "results"], cwd=ROOT,
+                         check=True, capture_output=True, text=True).stdout
+    return sorted(str(Path(p).relative_to("results"))
+                  for p in out.split("\0") if p)
 
 
 def regenerate(outdir: Path) -> list[str]:
-    """Run every table script into ``outdir``; returns the ones that
+    """Run every result script into ``outdir``; returns the ones that
     failed."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["REPRO_RESULTS_DIR"] = str(outdir)
@@ -46,7 +57,7 @@ def regenerate(outdir: Path) -> list[str]:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p)
     failed = []
-    for script in table_scripts():
+    for script in result_scripts():
         t0 = time.perf_counter()
         proc = subprocess.run([sys.executable, str(script)], cwd=ROOT,
                               env=env, capture_output=True, text=True)
@@ -58,15 +69,16 @@ def regenerate(outdir: Path) -> list[str]:
     return failed
 
 
-def compare_tables(committed: Path, fresh: Path) -> list[str]:
-    """Differences between the committed tables and the regenerated ones."""
+def compare(committed: Path, tracked: list[str], fresh: Path) -> list[str]:
+    """Differences between the tracked files in ``committed`` and the
+    regenerated ones in ``fresh``."""
+    want = set(tracked)
+    got = {str(p.relative_to(fresh)) for p in fresh.rglob("*") if p.is_file()}
     problems = []
-    want = {p.name for p in committed.glob("*.txt")}
-    got = {p.name for p in fresh.glob("*.txt")}
     for name in sorted(want - got):
-        problems.append(f"{name}: committed but no script produced it")
+        problems.append(f"{name}: tracked but no script produced it")
     for name in sorted(got - want):
-        problems.append(f"{name}: produced but not committed")
+        problems.append(f"{name}: produced but not tracked")
     for name in sorted(want & got):
         old = (committed / name).read_bytes()
         new = (fresh / name).read_bytes()
@@ -81,17 +93,18 @@ def compare_tables(committed: Path, fresh: Path) -> list[str]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.parse_args(argv)
+    tracked = tracked_results()
     with tempfile.TemporaryDirectory(prefix="check_results_") as tmp:
         failed = regenerate(Path(tmp))
         problems = [f"{name}: script failed" for name in failed]
-        problems += compare_tables(RESULTS, Path(tmp))
+        problems += compare(RESULTS, tracked, Path(tmp))
     if problems:
         print(f"results: {len(problems)} problem(s)")
         for problem in problems:
             print(f"  {problem}")
         return 1
-    ntables = len(list(RESULTS.glob("*.txt")))
-    print(f"results: all {ntables} tables regenerate byte-identical")
+    print(f"results: all {len(tracked)} tracked files regenerate "
+          "byte-identical")
     return 0
 
 
