@@ -15,7 +15,10 @@ serial execution in-process.
 Every tracked file under ``results/`` is written through :func:`emit` (a
 table) or :func:`emit_record` (a JSON record) and regenerated
 byte-for-byte by ``tools/check_results.py``.  Wall time belongs to the
-host that measured it, so no wall-clock record is committed.
+host that measured it, so no wall-clock record is committed.  A scaled
+run with ``REPRO_RESULTS_DIR`` unset writes into a temporary directory
+of its own, which it prints, so smoke runs never overwrite the
+committed records.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -124,6 +128,12 @@ def parallel_sweep(
 
 def _write_result(filename: str, text: str) -> Path:
     outdir = results_dir()
+    if "REPRO_RESULTS_DIR" not in os.environ and bench_scale() != 1.0:
+        # A scaled run must not overwrite the committed records.
+        outdir = Path(tempfile.gettempdir()) / f"repro-results-{os.getpid()}"
+        if not outdir.exists():
+            print(f"[bench] REPRO_BENCH_SCALE={bench_scale()}: results go to "
+                  f"{outdir} (set REPRO_RESULTS_DIR to choose)")
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / filename
     path.write_text(text)

@@ -14,7 +14,7 @@ bandwidth-vs-size curve exact at O(1) events per message.
 would give an N→1 incast unbounded aggregate receive bandwidth — every
 sender's port runs at full rate and the arrivals just stack up at the
 destination.  With a profile attached, each host additionally owns an
-**RX ingress port** (a capacity-1 serial resource mirroring the TX side)
+**RX ingress port** (a FIFO server mirroring the TX side)
 fed by a **switch output queue**: a message pays propagation, is admitted
 to the destination port's byte buffer (tail-dropped on overflow when
 ``buffer_bytes`` is bounded — the RC ACK-timeout machinery retransmits),
@@ -35,12 +35,12 @@ degradation apply to intra-host ranks in multi-host MPI worlds too.
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.errors import HardwareError
 from repro.hw.profiles import CcProfile, NicProfile, RxContentionProfile
 from repro.sim.events import Event
-from repro.sim.resources import Request, Resource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.nic import Nic
@@ -62,36 +62,30 @@ def _fire(event: Event) -> None:
         callback(event)
 
 
-def _hold(res: Resource, then: Callable[[Request, object], None],
-          ctx: object) -> None:
-    """Run ``then(tok, ctx)`` once this message holds ``res``.
+class Port:
+    """A serial FIFO server, like the NIC's engines: one message in
+    service (``busy``), the rest waiting in ``backlog``."""
 
-    An idle port is taken inline (:meth:`Resource.try_hold`, or an inline
-    grant under the sanitizer).  A busy one queues a :class:`Request`, and
-    ``then`` runs from its grant record, where a waiting process resumed.
-    """
-    tok = res.try_hold()
-    if tok is None:
-        tok = res.request()
-        if tok.callbacks is not None:
-            tok.callbacks.append(lambda req: then(req, ctx))
-            return
-    then(tok, ctx)
+    __slots__ = ("name", "busy", "backlog")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.busy = False
+        self.backlog: deque[tuple] = deque()
 
 
-class SwitchPort:
+class SwitchPort(Port):
     """One switch output port: a byte buffer draining through a serial
-    ingress resource at link rate.  Created per attached host on a
-    switched fabric."""
+    ingress port at link rate.  Created per attached host on a switched
+    fabric."""
 
-    __slots__ = ("host_id", "resource", "buffer_bytes", "queued_bytes",
+    __slots__ = ("host_id", "buffer_bytes", "queued_bytes",
                  "peak_queued_bytes", "messages_dropped", "bytes_dropped",
                  "messages_marked")
 
-    def __init__(self, host_id: int, resource: Resource,
-                 buffer_bytes: Optional[int]):
+    def __init__(self, host_id: int, name: str, buffer_bytes: Optional[int]):
+        super().__init__(name)
         self.host_id = host_id
-        self.resource = resource
         self.buffer_bytes = buffer_bytes
         self.queued_bytes = 0
         self.peak_queued_bytes = 0
@@ -148,7 +142,7 @@ class Fabric:
         #: Memo of :meth:`serialization_ns` by size (the profile is frozen).
         self._serialization_ns: dict[int, float] = {}
         self._nics: dict[int, "Nic"] = {}
-        self._tx_ports: dict[int, Resource] = {}
+        self._tx_ports: dict[int, Port] = {}
         self._rx_ports: dict[int, SwitchPort] = {}
         #: Per-destination-port WRED marking streams, created on first
         #: congested admission (dedicated streams: enabling CC never
@@ -171,9 +165,9 @@ class Fabric:
         #: fabric lossless at the cost of one branch per transmit.
         self.faults = None
         if self.rx_contention is not None:
-            # RX backlog lives in parked Resource requests, not heap events:
-            # expose it to steady-state cycle probes or fast-forward could
-            # declare a period while a queue is still draining.
+            # RX backlog is port state, not heap events: expose it to
+            # steady-state cycle probes or fast-forward could declare a
+            # period while a queue is still draining.
             sim.register_state_provider(self._rx_queue_state)
 
     @property
@@ -202,16 +196,11 @@ class Fabric:
         if nic.host_id in self._nics:
             raise HardwareError(f"host {nic.host_id} already attached to {self.name}")
         self._nics[nic.host_id] = nic
-        self._tx_ports[nic.host_id] = Resource(
-            self.sim, capacity=1, name=f"{self.name}.tx{nic.host_id}"
-        )
+        self._tx_ports[nic.host_id] = Port(f"{self.name}.tx{nic.host_id}")
         rx = self.rx_contention
         if rx is not None:
             self._rx_ports[nic.host_id] = SwitchPort(
-                nic.host_id,
-                Resource(self.sim, capacity=1, name=f"{self.name}.rx{nic.host_id}"),
-                rx.buffer_bytes,
-            )
+                nic.host_id, f"{self.name}.rx{nic.host_id}", rx.buffer_bytes)
 
     def nic(self, host_id: int) -> "Nic":
         try:
@@ -254,8 +243,7 @@ class Fabric:
 
     def _rx_queue_state(self) -> tuple:
         return tuple(
-            (hid, port.queued_bytes, len(port.resource.users),
-             len(port.resource.queue))
+            (hid, port.queued_bytes, port.busy, len(port.backlog))
             for hid, port in sorted(self._rx_ports.items())
         )
 
@@ -313,10 +301,19 @@ class Fabric:
     # -- transmission -------------------------------------------------------------
     #
     # One message is a chain of callback stages: a held port's
-    # serialization delay (``call_later``), the grant of a contended port
-    # (a callback on its ``Request``), and the switch-side delivery, which
-    # starts at once, inline at the tail of the record the wire finishes
-    # in.  ``transmit`` adapts the chain for generator callers.
+    # serialization delay (``call_later``), the grant of a busy port (a
+    # zero-delay ``call_later`` pushed by the release that frees it, with
+    # the key a granted ``Request`` took), and the switch-side delivery,
+    # which starts at once, inline at the tail of the record the wire
+    # finishes in.  ``transmit`` adapts the chain for generator callers.
+
+    def _note(self, port: Port, op: str) -> None:
+        """Report a port claim or release to the runtime sanitizer: a
+        claim that finds the port busy is contended (seq order decides
+        which claimant queues first); a release never is."""
+        self.sim._sanitize.note_touch(  # type: ignore[union-attr]
+            port, f"resource {port.name!r}", op,
+            contended=op == "request" and port.busy)
 
     def send(
         self, src_host: int, dst_host: int, nbytes: int, payload: object,
@@ -343,8 +340,16 @@ class Fabric:
                                 (dst, nbytes, payload, done, arg))
             return
         port = self._tx_ports[src_host]
-        _hold(port, self._serialize,
-              (src_host, port, dst, nbytes, payload, done, arg))
+        # The serialization time rides along to the switch port's drain.
+        ctx = (src_host, port, dst, nbytes, payload, done, arg,
+               self.serialization_ns(nbytes))
+        if self.sim._sanitize is not None:
+            self._note(port, "request")
+        if port.busy:
+            port.backlog.append(ctx)
+        else:
+            port.busy = True
+            self.sim.call_later(ctx[7], self._wire_done, ctx)
 
     def transmit(
         self, src_host: int, dst_host: int, nbytes: int, payload: object
@@ -364,7 +369,7 @@ class Fabric:
         faults = self.faults
         if faults is not None:
             verdict = faults.on_transmit(
-                dst.host_id, dst.host_id, self.sim.now,
+                dst.host_id, dst.host_id, self.sim._now,
                 getattr(payload, "kind", "raw"), nbytes,
                 self.loopback_latency_ns,
             )
@@ -381,24 +386,25 @@ class Fabric:
                             dst.deliver, payload)
         done(arg)
 
-    def _serialize(self, tok: Request, ctx: tuple) -> None:
-        """The source port is held: put the whole message on the wire."""
-        self.sim.call_later(self.serialization_ns(ctx[3]), self._wire_done,
-                            (tok, ctx))
+    def _serialize(self, ctx: tuple) -> None:
+        """The source port was granted: put the whole message on the wire."""
+        self.sim.call_later(ctx[7], self._wire_done, ctx)
 
-    def _wire_done(self, held: tuple) -> None:
-        tok, ctx = held
-        ctx[1].release(tok)
-        self._leave_port(ctx)
-
-    def _leave_port(self, ctx: tuple) -> None:
-        """The last bit left the source port: lose it, or send it on."""
-        src_host, _port, dst, nbytes, payload, done, arg = ctx
+    def _wire_done(self, ctx: tuple) -> None:
+        """The last bit left the source port: free it, then lose the
+        message or send it on."""
+        src_host, port, dst, nbytes, payload, done, arg, ser = ctx
+        if self.sim._sanitize is not None:
+            self._note(port, "release")
+        if port.backlog:
+            self.sim.call_later(0.0, self._serialize, port.backlog.popleft())
+        else:
+            port.busy = False
         extra = 0.0
         faults = self.faults
         if faults is not None:
             verdict = faults.on_transmit(
-                src_host, dst.host_id, self.sim.now,
+                src_host, dst.host_id, self.sim._now,
                 getattr(payload, "kind", "raw"), nbytes, self.propagation_ns,
             )
             if verdict is None:
@@ -416,21 +422,20 @@ class Fabric:
             done(arg)
         else:
             # The switch side starts once the sender has carried on, as it
-            # would from a record of its own at this instant.
+            # would from a record of its own at this instant: propagation,
+            # then admission to the switch output queue.
             done(arg)
-            self._rx_deliver((dst, nbytes, payload, self.propagation_ns + extra))
-
-    def _rx_deliver(self, ctx: tuple) -> None:
-        """Receiver side of one message: propagation, switch output-queue
-        admission (tail drop on overflow), then drain through the host's
-        RX ingress port at link rate."""
-        if ctx[3] > 0:
-            self.sim.call_later(ctx[3], self._rx_admit, ctx)
-        else:
-            self._rx_admit(ctx)
+            delay = self.propagation_ns + extra
+            ctx = (dst, nbytes, payload, ser)
+            if delay > 0:
+                self.sim.call_later(delay, self._rx_admit, ctx)
+            else:
+                self._rx_admit(ctx)
 
     def _rx_admit(self, ctx: tuple) -> None:
-        dst, nbytes, payload, _delay = ctx
+        """Switch output-queue admission (tail drop on overflow), then a
+        drain through the host's RX ingress port at link rate."""
+        dst, nbytes, payload, _ser = ctx
         port = self._rx_ports[dst.host_id]
         trace = self.sim.trace
         if (port.buffer_bytes is not None
@@ -444,7 +449,7 @@ class Fabric:
             self.bytes_dropped += nbytes
             self.drops_rxq += 1
             if trace.enabled:
-                trace.emit(self.sim.now, "note",
+                trace.emit(self.sim._now, "note",
                            span=getattr(payload, "span", None),
                            name="rx_drop", host=dst.host_id,
                            kind=getattr(payload, "kind", "raw"),
@@ -460,18 +465,28 @@ class Fabric:
                 "fabric.rxq.occupancy").observe(port.queued_bytes)
             span = getattr(payload, "span", None)
             if span is not None:
-                trace.emit(self.sim.now, "mark", span=span,
+                trace.emit(self.sim._now, "mark", span=span,
                            stage="rx_port", host=dst.host_id, comp="wire")
-        _hold(port.resource, self._rx_drain, ctx)
+        if self.sim._sanitize is not None:
+            self._note(port, "request")
+        if port.busy:
+            port.backlog.append(ctx)
+        else:
+            port.busy = True
+            self.sim.call_later(ctx[3], self._rx_drained, ctx)
 
-    def _rx_drain(self, tok: Request, ctx: tuple) -> None:
-        self.sim.call_later(self.serialization_ns(ctx[1]), self._rx_drained,
-                            (tok, ctx))
+    def _rx_drain(self, ctx: tuple) -> None:
+        self.sim.call_later(ctx[3], self._rx_drained, ctx)
 
-    def _rx_drained(self, held: tuple) -> None:
-        tok, (dst, nbytes, payload, _delay) = held
+    def _rx_drained(self, ctx: tuple) -> None:
+        dst, nbytes, payload, _ser = ctx
         port = self._rx_ports[dst.host_id]
-        port.resource.release(tok)
+        if self.sim._sanitize is not None:
+            self._note(port, "release")
+        if port.backlog:
+            self.sim.call_later(0.0, self._rx_drain, port.backlog.popleft())
+        else:
+            port.busy = False
         port.queued_bytes -= nbytes
         self.bytes_carried += nbytes
         self.messages_carried += 1

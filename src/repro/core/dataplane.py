@@ -306,7 +306,7 @@ class CordDataplane(Dataplane):
         policy_ns = 0.0
         if op is not None and self.policies.policies:
             evaluate = self.policies.evaluate
-            now, host, tenant = self.sim.now, self.host, self.tenant
+            now, host, tenant = self.sim._now, self.host, self.tenant
             try:
                 if cq is not None:
                     policy_ns += evaluate(OpContext(now, host, op, cq=cq, tenant=tenant))

@@ -17,7 +17,7 @@ effective frequency, which a simple duty-cycle EMA governs:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator, Iterable, Optional
 
 from repro.errors import HardwareError
 from repro.hw.profiles import CpuProfile, SystemProfile
@@ -80,6 +80,9 @@ class Core:
         # Accounting.
         self.busy_ns: float = 0.0
         self.syscalls: int = 0
+        #: The one-slice charge in progress (see :meth:`run`).
+        self._slice_ns: float = 0.0
+        self._slice_credit: Optional[float] = None
         # Hooks are registered lazily at first dispatch: an idle core's duty
         # EMA is pinned at 0.0 (decay multiplies zero), so it has no
         # timing-relevant state to shift or to publish — and a many-core
@@ -117,7 +120,7 @@ class Core:
         regardless of how stale the core got, so every such state is
         reported as one canonical cold tuple.
         """
-        gap = self.sim.now - self._duty_t
+        gap = self.sim._now - self._duty_t
         if self._duty == 0.0 or gap >= self._cold_gap:
             return (self.name, "cold")
         return (self.name, self._duty, gap)
@@ -130,10 +133,9 @@ class Core:
         Returns the decayed duty.  Gaps past ``_COLD_WINDOWS`` flush to an
         exact 0.0: the residual (< 1.6e-28) is beneath half an ulp of
         everything downstream, so the flush is bit-invisible to timing
-        while making long-idle cores canonically cold.  :meth:`run` inlines
-        this step; the two must stay in step.
+        while making long-idle cores canonically cold.
         """
-        now = self.sim.now
+        now = self.sim._now
         gap = now - self._duty_t
         if gap > 0:
             if gap >= self._cold_gap:
@@ -147,7 +149,7 @@ class Core:
         """Fold a busy interval ending now into the duty EMA."""
         frac = math.exp(-duration / self._window)
         self._duty = (1.0 - frac) + self._duty * frac
-        self._duty_t = self.sim.now
+        self._duty_t = self.sim._now
 
     @property
     def duty_cycle(self) -> float:
@@ -171,16 +173,69 @@ class Core:
     # -- execution -----------------------------------------------------------------
 
     def run(self, work_ns: float,
-            credit: Optional[float] = None) -> Generator[Event, object, None]:
+            credit: Optional[float] = None) -> Iterable[object]:
         """Execute ``work_ns`` of nominal-frequency work on this core.
 
         Acquires the core (queueing behind other pinned threads), advances
         time by the frequency-scaled duration, updates DVFS accounting.
         After the release, a ``credit`` (a syscall's duty multiplier, see
         :meth:`syscall`) is folded into the duty EMA.
+
+        The caller must ``yield from`` the result at once.  A one-slice
+        charge by the stepping process on an idle, unsanitized core is a
+        1-tuple sleep: the core stays held until the process's wake
+        record, which runs :meth:`_end_slice` where :meth:`_run` would
+        resume.  Any other charge is :meth:`_run`.
         """
         if work_ns < 0:
             raise HardwareError(f"negative work: {work_ns}")
+        proc = self.sim._active
+        res = self.res
+        held = res._held
+        if (not work_ns or proc is None or held is None or res.users
+                or (self._turbo and work_ns > self._window)):
+            return self._run(work_ns, credit)
+        if not self._hooked:
+            self._ensure_hooks()
+        if self._turbo:  # _run's pre-slice step, _decay_duty inlined
+            now = self.sim._now
+            gap = now - self._duty_t
+            if gap > 0:
+                if gap >= self._cold_gap:
+                    self._duty = 0.0
+                else:
+                    self._duty *= math.exp(-gap / self._window)
+                self._duty_t = now
+            work_ns = work_ns / (1.0 + self._headroom * (1.0 - self._duty))
+        res.users = held
+        self._slice_ns = work_ns
+        self._slice_credit = credit
+        proc._after = self._end_slice
+        return (work_ns,)
+
+    def _end_slice(self) -> None:
+        """End a one-slice :meth:`run` at its process's wake: :meth:`_run`'s
+        slice tail (:meth:`_absorb_busy` inlined), release and credit."""
+        scaled = self._slice_ns
+        if self._turbo:
+            frac = math.exp(-scaled / self._window)
+            self._duty = (1.0 - frac) + self._duty * frac
+            self._duty_t = self.sim._now
+        self.busy_ns += scaled
+        res = self.res
+        if res.queue:
+            res.release(res.users[0])
+        else:
+            res.users = []
+        credit = self._slice_credit
+        if credit is not None:
+            if self._duty_t < self.sim._now:
+                self._decay_duty()
+            self._duty *= credit
+
+    def _run(self, work_ns: float,
+             credit: Optional[float]) -> Generator[Event, object, None]:
+        """:meth:`run` through the :class:`Resource` hold protocol."""
         if not self._hooked:
             self._ensure_hooks()
         res = self.res
@@ -198,28 +253,14 @@ class Core:
                 # Slice long work so duty and frequency co-evolve: a long
                 # compute block saturates the core and decays to nominal
                 # frequency instead of riding its entry-time turbo factor.
-                # Each slice is one inline governor step: _decay_duty, the
-                # frequency factor, the scaled sleep, then _absorb_busy —
-                # the same float operations in the same order.
-                sim = self.sim
                 window = self._window
                 remaining = work_ns
                 while remaining > 0:
                     slice_nominal = window if window < remaining else remaining
-                    now = sim._now
-                    gap = now - self._duty_t
-                    if gap > 0:
-                        if gap >= self._cold_gap:
-                            self._duty = 0.0
-                        else:
-                            self._duty *= math.exp(-gap / window)
-                        self._duty_t = now
                     scaled = slice_nominal / (
-                        1.0 + self._headroom * (1.0 - self._duty))
+                        1.0 + self._headroom * (1.0 - self._decay_duty()))
                     yield scaled
-                    frac = math.exp(-scaled / window)
-                    self._duty = (1.0 - frac) + self._duty * frac
-                    self._duty_t = sim._now
+                    self._absorb_busy(scaled)
                     self.busy_ns += scaled
                     remaining -= slice_nominal
         finally:
@@ -232,14 +273,12 @@ class Core:
                 self._decay_duty()
             self._duty *= credit
 
-    def syscall(
-        self, kernel_work_ns: float = 0.0
-    ) -> Generator[Event, object, None]:
+    def syscall(self, kernel_work_ns: float = 0.0) -> Iterable[object]:
         """One syscall round trip plus ``kernel_work_ns`` of kernel work.
 
         Applies KPTI cost when the system profile enables it and lognormal
         jitter on virtualized systems.  The cost is drawn when this is
-        called, and the returned generator is :meth:`run` itself.
+        called, and the result is :meth:`run`'s, to ``yield from`` at once.
         """
         cost = self._jitter.draw(self._syscall_base + kernel_work_ns,
                                  self._jitter_cv)
@@ -263,10 +302,10 @@ class Core:
             # The start mark lives on the core (not a generator local) so a
             # bulk clock advance can translate it: the measured wait then
             # never includes fast-forwarded time another process skipped.
-            self._poll_t0 = self.sim.now
-            if not until.processed:
+            self._poll_t0 = self.sim._now
+            if until.callbacks is not None:
                 yield until
-            waited = self.sim.now - self._poll_t0
+            waited = self.sim._now - self._poll_t0
             self._poll_t0 = None
             if self._turbo:
                 tail = check_ns / (1.0 + self._headroom * (1.0 - self._decay_duty()))

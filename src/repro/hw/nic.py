@@ -281,6 +281,17 @@ class Nic:
         if mon is not None:
             mon.on_post_recv(qp, wr)
 
+    def hw_post_recv_slots(self, qp: QueuePair, wrs: list[RecvWR]) -> None:
+        """Accept recv WQEs on one buffer (an MPI rank's eager slots):
+        validated once, unless a monitor sees each post or they overflow."""
+        if self.sim._monitor is not None or len(qp.rq) + len(wrs) > qp.rq_depth:
+            for wr in wrs:
+                self.hw_post_recv(qp, wr)
+            return
+        self.hw_post_recv(qp, wrs[0])
+        qp.rq.extend(wrs[1:])
+        qp.recvs_posted += len(wrs) - 1
+
     # -- engines: one call_later record per service time.  An idle engine
     # starts its item inline; a finishing one takes its backlog head first,
     # then runs the finished item's next stage inline.
@@ -305,9 +316,9 @@ class Nic:
         # discarded by ``_initiate``: charging the bucket for it would let a
         # late-ACK timeout storm starve the traffic CC is protecting.
         if self.cc is not None and qp.transport is _RC and not (
-                retries and (qp.state is not _RTS
+                retries and (qp._state is not _RTS
                              or qp.outstanding.get(psn) is not wr)):
-            delay = self._limiter(qp).pace(self.sim.now, wr.length + HEADER_BYTES)
+            delay = self._limiter(qp).pace(self.sim._now, wr.length + HEADER_BYTES)
             if delay > 0.0:
                 trace = self.sim.trace
                 if trace.enabled and wr.span is not None:
@@ -360,7 +371,7 @@ class Nic:
             # not it still transmits): a later timeout/NAK may queue a new
             # one.  Must happen before any early return below.
             qp.retx_pending.discard(psn)
-        state = qp.state
+        state = qp._state
         if state is not _RTS:
             if retries:
                 return  # flushed while the retry sat in the TX queue
@@ -389,7 +400,7 @@ class Nic:
                 # ACK was merely late must not floor the rate.  An ACK
                 # landing during the fetch still cancels the retry (in
                 # ``_tx_fetched``), but not this cut.
-                self._limiter(qp).on_timeout(self.sim.now)
+                self._limiter(qp).on_timeout(self.sim._now)
         trace = self.sim.trace
         if trace.enabled and wr.span is not None:
             trace.emit(self.sim.now, "mark", span=wr.span,
@@ -511,7 +522,7 @@ class Nic:
             return
 
         qp = self._qps.get(msg.dst_qpn)
-        if qp is None or qp.state in _NOT_READY:
+        if qp is None or qp._state in _NOT_READY:
             # No such QP: RC would NAK; we count and drop (benchmarks never
             # hit this; tests assert the counter).
             self.counters.remote_access_errors += 1
@@ -676,7 +687,7 @@ class Nic:
     def _claim_recv_wqe(self, qp: QueuePair):
         """Take the next recv WQE from the QP's receive queue."""
         faults = getattr(self._fabric, "faults", None)
-        if faults is not None and faults.recv_paused(self.host_id, self.sim.now):
+        if faults is not None and faults.recv_paused(self.host_id, self.sim._now):
             # Receiver-pause fault: pretend the RQ is empty so RC senders
             # hit the RNR path (and UD traffic is dropped).
             return None
@@ -896,7 +907,7 @@ class Nic:
 
     def _error_qp(self, qp: QueuePair) -> None:
         """A fatal completion was written: error out the QP (once)."""
-        if qp.state not in _DEAD:
+        if qp._state not in _DEAD:
             qp.modify(_ERROR)
 
     # -- RC loss recovery (ACK-timeout retransmission) ---------------------------
@@ -929,7 +940,7 @@ class Nic:
         if qp.retx_epoch.get(psn) != epoch:
             return  # stale: acked, NAKed or re-armed since
         wr = qp.outstanding.get(psn)
-        if wr is None or qp.state is not _RTS:
+        if wr is None or qp._state is not _RTS:
             qp.retx_epoch.pop(psn, None)
             return
         self.counters.ack_timeouts += 1
@@ -1036,7 +1047,7 @@ class Nic:
         so a marked burst costs one notification, not a CNP storm.
         """
         key = (msg.src_host, msg.src_qpn)
-        now = self.sim.now
+        now = self.sim._now
         last = self._last_cnp_ns.get(key)
         if last is not None and now - last < self.cc.cnp_interval_ns:
             return
@@ -1076,7 +1087,7 @@ class Nic:
             return
         self.counters.cnps_received += 1
         lim = self._limiter(qp)
-        lim.on_cnp(self.sim.now)
+        lim.on_cnp(self.sim._now)
         trace = self.sim.trace
         if trace.enabled:
             trace.emit(self.sim.now, "note", span=None,

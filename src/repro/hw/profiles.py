@@ -132,7 +132,7 @@ class RxContentionProfile:
     Every switched :class:`~repro.cluster.fabric.Fabric` carries one
     (``build_cluster`` attaches the default for more than two hosts or
     with congestion control); only a back-to-back pair has none.  Every
-    host gets an RX ingress port — a capacity-1 serial resource mirroring
+    host gets an RX ingress port — a serial FIFO server mirroring
     the TX side — fed by a switch output queue with ``buffer_bytes`` of
     buffering.  An N→1 incast therefore drains at one link's bandwidth,
     and a bounded buffer tail-drops overflow into the RC retransmit

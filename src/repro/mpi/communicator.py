@@ -57,29 +57,35 @@ class Communicator:
             raise MPIError(f"{what} {r} out of range for world size {self.size}")
 
     # -- point to point ------------------------------------------------------------
+    #
+    # No wrapper frames: ``isend``/``irecv`` return the engine's generator
+    # and the waits loop its progress step.  A request never goes back to
+    # pending, so waiting on each in turn ends when all are done.
 
     def isend(
         self, dest: int, nbytes: Optional[int] = None, tag: int = 0, data: object = None
     ) -> Generator["Event", object, Request]:
         self._check_rank(dest, "dest")
-        n = _payload_nbytes(nbytes, data)
-        req = yield from self.engine.isend(dest, n, tag, data)
-        return req
+        return self.engine.isend(dest, _payload_nbytes(nbytes, data), tag, data)
 
     def irecv(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> Generator["Event", object, Request]:
         if source != ANY_SOURCE:
             self._check_rank(source, "source")
-        req = yield from self.engine.irecv(source, tag)
-        return req
+        return self.engine.irecv(source, tag)
 
     def wait(self, req: Request) -> Generator["Event", object, Request]:
-        yield from self.engine.progress_until(lambda: req.done)
+        progress = self.engine.progress
+        while not req.done:
+            yield from progress()
         return req
 
     def waitall(self, reqs: Sequence[Request]) -> Generator["Event", object, None]:
-        yield from self.engine.progress_until(lambda: all(r.done for r in reqs))
+        progress = self.engine.progress
+        for req in reqs:
+            while not req.done:
+                yield from progress()
 
     def send(
         self, dest: int, nbytes: Optional[int] = None, tag: int = 0, data: object = None
@@ -105,7 +111,11 @@ class Communicator:
         """Concurrent send+recv (the deadlock-free exchange primitive)."""
         rreq = yield from self.irecv(source, tag)
         sreq = yield from self.isend(dest, nbytes, tag, data)
-        yield from self.waitall([sreq, rreq])
+        progress = self.engine.progress
+        while not sreq.done:
+            yield from progress()
+        while not rreq.done:
+            yield from progress()
         return rreq
 
     # -- compute model ---------------------------------------------------------------

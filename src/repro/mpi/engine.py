@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.errors import MPIError
 from repro.mpi.requests import Request
-from repro.verbs.wr import Opcode, RecvWR, SendWR
+from repro.verbs.wr import Opcode, RecvWR, SendWR, WCStatus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.host import Host
@@ -45,6 +45,8 @@ MPI_HEADER_BYTES = 48
 RECV_SLOTS = 32
 
 ANY = -1
+
+_SUCCESS = WCStatus.SUCCESS
 
 
 # -- wire headers (ride the verbs `meta` sideband) ---------------------------
@@ -129,7 +131,8 @@ class RankEngine:
     def irecv(self, source: int, tag: int) -> Generator:
         raise NotImplementedError
 
-    def progress_until(self, cond) -> Generator:
+    def progress(self) -> Generator:
+        """One blocking progress step (the communicator's waits loop it)."""
         raise NotImplementedError
 
     def compute(self, work_ns: float) -> Generator:
@@ -173,7 +176,10 @@ class VerbsRankEngine(RankEngine):
         self._rndv_recv: dict[int, Request] = {}
         #: region ring allocator offset for rendezvous targets.
         self._region_off = 0
-        self._repost_due: dict[int, int] = {}  # peer -> count
+        #: peer -> recv slots consumed since the last repost.
+        self._repost_due: dict[int, int] = {}
+        #: peer -> first-seen rank: the order reposts go out in.
+        self._repost_order: dict[int, int] = {}
 
     # -- wiring (done by the world) ----------------------------------------------
 
@@ -181,11 +187,11 @@ class VerbsRankEngine(RankEngine):
         self.qps[peer] = qp
         self.qpn_to_peer[qp.qpn] = peer
         # Prepost the eager recv slots (uncharged: part of MPI_Init).
-        for _ in range(RECV_SLOTS):
-            self.host.nic.hw_post_recv(
-                qp, RecvWR(wr_id=self._recv_wr_id(), addr=self.buf.addr,
-                           length=self.buf.length, lkey=self.mr.lkey)
-            )
+        seq, addr, length, lkey = (self._wr_seq, self.buf.addr,
+                                   self.buf.length, self.mr.lkey)
+        self.host.nic.hw_post_recv_slots(qp, [
+            RecvWR(next(seq) * 2, addr, length, lkey)  # _recv_wr_id
+            for _ in range(RECV_SLOTS)])
 
     #: Set by the world: callable(rank_a, rank_b) wiring a QP pair lazily.
     _connect = None
@@ -226,7 +232,8 @@ class VerbsRankEngine(RankEngine):
         if nbytes <= self.eager_threshold:
             # Copy into the bounce buffer (the eager protocol's cost).
             yield from self.core.run(self.host.mem_model.copy_ns(nbytes))
-            yield from self._wait_sq(qp)
+            if qp.sq_outstanding >= qp.sq_depth - 1:
+                yield from self._wait_sq(qp)
             wr_id = self._send_wr_id()
             self._send_track[wr_id] = ("eager", req)
             wr = SendWR(
@@ -238,7 +245,8 @@ class VerbsRankEngine(RankEngine):
         else:
             msg_id = next(_msg_ids)
             self._rndv_send[msg_id] = (req, nbytes, payload, dest)
-            yield from self._wait_sq(qp)
+            if qp.sq_outstanding >= qp.sq_depth - 1:
+                yield from self._wait_sq(qp)
             wr_id = self._send_wr_id()
             self._send_track[wr_id] = ("ctrl", None)
             rts = SendWR(
@@ -255,14 +263,14 @@ class VerbsRankEngine(RankEngine):
         self, source: int = ANY, tag: int = ANY
     ) -> Generator["Event", object, Request]:
         req = Request("recv", source=source, tag=tag)
+        pr = _PostedRecv(req, source, tag)
         # Check the unexpected queue first (MPI ordering: earliest match).
         for i, um in enumerate(self.unexpected):
-            pr = _PostedRecv(req, source, tag)
             if pr.matches(um.src_rank, um.tag):
                 del self.unexpected[i]
                 yield from self._deliver(pr, um.hdr)
                 return req
-        self.posted.append(_PostedRecv(req, source, tag))
+        self.posted.append(pr)
         return req
 
     # -- matching/delivery -------------------------------------------------------------
@@ -288,7 +296,8 @@ class VerbsRankEngine(RankEngine):
         pr.req.source = rts.src_rank
         pr.req.tag = rts.tag
         qp = self._qp(rts.src_rank)
-        yield from self._wait_sq(qp)
+        if qp.sq_outstanding >= qp.sq_depth - 1:
+            yield from self._wait_sq(qp)
         wr_id = self._send_wr_id()
         self._send_track[wr_id] = ("ctrl", None)
         cts = SendWR(
@@ -301,7 +310,8 @@ class VerbsRankEngine(RankEngine):
     def _start_rndv_data(self, cts: CtsHdr) -> Generator["Event", object, None]:
         req, nbytes, payload, dest = self._rndv_send.pop(cts.msg_id)
         qp = self._qp(dest)
-        yield from self._wait_sq(qp)
+        if qp.sq_outstanding >= qp.sq_depth - 1:
+            yield from self._wait_sq(qp)
         wr_id = self._send_wr_id()
         self._send_track[wr_id] = ("fin", req)
         wr = SendWR(
@@ -315,60 +325,68 @@ class VerbsRankEngine(RankEngine):
     # -- progress ---------------------------------------------------------------------
 
     def _wait_sq(self, qp: "QueuePair") -> Generator["Event", object, None]:
-        """Block (progressing) until the QP's send queue has room."""
+        """Block (progressing) until the QP's send queue has room (callers
+        test first: it rarely is full)."""
         while qp.sq_outstanding >= qp.sq_depth - 1:
-            yield from self._progress_once(block=True)
+            yield from self.progress()
 
-    def _progress_once(self, block: bool = False) -> Generator["Event", object, bool]:
+    def progress(self) -> Generator["Event", object, None]:
         cqes = yield from self.dataplane.poll_cq(self.cq, 32)
-        if not cqes and block:
+        if not cqes:
             ready = self.cq.wait_nonempty()
-            if not ready.processed:
-                t0 = self.sim.now
+            if ready.callbacks is not None:
+                sim = self.sim
+                t0 = sim._now
                 yield from self.core.busy_poll(ready, 0.0)
-                self.dataplane._waited(self.sim.now - t0)
+                self.dataplane._waited(sim._now - t0)
             cqes = yield from self.dataplane.poll_cq(self.cq, 32)
         if not cqes:
-            return False
+            return
         for cqe in cqes:
-            if not cqe.ok:
+            if cqe.status is not _SUCCESS:
                 raise MPIError(f"rank {self.rank}: completion error {cqe.status}")
             if cqe.wr_id & 1:
-                yield from self._handle_send_cqe(cqe)
+                self._handle_send_cqe(cqe)
             else:
                 yield from self._handle_recv_cqe(cqe)
         # Replenish consumed recv slots, one chained post per peer.
-        for peer, count in list(self._repost_due.items()):
-            if count:
-                qp = self.qps[peer]
+        due = self._repost_due
+        if due:
+            self._repost_due = {}
+            for peer in sorted(due, key=self._repost_order.__getitem__):
                 wrs = [
                     RecvWR(wr_id=self._recv_wr_id(), addr=self.buf.addr,
                            length=self.buf.length, lkey=self.mr.lkey)
-                    for _ in range(count)
+                    for _ in range(due[peer])
                 ]
-                self._repost_due[peer] = 0
-                yield from self.dataplane.post_recv_many(qp, wrs)
-        return True
+                yield from self.dataplane.post_recv_many(self.qps[peer], wrs)
 
-    def _handle_send_cqe(self, cqe) -> Generator["Event", object, None]:
+    def _slot_consumed(self, peer: int) -> None:
+        """A recv CQE from ``peer`` used up one preposted slot."""
+        due = self._repost_due
+        if peer in due:
+            due[peer] += 1
+        else:
+            due[peer] = 1
+            self._repost_order.setdefault(peer, len(self._repost_order))
+
+    def _handle_send_cqe(self, cqe) -> None:
         kind, req = self._send_track.pop(cqe.wr_id)
         if kind in ("eager", "fin") and req is not None:
             req.complete()
-        return
-        yield  # pragma: no cover
 
     def _handle_recv_cqe(self, cqe) -> Generator["Event", object, None]:
         peer = self.qpn_to_peer.get(cqe.qp_num)
         if cqe.opcode is Opcode.RDMA_WRITE_WITH_IMM:
             # Rendezvous FIN: the payload is already in place (zero copy).
             if peer is not None:
-                self._repost_due[peer] = self._repost_due.get(peer, 0) + 1
+                self._slot_consumed(peer)
             fin: FinHdr = cqe.meta
             req = self._rndv_recv.pop(fin.msg_id)
             req.complete(fin.src_rank, fin.tag, fin.nbytes, fin.payload)
             return
         if peer is not None:
-            self._repost_due[peer] = self._repost_due.get(peer, 0) + 1
+            self._slot_consumed(peer)
         hdr = cqe.meta
         if isinstance(hdr, CtsHdr):
             yield from self._start_rndv_data(hdr)
@@ -381,10 +399,6 @@ class VerbsRankEngine(RankEngine):
                 yield from self._deliver(pr, hdr)
             return
         raise MPIError(f"rank {self.rank}: unknown header {hdr!r}")
-
-    def progress_until(self, cond) -> Generator["Event", object, None]:
-        while not cond():
-            yield from self._progress_once(block=True)
 
 
 # ---------------------------------------------------------------------------
@@ -427,23 +441,22 @@ class SocketRankEngine(RankEngine):
         self, source: int = ANY, tag: int = ANY
     ) -> Generator["Event", object, Request]:
         req = Request("recv", source=source, tag=tag)
+        pr = _PostedRecv(req, source, tag)
         for i, um in enumerate(self.unexpected):
-            pr = _PostedRecv(req, source, tag)
             if pr.matches(um.src_rank, um.tag):
                 del self.unexpected[i]
                 hdr: EagerHdr = um.hdr
                 req.complete(hdr.src_rank, hdr.tag, hdr.nbytes, hdr.payload)
                 return req
-        self.posted.append(_PostedRecv(req, source, tag))
+        self.posted.append(pr)
         return req
         yield  # pragma: no cover - keeps the signature a generator
 
-    def progress_until(self, cond) -> Generator["Event", object, None]:
-        while not cond():
-            _src, _nbytes, _data, meta = yield from self.sock.recvfrom(self.core)
-            hdr: EagerHdr = meta
-            pr = match_first(self.posted, hdr.src_rank, hdr.tag)
-            if pr is None:
-                self.unexpected.append(_Unexpected(hdr.src_rank, hdr.tag, hdr))
-            else:
-                pr.req.complete(hdr.src_rank, hdr.tag, hdr.nbytes, hdr.payload)
+    def progress(self) -> Generator["Event", object, None]:
+        _src, _nbytes, _data, meta = yield from self.sock.recvfrom(self.core)
+        hdr: EagerHdr = meta
+        pr = match_first(self.posted, hdr.src_rank, hdr.tag)
+        if pr is None:
+            self.unexpected.append(_Unexpected(hdr.src_rank, hdr.tag, hdr))
+        else:
+            pr.req.complete(hdr.src_rank, hdr.tag, hdr.nbytes, hdr.payload)

@@ -78,7 +78,7 @@ class _Touch:
 class _StreamProxy:
     """Forwarding wrapper around one :class:`~repro.sim.rng.Stream`.
 
-    A draw method (``random``, ``normals``) comes back as a thin closure
+    A draw method (``random``, ``normal``) comes back as a thin closure
     that notifies the sanitizer and then calls the real method, so draw
     *values* are untouched.  Plain attributes (the ``state``/``inc`` that
     ``stream_states`` reads) are forwarded as they are and record nothing.

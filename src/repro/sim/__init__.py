@@ -9,7 +9,7 @@ SimPy-flavoured API (written from scratch; SimPy is not a dependency):
 - :class:`~repro.sim.process.Process` — generator-based cooperative
   processes that ``yield`` events.
 - :mod:`~repro.sim.resources` — capacity-limited FIFO resources (CPU
-  cores, fabric ports, softirq queues, storage channels).
+  cores, softirq queues, storage channels).
 - :mod:`~repro.sim.store` — unbounded FIFO stores (CM requests, IRQ
   events, IPoIB socket queues, the storage fetch queue).
 - :mod:`~repro.sim.rng` — named, seeded random streams so runs are

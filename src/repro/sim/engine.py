@@ -6,34 +6,15 @@ deterministic FIFO order within a priority class — determinism is a hard
 requirement because hardware profiles carry seeded jitter and benchmark
 results must be exactly reproducible.
 
-Heap records
-------------
-
 Every heap record is a flat ``(time, priority, sequence, fn, arg)``
-tuple, and dispatching one is ``fn(arg)``.  :meth:`Simulator.call_later`
-and :meth:`Simulator.call_soon` push their ``fn``/``arg`` as they are.
-A triggered event pushes :func:`~repro.sim.events._fire` over itself,
-which runs its callbacks.  A process's first step and every scalar sleep
-(``yield 250.0``, see :mod:`repro.sim.process`) push
-:func:`~repro.sim.process._wake` over the process.  Each record takes the
-``(time, priority, sequence)`` key a ``Timeout`` created at the same
-point would get; ``call_soon`` takes ``(now, URGENT)``, the key a
-spawned process's first step takes, so a callback stage can stand in
-for a spawn.  The sequence number is unique, so a comparison never
-reaches ``fn``.  The goldens in ``tests/test_golden_determinism.py`` pin
-the resulting bits.
-
-Dispatch loops
---------------
-
-There are exactly two: the branch-free hot loop in :meth:`Simulator.run`
-and one instrumented loop, :meth:`Simulator._run_instrumented`, which
-``run()`` picks whenever a runtime sanitizer (:mod:`repro.sanitize`) or
-a model-checking chooser (:mod:`repro.verify.choice`) is attached.  The
-instrumented loop sends each record through :meth:`_dispatch_record`,
-the single place both hooks act, so they compose: a chooser reorders
-ties while the sanitizer observes the schedule it produces.
-:meth:`Simulator.step` dispatches one record through the same helper.
+tuple, and dispatching one is ``fn(arg)``: ``call_later``/``call_soon``
+push their own, a triggered event pushes :func:`~repro.sim.events._fire`
+and a process's first step or scalar sleep pushes
+:func:`~repro.sim.process._wake` (DESIGN.md, "Heap records").  There are
+two dispatch loops: the branch-free hot loop in :meth:`Simulator.run`
+and :meth:`Simulator._run_instrumented`, picked whenever a runtime
+sanitizer or a model-checking chooser is attached, which sends each
+record through :meth:`_dispatch_record`, where both hooks act.
 """
 
 from __future__ import annotations
@@ -120,7 +101,7 @@ class Simulator:
     __slots__ = (
         "_now", "_queue", "_seq",
         "_sanitize", "_time_hooks", "_state_providers",
-        "_monitor", "_chooser", "rng", "trace",
+        "_monitor", "_chooser", "_active", "rng", "trace",
     )
 
     def __init__(
@@ -133,6 +114,8 @@ class Simulator:
         self._now: float = 0.0
         self._queue: list[tuple[float, int, int, Callable, object]] = []
         self._seq: int = 0
+        #: The process being stepped (see ``Process._step``), or None.
+        self._active: Optional[Process] = None
         self._time_hooks: list[Callable[[float], None]] = []
         self._state_providers: list[Callable[[], tuple]] = []
         self.rng = RngRegistry(seed)

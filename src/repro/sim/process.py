@@ -7,34 +7,20 @@ into it).  A process is itself an event, so other processes can wait for
 ("join") it, and its return value (``return x`` in the generator) becomes
 the event value.
 
-Scalar-yield protocol
----------------------
-
-``yield 250.0`` (any non-bool ``float``/``int``) means "sleep 250 ns" and
-orders exactly like ``yield sim.timeout(250.0)``: the sleep is one
-``(time, priority, sequence, _wake, process)`` heap record instead of a
-Timeout event — no allocation, no callback dispatch — carrying the same
-key a Timeout created at that point would get.
-
-Detached processes
-------------------
-
-:meth:`Simulator.spawn` creates a *detached* process for work that
-nothing joins (the IPoIB and IRQ paths, storage commands).
-It is born processed (``callbacks is None``), so its end schedules no
-termination record, and a crash propagates straight out of
-:meth:`Simulator.run` instead of being stored for a joiner.  Dropping
-that record cannot change the interleaving of the remaining ones: it
-never has callbacks, and removing an allocation from the sequence-number
-stream preserves the relative order of all other records.  Joining a
-detached process (``yield``, ``run(until=...)``) raises
-:class:`~repro.errors.SimulationError`.
+``yield 250.0`` (any non-bool ``float``/``int``) sleeps 250 ns: one
+``_wake`` heap record with the key a ``Timeout`` made at that point would
+get.  A sleep may carry a continuation (``Process._after``, left by
+``Core.run``) that its wake record runs first.  :meth:`Simulator.spawn`
+makes a *detached* process: born processed, so it leaves no termination
+record, a crash propagates out of :meth:`Simulator.run`, and joining it
+raises :class:`~repro.errors.SimulationError`.  DESIGN.md ("Performance")
+gives why each keeps every record's order.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import _PENDING, NORMAL, URGENT, Event
@@ -46,7 +32,12 @@ ProcessGenerator = Generator[Event, object, object]
 
 
 def _wake(process: "Process") -> None:
-    """Heap-record body of a first step or a scalar-yield sleep."""
+    """Heap-record body of a first step or a scalar-yield sleep; runs
+    the sleep's continuation (``Process._after``) first."""
+    after = process._after
+    if after is not None:
+        process._after = None
+        after()
     process._step(None, None)
 
 
@@ -58,7 +49,7 @@ class Process(Event):
     IPoIB message.
     """
 
-    __slots__ = ("_send", "_throw")
+    __slots__ = ("_send", "_throw", "_after")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator,
                  name: str = "", detached: bool = False):
@@ -74,6 +65,8 @@ class Process(Event):
         self._value = _PENDING
         self._ok = True
         self._defused = False
+        #: Ends the current sleep before the generator resumes (``Core.run``).
+        self._after: Optional[Callable[[], None]] = None
         # First step: a wake record at (now, URGENT, next seq).
         heappush(sim._queue, (sim._now, URGENT, sim._seq, _wake, self))
         sim._seq += 1
@@ -95,6 +88,7 @@ class Process(Event):
         """Core resume loop: feed ``value``/``exc`` in, dispatch the yield."""
         sim = self.sim
         send = self._send
+        sim._active = self  # for Core.run; cleared on every way out
         while True:
             try:
                 if exc is None:
@@ -104,12 +98,14 @@ class Process(Event):
                     exc = None
                     target = self._throw(pending_exc)
             except StopIteration as stop:
+                sim._active = None
                 if self.callbacks is not None:  # joinable: schedule the end
                     self._ok = True
                     self._value = stop.value
                     sim._schedule(self, URGENT, 0.0)
                 return
             except BaseException as crashed:  # noqa: BLE001 - process crashed
+                sim._active = None
                 if self.callbacks is None:
                     raise  # detached: nobody could catch it, so run() does
                 self._ok = False
@@ -132,6 +128,7 @@ class Process(Event):
                 heappush(sim._queue,
                          (sim._now + target, NORMAL, sim._seq, _wake, self))
                 sim._seq += 1
+                sim._active = None
                 return
             if not isinstance(target, Event):
                 value = None
@@ -150,6 +147,7 @@ class Process(Event):
             if callbacks is not None:
                 # Not yet processed: park until it is.
                 callbacks.append(self._resume)
+                sim._active = None
                 return
             # Already processed: feed its outcome straight back in.
             if target._value is _PENDING:

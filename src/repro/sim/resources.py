@@ -1,8 +1,8 @@
 """Capacity-limited FIFO resources.
 
-Used for CPU cores (capacity 1 per core), the fabric's TX/RX ports, the
-kernel's softirq queues and storage channels.  Every hold follows one
-protocol::
+Used for CPU cores (capacity 1 per core; see ``Core.run`` for the one-slice
+charges that skip the bracket), the kernel's softirq queues and storage
+channels.  Every hold follows one protocol::
 
     tok = res.try_hold()
     if tok is None:
@@ -16,16 +16,8 @@ protocol::
 returns the resource's reusable grant token — no :class:`Request` is
 allocated and the caller does not yield.  Otherwise it returns ``None``
 and :meth:`Resource.acquire` queues a :class:`Request`, granted in FIFO
-order through the event loop.
-
-A bare request is an event that succeeds when a slot is granted::
-
-    req = res.request()
-    yield req
-    yield busy_time
-    res.release(req)
-
-Releasing a request that is still queued cancels it.
+order through the event loop.  Releasing a request that is still queued
+cancels it.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ results — of existing components, which keeps calibrated benchmarks stable.
 Each stream is a pure-Python PCG64 that reproduces
 ``numpy.random.default_rng(seed)`` bit for bit: numpy's ``SeedSequence``
 hashing seeds the 128-bit LCG, ``random()`` is its uniform double, and
-:meth:`Stream.normals` is its 256-level ziggurat ``standard_normal``.
+:meth:`Stream.normal` is its 256-level ziggurat ``standard_normal``.
 ``tests/test_rng.py`` checks every draw kind against numpy when it is
 installed; the simulator itself never imports numpy, so the drawn bits do
 not depend on its version (NEP 19 does not freeze ``Generator``'s
@@ -120,8 +120,8 @@ class Stream:
         x = (s >> 64) ^ (s & _MASK64)
         return (((x << 64 | x) >> ((s >> 122) + 11)) & _MASK53) * _TWO_M53
 
-    def normals(self, n: int) -> list[float]:
-        """``n`` standard normals: ``Generator.standard_normal(n)``.
+    def normal(self) -> float:
+        """One standard normal: ``Generator.standard_normal()``.
 
         numpy's ziggurat: the low byte of each 64-bit draw picks a level,
         the next bit the sign and the following 52 bits the abscissa.
@@ -130,36 +130,30 @@ class Stream:
         level 0, sample the tail (:meth:`_tail`), both with further
         uniform draws.
         """
-        out: list[float] = []
-        append = out.append
-        s, inc, mult = self.state, self.inc, _PCG_MULT
-        m128, m64, m52 = _MASK128, _MASK64, _MASK52
-        ki, wi = KI, WI
-        for _ in range(n):
-            while True:
-                s = (s * mult + inc) & m128
-                x = (s >> 64) ^ (s & m64)
-                r = (x << 64 | x) >> (s >> 122)
-                idx = r & 0xFF
-                rabs = (r >> 9) & m52
-                z = rabs * wi[idx]
-                if r & 0x100:
-                    z = -z
-                if rabs < ki[idx]:
-                    append(z)
-                    break
-                self.state = s
-                if idx == 0:
-                    append(self._tail((rabs >> 8) & 1))
-                elif self._wedge(idx, z):
-                    append(z)
-                else:
-                    s = self.state
-                    continue
-                s = self.state
-                break
-        self.state = s
-        return out
+        s, inc = self.state, self.inc
+        while True:
+            s = (s * _PCG_MULT + inc) & _MASK128
+            x = (s >> 64) ^ (s & _MASK64)
+            r = (x << 64 | x) >> (s >> 122)
+            idx = r & 0xFF
+            rabs = (r >> 9) & _MASK52
+            z = rabs * WI[idx]
+            if r & 0x100:
+                z = -z
+            self.state = s
+            if rabs < KI[idx]:
+                return z
+            if idx == 0:
+                return self._tail((rabs >> 8) & 1)
+            if self._wedge(idx, z):
+                return z
+            s = self.state
+
+    def normals(self, n: int) -> list[float]:
+        """``n`` standard normals: ``Generator.standard_normal(n)``, which
+        draws them one by one as :meth:`normal` does."""
+        normal = self.normal
+        return [normal() for _ in range(n)]
 
     def _tail(self, negative: int) -> float:
         """A normal beyond the last level's edge ``_ZIG_R`` (Marsaglia's
@@ -245,7 +239,7 @@ class JitterStream:
     the same seed: ``lognormal`` consumes the bit stream exactly as
     ``standard_normal()`` does and then computes ``exp(mu + sigma * z)`` in
     C doubles — the same IEEE operations this class applies to one
-    :meth:`Stream.normals` draw.  The stream is built from the registry at
+    :meth:`Stream.normal` draw.  The stream is built from the registry at
     the first draw, so a source that only ever sees ``cv == 0`` never
     builds one.
     """
@@ -275,4 +269,4 @@ class JitterStream:
         gen = self._gen
         if gen is None:
             gen = self._gen = self._registry.stream(self._name)
-        return math.exp(params[0] + params[1] * gen.normals(1)[0])
+        return math.exp(params[0] + params[1] * gen.normal())

@@ -40,7 +40,7 @@ from repro.telemetry.spans import OpSpan
 #: queue-behind-earlier-ops plus service, split by the end-order sweep.
 #: ``doorbell`` = the tx WQE engine (one WQE at a time, message-rate cap),
 #: ``rx_arrive`` = the rx engine, ``tx_wire`` = the source port
-#: (capacity-1 resource; serialization is FIFO per host), ``rx_port`` =
+#: (one serial FIFO server per host), ``rx_port`` =
 #: the destination's switch output queue + RX ingress port (emitted only
 #: on a switched fabric; fan-in queueing lands here).
 SERIAL_STAGES = frozenset({"doorbell", "rx_arrive", "tx_wire", "rx_port"})

@@ -13,11 +13,11 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import CQError
+from repro.sim.events import Event
 from repro.verbs.wr import CQE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
-    from repro.sim.events import Event
 
 
 class CompletionQueue:
@@ -48,7 +48,7 @@ class CompletionQueue:
             # Real hardware transitions the CQ to error; we record and drop.
             self.overflowed = True
             raise CQError(f"CQ {self.name} overflow (depth {self.depth})")
-        now = cqe.timestamp = self.sim.now
+        now = cqe.timestamp = self.sim._now
         self.entries.append(cqe)
         self.total_cqes += 1
         mon = self.sim._monitor
@@ -85,9 +85,9 @@ class CompletionQueue:
         Fires immediately if it already does.  Used by waiter models to
         avoid simulating every spin of a poll loop.
         """
-        ev = self.sim.event(name=self._nonempty_name)
+        ev = Event(self.sim, self._nonempty_name)
         if self.entries:
-            ev.succeed(self.sim.now)
+            ev.succeed(self.sim._now)
         else:
             self._nonempty_waiters.append(ev)
         return ev

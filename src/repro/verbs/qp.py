@@ -217,8 +217,8 @@ class QueuePair:
     # -- posting validation (data structures only; costs live in dataplane) -----
 
     def check_post_send(self, wr: SendWR) -> None:
-        if self.state is not _RTS:
-            raise QPStateError(f"post_send on QP {self.qpn} in state {self.state}")
+        if self._state is not _RTS:
+            raise QPStateError(f"post_send on QP {self.qpn} in state {self._state}")
         wr.validate()
         if self.sq_outstanding >= self.sq_depth:
             raise VerbsError(f"QP {self.qpn} send queue full (depth {self.sq_depth})")
@@ -236,8 +236,8 @@ class QueuePair:
                 raise QPStateError(f"RC QP {self.qpn} is not connected")
 
     def check_post_recv(self, wr: RecvWR) -> None:
-        if self.state in (_RESET, _ERROR):
-            raise QPStateError(f"post_recv on QP {self.qpn} in state {self.state}")
+        if self._state in (_RESET, _ERROR):
+            raise QPStateError(f"post_recv on QP {self.qpn} in state {self._state}")
         if len(self.rq) >= self.rq_depth:
             raise VerbsError(f"QP {self.qpn} recv queue full (depth {self.rq_depth})")
 

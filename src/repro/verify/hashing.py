@@ -66,12 +66,11 @@ def fabric_signature(fabric: Optional["Fabric"]) -> tuple:
     if fabric is None:
         return ()
     ports = tuple(
-        (hid, len(res.users), len(res.queue))
-        for hid, res in sorted(fabric._tx_ports.items())
+        (hid, port.busy, len(port.backlog))
+        for hid, port in sorted(fabric._tx_ports.items())
     )
     rx = tuple(
-        (hid, port.queued_bytes, len(port.resource.users),
-         len(port.resource.queue))
+        (hid, port.queued_bytes, port.busy, len(port.backlog))
         for hid, port in sorted(fabric._rx_ports.items())
     )
     return (ports, rx)

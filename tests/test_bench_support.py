@@ -10,6 +10,8 @@ Two bugs fixed here and pinned down:
    negative scales; both now raise a friendly :class:`ConfigError`.
 """
 
+import os
+
 import pytest
 
 import repro.bench_support as bs
@@ -31,6 +33,39 @@ def test_emit_writes_into_late_results_dir(monkeypatch, tmp_path, capsys):
     bs.emit("sample", "hello table")
     assert (tmp_path / "out" / "sample.txt").read_text() == "hello table\n"
     assert "hello table" in capsys.readouterr().out
+
+
+def test_smoke_scale_emit_leaves_results_untouched(monkeypatch, tmp_path,
+                                                   capsys):
+    # A scaled run without REPRO_RESULTS_DIR must not overwrite the
+    # committed records: it writes to a temporary directory it prints.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REPRO_RESULTS_DIR", raising=False)
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "0.05")
+    monkeypatch.setattr(bs.tempfile, "tempdir", str(tmp_path / "tmp"))
+    bs.emit("sample", "smoke table")
+    bs.emit_record("BENCH_sample", {"x": 1})
+    assert not (tmp_path / "results").exists()
+    smoke = tmp_path / "tmp" / f"repro-results-{os.getpid()}"
+    assert str(smoke) in capsys.readouterr().out
+    assert (smoke / "sample.txt").read_text() == "smoke table\n"
+    assert (smoke / "BENCH_sample.json").exists()
+
+
+@pytest.mark.parametrize("scale", ["", "1", "1.0"])
+def test_full_scale_emit_writes_results(monkeypatch, tmp_path, scale):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REPRO_RESULTS_DIR", raising=False)
+    monkeypatch.setenv("REPRO_BENCH_SCALE", scale)
+    bs.emit("sample", "full table")
+    assert (tmp_path / "results" / "sample.txt").read_text() == "full table\n"
+
+
+def test_explicit_results_dir_wins_at_smoke_scale(monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "out"))
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "0.05")
+    bs.emit("sample", "smoke table")
+    assert (tmp_path / "out" / "sample.txt").read_text() == "smoke table\n"
 
 
 def test_bench_scale_default(monkeypatch):

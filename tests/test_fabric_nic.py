@@ -7,6 +7,7 @@ from repro.core.endpoint import connect, make_endpoint, make_rc_pair, make_ud_pa
 from repro.errors import HardwareError
 from repro.hw.nic import ACK_RX_FRACTION
 from repro.hw.profiles import SYSTEM_L
+from repro.sanitize import drain_global_findings
 from repro.sim import Simulator
 from repro.units import to_gbit_per_s, us
 from repro.verbs.wr import Opcode, RecvWR, SendWR, WireMessage
@@ -68,6 +69,45 @@ def test_tx_port_is_shared_across_flows():
     # Two flows to different destinations still share ~100 Gbit/s egress.
     assert total < 110.0
     assert total > 60.0
+
+
+def _port_race(hosts_n: int, sources: tuple, dst: int,
+               sanitize: bool = False) -> tuple:
+    """Same-instant messages of 4 KiB from ``sources`` to ``dst`` on a
+    system L cluster: (leave and delivery log, heap records)."""
+    sim = Simulator(seed=0, sanitize=sanitize)
+    fabric, hosts = build_cluster(sim, SYSTEM_L, hosts_n)
+    log = []
+    hosts[dst].nic.deliver = lambda p: log.append(("rx", p, sim.now))
+
+    def send(src, tag):
+        yield from fabric.transmit(src, dst, 4096, tag)
+        log.append(("left", tag, sim.now))
+
+    for i, src in enumerate(sources):
+        sim.process(send(src, i))
+    sim.run()
+    drain_global_findings()
+    return log, sim.events_scheduled
+
+
+def test_same_instant_messages_share_the_tx_port_in_fifo_order():
+    # Two messages from one host at t=0: the second waits for the port and
+    # is granted through one zero-delay record at the first's release.
+    # Pinned values; the sanitized run's port path must agree.
+    want = ([("left", 0, 352.68), ("rx", 0, 602.6800000000001),
+             ("left", 1, 705.36), ("rx", 1, 955.36)], 9)
+    assert _port_race(2, (0, 0), 1) == want
+    assert _port_race(2, (0, 0), 1, sanitize=True) == want
+
+
+def test_two_to_one_incast_drains_through_the_switch_rx_port():
+    # Two hosts send to a third at t=0: both leave at once, then drain one
+    # after the other through the receiver's switch output port.
+    want = ([("left", 0, 352.68), ("left", 1, 352.68),
+             ("rx", 0, 955.3600000000001), ("rx", 1, 1308.0400000000002)], 11)
+    assert _port_race(3, (0, 1), 2) == want
+    assert _port_race(3, (0, 1), 2, sanitize=True) == want
 
 
 def test_loopback_same_host_faster_than_wire_but_not_free():

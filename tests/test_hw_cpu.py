@@ -208,18 +208,82 @@ def test_cpuset_pin_round_robin_and_explicit():
 
 
 def test_uncontended_run_holds_inline():
+    # A one-slice charge on an idle core returns its sleep for the caller
+    # to yield; the core counts as held (the Resource's inline token)
+    # until the charging process's wake record ends the slice.
     sim, core = make_core(SYSTEM_A)
     seen = []
 
-    def proc():
-        gen = core.run(300.0)
-        next(gen)  # the first yield is already the work slice
-        seen.append(core.res.users is core.res._held)
-        yield from gen
+    def owner():
+        yield from core.run(300.0)
+        seen.append(("owner", core.res.users == []))
 
-    run(sim, proc())
-    assert seen == [True]
+    def observer():
+        yield 100.0
+        seen.append(("mid", core.res.users is core.res._held))
+
+    sim.process(owner())
+    sim.process(observer())
+    sim.run()
+    assert seen == [("mid", True), ("owner", True)]
     assert core.res.users == []
+
+
+#: (request dispatched before the owner's wake?) -> (log, repr(duty),
+#: repr(busy_ns), heap records) of :func:`_core_race`.  The queued
+#: requester is granted through one extra record.
+CORE_RACE = {
+    True: ([("ask", 624.9999999999999, True), ("owner", 624.9999999999999),
+            ("requester", 1250.8329523347934)],
+           "0.024706335569699565", "1250.8329523347934", 8),
+    False: ([("owner", 624.9999999999999), ("ask", 624.9999999999999, False),
+             ("requester", 1250.8329523347934)],
+            "0.024706335569699565", "1250.8329523347934", 7),
+}
+
+
+def _core_race(requester_first: bool, sanitize: bool = False) -> tuple:
+    """A second process asks for a turbo core at the exact nanosecond the
+    owner's one-slice charge ends, before or after the owner's wake."""
+    work = 700.0
+    dry, dcore = make_core(SYSTEM_A)
+    run(dry, dcore.run(work))
+    end = dry.now  # the owner's wake time
+
+    sim = Simulator(seed=0, sanitize=sanitize)
+    core = Core(sim, SYSTEM_A, index=0)
+    log = []
+
+    def owner():
+        yield from core.run(work)
+        log.append(("owner", sim.now))
+
+    def requester():
+        yield end
+        log.append(("ask", sim.now, core.res.users != []))
+        yield from core.run(work)
+        log.append(("requester", sim.now))
+
+    if requester_first:
+        sim.process(requester())
+        sim.process(owner())
+    else:
+        sim.process(owner())
+        sim.process(requester())
+    sim.run()
+    drain_global_findings()
+    return log, repr(core._duty), repr(core.busy_ns), sim.events_scheduled
+
+
+@pytest.mark.parametrize("requester_first", [True, False])
+def test_request_at_the_owners_wake_instant(requester_first):
+    # Dispatched before the owner's wake, the request must queue (the core
+    # is held until that record) and be granted by the release in it;
+    # after it, the request takes the idle core inline.  The sanitized
+    # run takes the Resource path for every hold and must agree.
+    want = CORE_RACE[requester_first]
+    assert _core_race(requester_first) == want
+    assert _core_race(requester_first, sanitize=True) == want
 
 
 def test_same_instant_race_on_core_is_sim101_with_sanitizer():

@@ -125,7 +125,7 @@ from repro.perftest.incast import IncastConfig, run_incast
 from repro.perftest.runner import PerftestConfig, run_bw, run_lat
 from repro.sim.rng import Stream
 
-draws = {"random": 0, "normals": 0}
+draws = {"random": 0, "normal": 0}
 
 def counting(kind, method):
     def counted(self, *args):
@@ -134,11 +134,11 @@ def counting(kind, method):
     return counted
 
 Stream.random = counting("random", Stream.random)
-Stream.normals = counting("normals", Stream.normals)
+Stream.normal = counting("normal", Stream.normal)
 
 def budget():
-    drawn = [draws["normals"] > 0, draws["random"] > 0]
-    draws.update(random=0, normals=0)
+    drawn = [draws["normal"] > 0, draws["random"] > 0]
+    draws.update(random=0, normal=0)
     return [sorted(m for m in sys.modules if m.split(".")[0] == "numpy"), drawn]
 
 out = {}

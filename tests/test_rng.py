@@ -87,12 +87,12 @@ def test_testbed_build_leaves_stream_states_until_first_jittered_syscall():
 
 
 def test_one_normal_at_a_time_equals_a_block():
-    """The jitter source draws ``normals(1)`` per value: the sequence is
+    """The jitter source draws one ``normal()`` per value: the sequence is
     the same as one long block, state included."""
     for master in range(20):
         seed = stream_seed(master, "cpu:core0")
         block, single = Stream(seed), Stream(seed)
-        assert [single.normals(1)[0] for _ in range(1000)] == block.normals(1000)
+        assert [single.normal() for _ in range(1000)] == block.normals(1000)
         assert (single.state, single.inc) == (block.state, block.inc)
 
 
